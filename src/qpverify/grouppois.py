@@ -48,8 +48,8 @@ def entry(n, i, j):
     return {tuple(e): ONE}
 
 
-def _unit_exp(n, v):
-    e = [0] * (n * n)
+def _unit_exp(nvars, v):
+    e = [0] * nvars
     e[v] = 1
     return tuple(e)
 
@@ -69,19 +69,19 @@ def _field_images(L, x, side):
         if side == "left":
             for i in range(n):
                 tgt = var_index(n, i, b)
-                mono = _unit_exp(n, var_index(n, i, a))
+                mono = _unit_exp(n * n, var_index(n, i, a))
                 images.setdefault(tgt, {})
                 termops.piadd(images[tgt], {mono: ONE}, val)
         else:
             for j in range(n):
                 tgt = var_index(n, a, j)
-                mono = _unit_exp(n, var_index(n, b, j))
+                mono = _unit_exp(n * n, var_index(n, b, j))
                 images.setdefault(tgt, {})
                 termops.piadd(images[tgt], {mono: ONE}, val)
     return images
 
 
-def _apply_derivation(images, p, n):
+def _apply_derivation(images, p):
     out = {}
     for v, img in images.items():
         dv = termops.pderive(p, v)
@@ -92,12 +92,12 @@ def _apply_derivation(images, p, n):
 
 def left_field(L, x, p):
     """Left-invariant derivation of ``x`` applied to an entry polynomial."""
-    return _apply_derivation(_field_images(L, x, "left"), p, L.msize)
+    return _apply_derivation(_field_images(L, x, "left"), p)
 
 
 def right_field(L, x, p):
     """Right-invariant derivation of ``x`` applied to an entry polynomial."""
-    return _apply_derivation(_field_images(L, x, "right"), p, L.msize)
+    return _apply_derivation(_field_images(L, x, "right"), p)
 
 
 class GroupBivector:
@@ -230,7 +230,7 @@ def jacobiator_on_generators(B):
     """
     n2 = B.nvars
     out = {}
-    gens = [{_unit_exp_from(n2, v): ONE} for v in range(n2)]
+    gens = [{_unit_exp(n2, v): ONE} for v in range(n2)]
     for u in range(n2):
         for v in range(u + 1, n2):
             for w in range(v + 1, n2):
@@ -241,12 +241,6 @@ def jacobiator_on_generators(B):
                 if acc:
                     out[(u, v, w)] = acc
     return out
-
-
-def _unit_exp_from(nvars, v):
-    e = [0] * nvars
-    e[v] = 1
-    return tuple(e)
 
 
 def conjugation_field(L, x, p):
@@ -265,9 +259,9 @@ def ad_invariance_defect(L, B, x):
     n2 = B.nvars
     out = {}
     for u in range(n2):
-        pu = {_unit_exp_from(n2, u): ONE}
+        pu = {_unit_exp(n2, u): ONE}
         for v in range(u + 1, n2):
-            pv = {_unit_exp_from(n2, v): ONE}
+            pv = {_unit_exp(n2, v): ONE}
             acc = conjugation_field(L, x, B.bracket(pu, pv))
             termops.piadd(acc, B.bracket(conjugation_field(L, x, pu), pv), -ONE)
             termops.piadd(acc, B.bracket(pu, conjugation_field(L, x, pv)), -ONE)
@@ -280,9 +274,9 @@ def phi_through_conjugation(L, u, v, w):
     """The invariant 3-tensor evaluated through conjugation fields on entries."""
     phi = liealg.canonical_tensors(L).phi
     n2 = L.msize * L.msize
-    pu = {_unit_exp_from(n2, u): ONE}
-    pv = {_unit_exp_from(n2, v): ONE}
-    pw = {_unit_exp_from(n2, w): ONE}
+    pu = {_unit_exp(n2, u): ONE}
+    pv = {_unit_exp(n2, v): ONE}
+    pw = {_unit_exp(n2, w): ONE}
     acc = {}
     for (a, b, c), coef in phi.plain_items():
         fa = conjugation_field(L, a, pu)

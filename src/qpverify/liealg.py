@@ -201,10 +201,6 @@ class LieAlgebra:
 
     # -- basis bookkeeping
 
-    def h_index(self, i):
-        """Index of the i-th coroot (1-based, Bourbaki order)."""
-        return i - 1
-
     def pos_index(self, beta):
         return self._index["x" + "".join(map(str, beta))]
 
@@ -214,9 +210,6 @@ class LieAlgebra:
     @property
     def positive_roots(self):
         return self.root_system.positive_roots
-
-    def basis_element(self, i):
-        return {i: ONE}
 
     # -- bracket
 

@@ -186,10 +186,6 @@ class RowBasis:
 # sparse matrices over the rationals, stored as (row, col) -> value
 
 
-def mat_from_entries(entries, shape):
-    return {k: v for k, v in entries.items() if v}, shape
-
-
 def mat_identity(n):
     return {(i, i): ONE for i in range(n)}
 

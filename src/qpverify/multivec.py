@@ -349,21 +349,3 @@ def co_jacobi_check(r):
 def antipode_flip(tensor):
     """Apply the sign antipode to every leg: degree k picks up (-1)^k."""
     return tensor.scale(-1 if tensor.degree & 1 else 1)
-
-
-def killing_pairing(s, t):
-    """Full Killing-form contraction of two same-degree tensors."""
-    alg = s.algebra
-    if alg is not t.algebra or s.degree != t.degree:
-        raise ValueError("pairing needs same algebra and degree")
-    k = alg.killing
-    total = Fraction(0)
-    for key_s, cs in s.plain_items():
-        for key_t, ct in t.plain_items():
-            prod = cs * ct
-            for a, b in zip(key_s, key_t):
-                prod *= k[a][b]
-                if not prod:
-                    break
-            total += prod
-    return total

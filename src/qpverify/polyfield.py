@@ -46,12 +46,13 @@ class NoSolutionError(RuntimeError):
 class PolyVectorField:
     """Homogeneous-degree multivector field with polynomial coefficients."""
 
-    __slots__ = ("algebra", "degree", "terms")
+    __slots__ = ("algebra", "degree", "terms", "_table")
 
     def __init__(self, algebra, degree, terms):
         self.algebra = algebra
         self.degree = degree
         self.terms = {k: v for k, v in terms.items() if v}
+        self._table = None
 
     @classmethod
     def zero(cls, algebra, degree):
@@ -84,11 +85,18 @@ class PolyVectorField:
             raise ValueError("wrong number of arguments")
         return termops.kveval(self.terms, list(polys))
 
-    def bracket(self, f, g):
-        """Biderivation of a bivector field on two polynomials."""
+    def bracket(self, f, g, maxdeg=-1):
+        """Biderivation of a bivector field on two polynomials.
+
+        Monomials above ``maxdeg`` are dropped when it is non-negative.
+        The generator table is built on the first call; fields are never
+        mutated after construction, so it stays valid.
+        """
         if self.degree != 2:
             raise ValueError("bracket evaluation needs a bivector")
-        return termops.bivector_eval(self.terms, f, g)
+        if self._table is None:
+            self._table = termops.bivector_table(self.terms)
+        return termops.table_bracket(self._table, f, g, maxdeg)
 
     def coefficient_degrees(self):
         return sorted({sum(e) for (e, _) in self.terms})

@@ -59,10 +59,6 @@ class TruncatedPolynomialAlgebra:
     def multiply(self, a, b):
         return termops.pmul(a, b, self.max_degree)
 
-    def act(self, x, p):
-        """Action of a basis element on a polynomial (coadjoint derivation)."""
-        return polyfield.coadjoint_field(self.algebra, x).evaluate(p)
-
 
 class FirstOrderProduct:
     """Order-one term of a star product, given by a bivector field."""
@@ -75,7 +71,7 @@ class FirstOrderProduct:
         self.label = label
 
     def __call__(self, a, b):
-        return termops.ptruncate(self.bivector.bracket(a, b), self.trunc.max_degree)
+        return self.bivector.bracket(a, b, self.trunc.max_degree)
 
 
 def standard_first_order_product(trunc, f_field, r_tensor):
@@ -122,7 +118,7 @@ def first_order_invariance_check(m1, r, degree=None):
             pa = {a: ONE}
             for b in monos:
                 pb = {b: ONE}
-                if termops.ptruncate(defect.bracket(pa, pb), d):
+                if defect.bracket(pa, pb, d):
                     return CheckResult(
                         name="first-order-invariance",
                         passed=False,
@@ -181,49 +177,7 @@ def hochschild_cocycle_check(trunc, m1, degree=None, name="hochschild-cocycle"):
     )
 
 
-def _grouped_bivector(field):
-    """Index a bivector field by its (ascending) derivation pair."""
-    groups = {}
-    for (e, d), c in field.terms.items():
-        groups.setdefault(d, {})[e] = c
-    return groups
-
-
-def _grouped_eval(groups, ea, ca, eb, cb, maxdeg):
-    """Biderivation value on two monomials via support lookup."""
-    out = {}
-    sa = [i for i, x in enumerate(ea) if x]
-    sb = [j for j, x in enumerate(eb) if x]
-    for i in sa:
-        dea = ea[:i] + (ea[i] - 1,) + ea[i + 1 :]
-        for j in sb:
-            if i == j:
-                key = None
-            elif i < j:
-                key, sign = (i, j), ONE
-            else:
-                key, sign = (j, i), -ONE
-            if key is None:
-                continue
-            g = groups.get(key)
-            if not g:
-                continue
-            deb = eb[:j] + (eb[j] - 1,) + eb[j + 1 :]
-            mono = tuple(x + y for x, y in zip(dea, deb))
-            coeff = sign * ca * cb * ea[i] * eb[j]
-            for e, c in g.items():
-                tot = tuple(x + y for x, y in zip(mono, e))
-                if maxdeg >= 0 and sum(tot) > maxdeg:
-                    continue
-                s = out.get(tot, Fraction(0)) + coeff * c
-                if s:
-                    out[tot] = s
-                elif tot in out:
-                    del out[tot]
-    return out
-
-
-def twist_correspondence_check(trunc, f_field, r_tensor, degree=None):
+def twist_correspondence_check(trunc, r_tensor, degree=None):
     """Order-one consistency of the twist correspondence.
 
     The first-order product is the invariant half-bracket corrected by
@@ -235,8 +189,7 @@ def twist_correspondence_check(trunc, f_field, r_tensor, degree=None):
     """
     L = trunc.algebra
     d = trunc.max_degree if degree is None else degree
-    rm_groups = _grouped_bivector(polyfield.rmatrix_bracket(r_tensor))
-    f_groups = _grouped_bivector(f_field)
+    rm = polyfield.rmatrix_bracket(r_tensor)
     r_plain = list(r_tensor.plain_items())
     monos = trunc.monomials_upto(d)
     acted = {}
@@ -247,7 +200,6 @@ def twist_correspondence_check(trunc, f_field, r_tensor, degree=None):
                 acted[leg] = {e: Xl.evaluate({e: ONE}) for e in monos}
 
     for ea in monos:
-        pa_deg = sum(ea)
         for eb in monos:
             # composed twist map, skew-symmetrized
             twist = {}
@@ -258,7 +210,7 @@ def twist_correspondence_check(trunc, f_field, r_tensor, degree=None):
                 xa, xb = acted[u][eb], acted[v][ea]
                 if xa and xb:
                     termops.piadd(twist, termops.pmul(xa, xb, d), -c * HALF)
-            field_route = _grouped_eval(rm_groups, ea, ONE, eb, ONE, d)
+            field_route = rm.bracket({ea: ONE}, {eb: ONE}, d)
             if twist != field_route:
                 return CheckResult(
                     name="twist-correspondence",

@@ -671,7 +671,7 @@ def _suite_star_first_order(series, rank, config):
         return not res.passed, None
 
     def run_twist():
-        return quantize.twist_correspondence_check(trunc, f, ct.r_sd).passed, None
+        return quantize.twist_correspondence_check(trunc, ct.r_sd).passed, None
 
     return [
         _record(

@@ -1,49 +1,32 @@
-"""Term-algebra kernel selection.
+"""Sparse exact term-algebra kernels.
 
-Imports the compiled kernels when the extension module built from
-``_speedups.pyx`` is available, otherwise falls back to the pure-Python
-twin.  ``QPVERIFY_PURE=1`` forces the fallback; ``BACKEND`` reports the
-active choice.  ``benchmarks/bench_backends.py`` compares the two.
+Every kernel lives in ``pure``; this package re-exports them so that
+callers reach each one as ``termops.<name>``.  ``BACKEND`` and
+``backends()`` name the single backend for reports that record it.
 """
 
-import os
+from . import pure
 
-from . import pure as _pure
+BACKEND = "pure"
 
-if os.environ.get("QPVERIFY_PURE") == "1":
-    _impl = _pure
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _pure
-
-BACKEND = "pure" if _impl is _pure else "compiled"
-
-padd = _impl.padd
-pscale = _impl.pscale
-piadd = _impl.piadd
-pmul = _impl.pmul
-pderive = _impl.pderive
-ptruncate = _impl.ptruncate
-merge_ders = _impl.merge_ders
-siadd = _impl.siadd
-sadd = _impl.sadd
-sscale = _impl.sscale
-smul = _impl.smul
-sn_bracket = _impl.sn_bracket
-kveval = _impl.kveval
-bivector_eval = _impl.bivector_eval
-table_bracket = _impl.table_bracket
+padd = pure.padd
+pscale = pure.pscale
+piadd = pure.piadd
+pmul = pure.pmul
+pderive = pure.pderive
+ptruncate = pure.ptruncate
+merge_ders = pure.merge_ders
+siadd = pure.siadd
+sadd = pure.sadd
+sscale = pure.sscale
+smul = pure.smul
+sn_bracket = pure.sn_bracket
+kveval = pure.kveval
+bivector_table = pure.bivector_table
+bivector_eval = pure.bivector_eval
+table_bracket = pure.table_bracket
 
 
 def backends():
     """Return the available backends as a name -> module mapping."""
-    found = {"pure": _pure}
-    try:
-        from . import _speedups
-
-        found["compiled"] = _speedups
-    except ImportError:
-        pass
-    return found
+    return {"pure": pure}

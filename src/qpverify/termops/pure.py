@@ -13,13 +13,11 @@ The polyvector encoding is the usual odd-variable picture: derivations are
 anticommuting symbols listed in ascending order, so every product carries
 the sign of the interleaving permutation.
 
-The compiled backend (``_speedups.pyx``) mirrors this module function for
-function; ``qpverify.termops`` picks one at import time.
+Biderivations have one evaluator, ``table_bracket``: a bivector term dict
+is first turned into a generator table by ``bivector_table``.
 """
 
 from fractions import Fraction
-
-_ZERO = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -290,20 +288,22 @@ def kveval(terms, polys):
     return out
 
 
-def bivector_eval(terms, f, g):
+def bivector_table(terms):
+    """Generator table of a bivector term dict.
+
+    A term ``c * y^e * d/dy_i ^ d/dy_j`` with ``i < j`` puts ``c * y^e``
+    at ``(i, j)`` and ``-c * y^e`` at ``(j, i)``.
+    """
+    table = {}
+    for (e, (i, j)), c in terms.items():
+        table.setdefault((i, j), {})[e] = c
+        table.setdefault((j, i), {})[e] = -c
+    return table
+
+
+def bivector_eval(terms, f, g, maxdeg=-1):
     """Bracket of two polynomials under a bivector term dict."""
-    out = {}
-    for (e, d), c in terms.items():
-        i, j = d
-        dfi = pderive(f, i)
-        dgj = pderive(g, j)
-        if dfi and dgj:
-            piadd(out, pmul(pmul(dfi, dgj), {e: Fraction(1)}), c)
-        dfj = pderive(f, j)
-        dgi = pderive(g, i)
-        if dfj and dgi:
-            piadd(out, pmul(pmul(dfj, dgi), {e: Fraction(1)}), -c)
-    return out
+    return table_bracket(bivector_table(terms), f, g, maxdeg)
 
 
 def table_bracket(table, p, q, maxdeg=-1):

@@ -110,8 +110,8 @@ def test_hochschild_genuine_fault_fails(sl2):
 
 
 def test_twist_correspondence(sl3_product):
-    trunc, f, ct = sl3_product
-    assert quantize.twist_correspondence_check(trunc, f, ct.r_sd).passed
+    trunc, _, ct = sl3_product
+    assert quantize.twist_correspondence_check(trunc, ct.r_sd).passed
 
 
 # ---------------------------------------------------------------------------
