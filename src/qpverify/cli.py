@@ -53,8 +53,6 @@ def main(argv=None):
         suite=args.suite,
         degree=args.degree,
         seed=args.seed,
-        fmt=args.fmt,
-        timings=args.timings,
     )
     try:
         report = suites.run_suite(config)

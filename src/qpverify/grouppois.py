@@ -55,29 +55,37 @@ def _unit_exp(nvars, v):
 
 
 def _field_images(L, x, side):
-    """Images of every entry symbol under a one-sided field of ``x``.
+    """Images of every entry symbol under the field of basis element ``x``.
 
     Left: (t x)_{ij} = sum_k t_{ik} x_{kj}.  Right: (x t)_{ij} =
-    sum_k x_{ik} t_{kj}.
+    sum_k x_{ik} t_{kj}.  Conjugation: left minus right.  Each table is
+    built once per algebra and cached on it.
     """
-    if L.matrices is None:
-        raise RealizationMismatch("algebra carries no matrix realization")
-    n = L.msize
-    X = L.matrices[x] if isinstance(x, int) else x
-    images = {}
-    for (a, b), val in X.items():
-        if side == "left":
-            for i in range(n):
-                tgt = var_index(n, i, b)
-                mono = _unit_exp(n * n, var_index(n, i, a))
-                images.setdefault(tgt, {})
-                termops.piadd(images[tgt], {mono: ONE}, val)
-        else:
-            for j in range(n):
-                tgt = var_index(n, a, j)
-                mono = _unit_exp(n * n, var_index(n, b, j))
-                images.setdefault(tgt, {})
-                termops.piadd(images[tgt], {mono: ONE}, val)
+    cache = getattr(L, "_field_image_cache", None)
+    if cache is None:
+        cache = {}
+        L._field_image_cache = cache
+    key = (x, side)
+    if key in cache:
+        return cache[key]
+    if side == "conjugation":
+        images = {u: dict(img) for u, img in _field_images(L, x, "left").items()}
+        for u, img in _field_images(L, x, "right").items():
+            termops.piadd(images.setdefault(u, {}), img, -ONE)
+        images = {u: img for u, img in images.items() if img}
+    else:
+        if L.matrices is None:
+            raise RealizationMismatch("algebra carries no matrix realization")
+        n = L.msize
+        images = {}
+        for (a, b), val in L.matrices[x].items():
+            for k in range(n):
+                if side == "left":
+                    tgt, src = var_index(n, k, b), var_index(n, k, a)
+                else:
+                    tgt, src = var_index(n, a, k), var_index(n, b, k)
+                termops.piadd(images.setdefault(tgt, {}), {_unit_exp(n * n, src): ONE}, val)
+    cache[key] = images
     return images
 
 
@@ -98,6 +106,36 @@ def left_field(L, x, p):
 def right_field(L, x, p):
     """Right-invariant derivation of ``x`` applied to an entry polynomial."""
     return _apply_derivation(_field_images(L, x, "right"), p)
+
+
+def conjugation_field(L, x, p):
+    """Derivation of the conjugation action, the left minus the right field."""
+    return _apply_derivation(_field_images(L, x, "conjugation"), p)
+
+
+def _pushed_table(L, legs):
+    """Generator table of a 2-tensor pushed through field images.
+
+    ``legs`` lists ``(c, (a, side_a), (b, side_b))``; the value on the
+    entry pair (u, v) is the sum of ``c * A_a(u) * B_b(v)``.
+    """
+    n2 = L.msize * L.msize
+    legs = [
+        (c, _field_images(L, a, side_a), _field_images(L, b, side_b))
+        for c, (a, side_a), (b, side_b) in legs
+    ]
+    table = {}
+    for u in range(n2):
+        for v in range(n2):
+            acc = {}
+            for c, images_a, images_b in legs:
+                pa = images_a.get(u)
+                pb = images_b.get(v)
+                if pa and pb:
+                    termops.piadd(acc, termops.pmul(pa, pb), c)
+            if acc:
+                table[(u, v)] = acc
+    return table
 
 
 class GroupBivector:
@@ -146,37 +184,9 @@ def build_two_sided_bracket(L, r1, r2, degree_cap=DEFAULT_DEGREE_CAP):
             "the bracket need not be Poisson",
             stacklevel=2,
         )
-    n = L.msize
-    left_cache = {}
-    right_cache = {}
-
-    def left_img(x):
-        if x not in left_cache:
-            left_cache[x] = _field_images(L, x, "left")
-        return left_cache[x]
-
-    def right_img(x):
-        if x not in right_cache:
-            right_cache[x] = _field_images(L, x, "right")
-        return right_cache[x]
-
-    table = {}
-    for u in range(n * n):
-        for v in range(n * n):
-            acc = {}
-            for (a, b), c in r1.plain_items():
-                pa = left_img(a).get(u)
-                pb = left_img(b).get(v)
-                if pa and pb:
-                    termops.piadd(acc, termops.pmul(pa, pb), c)
-            for (a, b), c in r2.plain_items():
-                pa = right_img(a).get(u)
-                pb = right_img(b).get(v)
-                if pa and pb:
-                    termops.piadd(acc, termops.pmul(pa, pb), c)
-            if acc:
-                table[(u, v)] = acc
-    return GroupBivector(n, table, degree_cap)
+    legs = [(c, (a, "left"), (b, "left")) for (a, b), c in r1.plain_items()]
+    legs += [(c, (a, "right"), (b, "right")) for (a, b), c in r2.plain_items()]
+    return GroupBivector(L.msize, _pushed_table(L, legs), degree_cap)
 
 
 def build_sklyanin_bracket(L, degree_cap=DEFAULT_DEGREE_CAP):
@@ -189,37 +199,11 @@ def build_ad_bracket(L, degree_cap=DEFAULT_DEGREE_CAP):
     """Conjugation-invariant bracket from the invariant symmetric 2-tensor."""
     if L.matrices is None:
         raise RealizationMismatch("algebra carries no matrix realization")
-    t = liealg.canonical_tensors(L).t
-    n = L.msize
-    left_cache = {}
-    right_cache = {}
-
-    def left_img(x):
-        if x not in left_cache:
-            left_cache[x] = _field_images(L, x, "left")
-        return left_cache[x]
-
-    def right_img(x):
-        if x not in right_cache:
-            right_cache[x] = _field_images(L, x, "right")
-        return right_cache[x]
-
-    table = {}
-    for u in range(n * n):
-        for v in range(n * n):
-            acc = {}
-            for (a, b), c in t.plain_items():
-                la = left_img(a).get(u)
-                rb = right_img(b).get(v)
-                if la and rb:
-                    termops.piadd(acc, termops.pmul(la, rb), c)
-                lb = left_img(a).get(v)
-                ra = right_img(b).get(u)
-                if lb and ra:
-                    termops.piadd(acc, termops.pmul(lb, ra), -c)
-            if acc:
-                table[(u, v)] = acc
-    return GroupBivector(n, table, degree_cap)
+    legs = []
+    for (a, b), c in liealg.canonical_tensors(L).t.plain_items():
+        legs.append((c, (a, "left"), (b, "right")))
+        legs.append((-c, (b, "right"), (a, "left")))
+    return GroupBivector(L.msize, _pushed_table(L, legs), degree_cap)
 
 
 def jacobiator_on_generators(B):
@@ -241,13 +225,6 @@ def jacobiator_on_generators(B):
                 if acc:
                     out[(u, v, w)] = acc
     return out
-
-
-def conjugation_field(L, x, p):
-    """Derivation of the conjugation action, the left minus the right field."""
-    lhs = left_field(L, x, p)
-    termops.piadd(lhs, right_field(L, x, p), -ONE)
-    return lhs
 
 
 def ad_invariance_defect(L, B, x):
@@ -272,20 +249,15 @@ def ad_invariance_defect(L, B, x):
 
 def phi_through_conjugation(L, u, v, w):
     """The invariant 3-tensor evaluated through conjugation fields on entries."""
-    phi = liealg.canonical_tensors(L).phi
-    n2 = L.msize * L.msize
-    pu = {_unit_exp(n2, u): ONE}
-    pv = {_unit_exp(n2, v): ONE}
-    pw = {_unit_exp(n2, w): ONE}
     acc = {}
-    for (a, b, c), coef in phi.plain_items():
-        fa = conjugation_field(L, a, pu)
+    for (a, b, c), coef in liealg.canonical_tensors(L).phi.plain_items():
+        fa = _field_images(L, a, "conjugation").get(u)
         if not fa:
             continue
-        fb = conjugation_field(L, b, pv)
+        fb = _field_images(L, b, "conjugation").get(v)
         if not fb:
             continue
-        fc = conjugation_field(L, c, pw)
+        fc = _field_images(L, c, "conjugation").get(w)
         if not fc:
             continue
         termops.piadd(acc, termops.pmul(termops.pmul(fa, fb), fc), coef)

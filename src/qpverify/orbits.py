@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from . import multivec, rootsys
+from . import rootsys
 
 ONE = Fraction(1)
 

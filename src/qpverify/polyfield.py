@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
-from . import liealg, linalg, multivec, termops
+from . import liealg, linalg, termops
 
 ONE = Fraction(1)
 
@@ -574,24 +574,14 @@ def gl_transport_quadratic_bracket(L):
                 acc = linalg.mat_add(acc, L.matrices[j], ginv[m][j])
         dual.append(acc)
 
-    def lin_left(x, a):
-        # derivation Y -> Yx applied to the coordinate tr(. b_a)
+    def linear(prod):
+        # the linear coordinate polynomial of a matrix, read through tr(dual[m] .)
         out = {}
-        xa = linalg.mat_mul(x, L.matrices[a])
         for m in range(dim):
-            c = linalg.mat_trace_product(dual[m], xa)
+            c = linalg.mat_trace_product(dual[m], prod)
             if c:
                 out[tuple(1 if t == m else 0 for t in range(dim))] = c
         return out
-
-    def lin_right(x, a):
-        ax = linalg.mat_mul(L.matrices[a], x)
-        for_out = {}
-        for m in range(dim):
-            c = linalg.mat_trace_product(dual[m], ax)
-            if c:
-                for_out[tuple(1 if t == m else 0 for t in range(dim))] = c
-        return for_out
 
     terms = {}
     for a in range(dim):
@@ -601,12 +591,13 @@ def gl_transport_quadratic_bracket(L):
                 for v in range(n):
                     e_uv = {(u, v): ONE}
                     e_vu = {(v, u): ONE}
-                    la = lin_left(e_uv, a)
-                    rb = lin_right(e_vu, b)
+                    # left fields multiply on the right, right fields on the left
+                    la = linear(linalg.mat_mul(e_uv, L.matrices[a]))
+                    rb = linear(linalg.mat_mul(L.matrices[b], e_vu))
                     if la and rb:
                         termops.piadd(value, termops.pmul(la, rb), ONE)
-                    lb = lin_left(e_uv, b)
-                    ra = lin_right(e_vu, a)
+                    lb = linear(linalg.mat_mul(e_uv, L.matrices[b]))
+                    ra = linear(linalg.mat_mul(L.matrices[a], e_vu))
                     if lb and ra:
                         termops.piadd(value, termops.pmul(lb, ra), -ONE)
             for e, c in value.items():

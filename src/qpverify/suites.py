@@ -8,7 +8,7 @@ collected but only embedded in the JSON when explicitly requested.
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import grouppois, liealg, multivec, orbits, polyfield, quantize, rootsys
@@ -45,8 +45,6 @@ class SuiteConfig:
     pbw_degree: int = None
     group_degree_cap: int = grouppois.DEFAULT_DEGREE_CAP
     seed: int = 0
-    fmt: str = "text"
-    timings: bool = False
 
     def star_degree(self):
         if self.invariance_degree is not None:

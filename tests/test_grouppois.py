@@ -2,6 +2,8 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpverify import grouppois, liealg, multivec, termops
 
@@ -164,3 +166,71 @@ def test_ad_bracket_phi_identity_rank1_degenerate(sl2):
         for v in range(u + 1, 4):
             for w in range(v + 1, 4):
                 assert grouppois.phi_through_conjugation(sl2, u, v, w) == {}
+
+
+# ---------------------------------------------------------------------------
+# laws of the entry fields on random entry polynomials
+
+LAWS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+SL2 = liealg.algebra("A", 1)
+SL3 = liealg.algebra("A", 2)
+FIELDS = (grouppois.left_field, grouppois.right_field, grouppois.conjugation_field)
+coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+
+
+def entry_polys(L):
+    exponents = st.tuples(*[st.integers(0, 2)] * (L.msize * L.msize))
+    return st.dictionaries(exponents, coeffs, max_size=3)
+
+
+def element_and_polys(count):
+    """An algebra, one of its basis indices and ``count`` entry polynomials."""
+    return st.sampled_from([SL2, SL3]).flatmap(
+        lambda L: st.tuples(
+            st.just(L), st.integers(0, L.dim - 1), *[entry_polys(L)] * count
+        )
+    )
+
+
+def entry_triples():
+    return st.sampled_from([SL2, SL3]).flatmap(
+        lambda L: st.tuples(st.just(L), *[st.integers(0, L.msize ** 2 - 1)] * 3)
+    )
+
+
+@LAWS
+@given(element_and_polys(1))
+def test_conjugation_field_is_left_minus_right(case):
+    L, x, p = case
+    expected = termops.padd(
+        grouppois.left_field(L, x, p),
+        termops.pscale(grouppois.right_field(L, x, p), F(-1)),
+    )
+    assert grouppois.conjugation_field(L, x, p) == expected
+
+
+@LAWS
+@given(element_and_polys(2))
+def test_entry_fields_obey_leibniz_rule(case):
+    L, x, p, q = case
+    for field in FIELDS:
+        expected = termops.padd(
+            termops.pmul(field(L, x, p), q), termops.pmul(p, field(L, x, q))
+        )
+        assert field(L, x, termops.pmul(p, q)) == expected, field.__name__
+
+
+@LAWS
+@given(entry_triples())
+def test_phi_through_conjugation_matches_field_products(case):
+    # reference: apply the conjugation field to each generator entry and
+    # multiply the three images over the terms of the invariant 3-tensor
+    L, u, v, w = case
+    expected = {}
+    for (a, b, c), coef in liealg.canonical_tensors(L).phi.plain_items():
+        fa = grouppois.conjugation_field(L, a, gen(L.msize, u))
+        fb = grouppois.conjugation_field(L, b, gen(L.msize, v))
+        fc = grouppois.conjugation_field(L, c, gen(L.msize, w))
+        termops.piadd(expected, termops.pmul(termops.pmul(fa, fb), fc), coef)
+    assert grouppois.phi_through_conjugation(L, u, v, w) == expected
