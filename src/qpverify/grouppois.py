@@ -9,7 +9,8 @@ left-invariant field acts on entries by right matrix multiplication,
 translations and the two kinds commute.
 
 Brackets are stored by their generator table, the values on entry pairs,
-and extend to polynomials by the Leibniz rule.
+and extend to polynomials by the Leibniz rule.  Identities between them
+are computed on bivector term dicts with the ``termops`` field kernels.
 
 The free entry ring is the coordinate ring of the general (or special)
 linear group, so the Poisson identities proved off the group ideal hold
@@ -143,13 +144,15 @@ class GroupBivector:
 
     def __init__(self, n, table, degree_cap=DEFAULT_DEGREE_CAP):
         self.n = n
-        self.nvars = n * n
         self.table = {k: v for k, v in table.items() if v}
         self.degree_cap = degree_cap
         for (u, v), val in self.table.items():
             neg = termops.pscale(self.table.get((v, u), {}), -ONE)
             if neg != val:
                 raise ValueError("generator table is not antisymmetric")
+        # the same bivector in the polyvector encoding of termops
+        items = self.table.items()
+        self.terms = {(e, (u, v)): c for (u, v), val in items if u < v for e, c in val.items()}
 
     def bracket(self, p, q):
         return termops.table_bracket(self.table, p, q, self.degree_cap)
@@ -206,62 +209,52 @@ def build_ad_bracket(L, degree_cap=DEFAULT_DEGREE_CAP):
     return GroupBivector(L.msize, _pushed_table(L, legs), degree_cap)
 
 
+def _by_derivations(terms, maxdeg=-1):
+    """Regroup a term dict as ``{derivations: polynomial}``, capped at ``maxdeg``."""
+    out = {}
+    for (e, d), c in terms.items():
+        if maxdeg < 0 or sum(e) <= maxdeg:
+            out.setdefault(d, {})[e] = c
+    return out
+
+
+def _vector_terms(images):
+    """Entry-field images as a vector term dict."""
+    return {(e, (u,)): c for u, img in images.items() for e, c in img.items()}
+
+
 def jacobiator_on_generators(B):
     """Cyclic sum {a,{b,c}} + {b,{c,a}} + {c,{a,b}} on ascending entry triples.
 
-    The Leibniz rule makes generator triples sufficient; the jacobiator is
-    alternating, so repeated entries contribute nothing.
+    Half the Schouten square of the bivector, read off by derivation
+    triple; the Leibniz rule makes generator triples sufficient.
     """
-    n2 = B.nvars
-    out = {}
-    gens = [{_unit_exp(n2, v): ONE} for v in range(n2)]
-    for u in range(n2):
-        for v in range(u + 1, n2):
-            for w in range(v + 1, n2):
-                acc = {}
-                termops.piadd(acc, B.bracket(gens[u], B.bracket(gens[v], gens[w])), ONE)
-                termops.piadd(acc, B.bracket(gens[v], B.bracket(gens[w], gens[u])), ONE)
-                termops.piadd(acc, B.bracket(gens[w], B.bracket(gens[u], gens[v])), ONE)
-                if acc:
-                    out[(u, v, w)] = acc
-    return out
+    square = termops.sn_bracket(B.terms, 2, B.terms, 2)
+    return _by_derivations(termops.sscale(square, Fraction(1, 2)), B.degree_cap)
 
 
 def ad_invariance_defect(L, B, x):
-    """Leibniz-compatible Lie derivative of the bracket along conjugation.
+    """Lie derivative of the bracket along the conjugation field of ``x``.
 
-    Returns the defect table on generator pairs; all zero means the
-    bracket is invariant under the conjugation field of ``x``.
+    Returns the defect X{u,v} - {Xu,v} - {u,Xv} on ascending generator
+    pairs; all zero means the bracket is invariant.
     """
-    n2 = B.nvars
-    out = {}
-    for u in range(n2):
-        pu = {_unit_exp(n2, u): ONE}
-        for v in range(u + 1, n2):
-            pv = {_unit_exp(n2, v): ONE}
-            acc = conjugation_field(L, x, B.bracket(pu, pv))
-            termops.piadd(acc, B.bracket(conjugation_field(L, x, pu), pv), -ONE)
-            termops.piadd(acc, B.bracket(pu, conjugation_field(L, x, pv)), -ONE)
-            if acc:
-                out[(u, v)] = acc
-    return out
+    field = _vector_terms(_field_images(L, x, "conjugation"))
+    return _by_derivations(termops.sn_bracket(field, 1, B.terms, 2), B.degree_cap)
 
 
-def phi_through_conjugation(L, u, v, w):
-    """The invariant 3-tensor evaluated through conjugation fields on entries."""
-    acc = {}
-    for (a, b, c), coef in liealg.canonical_tensors(L).phi.plain_items():
-        fa = _field_images(L, a, "conjugation").get(u)
-        if not fa:
-            continue
-        fb = _field_images(L, b, "conjugation").get(v)
-        if not fb:
-            continue
-        fc = _field_images(L, c, "conjugation").get(w)
-        if not fc:
-            continue
-        termops.piadd(acc, termops.pmul(termops.pmul(fa, fb), fc), coef)
-    return acc
+def phi_through_conjugation(L):
+    """The invariant 3-tensor pushed through conjugation fields.
+
+    The wedge of the conjugation fields over the canonical terms of
+    ``phi``, as a table keyed by ascending entry triples.
+    """
+    trivector = termops.wedge_push(
+        liealg.canonical_tensors(L).phi.terms,
+        lambda x: _vector_terms(_field_images(L, x, "conjugation")),
+        L.msize * L.msize,
+    )
+    return _by_derivations(trivector)
 
 
 def determinant(n):

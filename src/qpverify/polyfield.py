@@ -177,18 +177,8 @@ def action_field(psi):
     L = psi.algebra
     if psi.symmetry == "symmetric":
         raise ValueError("action fields of symmetric tensors are not defined here")
-    out = {}
-    unit = {(tuple([0] * L.dim), ()): ONE}
-    for key, c in psi.terms.items():
-        prod = unit
-        for i in key:
-            prod = termops.smul(prod, _coadjoint_terms(L, i))
-            if not prod:
-                break
-        if prod:
-            for k, v in prod.items():
-                termops.siadd(out, k, c * v)
-    return PolyVectorField(L, psi.degree, out)
+    terms = termops.wedge_push(psi.terms, lambda i: _coadjoint_terms(L, i), L.dim)
+    return PolyVectorField(L, psi.degree, terms)
 
 
 def schouten_nijenhuis(P, Q):

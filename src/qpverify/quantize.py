@@ -303,19 +303,10 @@ def jacobi_fault_algebra(L, i=None, j=None):
     row = struct.setdefault((i, j), {})
     row[i] = row.get(i, Fraction(0)) + 1
     struct[(j, i)] = {k: -c for k, c in row.items()}
-    fake = liealg.LieAlgebra.__new__(liealg.LieAlgebra)
-    fake.root_system = L.root_system
-    fake.names = L.names
-    fake.weights = L.weights
-    fake.struct = struct
-    fake.killing = L.killing
-    fake.killing_inv = L.killing_inv
-    fake.matrices = None
-    fake.msize = L.msize
-    fake.dim = L.dim
-    fake.rank = L.rank
-    fake._index = L._index
-    return fake
+    return liealg.LieAlgebra(
+        L.root_system, L.names, L.weights, struct, L.killing, L.killing_inv,
+        matrices=None, msize=L.msize,
+    )
 
 
 def pbw_flatness(L, degree, seed=0, ordering=None, spot_checks=100):

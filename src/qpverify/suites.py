@@ -146,6 +146,15 @@ def _classical(series, rank):
         raise UsageError(str(exc)) from exc
 
 
+def _entry_ring_algebra(series, rank):
+    if series != "A":
+        raise UsageError(
+            "the entry polynomial ring is the coordinate ring of the general "
+            "or special linear group; other series would need the isotropy ideal"
+        )
+    return _classical(series, rank)
+
+
 # ---------------------------------------------------------------------------
 # suite runners
 
@@ -305,14 +314,16 @@ def _suite_phi_bracket(series, rank, config):
     )
     if L.matrices is not None:
         transported = polyfield.gl_transport_quadratic_bracket(L)
+
+        def proportional():
+            ratio = polyfield.fields_proportional(transported, f0)
+            return ratio is not None, {"ratio": ratio}
+
         checks.append(
             _record(
                 "matrix-trace-bracket-proportional",
                 "left/right-multiplication bracket restricts to a multiple",
-                lambda: (
-                    polyfield.fields_proportional(transported, f0) is not None,
-                    {"ratio": polyfield.fields_proportional(transported, f0)},
-                ),
+                proportional,
             )
         )
     return checks
@@ -358,12 +369,7 @@ def _suite_conjecture_scan(series, rank, config):
 
 
 def _suite_group_sklyanin(series, rank, config):
-    if series != "A":
-        raise UsageError(
-            "the entry polynomial ring is the coordinate ring of the general "
-            "or special linear group; other series would need the isotropy ideal"
-        )
-    L = _classical(series, rank)
+    L = _entry_ring_algebra(series, rank)
     n = L.msize
     ct = liealg.canonical_tensors(L)
     sk = grouppois.build_sklyanin_bracket(L, config.group_degree_cap)
@@ -439,12 +445,7 @@ def _suite_group_sklyanin(series, rank, config):
 
 
 def _suite_ad_bracket(series, rank, config):
-    if series != "A":
-        raise UsageError(
-            "the entry polynomial ring is the coordinate ring of the general "
-            "or special linear group; other series would need the isotropy ideal"
-        )
-    L = _classical(series, rank)
+    L = _entry_ring_algebra(series, rank)
     ad = grouppois.build_ad_bracket(L, config.group_degree_cap)
     checks = [
         _record(
@@ -474,16 +475,13 @@ def _suite_ad_bracket(series, rank, config):
 
     def phi_identity():
         jac = grouppois.jacobiator_on_generators(ad)
-        n2 = L.msize * L.msize
-        for u in range(n2):
-            for v in range(u + 1, n2):
-                for w in range(v + 1, n2):
-                    expected = {
-                        k: c * grouppois.AD_JACOBIATOR_FACTOR
-                        for k, c in grouppois.phi_through_conjugation(L, u, v, w).items()
-                    }
-                    if jac.get((u, v, w), {}) != expected:
-                        return False, {"triple": (u, v, w)}
+        expected = {
+            triple: {k: c * grouppois.AD_JACOBIATOR_FACTOR for k, c in p.items()}
+            for triple, p in grouppois.phi_through_conjugation(L).items()
+        }
+        differ = sorted(t for t in jac.keys() | expected.keys() if jac.get(t) != expected.get(t))
+        if differ:
+            return False, {"triple": differ[0]}
         return True, {"jacobiator_entries": len(jac)}
 
     checks.append(

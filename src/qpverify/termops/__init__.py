@@ -20,6 +20,7 @@ siadd = pure.siadd
 sadd = pure.sadd
 sscale = pure.sscale
 smul = pure.smul
+wedge_push = pure.wedge_push
 sn_bracket = pure.sn_bracket
 kveval = pure.kveval
 bivector_table = pure.bivector_table

@@ -195,6 +195,22 @@ def smul(a, b, maxdeg=-1):
     return out
 
 
+def wedge_push(terms, field, nvars):
+    """Sum of ``c * field(i1) ^ ... ^ field(ik)`` over tensor terms ``(i1..ik): c``.
+
+    ``field(i)`` is the vector term dict of index ``i``.
+    """
+    out = {}
+    unit = {((0,) * nvars, ()): Fraction(1)}
+    for key, c in terms.items():
+        prod = unit
+        for i in key:
+            prod = smul(prod, field(i))
+        for k, v in prod.items():
+            siadd(out, k, c * v)
+    return out
+
+
 def _dy_table(a):
     """Coordinate derivatives of ``a``, grouped by coordinate index."""
     table = {}

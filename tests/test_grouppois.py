@@ -145,15 +145,11 @@ def test_ad_bracket_phi_identity(sl3):
     ad = grouppois.build_ad_bracket(sl3)
     jac = grouppois.jacobiator_on_generators(ad)
     assert jac  # nonzero on GL(3)
-    n2 = sl3.msize ** 2
-    for u in range(n2):
-        for v in range(u + 1, n2):
-            for w in range(v + 1, n2):
-                expected = termops.pscale(
-                    grouppois.phi_through_conjugation(sl3, u, v, w),
-                    grouppois.AD_JACOBIATOR_FACTOR,
-                )
-                assert jac.get((u, v, w), {}) == expected
+    expected = {
+        triple: termops.pscale(p, grouppois.AD_JACOBIATOR_FACTOR)
+        for triple, p in grouppois.phi_through_conjugation(sl3).items()
+    }
+    assert jac == expected
     assert grouppois.AD_JACOBIATOR_FACTOR == F(-1, 2)
 
 
@@ -162,10 +158,7 @@ def test_ad_bracket_phi_identity_rank1_degenerate(sl2):
     # 3-vector: both sides of the identity vanish
     ad = grouppois.build_ad_bracket(sl2)
     assert grouppois.jacobiator_on_generators(ad) == {}
-    for u in range(4):
-        for v in range(u + 1, 4):
-            for w in range(v + 1, 4):
-                assert grouppois.phi_through_conjugation(sl2, u, v, w) == {}
+    assert grouppois.phi_through_conjugation(sl2) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +218,10 @@ def test_entry_fields_obey_leibniz_rule(case):
 @given(entry_triples())
 def test_phi_through_conjugation_matches_field_products(case):
     # reference: apply the conjugation field to each generator entry and
-    # multiply the three images over the terms of the invariant 3-tensor
+    # multiply the three images over the terms of the invariant 3-tensor;
+    # the table holds ascending triples, so an unsorted triple reads the
+    # sorted entry times the sign of the sorting permutation, and a
+    # repeated entry reads zero
     L, u, v, w = case
     expected = {}
     for (a, b, c), coef in liealg.canonical_tensors(L).phi.plain_items():
@@ -233,4 +229,81 @@ def test_phi_through_conjugation_matches_field_products(case):
         fb = grouppois.conjugation_field(L, b, gen(L.msize, v))
         fc = grouppois.conjugation_field(L, c, gen(L.msize, w))
         termops.piadd(expected, termops.pmul(termops.pmul(fa, fb), fc), coef)
-    assert grouppois.phi_through_conjugation(L, u, v, w) == expected
+    if len({u, v, w}) < 3:
+        assert expected == {}
+    else:
+        inversions = (u > v) + (u > w) + (v > w)
+        got = grouppois.phi_through_conjugation(L).get(tuple(sorted((u, v, w))), {})
+        assert termops.pscale(got, F(-1) ** inversions) == expected
+
+
+# ---------------------------------------------------------------------------
+# laws of the field-level identities on random generator tables
+
+
+def bivector_cases():
+    """An algebra, a basis index and a random antisymmetric generator table.
+
+    Table values are entry polynomials of degree at most 2.
+    """
+
+    def cases(L):
+        n2 = L.msize ** 2
+        monomial = st.lists(st.integers(0, n2 - 1), max_size=2).map(
+            lambda vs: tuple(vs.count(v) for v in range(n2))
+        )
+        value = st.dictionaries(monomial, coeffs, min_size=1, max_size=2)
+        pair = st.tuples(st.integers(0, n2 - 1), st.integers(0, n2 - 1)).filter(
+            lambda p: p[0] < p[1]
+        )
+        return st.tuples(
+            st.just(L),
+            st.integers(0, L.dim - 1),
+            st.dictionaries(pair, value, max_size=6),
+        )
+
+    def bivector(case):
+        L, x, upper = case
+        table = dict(upper)
+        for (u, v), val in upper.items():
+            table[(v, u)] = termops.pscale(val, F(-1))
+        return L, x, grouppois.GroupBivector(L.msize, table)
+
+    return st.sampled_from([SL2, SL3]).flatmap(cases).map(bivector)
+
+
+@LAWS
+@given(bivector_cases())
+def test_jacobiator_is_the_cyclic_sum_of_brackets(case):
+    L, _, B = case
+    n2 = L.msize ** 2
+    gens = [gen(L.msize, v) for v in range(n2)]
+    expected = {}
+    for u in range(n2):
+        for v in range(u + 1, n2):
+            for w in range(v + 1, n2):
+                acc = {}
+                for a, b, c in ((u, v, w), (v, w, u), (w, u, v)):
+                    inner = B.bracket(gens[b], gens[c])
+                    termops.piadd(acc, B.bracket(gens[a], inner), F(1))
+                if acc:
+                    expected[(u, v, w)] = acc
+    assert grouppois.jacobiator_on_generators(B) == expected
+
+
+@LAWS
+@given(bivector_cases())
+def test_invariance_defect_is_the_three_term_formula(case):
+    L, x, B = case
+    n2 = L.msize ** 2
+    X = lambda p: grouppois.conjugation_field(L, x, p)
+    expected = {}
+    for u in range(n2):
+        for v in range(u + 1, n2):
+            pu, pv = gen(L.msize, u), gen(L.msize, v)
+            acc = X(B.bracket(pu, pv))
+            termops.piadd(acc, B.bracket(X(pu), pv), F(-1))
+            termops.piadd(acc, B.bracket(pu, X(pv)), F(-1))
+            if acc:
+                expected[(u, v)] = acc
+    assert grouppois.ad_invariance_defect(L, B, x) == expected

@@ -61,3 +61,15 @@ def test_every_suite_has_anchor():
     for entry in suites.list_suites():
         assert entry["anchor"]
         assert entry["description"]
+
+
+def _witnesses(suite, algebra):
+    report = suites.run_suite(suites.SuiteConfig(algebra=algebra, suite=suite))
+    return {c.id: c.witness for c in report.checks}
+
+
+def test_entry_ring_witnesses_a2():
+    ad = _witnesses("ad-bracket", "A2")
+    assert ad["phi-bracket-identity-on-generators"] == {"jacobiator_entries": 77}
+    sk = _witnesses("group-sklyanin", "A2")
+    assert sk["square-mismatch-jacobiator-witness"] == {"witness_triple": [0, 1, 3]}
