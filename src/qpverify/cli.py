@@ -6,6 +6,7 @@ check passed, 1 a check failed, 2 usage error, 3 resource cap exceeded.
 """
 
 import argparse
+import os
 import sys
 
 from . import polyfield, suites
@@ -62,10 +63,14 @@ def main(argv=None):
     except polyfield.ResourceLimitError as exc:
         print(f"qpverify: resource cap: {exc}", file=sys.stderr)
         return 3
-    if args.fmt == "json":
-        print(report.to_json(timings=args.timings))
-    else:
-        print(report.to_text())
+    try:
+        print(report.to_json(timings=args.timings) if args.fmt == "json" else report.to_text())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: send the interpreter's final flush to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0 if report.aggregate == "pass" else 1
 
 

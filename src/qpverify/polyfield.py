@@ -269,15 +269,32 @@ def _weight_of_term(L, exps, ders):
 def invariant_field_space(L, p, q, cap=EQUIVARIANT_ENTRY_CAP):
     """Basis of invariant degree-p fields with homogeneous degree-q coefficients.
 
-    Invariance under the full algebra is equivalent to weight zero plus
-    annihilation by the simple raising and lowering fields; the returned
-    basis is re-verified against every basis generator.
+    The size cap is checked on every call; the basis is solved once per
+    algebra and degree pair and returned as a tuple, so no caller can
+    change the cached copy.
     """
     full = math.comb(L.dim, p) * math.comb(L.dim + q - 1, q) if q else math.comb(L.dim, p)
     if full > cap:
         raise ResourceLimitError(
             f"equivariant system of {full} entries exceeds the cap {cap}"
         )
+    cache = getattr(L, "_invariant_field_cache", None)
+    if cache is None:
+        cache = {}
+        L._invariant_field_cache = cache
+    if (p, q) not in cache:
+        cache[(p, q)] = solve_equivariant(L, p, q)
+    return cache[(p, q)]
+
+
+def solve_equivariant(L, p, q):
+    """Uncached solve of invariant_field_space.
+
+    Equivariance of a map from p-fold wedges to degree-q polynomials is
+    the vanishing Lie derivative of its field; it reduces to weight zero
+    plus annihilation by the simple raising and lowering fields, and the
+    basis is re-verified against every basis generator.
+    """
     labels = []
     for ders in combinations(range(L.dim), p):
         for exps in monomials(L.dim, q):
@@ -293,13 +310,10 @@ def invariant_field_space(L, p, q, cap=EQUIVARIANT_ENTRY_CAP):
             for key, c in image.terms.items():
                 rows.setdefault((g, key), {})[index[lab]] = c
     basis = linalg.nullspace_sparse(list(rows.values()), len(labels))
-    fields = []
-    for vec in basis:
-        terms = {}
-        for i, c in enumerate(vec):
-            if c:
-                terms[labels[i]] = c
-        fields.append(PolyVectorField(L, p, terms))
+    fields = tuple(
+        PolyVectorField(L, p, {labels[i]: c for i, c in enumerate(vec) if c})
+        for vec in basis
+    )
     for f in fields:
         if not is_invariant_field(f):
             raise AssertionError("solver produced a non-invariant field")
@@ -312,24 +326,6 @@ def invariant_polynomials(L, degree):
         return [ {tuple([0] * L.dim): ONE} ]
     fields = invariant_field_space(L, 0, degree)
     return [ {e: c for (e, _), c in f.terms.items()} for f in fields ]
-
-
-@dataclass
-class EquivariantMapSpace:
-    source_degree: int
-    target_degree: int
-    basis: list
-
-
-def solve_equivariant(L, p, q, cap=EQUIVARIANT_ENTRY_CAP):
-    """Invariant maps from p-fold wedges to degree-q polynomials.
-
-    Solutions are returned as degree-p fields with degree-q coefficients;
-    the defining equivariance f([x,a]^b) + f(a^[x,b]) = x.f(a^b) is the
-    vanishing Lie derivative of the associated field.
-    """
-    basis = invariant_field_space(L, p, q, cap=cap)
-    return EquivariantMapSpace(source_degree=p, target_degree=q, basis=basis)
 
 
 # ---------------------------------------------------------------------------
@@ -352,29 +348,30 @@ class QuadraticCalibration:
     lam_squared: Fraction
     lam: Fraction  # None when lam_squared is not a rational square
     obstruction: str
+    ff: PolyVectorField  # [[f0, f0]]
+    phibar: PolyVectorField
 
 
-def quadratic_bracket(L, scale):
-    """The invariant quadratic bivector, scaled by a rational factor."""
+def quadratic_bracket(L):
+    """The generator of the invariant quadratic bivectors."""
     if L.root_system.series != "A" or L.rank < 2:
         raise NoSolutionError("the invariant quadratic bracket needs type A, rank >= 2")
-    space = solve_equivariant(L, 2, 2)
-    if len(space.basis) != 1:
-        raise NoSolutionError(
-            f"expected a one-dimensional space, found {len(space.basis)}"
-        )
-    return space.basis[0].scale(Fraction(scale))
+    space = invariant_field_space(L, 2, 2)
+    if len(space) != 1:
+        raise NoSolutionError(f"expected a one-dimensional space, found {len(space)}")
+    return space[0]
 
 
 def calibrate_scale(L):
     """Solve lam^2 [[f0, f0]] = -phibar for the scale of the quadratic bracket.
 
     Returns the generator, the exact ``lam^2`` and, when it is a rational
-    square, ``lam`` itself.  A non-square (or negative) ``lam^2`` is
-    reported as an obstruction; the defining identities remain checkable
-    because every required bracket is even or odd in ``lam``.
+    square, ``lam`` itself, with the two fields compared.  A non-square
+    (or negative) ``lam^2`` is reported as an obstruction; the defining
+    identities remain checkable because every required bracket is even
+    or odd in ``lam``.
     """
-    f0 = quadratic_bracket(L, 1)
+    f0 = quadratic_bracket(L)
     ff = schouten_nijenhuis(f0, f0)
     pb = phibar(L)
     if ff.is_zero():
@@ -390,16 +387,16 @@ def calibrate_scale(L):
             f"lam^2 = {lam_squared} is not a rational square; "
             "identities are verified in lam-graded form"
         )
-    return QuadraticCalibration(f0=f0, lam_squared=lam_squared, lam=lam, obstruction=obstruction)
+    return QuadraticCalibration(f0, lam_squared, lam, obstruction, ff, pb)
 
 
 def phibar(L):
     """Cubic trivector with coefficients built from bracket coordinates.
 
     On coordinates a, b, c the value is the sum over the expansion of the
-    invariant 3-tensor of the products [t1,a][t2,b][t3,c]; the result is
-    asserted equal to the recorded sign times the action field of that
-    tensor.
+    invariant 3-tensor of the products [t1,a][t2,b][t3,c].  It is
+    ``PHIBAR_SIGN`` times the action field of that tensor, which the
+    ``phi-bracket`` suite checks.
     """
     ct = liealg.canonical_tensors(L)
     phi_plain = list(ct.phi.plain_items())
@@ -429,11 +426,7 @@ def phibar(L):
                     termops.piadd(value, termops.pmul(termops.pmul(p1, p2), p3), coef)
                 for e, v in value.items():
                     terms[(e, (a, b, c))] = v
-    field = PolyVectorField(L, 3, terms)
-    expected = action_field(ct.phi).scale(PHIBAR_SIGN)
-    if field != expected:
-        raise AssertionError("phibar deviates from the recorded sign of the action field")
-    return field
+    return PolyVectorField(L, 3, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -497,27 +490,15 @@ def invariant_bivector_scan(L, max_degree, cap=EQUIVARIANT_ENTRY_CAP):
         all_multiple = True
         extras = []
         if fields:
-            keys = sorted({key for f in fields + multiples for key in f.terms})
-            kidx = {key: i for i, key in enumerate(keys)}
-            rows = []
-            for m in multiples:
-                row = [Fraction(0)] * len(keys)
-                for key, c in m.terms.items():
-                    row[kidx[key]] = c
-                rows.append(row)
+            keys = sorted({key for f in (*fields, *multiples) for key in f.terms})
+
+            def dense(f):
+                return [f.terms.get(key, Fraction(0)) for key in keys]
+
+            # one column per multiple
+            system = list(zip(*map(dense, multiples)))
             for f in fields:
-                vec = [Fraction(0)] * len(keys)
-                for key, c in f.terms.items():
-                    vec[kidx[key]] = c
-                membership = (
-                    linalg.solve_dense(
-                        [[rows[r][c] for r in range(len(rows))] for c in range(len(keys))],
-                        vec,
-                    )
-                    if rows
-                    else None
-                )
-                if membership is None:
+                if not multiples or linalg.solve_dense(system, dense(f)) is None:
                     all_multiple = False
                     extras.append(f)
         out.append(

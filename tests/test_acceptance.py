@@ -84,8 +84,8 @@ def test_criterion_02_cobracket_suite():
 def test_criterion_03_phi_bracket_suite():
     with Budget("03 phi-bracket", 60):
         L = liealg.algebra("A", 2)
-        space = polyfield.solve_equivariant(L, 2, 2)
-        assert len(space.basis) == 1
+        space = polyfield.invariant_field_space(L, 2, 2)
+        assert len(space) == 1
         cal = polyfield.calibrate_scale(L)
         assert cal.lam is not None
         f = cal.f0.scale(cal.lam)
@@ -103,9 +103,9 @@ def test_criterion_03_phi_bracket_suite():
 
 def test_criterion_04_negative_spaces():
     with Budget("04 negative spaces", 120):
-        assert len(polyfield.solve_equivariant(liealg.algebra("A", 1), 2, 2).basis) == 0
+        assert len(polyfield.invariant_field_space(liealg.algebra("A", 1), 2, 2)) == 0
         so5 = liealg.algebra("B", 2)
-        assert len(polyfield.solve_equivariant(so5, 2, 2).basis) == 0
+        assert len(polyfield.invariant_field_space(so5, 2, 2)) == 0
         entries = polyfield.invariant_bivector_scan(so5, 2)
         assert entries[1].degree == 2 and entries[1].dimension == 0
 
@@ -129,7 +129,7 @@ def test_criterion_06_conjecture_scan():
         entries = polyfield.invariant_bivector_scan(L3, 2)
         deg2 = entries[1]
         assert deg2.dimension == 1 and not deg2.all_kirillov_multiples
-        f0 = polyfield.quadratic_bracket(L3, 1)
+        f0 = polyfield.quadratic_bracket(L3)
         assert polyfield.fields_proportional(deg2.extras[0], f0) is not None
         assert run("conjecture-scan", "A1", degree=3).aggregate == "pass"
         assert run("conjecture-scan", "A2", degree=2).aggregate == "pass"

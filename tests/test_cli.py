@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,22 @@ def test_list_suites(capsys):
         "star-first-order",
     ):
         assert name in out
+
+
+def test_closed_stdout_exits_without_traceback():
+    # the reader closes its end of the pipe before the report is written,
+    # as ``qpverify ... | head`` does; the verdict exit code still comes back
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qpverify.cli", "cybe", "--algebra", "A1", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert b"Traceback" not in err
 
 
 def test_list_suites_api():

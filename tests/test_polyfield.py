@@ -185,9 +185,9 @@ def test_triangular_cartan_bivector_poisson(sl3):
 
 
 def test_equivariant_dimensions(sl2, sl3, so5):
-    assert len(polyfield.solve_equivariant(sl2, 2, 2).basis) == 0
-    assert len(polyfield.solve_equivariant(sl3, 2, 2).basis) == 1
-    assert len(polyfield.solve_equivariant(so5, 2, 2).basis) == 0
+    assert len(polyfield.invariant_field_space(sl2, 2, 2)) == 0
+    assert len(polyfield.invariant_field_space(sl3, 2, 2)) == 1
+    assert len(polyfield.invariant_field_space(so5, 2, 2)) == 0
 
 
 def test_invariant_linear_fields_are_euler_multiples(sl2, sl3, so5):
@@ -210,20 +210,32 @@ def test_invariant_linear_fields_are_euler_multiples(sl2, sl3, so5):
 
 def test_equivariant_resource_guard(sl3):
     with pytest.raises(polyfield.ResourceLimitError):
-        polyfield.solve_equivariant(sl3, 2, 2, cap=10)
+        polyfield.invariant_field_space(sl3, 2, 2, cap=10)
+
+
+def test_resource_guard_holds_after_caching(sl3):
+    assert len(polyfield.invariant_field_space(sl3, 2, 2)) == 1
+    with pytest.raises(polyfield.ResourceLimitError):
+        polyfield.invariant_field_space(sl3, 2, 2, cap=10)
+
+
+def test_cached_basis_cannot_be_changed_through_the_result(sl3):
+    space = polyfield.invariant_field_space(sl3, 2, 2)
+    assert isinstance(space, tuple)
+    with pytest.raises(TypeError):
+        space[0] = polyfield.PolyVectorField.zero(sl3, 2)
+    taken = list(space)
+    taken.clear()
+    again = polyfield.invariant_field_space(sl3, 2, 2)
+    assert again is space
+    assert again == polyfield.solve_equivariant(sl3, 2, 2)
 
 
 def test_quadratic_bracket_requires_type_a_rank2(sl2, so5):
     with pytest.raises(polyfield.NoSolutionError):
-        polyfield.quadratic_bracket(sl2, 1)
+        polyfield.quadratic_bracket(sl2)
     with pytest.raises(polyfield.NoSolutionError):
-        polyfield.quadratic_bracket(so5, 1)
-
-
-def test_quadratic_bracket_scaling(sl3):
-    f1 = polyfield.quadratic_bracket(sl3, 1)
-    f2 = polyfield.quadratic_bracket(sl3, F(3, 2))
-    assert f2 == f1.scale(F(3, 2))
+        polyfield.quadratic_bracket(so5)
 
 
 def test_calibration_sl3(sl3):
@@ -253,7 +265,7 @@ def test_phibar(sl2, sl3):
 
 def test_gl_transport_matches_solver_generator(sl3):
     transported = polyfield.gl_transport_quadratic_bracket(sl3)
-    f0 = polyfield.quadratic_bracket(sl3, 1)
+    f0 = polyfield.quadratic_bracket(sl3)
     ratio = polyfield.fields_proportional(transported, f0)
     assert ratio is not None and ratio != 0
 
@@ -307,7 +319,7 @@ def test_scan_sl3_flags_quadratic_exception(sl3):
     assert deg2.dimension == 1
     assert not deg2.all_kirillov_multiples
     assert len(deg2.extras) == 1
-    f0 = polyfield.quadratic_bracket(sl3, 1)
+    f0 = polyfield.quadratic_bracket(sl3)
     assert polyfield.fields_proportional(deg2.extras[0], f0) is not None
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qpverify import suites
+from qpverify import cli, liealg, linalg, polyfield, suites
 
 
 def test_parse_algebra_aliases_and_errors():
@@ -73,3 +73,62 @@ def test_entry_ring_witnesses_a2():
     assert ad["phi-bracket-identity-on-generators"] == {"jacobiator_entries": 77}
     sk = _witnesses("group-sklyanin", "A2")
     assert sk["square-mismatch-jacobiator-witness"] == {"witness_triple": [0, 1, 3]}
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_cold_phi_bracket_builds_each_object_once(monkeypatch):
+    monkeypatch.setattr(liealg, "_ALGEBRA_CACHE", {})
+    solves = _count_calls(monkeypatch, polyfield, "solve_equivariant")
+    nullspaces = _count_calls(monkeypatch, linalg, "nullspace_sparse")
+    phibars = _count_calls(monkeypatch, polyfield, "phibar")
+    pushes = _count_calls(monkeypatch, polyfield, "action_field")
+    brackets = _count_calls(monkeypatch, polyfield, "schouten_nijenhuis")
+    report = suites.run_suite(suites.SuiteConfig(algebra="A2", suite="phi-bracket"))
+    assert report.aggregate == "pass"
+    L = liealg.algebra("A", 2)
+    phi = liealg.canonical_tensors(L).phi
+    f0 = polyfield.quadratic_bracket(L)
+    assert [args[1:] for args in solves] == [(2, 2)]
+    assert len(nullspaces) == 1
+    assert len(phibars) == 1
+    assert sum(psi is phi for (psi,) in pushes) == 1
+    assert sum(P is f0 and Q is f0 for P, Q in brackets) == 1
+
+
+def test_cold_conjecture_scan_solves_the_quadratic_space_once(monkeypatch):
+    monkeypatch.setattr(liealg, "_ALGEBRA_CACHE", {})
+    solves = _count_calls(monkeypatch, polyfield, "solve_equivariant")
+    nullspaces = _count_calls(monkeypatch, linalg, "nullspace_sparse")
+    report = suites.run_suite(
+        suites.SuiteConfig(algebra="A2", suite="conjecture-scan", degree=2)
+    )
+    assert report.aggregate == "pass"
+    spaces = [args[1:] for args in solves]
+    assert spaces.count((2, 2)) == 1
+    # every space is solved once, and every nullspace belongs to a solve
+    assert len(nullspaces) == len(spaces) == len(set(spaces))
+
+
+def test_phibar_sign_fault_fails_with_a_witness(monkeypatch, capsys):
+    monkeypatch.setattr(polyfield, "PHIBAR_SIGN", -1)
+    code = cli.main(["phi-bracket", "--algebra", "A2", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    failed = {c["id"]: c for c in payload["checks"] if c["status"] == "fail"}
+    assert set(failed) == {"phibar-matches-action-field"}
+    L = liealg.algebra("A", 2)
+    pb = polyfield.phibar(L).terms
+    flipped = polyfield.action_field(liealg.canonical_tensors(L).phi).scale(-1).terms
+    first = min(k for k in pb.keys() | flipped.keys() if pb.get(k) != flipped.get(k))
+    assert failed["phibar-matches-action-field"]["witness"] == {"term": suites.jsonable(first)}
