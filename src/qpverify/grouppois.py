@@ -90,28 +90,19 @@ def _field_images(L, x, side):
     return images
 
 
-def _apply_derivation(images, p):
-    out = {}
-    for v, img in images.items():
-        dv = termops.pderive(p, v)
-        if dv:
-            termops.piadd(out, termops.pmul(dv, img), ONE)
-    return out
-
-
 def left_field(L, x, p):
     """Left-invariant derivation of ``x`` applied to an entry polynomial."""
-    return _apply_derivation(_field_images(L, x, "left"), p)
+    return termops.apply_derivation(_field_images(L, x, "left"), p)
 
 
 def right_field(L, x, p):
     """Right-invariant derivation of ``x`` applied to an entry polynomial."""
-    return _apply_derivation(_field_images(L, x, "right"), p)
+    return termops.apply_derivation(_field_images(L, x, "right"), p)
 
 
 def conjugation_field(L, x, p):
     """Derivation of the conjugation action, the left minus the right field."""
-    return _apply_derivation(_field_images(L, x, "conjugation"), p)
+    return termops.apply_derivation(_field_images(L, x, "conjugation"), p)
 
 
 def _pushed_table(L, legs):

@@ -98,6 +98,22 @@ class PolyVectorField:
             self._table = termops.bivector_table(self.terms)
         return termops.table_bracket(self._table, f, g, maxdeg)
 
+    def hamiltonian(self, f, maxdeg=-1):
+        """Coordinate images of the derivation ``g -> bracket(f, g)``.
+
+        Maps each coordinate index ``v`` to ``bracket(f, y_v, maxdeg)``,
+        zero images dropped.  By the Leibniz rule in the second slot,
+        ``termops.apply_derivation(P.hamiltonian(f, d), g, d)`` equals
+        ``P.bracket(f, g, d)``; truncating the images first drops only
+        terms the final truncation drops, as degrees are non-negative.
+        """
+        images = {}
+        for v in range(self.algebra.dim):
+            img = self.bracket(f, coordinate(self.algebra, v), maxdeg)
+            if img:
+                images[v] = img
+        return images
+
     def coefficient_degrees(self):
         return sorted({sum(e) for (e, _) in self.terms})
 

@@ -387,7 +387,7 @@ def _suite_group_sklyanin(series, rank, config):
     ]
 
     def same_r_runner():
-        two = grouppois.build_two_sided_bracket(L, ct.r_sd, ct.r_sd)
+        two = grouppois.build_two_sided_bracket(L, ct.r_sd, ct.r_sd, config.group_degree_cap)
         jac = grouppois.jacobiator_on_generators(two)
         witness = {
             "jacobiator_entries": len(jac),
@@ -412,7 +412,9 @@ def _suite_group_sklyanin(series, rank, config):
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            bad = grouppois.build_two_sided_bracket(L, ct.r_sd, ct.r_sd.scale(2))
+            bad = grouppois.build_two_sided_bracket(
+                L, ct.r_sd, ct.r_sd.scale(2), config.group_degree_cap
+            )
         jac = grouppois.jacobiator_on_generators(bad)
         first = sorted(jac)[0] if jac else None
         return bool(jac), {"witness_triple": first}

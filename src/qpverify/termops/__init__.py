@@ -15,6 +15,7 @@ piadd = pure.piadd
 pmul = pure.pmul
 pderive = pure.pderive
 ptruncate = pure.ptruncate
+apply_derivation = pure.apply_derivation
 merge_ders = pure.merge_ders
 siadd = pure.siadd
 sadd = pure.sadd

@@ -15,10 +15,16 @@ the sign of the interleaving permutation.
 
 Biderivations have one evaluator, ``table_bracket``: a bivector term dict
 is first turned into a generator table by ``bivector_table``.
+Derivations given by their coordinate images have one evaluator,
+``apply_derivation``; fixing the first argument of a biderivation gives
+such a derivation (its Hamiltonian field), so a row of brackets
+``{f, g}`` with one ``f`` costs one image table and one
+``apply_derivation`` per ``g``.
 """
 
 from fractions import Fraction
 
+_ONE = Fraction(1)
 
 # ---------------------------------------------------------------------------
 # polynomial kernels
@@ -114,6 +120,21 @@ def pderive(a, i):
 def ptruncate(a, maxdeg):
     """Drop monomials of total degree above ``maxdeg``."""
     return {k: c for k, c in a.items() if sum(k) <= maxdeg}
+
+
+def apply_derivation(images, p, maxdeg=-1):
+    """Derivation given by its coordinate images, applied to a polynomial.
+
+    ``images`` maps a coordinate index ``v`` to the image of ``y_v``; the
+    result is ``sum_v dp/dv * images[v]``, truncated above ``maxdeg``
+    when it is non-negative.
+    """
+    out = {}
+    for v, img in images.items():
+        dv = pderive(p, v)
+        if dv:
+            piadd(out, pmul(dv, img, maxdeg), _ONE)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +254,8 @@ def _xi_table(a):
     return table
 
 
-def _contract(xi_of, dy_of):
-    """Sum over coordinates of the super product ``xi_of[i] * dy_of[i]``."""
-    out = {}
+def _contract(out, sign, xi_of, dy_of):
+    """In-place ``out += sign * sum_i xi_of[i] * dy_of[i]`` (super product)."""
     for i, left in xi_of.items():
         right = dy_of.get(i)
         if not right:
@@ -246,8 +266,7 @@ def _contract(xi_of, dy_of):
                 if not sgn:
                     continue
                 e = tuple(x + y for x, y in zip(e1, e2))
-                siadd(out, (e, dm), c1 * c2 if sgn > 0 else -c1 * c2)
-    return out
+                siadd(out, (e, dm), c1 * c2 if sgn * sign > 0 else -c1 * c2)
 
 
 def sn_bracket(a, p, b, q):
@@ -260,11 +279,8 @@ def sn_bracket(a, p, b, q):
     """
     # [[a, b]] = -(-1)^p sum_i xi_i(a) dy_i(b)  -  sum_i dy_i(a) xi_i(b)
     out = {}
-    s1 = 1 if p & 1 else -1
-    for k, c in _contract(_xi_table(a), _dy_table(b)).items():
-        siadd(out, k, c if s1 > 0 else -c)
-    for k, c in _contract(_dy_table(a), _xi_table(b)).items():
-        siadd(out, k, -c)
+    _contract(out, 1 if p & 1 else -1, _xi_table(a), _dy_table(b))
+    _contract(out, -1, _dy_table(a), _xi_table(b))
     return out
 
 

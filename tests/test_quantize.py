@@ -52,6 +52,28 @@ def test_invariance_fault_sign_flip(sl3_product):
     assert diff
 
 
+def test_invariance_fault_witness_matches_pairwise_scan(sl3_product):
+    # reference: the defect bivector of each x evaluated pair by pair
+    trunc, f, ct = sl3_product
+    rm = polyfield.rmatrix_bracket(ct.r_sd)
+    bad = quantize.FirstOrderProduct(trunc, f.add(rm).scale(F(1, 2)), "(1/2)(f + r_M)")
+    L, d = trunc.algebra, trunc.max_degree
+    monos = trunc.monomials_upto(d)
+
+    def first_failure():
+        for x in range(L.dim):
+            defect = polyfield.schouten_nijenhuis(
+                polyfield.coadjoint_field(L, x), bad.bivector
+            ).sub(polyfield.action_field(multivec.cobracket(ct.r_sd, x)).scale(F(1, 2)))
+            for a in monos:
+                for b in monos:
+                    if defect.bracket({a: F(1)}, {b: F(1)}, d):
+                        return L.names[x], a, b
+
+    res = quantize.first_order_invariance_check(bad, ct.r_sd)
+    assert (res.witness["x"], res.witness["a"], res.witness["b"]) == first_failure()
+
+
 def test_invariance_plain_invariant_bivector(sl3):
     # with no twist the condition is ordinary invariance of the bivector
     trunc = quantize.TruncatedPolynomialAlgebra(sl3, 2)
@@ -89,6 +111,31 @@ def test_hochschild_euler_cup_product_is_a_cocycle(sl2):
     assert quantize.hochschild_cocycle_check(trunc, cup).passed
 
 
+def hochschild_triples(trunc):
+    """Monomial triples of the cocycle scan, in scan order."""
+    d = trunc.max_degree
+    for da in range(1, d - 1):
+        for db in range(1, d - da):
+            for dc in range(1, d - da - db + 1):
+                for ea in trunc.monomials(da):
+                    for eb in trunc.monomials(db):
+                        for ec in trunc.monomials(dc):
+                            yield ea, eb, ec
+
+
+def pairwise_hochschild_witness(trunc, m1):
+    """Reference: the coboundary of every triple, evaluated from scratch."""
+    for ea, eb, ec in hochschild_triples(trunc):
+        pa, pb, pc = {ea: F(1)}, {eb: F(1)}, {ec: F(1)}
+        defect = trunc.multiply(pa, m1(pb, pc))
+        termops.piadd(defect, m1(trunc.multiply(pa, pb), pc), F(-1))
+        termops.piadd(defect, m1(pa, trunc.multiply(pb, pc)), F(1))
+        termops.piadd(defect, trunc.multiply(m1(pa, pb), pc), F(-1))
+        if defect:
+            return {"a": ea, "b": eb, "c": ec, "defect": defect}
+    return None
+
+
 def test_hochschild_genuine_fault_fails(sl2):
     # projecting both slots to their linear parts is bilinear but has a
     # coboundary defect at mixed degrees
@@ -103,6 +150,31 @@ def test_hochschild_genuine_fault_fails(sl2):
     res = quantize.hochschild_cocycle_check(trunc, fault)
     assert not res.passed
     assert res.witness["defect"]
+    assert res.witness == pairwise_hochschild_witness(trunc, fault)
+
+
+def test_hochschild_evaluates_each_monomial_pair_once(sl3_product):
+    _, f, ct = sl3_product
+    trunc = quantize.TruncatedPolynomialAlgebra(f.algebra, 4)
+    m1 = quantize.standard_first_order_product(trunc, f, ct.r_sd)
+    calls = []
+
+    def counted(a, b):
+        calls.append((tuple(a.items()), tuple(b.items())))
+        return m1(a, b)
+
+    def times(x, y):
+        return tuple(i + j for i, j in zip(x, y))
+
+    pairs = set()
+    for ea, eb, ec in hochschild_triples(trunc):
+        pairs.update({(ea, eb), (eb, ec), (times(ea, eb), ec), (ea, times(eb, ec))})
+    res = quantize.hochschild_cocycle_check(trunc, counted)
+    assert res.passed
+    assert res.details["monomial_triples"] == 7424
+    assert len(calls) == len(set(calls)) == len(pairs)
+    assert {(a[0][0], b[0][0]) for a, b in calls} == pairs
+    assert all(a[0][1] == b[0][1] == 1 for a, b in calls)
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +184,43 @@ def test_hochschild_genuine_fault_fails(sl2):
 def test_twist_correspondence(sl3_product):
     trunc, _, ct = sl3_product
     assert quantize.twist_correspondence_check(trunc, ct.r_sd).passed
+
+
+def test_twist_fault_witness_matches_pairwise_scan(sl3_product, monkeypatch):
+    trunc, _, ct = sl3_product
+    L, d = trunc.algebra, trunc.max_degree
+    rmatrix_bracket = polyfield.rmatrix_bracket
+
+    def corrupted(r):
+        rm = rmatrix_bracket(r)
+        terms = dict(rm.terms)
+        key = min(terms)
+        terms[key] *= 2
+        return polyfield.PolyVectorField(rm.algebra, rm.degree, terms)
+
+    monkeypatch.setattr(polyfield, "rmatrix_bracket", corrupted)
+    res = quantize.twist_correspondence_check(trunc, ct.r_sd)
+    assert not res.passed
+
+    # reference: both routes evaluated from scratch on each pair in turn
+    rm = corrupted(ct.r_sd)
+    monos = trunc.monomials_upto(d)
+
+    def X(leg, e):
+        return polyfield.coadjoint_field(L, leg).evaluate({e: F(1)})
+
+    def first_failure():
+        for ea in monos:
+            for eb in monos:
+                composed = {}
+                for (u, v), c in ct.r_sd.plain_items():
+                    termops.piadd(composed, termops.pmul(X(u, ea), X(v, eb), d), c / 2)
+                    termops.piadd(composed, termops.pmul(X(u, eb), X(v, ea), d), -c / 2)
+                field = rm.bracket({ea: F(1)}, {eb: F(1)}, d)
+                if composed != field:
+                    return {"a": ea, "b": eb, "composed": composed, "field": field}
+
+    assert res.witness == first_failure()
 
 
 # ---------------------------------------------------------------------------

@@ -203,3 +203,30 @@ def test_smul_anticommutes_on_odd_degrees():
         ba = termops.smul(b, a)
         assert ab == termops.sscale(ba, F(-1))
         assert termops.smul(a, a) == {}
+
+
+# no cap (-1) or a cap from 0 to 5
+caps = st.one_of(st.just(-1), degrees)
+images = st.dictionaries(st.integers(0, NVARS - 1), polys.filter(bool), max_size=NVARS)
+
+
+@LAWS
+@given(images, polys, caps)
+def test_apply_derivation_is_the_sum_of_partials_times_images(imgs, p, m):
+    reference = {}
+    for v, img in imgs.items():
+        reference = termops.padd(reference, termops.pmul(termops.pderive(p, v), img))
+    if m >= 0:
+        reference = termops.ptruncate(reference, m)
+    assert termops.apply_derivation(imgs, p, m) == reference
+
+
+@LAWS
+@given(bivectors, polys, polys, caps)
+def test_hamiltonian_row_reproduces_the_bracket(biv, p, q, m):
+    # the table of a bivector term dict is antisymmetric; coefficients
+    # carry denominators 1 to 4
+    field = polyfield.PolyVectorField(SL2, 2, biv)
+    row = field.hamiltonian(p, m)
+    assert all(row.values())
+    assert termops.apply_derivation(row, q, m) == field.bracket(p, q, m)
