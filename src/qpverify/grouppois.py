@@ -44,15 +44,7 @@ def var_index(n, i, j):
 
 def entry(n, i, j):
     """The entry symbol t[i,j] as a polynomial."""
-    e = [0] * (n * n)
-    e[var_index(n, i, j)] = 1
-    return {tuple(e): ONE}
-
-
-def _unit_exp(nvars, v):
-    e = [0] * nvars
-    e[v] = 1
-    return tuple(e)
+    return {termops.unit_exp(n * n, var_index(n, i, j)): ONE}
 
 
 def _field_images(L, x, side):
@@ -85,7 +77,7 @@ def _field_images(L, x, side):
                     tgt, src = var_index(n, k, b), var_index(n, k, a)
                 else:
                     tgt, src = var_index(n, a, k), var_index(n, b, k)
-                termops.piadd(images.setdefault(tgt, {}), {_unit_exp(n * n, src): ONE}, val)
+                termops.siadd(images.setdefault(tgt, {}), termops.unit_exp(n * n, src), val)
     cache[key] = images
     return images
 
@@ -147,9 +139,6 @@ class GroupBivector:
 
     def bracket(self, p, q):
         return termops.table_bracket(self.table, p, q, self.degree_cap)
-
-    def entry_bracket(self, u, v):
-        return dict(self.table.get((u, v), {}))
 
     def is_zero(self):
         return not self.table
@@ -221,7 +210,7 @@ def jacobiator_on_generators(B):
     triple; the Leibniz rule makes generator triples sufficient.
     """
     square = termops.sn_bracket(B.terms, 2, B.terms, 2)
-    return _by_derivations(termops.sscale(square, Fraction(1, 2)), B.degree_cap)
+    return _by_derivations(termops.pscale(square, Fraction(1, 2)), B.degree_cap)
 
 
 def ad_invariance_defect(L, B, x):
@@ -278,12 +267,6 @@ def in_principal_ideal(p, d):
         quot = tuple(a - b for a, b in zip(lead, lead_d))
         if any(q < 0 for q in quot):
             return False
-        factor = work[lead] / cd
-        for k, c in d.items():
-            key = tuple(a + b for a, b in zip(quot, k))
-            s = work.get(key, Fraction(0)) - factor * c
-            if s:
-                work[key] = s
-            elif key in work:
-                del work[key]
+        multiple = {tuple(a + b for a, b in zip(quot, k)): c for k, c in d.items()}
+        termops.piadd(work, multiple, -work[lead] / cd)
     return True

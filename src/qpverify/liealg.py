@@ -15,7 +15,7 @@ rank 1 the triple is ``[e, f] = h``, ``[h, e] = 2e``); pairings with
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg, multivec, rootsys
+from . import linalg, multivec, rootsys, termops
 
 ONE = Fraction(1)
 
@@ -85,7 +85,7 @@ def _classical_matrices(series, rank):
     if series == "A":
         m = n + 1
         coroots = [
-            linalg.mat_add(unit(i, i), unit(i + 1, i + 1), -ONE) for i in range(n)
+            termops.padd(unit(i, i), unit(i + 1, i + 1), -ONE) for i in range(n)
         ]
         for i in range(m):
             for j in range(m):
@@ -102,13 +102,13 @@ def _classical_matrices(series, rank):
             return m - 1 - k
 
         def diag(i):
-            return linalg.mat_add(unit(i, i), unit(bar(i), bar(i)), -ONE)
+            return termops.padd(unit(i, i), unit(bar(i), bar(i)), -ONE)
 
-        coroots = [linalg.mat_add(diag(i), diag(i + 1), -ONE) for i in range(n - 1)]
+        coroots = [termops.padd(diag(i), diag(i + 1), -ONE) for i in range(n - 1)]
         if series == "B":
-            coroots.append(linalg.mat_scale(diag(n - 1), Fraction(2)))
+            coroots.append(termops.pscale(diag(n - 1), Fraction(2)))
         else:
-            coroots.append(linalg.mat_add(diag(n - 2), diag(n - 1)))
+            coroots.append(termops.padd(diag(n - 2), diag(n - 1)))
 
         def ecoord(*pairs):
             v = [Fraction(0)] * n
@@ -121,24 +121,24 @@ def _classical_matrices(series, rank):
                 if i == j:
                     continue
                 root_mats[_root_coords(ecoord((i, ONE), (j, -ONE)), simple_euclid)] = (
-                    linalg.mat_add(unit(i, j), unit(bar(j), bar(i)), -ONE)
+                    termops.padd(unit(i, j), unit(bar(j), bar(i)), -ONE)
                 )
         for i in range(n):
             for j in range(i + 1, n):
                 root_mats[_root_coords(ecoord((i, ONE), (j, ONE)), simple_euclid)] = (
-                    linalg.mat_add(unit(i, bar(j)), unit(j, bar(i)), -ONE)
+                    termops.padd(unit(i, bar(j)), unit(j, bar(i)), -ONE)
                 )
                 root_mats[_root_coords(ecoord((i, -ONE), (j, -ONE)), simple_euclid)] = (
-                    linalg.mat_add(unit(bar(j), i), unit(bar(i), j), -ONE)
+                    termops.padd(unit(bar(j), i), unit(bar(i), j), -ONE)
                 )
         if series == "B":
             mid = n
             for i in range(n):
                 root_mats[_root_coords(ecoord((i, ONE)), simple_euclid)] = (
-                    linalg.mat_add(unit(i, mid), unit(mid, bar(i)), -ONE)
+                    termops.padd(unit(i, mid), unit(mid, bar(i)), -ONE)
                 )
                 root_mats[_root_coords(ecoord((i, -ONE)), simple_euclid)] = (
-                    linalg.mat_add(unit(mid, i), unit(bar(i), mid), -ONE)
+                    termops.padd(unit(mid, i), unit(bar(i), mid), -ONE)
                 )
         return m, coroots, root_mats
 
@@ -149,9 +149,9 @@ def _classical_matrices(series, rank):
             return m - 1 - k
 
         def diag(i):
-            return linalg.mat_add(unit(i, i), unit(bar(i), bar(i)), -ONE)
+            return termops.padd(unit(i, i), unit(bar(i), bar(i)), -ONE)
 
-        coroots = [linalg.mat_add(diag(i), diag(i + 1), -ONE) for i in range(n - 1)]
+        coroots = [termops.padd(diag(i), diag(i + 1), -ONE) for i in range(n - 1)]
         coroots.append(diag(n - 1))
 
         def ecoord(*pairs):
@@ -165,15 +165,15 @@ def _classical_matrices(series, rank):
                 if i == j:
                     continue
                 root_mats[_root_coords(ecoord((i, ONE), (j, -ONE)), simple_euclid)] = (
-                    linalg.mat_add(unit(i, j), unit(bar(j), bar(i)), -ONE)
+                    termops.padd(unit(i, j), unit(bar(j), bar(i)), -ONE)
                 )
         for i in range(n):
             for j in range(i + 1, n):
                 root_mats[_root_coords(ecoord((i, ONE), (j, ONE)), simple_euclid)] = (
-                    linalg.mat_add(unit(i, bar(j)), unit(j, bar(i)))
+                    termops.padd(unit(i, bar(j)), unit(j, bar(i)))
                 )
                 root_mats[_root_coords(ecoord((i, -ONE), (j, -ONE)), simple_euclid)] = (
-                    linalg.mat_add(unit(bar(j), i), unit(bar(i), j))
+                    termops.padd(unit(bar(j), i), unit(bar(i), j))
                 )
         for i in range(n):
             root_mats[_root_coords(ecoord((i, Fraction(2))), simple_euclid)] = unit(i, bar(i))
@@ -222,15 +222,8 @@ class LieAlgebra:
         for i, ci in u.items():
             for j, cj in v.items():
                 row = self.struct.get((i, j))
-                if not row:
-                    continue
-                c = ci * cj
-                for k, ck in row.items():
-                    s = out.get(k, Fraction(0)) + c * ck
-                    if s:
-                        out[k] = s
-                    elif k in out:
-                        del out[k]
+                if row:
+                    termops.piadd(out, row, ci * cj)
         return out
 
     def ad_matrix(self, i):

@@ -6,6 +6,8 @@ chosen by fixed rules, never by magnitude.
 
 from fractions import Fraction
 
+from . import termops
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -109,13 +111,7 @@ def nullspace_sparse(rows, ncols):
             for c in sorted(row):
                 piv = pivot_of.get(c)
                 if piv is not None:
-                    f = row[c]
-                    for cc, v in piv.items():
-                        s = row.get(cc, ZERO) - f * v
-                        if s:
-                            row[cc] = s
-                        elif cc in row:
-                            del row[cc]
+                    termops.piadd(row, piv, -row[c])
                     changed = True
                     break
         if not row:
@@ -127,12 +123,7 @@ def nullspace_sparse(rows, ncols):
         for pc, piv in pivot_of.items():
             f = piv.get(c0)
             if f:
-                for cc, v in row.items():
-                    s = piv.get(cc, ZERO) - f * v
-                    if s:
-                        piv[cc] = s
-                    elif cc in piv:
-                        del piv[cc]
+                termops.piadd(piv, row, -f)
         pivot_of[c0] = row
     free = [c for c in range(ncols) if c not in pivot_of]
     basis = []
@@ -190,44 +181,19 @@ def mat_identity(n):
     return {(i, i): ONE for i in range(n)}
 
 
-def mat_add(a, b, scale=ONE):
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, ZERO) + scale * v
-        if s:
-            out[k] = s
-        elif k in out:
-            del out[k]
-    return out
-
-
-def mat_scale(a, c):
-    if not c:
-        return {}
-    return {k: v * c for k, v in a.items()}
-
-
 def mat_mul(a, b):
     by_row = {}
     for (r, c), v in b.items():
         by_row.setdefault(r, []).append((c, v))
     out = {}
     for (r, k), va in a.items():
-        cols = by_row.get(k)
-        if not cols:
-            continue
-        for c, vb in cols:
-            key = (r, c)
-            s = out.get(key, ZERO) + va * vb
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
+        for c, vb in by_row.get(k, ()):
+            termops.siadd(out, (r, c), va * vb)
     return out
 
 
 def mat_commutator(a, b):
-    return mat_add(mat_mul(a, b), mat_mul(b, a), -ONE)
+    return termops.padd(mat_mul(a, b), mat_mul(b, a), -ONE)
 
 
 def mat_trace_product(a, b):
@@ -252,12 +218,10 @@ def mat_kron(a, b, bdim):
 def mat_kron_many(mats, dims):
     """Kronecker product of several square sparse matrices."""
     acc = mats[0]
-    size = dims[0]
     for m, d in zip(mats[1:], dims[1:]):
         acc = mat_kron(acc, m, d)
-        size *= d
     return acc
 
 
 def mat_equal(a, b):
-    return mat_add(a, b, -ONE) == {}
+    return termops.padd(a, b, -ONE) == {}

@@ -12,12 +12,9 @@ group are not identified.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
-from . import rootsys
-
-ONE = Fraction(1)
+from . import linalg, rootsys, termops
 
 
 @dataclass(frozen=True)
@@ -107,12 +104,7 @@ def tangent_projection(psi, levi, L):
     terms = {}
     for key, c in psi.plain_items():
         if all(i in pos for i in key):
-            k = tuple(pos[i] for i in key)
-            s = terms.get(k, Fraction(0)) + c
-            if s:
-                terms[k] = s
-            elif k in terms:
-                del terms[k]
+            termops.siadd(terms, tuple(pos[i] for i in key), c)
     return QuotientTensor(m_indices=m_idx, terms=terms)
 
 
@@ -157,8 +149,6 @@ def invariant_bivector_dim_at_base(levi, L):
         gens.append(L.neg_index(alpha))
     if not gens:
         return len(labels)
-    from . import linalg
-
     rows = {}
     for lab in labels:
         a, b = lab
@@ -168,20 +158,13 @@ def invariant_bivector_dim_at_base(levi, L):
             for k, c in ga.items():
                 if k == b:
                     continue
-                key = (k, b) if k < b else (b, k)
-                sgn = ONE if k < b else -ONE
-                s = image.get(key, Fraction(0)) + sgn * c
-                image[key] = s
+                termops.siadd(image, (k, b) if k < b else (b, k), c if k < b else -c)
             gb = _project_to_m(L.bracket(g, m_idx[b]), pos)
             for k, c in gb.items():
                 if k == a:
                     continue
-                key = (a, k) if a < k else (k, a)
-                sgn = ONE if a < k else -ONE
-                s = image.get(key, Fraction(0)) + sgn * c
-                image[key] = s
+                termops.siadd(image, (a, k) if a < k else (k, a), c if a < k else -c)
             for key, c in image.items():
-                if c:
-                    rows.setdefault((g, key), {})[index[lab]] = c
+                rows.setdefault((g, key), {})[index[lab]] = c
     basis = linalg.nullspace_sparse(list(rows.values()), len(labels))
     return len(basis)

@@ -63,11 +63,11 @@ class PolyVectorField:
 
     def scale(self, c):
         c = Fraction(c)
-        return PolyVectorField(self.algebra, self.degree, termops.sscale(self.terms, c))
+        return PolyVectorField(self.algebra, self.degree, termops.pscale(self.terms, c))
 
     def add(self, other):
         self._check(other)
-        return PolyVectorField(self.algebra, self.degree, termops.sadd(self.terms, other.terms))
+        return PolyVectorField(self.algebra, self.degree, termops.padd(self.terms, other.terms))
 
     def sub(self, other):
         return self.add(other.scale(-1))
@@ -114,9 +114,6 @@ class PolyVectorField:
                 images[v] = img
         return images
 
-    def coefficient_degrees(self):
-        return sorted({sum(e) for (e, _) in self.terms})
-
     def _check(self, other):
         if self.algebra is not other.algebra or self.degree != other.degree:
             raise ValueError("field mismatch")
@@ -139,7 +136,7 @@ class PolyVectorField:
 
 def coordinate(L, i):
     """The i-th coordinate function as a polynomial dict."""
-    return {tuple(1 if j == i else 0 for j in range(L.dim)): ONE}
+    return {termops.unit_exp(L.dim, i): ONE}
 
 
 def monomials(dim, degree):
@@ -167,7 +164,7 @@ def _coadjoint_terms(L, i):
             if not row:
                 continue
             for k, c in row.items():
-                termops.siadd(terms, (tuple(1 if m == k else 0 for m in range(L.dim)), (j,)), c)
+                termops.siadd(terms, (termops.unit_exp(L.dim, k), (j,)), c)
         cache[i] = terms
     return cache[i]
 
@@ -231,7 +228,7 @@ def kirillov_bracket(L):
             if not row:
                 continue
             for k, c in row.items():
-                terms[(tuple(1 if m == k else 0 for m in range(L.dim)), (i, j))] = c
+                terms[(termops.unit_exp(L.dim, k), (i, j))] = c
     return PolyVectorField(L, 2, terms)
 
 
@@ -252,7 +249,7 @@ def fields_proportional(P, Q):
     if key not in P.terms:
         return None
     c = P.terms[key] / Q.terms[key]
-    if P.terms == termops.sscale(Q.terms, c):
+    if P.terms == termops.pscale(Q.terms, c):
         return c
     return None
 
@@ -417,12 +414,12 @@ def phibar(L):
     ct = liealg.canonical_tensors(L)
     phi_plain = list(ct.phi.plain_items())
     dim = L.dim
-
-    def lin(t, a):
-        row = L.struct.get((t, a))
-        if not row:
-            return {}
-        return {tuple(1 if m == k else 0 for m in range(dim)): c for k, c in row.items()}
+    # the linear polynomial of the coordinate of [t, a], keyed by (t, a)
+    lin = {
+        key: {termops.unit_exp(dim, k): c for k, c in row.items()}
+        for key, row in L.struct.items()
+        if row
+    }
 
     terms = {}
     for a in range(dim):
@@ -430,13 +427,13 @@ def phibar(L):
             for c in range(b + 1, dim):
                 value = {}
                 for (t1, t2, t3), coef in phi_plain:
-                    p1 = lin(t1, a)
+                    p1 = lin.get((t1, a))
                     if not p1:
                         continue
-                    p2 = lin(t2, b)
+                    p2 = lin.get((t2, b))
                     if not p2:
                         continue
-                    p3 = lin(t3, c)
+                    p3 = lin.get((t3, c))
                     if not p3:
                         continue
                     termops.piadd(value, termops.pmul(termops.pmul(p1, p2), p3), coef)
@@ -557,8 +554,7 @@ def gl_transport_quadratic_bracket(L):
     for m in range(dim):
         acc = {}
         for j in range(dim):
-            if ginv[m][j]:
-                acc = linalg.mat_add(acc, L.matrices[j], ginv[m][j])
+            termops.piadd(acc, L.matrices[j], ginv[m][j])
         dual.append(acc)
 
     def linear(prod):
@@ -567,7 +563,7 @@ def gl_transport_quadratic_bracket(L):
         for m in range(dim):
             c = linalg.mat_trace_product(dual[m], prod)
             if c:
-                out[tuple(1 if t == m else 0 for t in range(dim))] = c
+                out[termops.unit_exp(dim, m)] = c
         return out
 
     terms = {}

@@ -286,12 +286,7 @@ class RewriteSystem:
         out = {word[:k] + (word[k + 1], word[k]) + word[k + 2 :]: ONE}
         if self.t:
             for m, c in self.algebra.bracket(word[k], word[k + 1]).items():
-                key = word[:k] + (m,) + word[k + 2 :]
-                s = out.get(key, Fraction(0)) + self.t * c
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
+                termops.siadd(out, word[:k] + (m,) + word[k + 2 :], self.t * c)
         return out
 
     def normal_form(self, start, strategy="leftmost"):
@@ -310,13 +305,7 @@ class RewriteSystem:
             if target is None:
                 return combo
             word, k = target
-            coeff = combo.pop(word)
-            for w, c in self.rewrite_at(word, k).items():
-                s = combo.get(w, Fraction(0)) + coeff * c
-                if s:
-                    combo[w] = s
-                elif w in combo:
-                    del combo[w]
+            termops.piadd(combo, self.rewrite_at(word, k), combo.pop(word))
 
 
 def jacobi_fault_algebra(L, i=None, j=None):
@@ -439,7 +428,7 @@ def _coproduct_matrix(mats, msize, word):
     out = linalg.mat_identity(msize * msize)
     ident = linalg.mat_identity(msize)
     for letter in word:
-        step = linalg.mat_add(
+        step = termops.padd(
             linalg.mat_kron(mats[letter], ident, msize),
             linalg.mat_kron(ident, mats[letter], msize),
         )
@@ -466,9 +455,8 @@ def pentagon_order2_check(L, word_terms=None, rep="defining"):
     total = {}
 
     def add_terms(sign, builder):
-        nonlocal total
         for coeff, words in word_terms:
-            total = linalg.mat_add(total, builder(words), sign * coeff)
+            termops.piadd(total, builder(words), sign * coeff)
 
     def leg(word):
         return _word_matrix(mats, msize, word)
@@ -526,19 +514,19 @@ def order_h_factorization_check(L, word_terms, rep="defining"):
         B = _word_matrix(mats, msize, wb)
         dA = _coproduct_matrix(mats, msize, wa)
         dB = _coproduct_matrix(mats, msize, wb)
-        lhs1 = linalg.mat_add(lhs1, linalg.mat_kron(dA, B, msize), coeff)
-        rhs1 = linalg.mat_add(
+        termops.piadd(lhs1, linalg.mat_kron(dA, B, msize), coeff)
+        termops.piadd(
             rhs1,
-            linalg.mat_add(
+            termops.padd(
                 linalg.mat_kron_many([A, ident, B], [msize] * 3),
                 linalg.mat_kron_many([ident, A, B], [msize] * 3),
             ),
             coeff,
         )
-        lhs2 = linalg.mat_add(lhs2, linalg.mat_kron(A, dB, m2), coeff)
-        rhs2 = linalg.mat_add(
+        termops.piadd(lhs2, linalg.mat_kron(A, dB, m2), coeff)
+        termops.piadd(
             rhs2,
-            linalg.mat_add(
+            termops.padd(
                 linalg.mat_kron_many([A, ident, B], [msize] * 3),
                 linalg.mat_kron_many([A, B, ident], [msize] * 3),
             ),
@@ -574,7 +562,7 @@ def rmatrix_first_order_checks(L, rep="defining"):
     def two_fold(tensor):
         out = {}
         for (a, b), c in tensor.plain_items():
-            out = linalg.mat_add(out, linalg.mat_kron(mats[a], mats[b], msize), c)
+            termops.piadd(out, linalg.mat_kron(mats[a], mats[b], msize), c)
         return out
 
     rho_hat = two_fold(rho1)
@@ -583,11 +571,11 @@ def rmatrix_first_order_checks(L, rep="defining"):
     part_ii_ok = True
     t_commutes = True
     for x in range(L.dim):
-        dx = linalg.mat_add(
+        dx = termops.padd(
             linalg.mat_kron(mats[x], ident, msize), linalg.mat_kron(ident, mats[x], msize)
         )
         lhs = linalg.mat_commutator(rho_hat, dx)
-        rhs = linalg.mat_scale(linalg.mat_commutator(r_hat, dx), -ONE)
+        rhs = termops.pscale(linalg.mat_commutator(r_hat, dx), -ONE)
         if not linalg.mat_equal(lhs, rhs):
             part_ii_ok = False
         if linalg.mat_commutator(t_hat, dx):

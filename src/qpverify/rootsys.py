@@ -78,10 +78,6 @@ class RootSystem:
         """Pairing of the root ``beta`` with the i-th coroot (0-based)."""
         return sum(beta[j] * self.cartan_matrix[j][i] for j in range(self.rank))
 
-    @property
-    def num_positive(self):
-        return len(self.positive_roots)
-
     def __str__(self):
         return f"{self.series}{self.rank}"
 

@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import grouppois, liealg, multivec, orbits, polyfield, quantize, rootsys
+from . import grouppois, liealg, multivec, orbits, polyfield, quantize, rootsys, termops
 
 SCHEMA_VERSION = 1
 
@@ -155,6 +155,16 @@ def _entry_ring_algebra(series, rank):
     return _classical(series, rank)
 
 
+def _equal_terms(got, want, name):
+    """Check that two term dicts are equal.
+
+    On failure the witness ``{name: key}`` gives the first differing key
+    in sorted order.
+    """
+    differ = sorted(k for k in got.keys() | want.keys() if got.get(k) != want.get(k))
+    return not differ, {name: differ[0]} if differ else None
+
+
 # ---------------------------------------------------------------------------
 # suite runners
 
@@ -184,10 +194,10 @@ def _suite_cybe(series, rank, config):
         _record(
             "cyb-proportional",
             "Yang-Baxter trinomial is half the Schouten square (recorded constant)",
-            lambda: (
-                multivec.cyb(ct.r_sd)
-                == ct.phi.to_plain().scale(multivec.CYB_FROM_SCHOUTEN),
-                None,
+            lambda: _equal_terms(
+                multivec.cyb(ct.r_sd).terms,
+                ct.phi.to_plain().scale(multivec.CYB_FROM_SCHOUTEN).terms,
+                "key",
             ),
         ),
     ]
@@ -284,17 +294,15 @@ def _suite_phi_bracket(series, rank, config):
         )
     )
 
-    def phibar_matches():
-        pb = cal.phibar.terms
-        expected = polyfield.action_field(ct.phi).scale(polyfield.PHIBAR_SIGN).terms
-        differ = sorted(k for k in pb.keys() | expected.keys() if pb.get(k) != expected.get(k))
-        return not differ, {"term": differ[0]} if differ else None
-
     checks.append(
         _record(
             "phibar-matches-action-field",
             "bracket-coefficient trivector equals the action field (recorded sign)",
-            phibar_matches,
+            lambda: _equal_terms(
+                cal.phibar.terms,
+                polyfield.action_field(ct.phi).scale(polyfield.PHIBAR_SIGN).terms,
+                "term",
+            ),
         )
     )
 
@@ -483,13 +491,11 @@ def _suite_ad_bracket(series, rank, config):
     def phi_identity():
         jac = grouppois.jacobiator_on_generators(ad)
         expected = {
-            triple: {k: c * grouppois.AD_JACOBIATOR_FACTOR for k, c in p.items()}
+            triple: termops.pscale(p, grouppois.AD_JACOBIATOR_FACTOR)
             for triple, p in grouppois.phi_through_conjugation(L).items()
         }
-        differ = sorted(t for t in jac.keys() | expected.keys() if jac.get(t) != expected.get(t))
-        if differ:
-            return False, {"triple": differ[0]}
-        return True, {"jacobiator_entries": len(jac)}
+        ok, witness = _equal_terms(jac, expected, "triple")
+        return ok, witness or {"jacobiator_entries": len(jac)}
 
     checks.append(
         _record(

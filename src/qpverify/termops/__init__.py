@@ -1,8 +1,11 @@
 """Sparse exact term-algebra kernels.
 
 Every kernel lives in ``pure``; this package re-exports them so that
-callers reach each one as ``termops.<name>``.  ``BACKEND`` and
-``backends()`` name the single backend for reports that record it.
+callers reach each one as ``termops.<name>``.  ``pure`` also describes
+the zero-free sparse format the kernels share and the four kernels
+(``siadd``, ``piadd``, ``padd``, ``pscale``) that every sum in the
+package goes through.  ``BACKEND`` and ``backends()`` name the single
+backend for reports that record it.
 """
 
 from . import pure
@@ -15,11 +18,10 @@ piadd = pure.piadd
 pmul = pure.pmul
 pderive = pure.pderive
 ptruncate = pure.ptruncate
+unit_exp = pure.unit_exp
 apply_derivation = pure.apply_derivation
 merge_ders = pure.merge_ders
 siadd = pure.siadd
-sadd = pure.sadd
-sscale = pure.sscale
 smul = pure.smul
 wedge_push = pure.wedge_push
 sn_bracket = pure.sn_bracket

@@ -1,13 +1,22 @@
 """Pure-Python kernels for sparse exact term algebra.
 
-Two carrier encodings, shared by every bracket computation in the package:
+Every sum in the package is a zero-free sparse combination: a dict from
+hashable keys to nonzero ``Fraction`` coefficients, where a sum that
+cancels deletes its key.  Polynomials, polyvector fields, sparse
+matrices (``(row, col)`` keys), tensors (basis-index tuples), Lie
+algebra elements (basis indices) and rewriting words all use it.
+Outside the inner loops of this module's kernels, every sum goes
+through four kernels: ``siadd`` (``acc[key] += c``), ``piadd``
+(``acc += c*b``), ``padd`` (``a + c*b``) and ``pscale`` (``c*a``).  A
+scale of 1 or -1 costs no multiply.
 
-* polynomial: dict mapping exponent tuples (one slot per coordinate) to
-  ``Fraction`` coefficients, zero coefficients never stored;
-* polyvector: dict mapping ``(exponents, derivations)`` to ``Fraction``,
-  where ``derivations`` is a strictly ascending tuple of coordinate
-  indices.  A key ``(e, (i, j))`` stands for the term
-  ``y^e * d/dy_i ^ d/dy_j``.
+Two key shapes carry the bracket computations:
+
+* polynomial: exponent tuples, one slot per coordinate (``unit_exp``
+  builds the coordinate monomials);
+* polyvector: ``(exponents, derivations)``, where ``derivations`` is a
+  strictly ascending tuple of coordinate indices.  A key
+  ``(e, (i, j))`` stands for the term ``y^e * d/dy_i ^ d/dy_j``.
 
 The polyvector encoding is the usual odd-variable picture: derivations are
 anticommuting symbols listed in ascending order, so every product carries
@@ -27,39 +36,42 @@ from fractions import Fraction
 _ONE = Fraction(1)
 
 # ---------------------------------------------------------------------------
-# polynomial kernels
+# zero-free sparse combinations
 
 
-def padd(a, b):
-    """Sum of two polynomials."""
-    out = dict(a)
-    for k, c in b.items():
-        s = out.get(k)
-        if s is None:
-            out[k] = c
+def siadd(acc, key, c):
+    """In-place ``acc[key] += c``."""
+    s = acc.get(key)
+    if s is None:
+        if c:
+            acc[key] = c
+    else:
+        s = s + c
+        if s:
+            acc[key] = s
         else:
-            s = s + c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-    return out
+            del acc[key]
 
 
 def pscale(a, c):
-    """Polynomial times a scalar."""
+    """``c*a`` as a new dict."""
     if not c:
         return {}
+    if c == 1:
+        return dict(a)
+    if c == -1:
+        return {k: -v for k, v in a.items()}
     return {k: v * c for k, v in a.items()}
 
 
 def piadd(acc, b, c):
-    """In-place ``acc += c*b`` on a polynomial dict."""
+    """In-place ``acc += c*b``."""
     if not c:
         return
+    if c != 1:
+        b = pscale(b, c)
     for k, v in b.items():
         s = acc.get(k)
-        v = v * c
         if s is None:
             acc[k] = v
         else:
@@ -68,6 +80,24 @@ def piadd(acc, b, c):
                 acc[k] = s
             else:
                 del acc[k]
+
+
+def padd(a, b, c=1):
+    """``a + c*b`` as a new dict."""
+    out = dict(a)
+    piadd(out, b, c)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# polynomial kernels
+
+
+def unit_exp(nvars, i):
+    """Exponent tuple of the coordinate monomial ``y_i``."""
+    e = [0] * nvars
+    e[i] = 1
+    return tuple(e)
 
 
 def pmul(a, b, maxdeg=-1):
@@ -171,33 +201,6 @@ def merge_ders(d1, d2):
     return (-1 if inv & 1 else 1), tuple(out)
 
 
-def siadd(acc, key, c):
-    """In-place ``acc[key] += c`` on a term dict."""
-    s = acc.get(key)
-    if s is None:
-        if c:
-            acc[key] = c
-    else:
-        s = s + c
-        if s:
-            acc[key] = s
-        else:
-            del acc[key]
-
-
-def sadd(a, b):
-    out = dict(a)
-    for k, c in b.items():
-        siadd(out, k, c)
-    return out
-
-
-def sscale(a, c):
-    if not c:
-        return {}
-    return {k: v * c for k, v in a.items()}
-
-
 def smul(a, b, maxdeg=-1):
     """Wedge (super) product of two polyvector term dicts."""
     out = {}
@@ -227,8 +230,7 @@ def wedge_push(terms, field, nvars):
         prod = unit
         for i in key:
             prod = smul(prod, field(i))
-        for k, v in prod.items():
-            siadd(out, k, c * v)
+        piadd(out, prod, c)
     return out
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qpverify import cli, suites
+from qpverify import cli, liealg, multivec, suites
 
 
 def run(capsys, *argv):
@@ -40,6 +40,22 @@ def test_closed_stdout_exits_without_traceback():
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 0
     assert b"Traceback" not in err
+
+
+def test_cyb_constant_fault_fails_with_a_witness(monkeypatch, capsys):
+    # a wrong recorded constant fails the comparison check; cyb itself
+    # only builds the trinomial, so nothing raises
+    monkeypatch.setattr(multivec, "CYB_FROM_SCHOUTEN", 1)
+    code, out, err = run(capsys, "cybe", "--algebra", "A1", "--format", "json")
+    assert code == 1
+    assert "Traceback" not in err
+    failed = {c["id"]: c for c in json.loads(out)["checks"] if c["status"] == "fail"}
+    assert set(failed) == {"cyb-proportional"}
+    ct = liealg.canonical_tensors(liealg.algebra("A", 1))
+    got = multivec.cyb(ct.r_sd).plain_dict()
+    want = ct.phi.plain_dict()
+    first = min(k for k in got.keys() | want.keys() if got.get(k) != want.get(k))
+    assert failed["cyb-proportional"]["witness"] == {"key": list(first)}
 
 
 def test_list_suites_api():

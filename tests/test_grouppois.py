@@ -64,9 +64,9 @@ def test_sklyanin_generator_values_n2(sl2):
     e = lambda *pairs: tuple(
         sum(1 for p in pairs if p == v) for v in range(4)
     )
-    assert sk.entry_bracket(t(0, 0), t(0, 1)) == {e(t(0, 0), t(0, 1)): F(-1, 4)}
-    assert sk.entry_bracket(t(0, 0), t(1, 1)) == {e(t(0, 1), t(1, 0)): F(-1, 2)}
-    assert sk.entry_bracket(t(0, 1), t(1, 0)) == {}
+    assert sk.table.get((t(0, 0), t(0, 1)), {}) == {e(t(0, 0), t(0, 1)): F(-1, 4)}
+    assert sk.table.get((t(0, 0), t(1, 1)), {}) == {e(t(0, 1), t(1, 0)): F(-1, 2)}
+    assert sk.table.get((t(0, 1), t(1, 0)), {}) == {}
 
 
 @pytest.mark.parametrize("spec", [("A", 1), ("A", 2)])

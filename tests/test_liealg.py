@@ -79,7 +79,7 @@ def test_killing_symmetric_invariant_nondegenerate(spec, algebras):
 
 @pytest.mark.parametrize("spec", CLASSICAL)
 def test_matrix_commutators_reproduce_struct(spec, algebras):
-    from qpverify import linalg
+    from qpverify import linalg, termops
 
     L = algebras[spec]
     for i in range(L.dim):
@@ -87,7 +87,7 @@ def test_matrix_commutators_reproduce_struct(spec, algebras):
             comm = linalg.mat_commutator(L.matrices[i], L.matrices[j])
             rebuilt = {}
             for k, c in L.bracket(i, j).items():
-                rebuilt = linalg.mat_add(rebuilt, L.matrices[k], c)
+                rebuilt = termops.padd(rebuilt, L.matrices[k], c)
             assert comm == rebuilt
 
 

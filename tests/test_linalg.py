@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qpverify import linalg
+from qpverify import linalg, termops
 
 F = Fraction
 
@@ -82,7 +82,7 @@ def test_sparse_matrix_ops():
     b = {(0, 0): F(1), (1, 1): F(3)}
     assert linalg.mat_mul(a, b) == {(0, 1): F(6), (1, 0): F(1)}
     comm = linalg.mat_commutator(a, b)
-    assert linalg.mat_add(comm, linalg.mat_commutator(b, a)) == {}
+    assert termops.padd(comm, linalg.mat_commutator(b, a)) == {}
     assert linalg.mat_trace_product(a, a) == F(4)  # tr of [[2x],[x0]]^2 pattern
     ident = linalg.mat_identity(2)
     kron = linalg.mat_kron(ident, b, 2)

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpverify import liealg, multivec
 
@@ -213,8 +215,10 @@ def test_cyb_ratio_on_random_r(sl3):
     rng = random.Random(3)
     for _ in range(5):
         r = rand_alternating(sl3, 2, rng)
-        got = multivec.cyb(r)  # raises internally on ratio violation
+        got = multivec.cyb(r)
         assert got.plain_dict() == oracle_cyb(sl3, r.plain_dict())
+        square = multivec.algebraic_schouten(r, r).to_plain()
+        assert got == square.scale(multivec.CYB_FROM_SCHOUTEN)
 
 
 def test_cyb_rejects_wrong_shape(sl2):
@@ -255,6 +259,23 @@ def test_cobracket_examples(sl2):
     assert got.plain_dict() == oracle_cobracket(sl2, ct.r_sd.plain_dict(), 1)
     zero = multivec.MultiTensor.zero(sl2, 2, "alternating")
     assert multivec.cobracket(zero, 1).is_zero()
+
+
+@st.composite
+def cobracket_cases(draw):
+    """An algebra, an alternating 2-tensor with mixed denominators and a basis index."""
+    L = liealg.algebra("A", draw(st.sampled_from([1, 2])))
+    keys = st.sampled_from(list(itertools.combinations(range(L.dim), 2)))
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool)
+    terms = draw(st.dictionaries(keys, coeffs, max_size=6))
+    return L, multivec.MultiTensor(L, 2, terms, "alternating"), draw(st.integers(0, L.dim - 1))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(cobracket_cases())
+def test_cobracket_matches_oracle_on_random_r(case):
+    L, r, x = case
+    assert multivec.cobracket(r, x).plain_dict() == oracle_cobracket(L, r.plain_dict(), x)
 
 
 def test_co_jacobi_standard(sl2, sl3):
@@ -298,17 +319,3 @@ def test_co_jacobi_iff_invariant_square(sl2, sl3):
     for r in battery:
         sq = multivec.algebraic_schouten(r, r)
         assert multivec.co_jacobi_check(r) == multivec.is_invariant(sq)
-
-
-# ---------------------------------------------------------------------------
-# antipode flip
-
-
-def test_antipode_flip(sl2):
-    ct = liealg.canonical_tensors(sl2)
-    assert multivec.antipode_flip(ct.phi) == ct.phi.scale(-1)
-    assert multivec.antipode_flip(ct.t) == ct.t
-    x = multivec.MultiTensor(sl2, 1, {(1,): F(1)}, "plain")
-    assert multivec.antipode_flip(x) == x.scale(-1)
-    # consequence: the cubic coefficient of the antipode relation cancels
-    assert ct.phi.add(multivec.antipode_flip(ct.phi)).is_zero()

@@ -57,7 +57,7 @@ def test_matches_reflection_oracle(series, rank):
 @pytest.mark.parametrize("series,rank", ALL_TYPES)
 def test_positive_root_count(series, rank):
     rs = rootsys.build_root_system(series, rank)
-    assert rs.num_positive == CLASSICAL_COUNTS[series](rank)
+    assert len(rs.positive_roots) == CLASSICAL_COUNTS[series](rank)
 
 
 @pytest.mark.parametrize("series,rank", ALL_TYPES)
@@ -119,7 +119,7 @@ def test_examples_small_types():
     assert rs.highest_root == (1, 1)
 
     rs = rootsys.build_root_system("G", 2)
-    assert rs.num_positive == 6
+    assert len(rs.positive_roots) == 6
     assert rs.highest_root == (3, 2)
 
 

@@ -79,6 +79,7 @@ def test_poly_basics():
     assert termops.pmul(a, b, maxdeg=1) == {}
     assert termops.pderive({(2, 1): F(1)}, 0) == {(1, 1): F(2)}
     assert termops.ptruncate({(2, 1): F(1), (1, 0): F(2)}, 1) == {(1, 0): F(2)}
+    assert termops.unit_exp(4, 2) == (0, 0, 1, 0)
 
 
 def test_piadd_cancels():
@@ -88,13 +89,84 @@ def test_piadd_cancels():
 
 
 # ---------------------------------------------------------------------------
-# algebraic laws of the bracket kernels on random inputs
+# random inputs for the kernel laws
 
 LAWS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
 NVARS = 3  # the coordinate count of sl(2), so fields can carry a real algebra
 coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
 exponents = st.tuples(*[st.integers(0, 2)] * NVARS)
+
+
+# ---------------------------------------------------------------------------
+# the zero-free sparse combination kernels, on every key shape the package
+# uses: basis indices, index tuples and words, (row, col) matrix entries
+# and (exponents, derivations) polyvector terms
+
+small = st.integers(0, 2)
+sparse_keys = st.one_of(
+    small,
+    st.tuples(small, small, small),
+    st.tuples(small, small),
+    st.tuples(exponents, st.sampled_from([(), (0,), (0, 2)])),
+)
+combos = st.dictionaries(sparse_keys, coeffs, max_size=6)
+scalars = st.one_of(st.sampled_from([0, 1, -1, F(0), F(1), F(-1)]), coeffs)
+
+
+def dense_sum(*scaled):
+    """Reference ``sum c*d`` over ``(c, d)`` pairs, key by key over the union."""
+    keys = set().union(*(d for _, d in scaled))
+    total = {k: sum((c * d.get(k, 0) for c, d in scaled), F(0)) for k in keys}
+    return {k: v for k, v in total.items() if v}
+
+
+def zero_free(d):
+    return all(type(v) is Fraction and v for v in d.values())
+
+
+@LAWS
+@given(combos, st.lists(st.tuples(sparse_keys, scalars), max_size=8))
+def test_siadd_is_the_dense_sum(acc, updates):
+    expected = dense_sum((1, acc), *((c, {k: F(1)}) for k, c in updates))
+    for k, c in updates:
+        termops.siadd(acc, k, F(c))
+    assert acc == expected and zero_free(acc)
+
+
+@LAWS
+@given(combos, combos, scalars)
+def test_piadd_is_the_dense_sum(acc, b, c):
+    before = dict(b)
+    expected = dense_sum((1, acc), (c, b))
+    termops.piadd(acc, b, c)
+    assert acc == expected and zero_free(acc)
+    assert b == before
+
+
+@LAWS
+@given(combos, combos, scalars)
+def test_padd_is_the_dense_sum(a, b, c):
+    a_before, b_before = dict(a), dict(b)
+    out = termops.padd(a, b, c)
+    assert out == dense_sum((1, a), (c, b)) and zero_free(out)
+    assert termops.padd(a, b) == dense_sum((1, a), (1, b))
+    assert termops.padd(a, a, -1) == {}
+    assert (a, b) == (a_before, b_before)
+
+
+@LAWS
+@given(combos, scalars)
+def test_pscale_is_the_dense_sum(a, c):
+    before = dict(a)
+    out = termops.pscale(a, c)
+    assert out == dense_sum((c, a)) and zero_free(out)
+    assert out is not a and a == before
+
+
+# ---------------------------------------------------------------------------
+# algebraic laws of the bracket kernels on random inputs
+
 polys = st.dictionaries(exponents, coeffs, max_size=4)
 ascending_pairs = st.sampled_from(list(itertools.combinations(range(NVARS), 2)))
 bivectors = st.dictionaries(st.tuples(exponents, ascending_pairs), coeffs, max_size=4)
@@ -177,7 +249,7 @@ def test_sn_bracket_graded_antisymmetry(a, b):
     (p, ta), (q, tb) = a, b
     # [[A, B]] = -(-1)^((p-1)(q-1)) [[B, A]]
     swapped = termops.sn_bracket(tb, q, ta, p)
-    assert termops.sn_bracket(ta, p, tb, q) == termops.sscale(swapped, -koszul(p, q))
+    assert termops.sn_bracket(ta, p, tb, q) == termops.pscale(swapped, -koszul(p, q))
 
 
 @LAWS
@@ -191,7 +263,7 @@ def test_sn_bracket_graded_jacobi_identity(a, b, c):
     total = {}
     for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
         _, term = br(x, br(y, z))
-        total = termops.sadd(total, termops.sscale(term, koszul(x[0], z[0])))
+        total = termops.padd(total, term, koszul(x[0], z[0]))
     assert total == {}
 
 
@@ -201,7 +273,7 @@ def test_smul_anticommutes_on_odd_degrees():
         a, b = rand_terms(rng, degree=1), rand_terms(rng, degree=1)
         ab = termops.smul(a, b)
         ba = termops.smul(b, a)
-        assert ab == termops.sscale(ba, F(-1))
+        assert ab == termops.pscale(ba, F(-1))
         assert termops.smul(a, a) == {}
 
 
