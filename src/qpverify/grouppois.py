@@ -31,7 +31,7 @@ ONE = Fraction(1)
 # regression locked.
 AD_JACOBIATOR_FACTOR = Fraction(-1, 2)
 
-DEFAULT_DEGREE_CAP = 6
+DEGREE_CAP = 6
 
 
 class RealizationMismatch(ValueError):
@@ -125,10 +125,8 @@ def _pushed_table(L, legs):
 class GroupBivector:
     """Antisymmetric bracket on the entry ring, stored on generators."""
 
-    def __init__(self, n, table, degree_cap=DEFAULT_DEGREE_CAP):
-        self.n = n
+    def __init__(self, table):
         self.table = {k: v for k, v in table.items() if v}
-        self.degree_cap = degree_cap
         for (u, v), val in self.table.items():
             neg = termops.pscale(self.table.get((v, u), {}), -ONE)
             if neg != val:
@@ -138,13 +136,13 @@ class GroupBivector:
         self.terms = {(e, (u, v)): c for (u, v), val in items if u < v for e, c in val.items()}
 
     def bracket(self, p, q):
-        return termops.table_bracket(self.table, p, q, self.degree_cap)
+        return termops.table_bracket(self.table, p, q, DEGREE_CAP)
 
     def is_zero(self):
         return not self.table
 
 
-def build_two_sided_bracket(L, r1, r2, degree_cap=DEFAULT_DEGREE_CAP):
+def build_two_sided_bracket(L, r1, r2):
     """Bracket with generator table from left fields of r1 plus right fields of r2.
 
     The compatibility condition (equal Schouten squares of the two
@@ -169,16 +167,16 @@ def build_two_sided_bracket(L, r1, r2, degree_cap=DEFAULT_DEGREE_CAP):
         )
     legs = [(c, (a, "left"), (b, "left")) for (a, b), c in r1.plain_items()]
     legs += [(c, (a, "right"), (b, "right")) for (a, b), c in r2.plain_items()]
-    return GroupBivector(L.msize, _pushed_table(L, legs), degree_cap)
+    return GroupBivector(_pushed_table(L, legs))
 
 
-def build_sklyanin_bracket(L, degree_cap=DEFAULT_DEGREE_CAP):
+def build_sklyanin_bracket(L):
     """The standard bracket: left fields of r minus right fields of r."""
     r = liealg.canonical_tensors(L).r_sd
-    return build_two_sided_bracket(L, r, r.scale(-1), degree_cap)
+    return build_two_sided_bracket(L, r, r.scale(-1))
 
 
-def build_ad_bracket(L, degree_cap=DEFAULT_DEGREE_CAP):
+def build_ad_bracket(L):
     """Conjugation-invariant bracket from the invariant symmetric 2-tensor."""
     if L.matrices is None:
         raise RealizationMismatch("algebra carries no matrix realization")
@@ -186,7 +184,7 @@ def build_ad_bracket(L, degree_cap=DEFAULT_DEGREE_CAP):
     for (a, b), c in liealg.canonical_tensors(L).t.plain_items():
         legs.append((c, (a, "left"), (b, "right")))
         legs.append((-c, (b, "right"), (a, "left")))
-    return GroupBivector(L.msize, _pushed_table(L, legs), degree_cap)
+    return GroupBivector(_pushed_table(L, legs))
 
 
 def _by_derivations(terms, maxdeg=-1):
@@ -210,7 +208,7 @@ def jacobiator_on_generators(B):
     triple; the Leibniz rule makes generator triples sufficient.
     """
     square = termops.sn_bracket(B.terms, 2, B.terms, 2)
-    return _by_derivations(termops.pscale(square, Fraction(1, 2)), B.degree_cap)
+    return _by_derivations(termops.pscale(square, Fraction(1, 2)), DEGREE_CAP)
 
 
 def ad_invariance_defect(L, B, x):
@@ -220,7 +218,7 @@ def ad_invariance_defect(L, B, x):
     pairs; all zero means the bracket is invariant.
     """
     field = _vector_terms(_field_images(L, x, "conjugation"))
-    return _by_derivations(termops.sn_bracket(field, 1, B.terms, 2), B.degree_cap)
+    return _by_derivations(termops.sn_bracket(field, 1, B.terms, 2), DEGREE_CAP)
 
 
 def phi_through_conjugation(L):

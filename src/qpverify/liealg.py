@@ -95,92 +95,60 @@ def _classical_matrices(series, rank):
                 root_mats[_root_coords(euclid, simple_euclid)] = unit(i, j)
         return m, coroots, root_mats
 
-    if series in ("B", "D"):
-        m = 2 * n + 1 if series == "B" else 2 * n
+    # B and D preserve a symmetric form, C an alternating one: the sign of
+    # the second unit in the e_i + e_j matrices
+    m = 2 * n + 1 if series == "B" else 2 * n
+    eps = ONE if series == "C" else -ONE
 
-        def bar(k):
-            return m - 1 - k
+    def bar(k):
+        return m - 1 - k
 
-        def diag(i):
-            return termops.padd(unit(i, i), unit(bar(i), bar(i)), -ONE)
+    def diag(i):
+        return termops.padd(unit(i, i), unit(bar(i), bar(i)), -ONE)
 
-        coroots = [termops.padd(diag(i), diag(i + 1), -ONE) for i in range(n - 1)]
-        if series == "B":
-            coroots.append(termops.pscale(diag(n - 1), Fraction(2)))
-        else:
-            coroots.append(termops.padd(diag(n - 2), diag(n - 1)))
-
-        def ecoord(*pairs):
-            v = [Fraction(0)] * n
-            for idx, val in pairs:
-                v[idx] += val
-            return v
-
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                root_mats[_root_coords(ecoord((i, ONE), (j, -ONE)), simple_euclid)] = (
-                    termops.padd(unit(i, j), unit(bar(j), bar(i)), -ONE)
-                )
-        for i in range(n):
-            for j in range(i + 1, n):
-                root_mats[_root_coords(ecoord((i, ONE), (j, ONE)), simple_euclid)] = (
-                    termops.padd(unit(i, bar(j)), unit(j, bar(i)), -ONE)
-                )
-                root_mats[_root_coords(ecoord((i, -ONE), (j, -ONE)), simple_euclid)] = (
-                    termops.padd(unit(bar(j), i), unit(bar(i), j), -ONE)
-                )
-        if series == "B":
-            mid = n
-            for i in range(n):
-                root_mats[_root_coords(ecoord((i, ONE)), simple_euclid)] = (
-                    termops.padd(unit(i, mid), unit(mid, bar(i)), -ONE)
-                )
-                root_mats[_root_coords(ecoord((i, -ONE)), simple_euclid)] = (
-                    termops.padd(unit(mid, i), unit(bar(i), mid), -ONE)
-                )
-        return m, coroots, root_mats
-
-    if series == "C":
-        m = 2 * n
-
-        def bar(k):
-            return m - 1 - k
-
-        def diag(i):
-            return termops.padd(unit(i, i), unit(bar(i), bar(i)), -ONE)
-
-        coroots = [termops.padd(diag(i), diag(i + 1), -ONE) for i in range(n - 1)]
+    coroots = [termops.padd(diag(i), diag(i + 1), -ONE) for i in range(n - 1)]
+    if series == "B":
+        coroots.append(termops.pscale(diag(n - 1), Fraction(2)))
+    elif series == "C":
         coroots.append(diag(n - 1))
+    else:
+        coroots.append(termops.padd(diag(n - 2), diag(n - 1)))
 
-        def ecoord(*pairs):
-            v = [Fraction(0)] * n
-            for idx, val in pairs:
-                v[idx] += val
-            return v
+    def ecoord(*pairs):
+        v = [Fraction(0)] * n
+        for idx, val in pairs:
+            v[idx] += val
+        return v
 
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            root_mats[_root_coords(ecoord((i, ONE), (j, -ONE)), simple_euclid)] = (
+                termops.padd(unit(i, j), unit(bar(j), bar(i)), -ONE)
+            )
+    for i in range(n):
+        for j in range(i + 1, n):
+            root_mats[_root_coords(ecoord((i, ONE), (j, ONE)), simple_euclid)] = (
+                termops.padd(unit(i, bar(j)), unit(j, bar(i)), eps)
+            )
+            root_mats[_root_coords(ecoord((i, -ONE), (j, -ONE)), simple_euclid)] = (
+                termops.padd(unit(bar(j), i), unit(bar(i), j), eps)
+            )
+    if series == "B":
+        mid = n
         for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                root_mats[_root_coords(ecoord((i, ONE), (j, -ONE)), simple_euclid)] = (
-                    termops.padd(unit(i, j), unit(bar(j), bar(i)), -ONE)
-                )
-        for i in range(n):
-            for j in range(i + 1, n):
-                root_mats[_root_coords(ecoord((i, ONE), (j, ONE)), simple_euclid)] = (
-                    termops.padd(unit(i, bar(j)), unit(j, bar(i)))
-                )
-                root_mats[_root_coords(ecoord((i, -ONE), (j, -ONE)), simple_euclid)] = (
-                    termops.padd(unit(bar(j), i), unit(bar(i), j))
-                )
+            root_mats[_root_coords(ecoord((i, ONE)), simple_euclid)] = (
+                termops.padd(unit(i, mid), unit(mid, bar(i)), -ONE)
+            )
+            root_mats[_root_coords(ecoord((i, -ONE)), simple_euclid)] = (
+                termops.padd(unit(mid, i), unit(bar(i), mid), -ONE)
+            )
+    elif series == "C":
         for i in range(n):
             root_mats[_root_coords(ecoord((i, Fraction(2))), simple_euclid)] = unit(i, bar(i))
             root_mats[_root_coords(ecoord((i, Fraction(-2))), simple_euclid)] = unit(bar(i), i)
-        return m, coroots, root_mats
-
-    raise UnsupportedTypeError(f"no matrix realization for series {series}")
+    return m, coroots, root_mats
 
 
 class LieAlgebra:
@@ -227,12 +195,7 @@ class LieAlgebra:
         return out
 
     def ad_matrix(self, i):
-        out = {}
-        for (a, b), row in self.struct.items():
-            if a == i:
-                for k, c in row.items():
-                    out[(k, b)] = c
-        return out
+        return _ad_matrix(self.struct, i)
 
     def weight_of_key(self, key):
         """Total weight of a basis-index tuple, in simple-root coordinates."""
@@ -296,7 +259,8 @@ def realize_classical(rs):
             if got != want:
                 raise AssertionError("coroot action disagrees with root pairing")
 
-    killing = _killing_from_struct(struct, dim)
+    ads = [_ad_matrix(struct, i) for i in range(dim)]
+    killing = [[linalg.mat_trace_product(ads[i], ads[j]) for j in range(dim)] for i in range(dim)]
     killing_inv = linalg.invert_dense(killing)
     if killing_inv is None:
         raise SingularKillingError("Killing form is singular")
@@ -304,30 +268,14 @@ def realize_classical(rs):
     return LieAlgebra(rs, names, weights, struct, killing, killing_inv, matrices, msize)
 
 
-def _killing_from_struct(struct, dim):
-    ads = []
-    for i in range(dim):
-        m = {}
-        for (a, b), row in struct.items():
-            if a == i:
-                for k, c in row.items():
-                    m[(k, b)] = c
-        ads.append(m)
-    return [
-        [linalg.mat_trace_product(ads[i], ads[j]) for j in range(dim)]
-        for i in range(dim)
-    ]
-
-
-def killing_form(L):
-    """Killing form recomputed from structure constants.
-
-    Raises if the cached copy on the algebra disagrees.
-    """
-    fresh = _killing_from_struct(L.struct, L.dim)
-    if fresh != L.killing:
-        raise AssertionError("cached Killing form is stale")
-    return fresh
+def _ad_matrix(struct, i):
+    """Matrix of ad(b_i): entry (k, j) is the b_k coefficient of [b_i, b_j]."""
+    out = {}
+    for (a, b), row in struct.items():
+        if a == i:
+            for k, c in row.items():
+                out[(k, b)] = c
+    return out
 
 
 @dataclass(frozen=True)

@@ -264,21 +264,20 @@ def cobracket(r, x):
     return ad_action(x, r).scale(-1)
 
 
-def co_jacobi_defect(r, x):
-    """Cyclic sum of (delta (x) id) . delta at ``x``, as a plain 3-tensor."""
-    alg = r.algebra
-    delta_x = cobracket(r, x)
+def co_jacobi_defect(deltas, x):
+    """Cyclic sum of (delta (x) id) . delta at ``x``, as a plain 3-tensor.
+
+    ``deltas[u]`` is the cocommutator of the basis element ``u``.
+    """
     out = {}
-    for (u, v), c in delta_x.plain_items():
-        for (a, b), cd in cobracket(r, u).plain_items():
+    for (u, v), c in deltas[x].plain_items():
+        for (a, b), cd in deltas[u].plain_items():
             for key in ((a, b, v), (v, a, b), (b, v, a)):
                 termops.siadd(out, key, c * cd)
-    return MultiTensor(alg, 3, out, "plain")
+    return MultiTensor(deltas[x].algebra, 3, out, "plain")
 
 
 def co_jacobi_check(r):
     """True iff the cocommutator of ``r`` satisfies the co-Jacobi identity."""
-    return all(
-        co_jacobi_defect(r, i).is_zero() for i in range(r.algebra.dim)
-    )
-
+    deltas = [cobracket(r, x) for x in range(r.algebra.dim)]
+    return all(co_jacobi_defect(deltas, x).is_zero() for x in range(len(deltas)))

@@ -279,7 +279,7 @@ def _weight_of_term(L, exps, ders):
     return tuple(w)
 
 
-def invariant_field_space(L, p, q, cap=EQUIVARIANT_ENTRY_CAP):
+def invariant_field_space(L, p, q):
     """Basis of invariant degree-p fields with homogeneous degree-q coefficients.
 
     The size cap is checked on every call; the basis is solved once per
@@ -287,9 +287,9 @@ def invariant_field_space(L, p, q, cap=EQUIVARIANT_ENTRY_CAP):
     change the cached copy.
     """
     full = math.comb(L.dim, p) * math.comb(L.dim + q - 1, q) if q else math.comb(L.dim, p)
-    if full > cap:
+    if full > EQUIVARIANT_ENTRY_CAP:
         raise ResourceLimitError(
-            f"equivariant system of {full} entries exceeds the cap {cap}"
+            f"equivariant system of {full} entries exceeds the cap {EQUIVARIANT_ENTRY_CAP}"
         )
     cache = getattr(L, "_invariant_field_cache", None)
     if cache is None:
@@ -423,20 +423,22 @@ def phibar(L):
 
     terms = {}
     for a in range(dim):
-        for b in range(a + 1, dim):
+        for b in range(a + 1, dim - 1):
+            # [t1,a][t2,b] for each term of phi, shared by every c
+            heads = []
+            for (t1, t2, t3), coef in phi_plain:
+                p1 = lin.get((t1, a))
+                if not p1:
+                    continue
+                p2 = lin.get((t2, b))
+                if p2:
+                    heads.append((termops.pmul(p1, p2), t3, coef))
             for c in range(b + 1, dim):
                 value = {}
-                for (t1, t2, t3), coef in phi_plain:
-                    p1 = lin.get((t1, a))
-                    if not p1:
-                        continue
-                    p2 = lin.get((t2, b))
-                    if not p2:
-                        continue
+                for p12, t3, coef in heads:
                     p3 = lin.get((t3, c))
-                    if not p3:
-                        continue
-                    termops.piadd(value, termops.pmul(termops.pmul(p1, p2), p3), coef)
+                    if p3:
+                        termops.piadd(value, termops.pmul(p12, p3), coef)
                 for e, v in value.items():
                     terms[(e, (a, b, c))] = v
     return PolyVectorField(L, 3, terms)
@@ -478,7 +480,7 @@ class ScanEntry:
     extras: list
 
 
-def invariant_bivector_scan(L, max_degree, cap=EQUIVARIANT_ENTRY_CAP):
+def invariant_bivector_scan(L, max_degree):
     """Invariant bivector fields by coefficient degree, versus b * kirillov.
 
     For each coefficient degree k <= max_degree the entry records the
@@ -486,14 +488,15 @@ def invariant_bivector_scan(L, max_degree, cap=EQUIVARIANT_ENTRY_CAP):
     invariant-polynomial multiples of the linear bivector.
     """
     worst = math.comb(L.dim, 2) * math.comb(L.dim + max_degree - 1, max_degree)
-    if worst > cap:
+    if worst > EQUIVARIANT_ENTRY_CAP:
         raise ResourceLimitError(
-            f"scan at degree {max_degree} needs {worst} entries, above the cap {cap}"
+            f"scan at degree {max_degree} needs {worst} entries, "
+            f"above the cap {EQUIVARIANT_ENTRY_CAP}"
         )
     s = kirillov_bracket(L)
     out = []
     for k in range(1, max_degree + 1):
-        fields = invariant_field_space(L, 2, k, cap=cap)
+        fields = invariant_field_space(L, 2, k)
         inv_polys = invariant_polynomials(L, k - 1)
         multiples = [
             PolyVectorField(L, 2, termops.smul({(e, ()): c for e, c in b.items()}, s.terms))

@@ -25,11 +25,12 @@ ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 PBW_DEGREE_CAP = 6
+# seeded random words per rewriting run, spread over the lengths 3..degree
+PBW_SPOT_CHECKS = 100
 
 
 @dataclass
 class CheckResult:
-    name: str
     passed: bool
     witness: dict = field(default_factory=dict)
     details: dict = field(default_factory=dict)
@@ -49,10 +50,9 @@ class TruncatedPolynomialAlgebra:
     def monomials(self, degree):
         return polyfield.monomials(self.algebra.dim, degree)
 
-    def monomials_upto(self, degree=None):
-        degree = self.max_degree if degree is None else degree
+    def monomials_upto(self):
         out = []
-        for k in range(degree + 1):
+        for k in range(self.max_degree + 1):
             out.extend(self.monomials(k))
         return out
 
@@ -80,7 +80,7 @@ def standard_first_order_product(trunc, f_field, r_tensor):
     return FirstOrderProduct(trunc, f_field.sub(rm).scale(HALF), "(1/2)(f - r_M)")
 
 
-def first_order_invariance_check(m1, r, degree=None):
+def first_order_invariance_check(m1, r):
     """Deformed-coproduct invariance of a first-order product, order one.
 
     For every basis element x and monomial pair (a, b) up to the degree:
@@ -92,8 +92,8 @@ def first_order_invariance_check(m1, r, degree=None):
     """
     trunc = m1.trunc
     L = trunc.algebra
-    d = trunc.max_degree if degree is None else degree
-    monos = trunc.monomials_upto(d)
+    d = trunc.max_degree
+    monos = trunc.monomials_upto()
     P = m1.bivector
 
     def rhs_map(x, a, b):
@@ -123,7 +123,6 @@ def first_order_invariance_check(m1, r, degree=None):
                 pb = {b: ONE}
                 if termops.apply_derivation(row, pb, d):
                     return CheckResult(
-                        name="first-order-invariance",
                         passed=False,
                         witness={
                             "x": L.names[x],
@@ -135,13 +134,12 @@ def first_order_invariance_check(m1, r, degree=None):
                         details={"product": m1.label, "degree": d},
                     )
     return CheckResult(
-        name="first-order-invariance",
         passed=True,
         details={"product": m1.label, "degree": d, "pairs": len(monos) ** 2},
     )
 
 
-def hochschild_cocycle_check(trunc, m1, degree=None, name="hochschild-cocycle"):
+def hochschild_cocycle_check(trunc, m1):
     """First-order associativity: the Hochschild coboundary of m1 vanishes.
 
     ``m1`` is any bilinear map on truncated polynomials; biderivations
@@ -152,7 +150,7 @@ def hochschild_cocycle_check(trunc, m1, degree=None, name="hochschild-cocycle"):
     triples; exponent tuples and coefficients of the stored values are
     shared between entries.
     """
-    d = trunc.max_degree if degree is None else degree
+    d = trunc.max_degree
     patterns = []
     for da in range(1, d - 1):
         for db in range(1, d - da):
@@ -188,16 +186,13 @@ def hochschild_cocycle_check(trunc, m1, degree=None, name="hochschild-cocycle"):
                     termops.piadd(defect, trunc.multiply(m_ab, {ec: ONE}), -ONE)
                     if defect:
                         return CheckResult(
-                            name=name,
                             passed=False,
                             witness={"a": ea, "b": eb, "c": ec, "defect": defect},
                         )
-    return CheckResult(
-        name=name, passed=True, details={"degree": d, "monomial_triples": scanned}
-    )
+    return CheckResult(passed=True, details={"degree": d, "monomial_triples": scanned})
 
 
-def twist_correspondence_check(trunc, r_tensor, degree=None):
+def twist_correspondence_check(trunc, r_tensor):
     """Order-one consistency of the twist correspondence.
 
     The first-order product is the invariant half-bracket corrected by
@@ -214,10 +209,10 @@ def twist_correspondence_check(trunc, r_tensor, degree=None):
     no evaluation, and every pair is still compared.
     """
     L = trunc.algebra
-    d = trunc.max_degree if degree is None else degree
+    d = trunc.max_degree
     rm = polyfield.rmatrix_bracket(r_tensor)
     r_plain = list(r_tensor.plain_items())
-    monos = trunc.monomials_upto(d)
+    monos = trunc.monomials_upto()
     acted = {}
     for (u, v), _ in r_plain:
         for leg in (u, v):
@@ -242,7 +237,6 @@ def twist_correspondence_check(trunc, r_tensor, degree=None):
             field_route = termops.apply_derivation(field_row, {eb: ONE}, d)
             if twist != field_route:
                 return CheckResult(
-                    name="twist-correspondence",
                     passed=False,
                     witness={"a": ea, "b": eb, "composed": twist, "field": field_route},
                 )
@@ -250,7 +244,7 @@ def twist_correspondence_check(trunc, r_tensor, degree=None):
             # (1/2) f(a,b), so their agreement needs no separate scan; the
             # skew part of m1 is (1/2) f - (1/2) (composed twist) and the
             # target is (1/2) f - (1/2) (field route)
-    return CheckResult(name="twist-correspondence", passed=True, details={"degree": d})
+    return CheckResult(passed=True, details={"degree": d})
 
 
 # ---------------------------------------------------------------------------
@@ -261,25 +255,17 @@ class RewriteSystem:
     """Straightening rules for tensor words over the algebra basis.
 
     Out-of-order adjacent letters are swapped at the cost of ``t`` times
-    their bracket; normal forms are words that are non-decreasing in the
-    chosen generator ordering.  Rewriting terminates because the measure
-    (length, inversion count) drops lexicographically.
+    their bracket; normal forms are words whose basis indices are
+    non-decreasing.  Rewriting terminates because the measure (length,
+    inversion count) drops lexicographically.
     """
 
-    def __init__(self, L, t_param=ONE, ordering=None):
+    def __init__(self, L, t_param=ONE):
         self.algebra = L
         self.t = Fraction(t_param)
-        self.ordering = list(ordering) if ordering is not None else list(range(L.dim))
-        if sorted(self.ordering) != list(range(L.dim)):
-            raise ValueError("ordering must be a permutation of the basis")
-        self.position = {b: i for i, b in enumerate(self.ordering)}
 
     def descents(self, word):
-        return [
-            k
-            for k in range(len(word) - 1)
-            if self.position[word[k]] > self.position[word[k + 1]]
-        ]
+        return [k for k in range(len(word) - 1) if word[k] > word[k + 1]]
 
     def rewrite_at(self, word, k):
         """One rule application; returns a word -> coefficient dict."""
@@ -308,7 +294,7 @@ class RewriteSystem:
             termops.piadd(combo, self.rewrite_at(word, k), combo.pop(word))
 
 
-def jacobi_fault_algebra(L, i=None, j=None):
+def jacobi_fault_algebra(L):
     """A copy of the algebra with one structure row corrupted.
 
     Adds a spurious term to one bracket (and its antisymmetric mirror),
@@ -316,8 +302,7 @@ def jacobi_fault_algebra(L, i=None, j=None):
     confluence failure.
     """
     struct = {k: dict(v) for k, v in L.struct.items()}
-    if i is None or j is None:
-        i, j = sorted(struct)[0]
+    i, j = sorted(struct)[0]
     row = struct.setdefault((i, j), {})
     row[i] = row.get(i, Fraction(0)) + 1
     struct[(j, i)] = {k: -c for k, c in row.items()}
@@ -327,7 +312,7 @@ def jacobi_fault_algebra(L, i=None, j=None):
     )
 
 
-def pbw_flatness(L, degree, seed=0, ordering=None, spot_checks=100):
+def pbw_flatness(L, degree, seed=0):
     """Normal-form counts, confluence and the formal-parameter comparison.
 
     Counts of irreducible words of each length are compared against the
@@ -345,30 +330,26 @@ def pbw_flatness(L, degree, seed=0, ordering=None, spot_checks=100):
         irreducible = math.comb(L.dim + k - 1, k) if k else 1
         oracle = sum(1 for _ in combinations_with_replacement(range(L.dim), k))
         if irreducible != oracle:
-            return CheckResult(
-                name="pbw-flatness", passed=False, witness={"k": k, "count": irreducible}
-            )
+            return CheckResult(passed=False, witness={"k": k, "count": irreducible})
         counts.append(irreducible)
 
     rng = random.Random(seed)
     words = []
     for k in range(3, degree + 1):
-        for _ in range(max(1, spot_checks // max(1, degree - 2))):
+        for _ in range(max(1, PBW_SPOT_CHECKS // max(1, degree - 2))):
             words.append(tuple(rng.randrange(L.dim) for _ in range(k)))
-    systems = [RewriteSystem(L, ONE, ordering), RewriteSystem(L, Fraction(0), ordering)]
-    order = systems[0].ordering
-    # adjacent overlaps: strictly descending triples in the chosen order
+    systems = [RewriteSystem(L, ONE), RewriteSystem(L, Fraction(0))]
+    # adjacent overlaps: strictly descending triples
     for a in range(L.dim):
         for b in range(a):
             for c in range(b):
-                words.append((order[a], order[b], order[c]))
+                words.append((a, b, c))
     for system in systems:
         for word in words:
             left = system.normal_form(word, "leftmost")
             right = system.normal_form(word, "rightmost")
             if left != right:
                 return CheckResult(
-                    name="pbw-flatness",
                     passed=False,
                     witness={
                         "word": word,
@@ -378,7 +359,6 @@ def pbw_flatness(L, degree, seed=0, ordering=None, spot_checks=100):
                     },
                 )
     return CheckResult(
-        name="pbw-flatness",
         passed=True,
         details={"counts": counts, "confluence_words": len(words)},
     )
@@ -446,9 +426,7 @@ def pentagon_order2_check(L, word_terms=None, rep="defining"):
     """
     mats, msize = representation(L, rep)
     if not faithfulness_guard(mats, msize):
-        return CheckResult(
-            name="pentagon-order2", passed=False, witness={"reason": "representation not faithful"}
-        )
+        return CheckResult(passed=False, witness={"reason": "representation not faithful"})
     if word_terms is None:
         word_terms = tensor_to_words(liealg.canonical_tensors(L).phi)
     ident = linalg.mat_identity(msize)
@@ -476,13 +454,11 @@ def pentagon_order2_check(L, word_terms=None, rep="defining"):
     if total:
         key = sorted(total)[0]
         return CheckResult(
-            name="pentagon-order2",
             passed=False,
             witness={"position": key, "value": str(total[key]), "nonzero_entries": len(total)},
             details={"representation": rep},
         )
     return CheckResult(
-        name="pentagon-order2",
         passed=True,
         details={
             "representation": rep,
@@ -496,13 +472,13 @@ def pentagon_order2_check(L, word_terms=None, rep="defining"):
     )
 
 
-def order_h_factorization_check(L, word_terms, rep="defining"):
+def order_h_factorization_check(L, word_terms):
     """Order-one factorized coproduct relations for a 2-tensor with word legs.
 
     (D (x) id)rho = rho_13 + rho_23 and (id (x) D)rho = rho_13 + rho_12;
     these hold exactly when every leg is primitive and fail otherwise.
     """
-    mats, msize = representation(L, rep)
+    mats, msize = representation(L, "defining")
     ident = linalg.mat_identity(msize)
     m2 = msize * msize
     lhs1 = {}
@@ -535,13 +511,12 @@ def order_h_factorization_check(L, word_terms, rep="defining"):
     ok1 = linalg.mat_equal(lhs1, rhs1)
     ok2 = linalg.mat_equal(lhs2, rhs2)
     return CheckResult(
-        name="order-h-factorization",
         passed=ok1 and ok2,
         witness={} if ok1 and ok2 else {"first_relation": ok1, "second_relation": ok2},
     )
 
 
-def rmatrix_first_order_checks(L, rep="defining"):
+def rmatrix_first_order_checks(L):
     """Order-one quasitriangularity data for the standard r-matrix.
 
     (i) factorized coproduct relations for t/2 - r; (ii) the commutator
@@ -550,12 +525,12 @@ def rmatrix_first_order_checks(L, rep="defining"):
     of the first-order twist datum.
     """
     ct = liealg.canonical_tensors(L)
-    mats, msize = representation(L, rep)
+    mats, msize = representation(L, "defining")
     if not faithfulness_guard(mats, msize):
         raise AssertionError("representation fails the faithfulness guard")
     rho1 = ct.t.to_plain().scale(HALF).add(ct.r_sd.to_plain().scale(-1))
     words_rho1 = tensor_to_words(rho1)
-    part_i = order_h_factorization_check(L, words_rho1, rep)
+    part_i = order_h_factorization_check(L, words_rho1)
 
     ident = linalg.mat_identity(msize)
 
@@ -581,7 +556,6 @@ def rmatrix_first_order_checks(L, rep="defining"):
         if linalg.mat_commutator(t_hat, dx):
             t_commutes = False
     part_ii = CheckResult(
-        name="coproduct-conjugation-order-h",
         passed=part_ii_ok,
         details={
             "symmetric_tensor_commutes": t_commutes,
@@ -594,5 +568,5 @@ def rmatrix_first_order_checks(L, rep="defining"):
     counit_ok = all(
         len(wa) > 0 and len(wb) > 0 for _, (wa, wb) in tensor_to_words(ct.r_sd)
     )
-    part_iii = CheckResult(name="counit-legs", passed=counit_ok)
+    part_iii = CheckResult(passed=counit_ok)
     return part_i, part_ii, part_iii

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import grouppois, liealg, multivec, orbits, polyfield, quantize, rootsys, termops
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 ALGEBRA_ALIASES = {
     "sl2": "A1", "sl3": "A2", "sl4": "A3", "sl5": "A4", "sl6": "A5",
@@ -41,20 +41,7 @@ class SuiteConfig:
     algebra: str
     suite: str
     degree: int = None  # CLI-facing override for the suite's main degree
-    invariance_degree: int = None
-    pbw_degree: int = None
-    group_degree_cap: int = grouppois.DEFAULT_DEGREE_CAP
     seed: int = 0
-
-    def star_degree(self):
-        if self.invariance_degree is not None:
-            return self.invariance_degree
-        return self.degree if self.degree else 3
-
-    def rewriting_degree(self, default):
-        if self.pbw_degree is not None:
-            return self.pbw_degree
-        return self.degree if self.degree else default
 
 
 @dataclass
@@ -385,7 +372,7 @@ def _suite_group_sklyanin(series, rank, config):
     L = _entry_ring_algebra(series, rank)
     n = L.msize
     ct = liealg.canonical_tensors(L)
-    sk = grouppois.build_sklyanin_bracket(L, config.group_degree_cap)
+    sk = grouppois.build_sklyanin_bracket(L)
     checks = [
         _record(
             "sklyanin-poisson",
@@ -395,7 +382,7 @@ def _suite_group_sklyanin(series, rank, config):
     ]
 
     def same_r_runner():
-        two = grouppois.build_two_sided_bracket(L, ct.r_sd, ct.r_sd, config.group_degree_cap)
+        two = grouppois.build_two_sided_bracket(L, ct.r_sd, ct.r_sd)
         jac = grouppois.jacobiator_on_generators(two)
         witness = {
             "jacobiator_entries": len(jac),
@@ -420,9 +407,7 @@ def _suite_group_sklyanin(series, rank, config):
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            bad = grouppois.build_two_sided_bracket(
-                L, ct.r_sd, ct.r_sd.scale(2), config.group_degree_cap
-            )
+            bad = grouppois.build_two_sided_bracket(L, ct.r_sd, ct.r_sd.scale(2))
         jac = grouppois.jacobiator_on_generators(bad)
         first = sorted(jac)[0] if jac else None
         return bool(jac), {"witness_triple": first}
@@ -461,7 +446,7 @@ def _suite_group_sklyanin(series, rank, config):
 
 def _suite_ad_bracket(series, rank, config):
     L = _entry_ring_algebra(series, rank)
-    ad = grouppois.build_ad_bracket(L, config.group_degree_cap)
+    ad = grouppois.build_ad_bracket(L)
     checks = [
         _record(
             "table-antisymmetric",
@@ -618,7 +603,7 @@ def _suite_rmatrix(series, rank, config):
 
 def _suite_pbw(series, rank, config):
     L = _classical(series, rank)
-    d = config.rewriting_degree(4 if L.dim <= 3 else 3)
+    d = config.degree or (4 if L.dim <= 3 else 3)
     res = quantize.pbw_flatness(L, d, seed=config.seed)
     bad = quantize.jacobi_fault_algebra(L)
     fault_res = quantize.pbw_flatness(bad, min(d, 3), seed=config.seed)
@@ -640,7 +625,7 @@ def _suite_star_first_order(series, rank, config):
     if series != "A" or rank < 2:
         raise UsageError("the star-product suite needs type A of rank >= 2")
     L = _classical(series, rank)
-    d = config.star_degree()
+    d = config.degree or 3
     ct = liealg.canonical_tensors(L)
     cal = polyfield.calibrate_scale(L)
     if cal.lam is None:
@@ -787,13 +772,7 @@ def run_suite(config):
     return Report(
         suite=config.suite,
         algebra=f"{series}{rank}",
-        config={
-            "degree": config.degree,
-            "invariance_degree": config.invariance_degree,
-            "pbw_degree": config.pbw_degree,
-            "group_degree_cap": config.group_degree_cap,
-            "seed": config.seed,
-        },
+        config={"degree": config.degree, "seed": config.seed},
         checks=checks,
         aggregate=aggregate,
     )

@@ -201,16 +201,12 @@ def merge_ders(d1, d2):
     return (-1 if inv & 1 else 1), tuple(out)
 
 
-def smul(a, b, maxdeg=-1):
+def smul(a, b):
     """Wedge (super) product of two polyvector term dicts."""
     out = {}
     bitems = list(b.items())
     for (e1, d1), c1 in a.items():
-        if maxdeg >= 0:
-            deg1 = sum(e1)
         for (e2, d2), c2 in bitems:
-            if maxdeg >= 0 and deg1 + sum(e2) > maxdeg:
-                continue
             sgn, dm = merge_ders(d1, d2)
             if not sgn:
                 continue

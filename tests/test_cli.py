@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -144,7 +145,7 @@ def test_json_round_trip_and_schema(capsys):
     code, out, _ = run(capsys, "cybe", "--algebra", "A2", "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert payload["suite"] == "cybe"
     assert payload["algebra"] == "A2"
     assert set(payload) == {
@@ -180,6 +181,16 @@ def test_run_suite_api_matches_cli():
     assert report.algebra == "A1"
     payload = json.loads(report.to_json())
     assert payload["aggregate"] == "pass"
+
+
+def test_report_config_echoes_exactly_the_settable_fields():
+    # every config field other than the suite and algebra is a CLI option,
+    # and the report's config block echoes exactly those fields
+    fields = {f.name for f in dataclasses.fields(suites.SuiteConfig)} - {"algebra", "suite"}
+    destinations = {action.dest for action in cli.build_parser()._actions}
+    assert fields <= destinations
+    report = suites.run_suite(suites.SuiteConfig(algebra="A1", suite="cybe"))
+    assert set(json.loads(report.to_json())["config"]) == fields
 
 
 def test_exact_witnesses_are_strings():

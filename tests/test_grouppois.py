@@ -267,7 +267,7 @@ def bivector_cases():
         table = dict(upper)
         for (u, v), val in upper.items():
             table[(v, u)] = termops.pscale(val, F(-1))
-        return L, x, grouppois.GroupBivector(L.msize, table)
+        return L, x, grouppois.GroupBivector(table)
 
     return st.sampled_from([SL2, SL3]).flatmap(cases).map(bivector)
 

@@ -99,7 +99,29 @@ def test_sl2_killing_values(algebras):
     assert L.killing[e][f] == 4
     assert L.killing[h][h] == 8
     assert L.killing[e][e] == 0
-    assert liealg.killing_form(L) == L.killing
+
+
+@pytest.mark.parametrize(
+    "spec", [("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 4), ("D", 5)]
+)
+def test_realization_preserves_its_form(spec):
+    # X^T J + J X = 0 for the antidiagonal form J of each series: symmetric
+    # for B and D, alternating (+1 then -1) for C
+    series, n = spec
+    L = liealg.algebra(*spec)
+    m = L.msize
+    J = {(i, m - 1 - i): F(-1) if series == "C" and i >= n else F(1) for i in range(m)}
+    for X in L.matrices:
+        total = {}
+        for (i, k), x in X.items():
+            for (k2, j), c in J.items():
+                if k2 == i:  # (X^T J)[k, j] += X[i, k] J[i, j]
+                    total[(k, j)] = total.get((k, j), 0) + x * c
+        for (i, k), c in J.items():
+            for (k2, j), x in X.items():
+                if k2 == k:  # (J X)[i, j] += J[i, k] X[k, j]
+                    total[(i, j)] = total.get((i, j), 0) + c * x
+        assert not any(total.values())
 
 
 def test_sl3_cartan_killing_is_six_times_cartan_matrix(algebras):

@@ -301,10 +301,24 @@ def test_co_jacobi_defect_is_half_ad_of_square(sl3):
         sl3, 2, {(sl3.pos_index((1, 0)), sl3.neg_index((1, 0))): F(1)}, "alternating"
     )
     sq = multivec.algebraic_schouten(r, r)
+    deltas = [multivec.cobracket(r, u) for u in range(sl3.dim)]
     for x in range(sl3.dim):
-        defect = multivec.co_jacobi_defect(r, x)
+        defect = multivec.co_jacobi_defect(deltas, x)
         expected = multivec.ad_action(x, sq).to_plain().scale(F(-1, 2))
         assert defect == expected
+
+
+def test_co_jacobi_check_builds_each_cocommutator_once(sl3, monkeypatch):
+    calls = []
+    cobracket = multivec.cobracket
+
+    def counting(r, x):
+        calls.append(x)
+        return cobracket(r, x)
+
+    monkeypatch.setattr(multivec, "cobracket", counting)
+    assert multivec.co_jacobi_check(liealg.canonical_tensors(sl3).r_sd)
+    assert len(calls) == sl3.dim
 
 
 def test_co_jacobi_iff_invariant_square(sl2, sl3):

@@ -208,15 +208,17 @@ def test_invariant_linear_fields_are_euler_multiples(sl2, sl3, so5):
         assert polyfield.fields_proportional(fields[0], euler) is not None
 
 
-def test_equivariant_resource_guard(sl3):
+def test_equivariant_resource_guard(sl3, monkeypatch):
+    monkeypatch.setattr(polyfield, "EQUIVARIANT_ENTRY_CAP", 10)
     with pytest.raises(polyfield.ResourceLimitError):
-        polyfield.invariant_field_space(sl3, 2, 2, cap=10)
+        polyfield.invariant_field_space(sl3, 2, 2)
 
 
-def test_resource_guard_holds_after_caching(sl3):
+def test_resource_guard_holds_after_caching(sl3, monkeypatch):
     assert len(polyfield.invariant_field_space(sl3, 2, 2)) == 1
+    monkeypatch.setattr(polyfield, "EQUIVARIANT_ENTRY_CAP", 10)
     with pytest.raises(polyfield.ResourceLimitError):
-        polyfield.invariant_field_space(sl3, 2, 2, cap=10)
+        polyfield.invariant_field_space(sl3, 2, 2)
 
 
 def test_cached_basis_cannot_be_changed_through_the_result(sl3):

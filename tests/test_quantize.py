@@ -58,7 +58,7 @@ def test_invariance_fault_witness_matches_pairwise_scan(sl3_product):
     rm = polyfield.rmatrix_bracket(ct.r_sd)
     bad = quantize.FirstOrderProduct(trunc, f.add(rm).scale(F(1, 2)), "(1/2)(f + r_M)")
     L, d = trunc.algebra, trunc.max_degree
-    monos = trunc.monomials_upto(d)
+    monos = trunc.monomials_upto()
 
     def first_failure():
         for x in range(L.dim):
@@ -204,7 +204,7 @@ def test_twist_fault_witness_matches_pairwise_scan(sl3_product, monkeypatch):
 
     # reference: both routes evaluated from scratch on each pair in turn
     rm = corrupted(ct.r_sd)
-    monos = trunc.monomials_upto(d)
+    monos = trunc.monomials_upto()
 
     def X(leg, e):
         return polyfield.coadjoint_field(L, leg).evaluate({e: F(1)})
@@ -234,13 +234,6 @@ def test_pbw_counts(sl2, sl3):
     res = quantize.pbw_flatness(sl3, 3, seed=3)
     assert res.passed
     assert res.details["counts"] == [1, 8, 36, 120]
-
-
-def test_pbw_ordering_independent(sl3):
-    a = quantize.pbw_flatness(sl3, 3, seed=5)
-    b = quantize.pbw_flatness(sl3, 3, seed=5, ordering=list(reversed(range(sl3.dim))))
-    assert a.passed and b.passed
-    assert a.details["counts"] == b.details["counts"]
 
 
 def test_pbw_degree_cap(sl2):

@@ -1,10 +1,9 @@
-import inspect
 import json
 from fractions import Fraction
 
 import pytest
 
-from qpverify import cli, grouppois, liealg, linalg, polyfield, suites
+from qpverify import cli, liealg, linalg, polyfield, suites
 
 
 def test_parse_algebra_aliases_and_errors():
@@ -39,18 +38,15 @@ def test_aggregate_pass_with_skipped_checks():
 
 def test_report_config_records_all_degree_knobs():
     report = suites.run_suite(
-        suites.SuiteConfig(algebra="A1", suite="pbw", pbw_degree=3, seed=5)
+        suites.SuiteConfig(algebra="A1", suite="pbw", degree=3, seed=5)
     )
     payload = json.loads(report.to_json())
-    assert payload["config"]["pbw_degree"] == 3
-    assert payload["config"]["seed"] == 5
-    assert "invariance_degree" in payload["config"]
-    assert "group_degree_cap" in payload["config"]
+    assert payload["config"] == {"degree": 3, "seed": 5}
 
 
 def test_pbw_degree_knob_controls_counts():
     report = suites.run_suite(
-        suites.SuiteConfig(algebra="A1", suite="pbw", pbw_degree=2)
+        suites.SuiteConfig(algebra="A1", suite="pbw", degree=2)
     )
     counts = next(
         c for c in report.checks if c.id == "normal-form-counts"
@@ -133,29 +129,3 @@ def test_phibar_sign_fault_fails_with_a_witness(monkeypatch, capsys):
     flipped = polyfield.action_field(liealg.canonical_tensors(L).phi).scale(-1).terms
     first = min(k for k in pb.keys() | flipped.keys() if pb.get(k) != flipped.get(k))
     assert failed["phibar-matches-action-field"]["witness"] == {"term": suites.jsonable(first)}
-
-
-def test_group_degree_cap_reaches_every_entry_ring_builder(monkeypatch):
-    caps = []
-    for name in ("build_sklyanin_bracket", "build_two_sided_bracket"):
-        fn = getattr(grouppois, name)
-        signature = inspect.signature(fn)
-
-        def recording(*args, fn=fn, signature=signature, name=name, **kwargs):
-            bound = signature.bind(*args, **kwargs)
-            bound.apply_defaults()
-            caps.append((name, bound.arguments["degree_cap"]))
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(grouppois, name, recording)
-    config = suites.SuiteConfig(algebra="A1", suite="group-sklyanin", group_degree_cap=5)
-    assert config.group_degree_cap != grouppois.DEFAULT_DEGREE_CAP
-    suites.run_suite(config)
-    # the Sklyanin bracket (which builds its two-sided bracket through the
-    # module name), then the same-r and the mismatch brackets
-    assert caps == [
-        ("build_sklyanin_bracket", 5),
-        ("build_two_sided_bracket", 5),
-        ("build_two_sided_bracket", 5),
-        ("build_two_sided_bracket", 5),
-    ]
