@@ -52,15 +52,11 @@ def _field_images(L, x, side):
 
     Left: (t x)_{ij} = sum_k t_{ik} x_{kj}.  Right: (x t)_{ij} =
     sum_k x_{ik} t_{kj}.  Conjugation: left minus right.  Each table is
-    built once per algebra and cached on it.
+    built once per algebra and kept in its memo.
     """
-    cache = getattr(L, "_field_image_cache", None)
-    if cache is None:
-        cache = {}
-        L._field_image_cache = cache
-    key = (x, side)
-    if key in cache:
-        return cache[key]
+    key = ("entry field images", x, side)
+    if key in L.memo:
+        return L.memo[key]
     if side == "conjugation":
         images = {u: dict(img) for u, img in _field_images(L, x, "left").items()}
         for u, img in _field_images(L, x, "right").items():
@@ -78,7 +74,7 @@ def _field_images(L, x, side):
                 else:
                     tgt, src = var_index(n, a, k), var_index(n, b, k)
                 termops.siadd(images.setdefault(tgt, {}), termops.unit_exp(n * n, src), val)
-    cache[key] = images
+    L.memo[key] = images
     return images
 
 
@@ -196,11 +192,6 @@ def _by_derivations(terms, maxdeg=-1):
     return out
 
 
-def _vector_terms(images):
-    """Entry-field images as a vector term dict."""
-    return {(e, (u,)): c for u, img in images.items() for e, c in img.items()}
-
-
 def jacobiator_on_generators(B):
     """Cyclic sum {a,{b,c}} + {b,{c,a}} + {c,{a,b}} on ascending entry triples.
 
@@ -217,7 +208,7 @@ def ad_invariance_defect(L, B, x):
     Returns the defect X{u,v} - {Xu,v} - {u,Xv} on ascending generator
     pairs; all zero means the bracket is invariant.
     """
-    field = _vector_terms(_field_images(L, x, "conjugation"))
+    field = termops.vector_terms(_field_images(L, x, "conjugation"))
     return _by_derivations(termops.sn_bracket(field, 1, B.terms, 2), DEGREE_CAP)
 
 
@@ -229,7 +220,7 @@ def phi_through_conjugation(L):
     """
     trivector = termops.wedge_push(
         liealg.canonical_tensors(L).phi.terms,
-        lambda x: _vector_terms(_field_images(L, x, "conjugation")),
+        lambda x: termops.vector_terms(_field_images(L, x, "conjugation")),
         L.msize * L.msize,
     )
     return _by_derivations(trivector)

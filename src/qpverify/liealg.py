@@ -166,6 +166,9 @@ class LieAlgebra:
         self.dim = len(names)
         self.rank = root_system.rank
         self._index = {name: i for i, name in enumerate(names)}
+        # values derived from this algebra, computed once, keyed by a
+        # tuple that starts with the name of what is stored
+        self.memo = {}
 
     # -- basis bookkeeping
 
@@ -292,9 +295,8 @@ def canonical_tensors(L):
     the positive roots with the lowering vectors rescaled so that the
     Killing pairing of each pair is 1; ``phi = [[r_sd, r_sd]]``.
     """
-    cached = getattr(L, "_canonical_cache", None)
-    if cached is not None:
-        return cached
+    if ("canonical tensors",) in L.memo:
+        return L.memo[("canonical tensors",)]
     if L.killing_inv is None:
         raise SingularKillingError("Killing form is singular")
     t_terms = {}
@@ -319,7 +321,7 @@ def canonical_tensors(L):
 
     phi = multivec.algebraic_schouten(r_sd, r_sd)
     result = CanonicalTensors(t=t, r_sd=r_sd, phi=phi)
-    L._canonical_cache = result
+    L.memo[("canonical tensors",)] = result
     return result
 
 

@@ -221,7 +221,3 @@ def mat_kron_many(mats, dims):
     for m, d in zip(mats[1:], dims[1:]):
         acc = mat_kron(acc, m, d)
     return acc
-
-
-def mat_equal(a, b):
-    return termops.padd(a, b, -ONE) == {}

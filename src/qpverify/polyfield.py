@@ -79,12 +79,6 @@ class PolyVectorField:
             self.algebra, self.degree + other.degree, termops.smul(self.terms, other.terms)
         )
 
-    def evaluate(self, *polys):
-        """Apply the field to ``degree`` many polynomial arguments."""
-        if len(polys) != self.degree:
-            raise ValueError("wrong number of arguments")
-        return termops.kveval(self.terms, list(polys))
-
     def bracket(self, f, g, maxdeg=-1):
         """Biderivation of a bivector field on two polynomials.
 
@@ -152,31 +146,31 @@ def monomials(dim, degree):
     return out
 
 
-def _coadjoint_terms(L, i):
-    cache = getattr(L, "_coadjoint_cache", None)
-    if cache is None:
-        cache = {}
-        L._coadjoint_cache = cache
-    if i not in cache:
-        terms = {}
+def coadjoint_images(L, i):
+    """Coordinate images of the coadjoint field of basis element ``i``.
+
+    The coordinate ``y_j`` goes to the linear polynomial of ``[b_i, b_j]``;
+    ``termops.apply_derivation`` applies the field.  Each table is built
+    once per algebra and kept in its memo.
+    """
+    key = ("coadjoint images", i)
+    if key not in L.memo:
+        images = {}
         for j in range(L.dim):
             row = L.struct.get((i, j))
-            if not row:
-                continue
-            for k, c in row.items():
-                termops.siadd(terms, (termops.unit_exp(L.dim, k), (j,)), c)
-        cache[i] = terms
-    return cache[i]
+            if row:
+                images[j] = {termops.unit_exp(L.dim, k): c for k, c in row.items()}
+        L.memo[key] = images
+    return L.memo[key]
 
 
 def coadjoint_field(L, x):
     """Fundamental vector field of ``x`` for the coadjoint action."""
     if isinstance(x, int):
-        return PolyVectorField(L, 1, dict(_coadjoint_terms(L, x)))
+        return PolyVectorField(L, 1, termops.vector_terms(coadjoint_images(L, x)))
     out = {}
     for i, c in x.items():
-        for k, v in _coadjoint_terms(L, i).items():
-            termops.siadd(out, k, c * v)
+        termops.piadd(out, termops.vector_terms(coadjoint_images(L, i)), c)
     return PolyVectorField(L, 1, out)
 
 
@@ -190,7 +184,9 @@ def action_field(psi):
     L = psi.algebra
     if psi.symmetry == "symmetric":
         raise ValueError("action fields of symmetric tensors are not defined here")
-    terms = termops.wedge_push(psi.terms, lambda i: _coadjoint_terms(L, i), L.dim)
+    terms = termops.wedge_push(
+        psi.terms, lambda i: termops.vector_terms(coadjoint_images(L, i)), L.dim
+    )
     return PolyVectorField(L, psi.degree, terms)
 
 
@@ -291,13 +287,10 @@ def invariant_field_space(L, p, q):
         raise ResourceLimitError(
             f"equivariant system of {full} entries exceeds the cap {EQUIVARIANT_ENTRY_CAP}"
         )
-    cache = getattr(L, "_invariant_field_cache", None)
-    if cache is None:
-        cache = {}
-        L._invariant_field_cache = cache
-    if (p, q) not in cache:
-        cache[(p, q)] = solve_equivariant(L, p, q)
-    return cache[(p, q)]
+    key = ("invariant fields", p, q)
+    if key not in L.memo:
+        L.memo[key] = solve_equivariant(L, p, q)
+    return L.memo[key]
 
 
 def solve_equivariant(L, p, q):

@@ -96,19 +96,22 @@ def first_order_invariance_check(m1, r):
     monos = trunc.monomials_upto()
     P = m1.bivector
 
+    def act(x, p):
+        return termops.apply_derivation(polyfield.coadjoint_images(L, x), p)
+
     def rhs_map(x, a, b):
         out = {}
         for (u, v), c in multivec.cobracket(r, x).plain_items():
-            xa = polyfield.coadjoint_field(L, u).evaluate(a)
-            xb = polyfield.coadjoint_field(L, v).evaluate(b)
+            xa = act(u, a)
+            xb = act(v, b)
             if xa and xb:
                 termops.piadd(out, trunc.multiply(xa, xb), c * HALF)
         return termops.ptruncate(out, d)
 
     def lhs_map(x, a, b):
-        out = polyfield.coadjoint_field(L, x).evaluate(m1(a, b))
-        termops.piadd(out, m1(polyfield.coadjoint_field(L, x).evaluate(a), b), -ONE)
-        termops.piadd(out, m1(a, polyfield.coadjoint_field(L, x).evaluate(b)), -ONE)
+        out = act(x, m1(a, b))
+        termops.piadd(out, m1(act(x, a), b), -ONE)
+        termops.piadd(out, m1(a, act(x, b)), -ONE)
         return termops.ptruncate(out, d)
 
     for x in range(L.dim):
@@ -217,8 +220,8 @@ def twist_correspondence_check(trunc, r_tensor):
     for (u, v), _ in r_plain:
         for leg in (u, v):
             if leg not in acted:
-                Xl = polyfield.coadjoint_field(L, leg)
-                acted[leg] = {e: Xl.evaluate({e: ONE}) for e in monos}
+                images = polyfield.coadjoint_images(L, leg)
+                acted[leg] = {e: termops.apply_derivation(images, {e: ONE}) for e in monos}
 
     for ea in monos:
         field_row = rm.hamiltonian({ea: ONE}, d)
@@ -276,11 +279,8 @@ class RewriteSystem:
         return out
 
     def normal_form(self, start, strategy="leftmost"):
-        """Fully reduce a word or a word -> coefficient dict."""
-        if isinstance(start, tuple):
-            combo = {start: ONE}
-        else:
-            combo = dict(start)
+        """Fully reduce a word to a word -> coefficient dict."""
+        combo = {start: ONE}
         while True:
             target = None
             for word in sorted(combo):
@@ -508,8 +508,8 @@ def order_h_factorization_check(L, word_terms):
             ),
             coeff,
         )
-    ok1 = linalg.mat_equal(lhs1, rhs1)
-    ok2 = linalg.mat_equal(lhs2, rhs2)
+    ok1 = lhs1 == rhs1
+    ok2 = lhs2 == rhs2
     return CheckResult(
         passed=ok1 and ok2,
         witness={} if ok1 and ok2 else {"first_relation": ok1, "second_relation": ok2},
@@ -521,8 +521,9 @@ def rmatrix_first_order_checks(L):
 
     (i) factorized coproduct relations for t/2 - r; (ii) the commutator
     of t/2 - r with a primitive coproduct reduces to minus that of r
-    (the symmetric tensor is invariant); (iii) the counit kills each leg
-    of the first-order twist datum.
+    (the symmetric tensor is invariant), with the first failing basis
+    element as the witness; (iii) the counit kills each leg of the
+    first-order twist datum.
     """
     ct = liealg.canonical_tensors(L)
     mats, msize = representation(L, "defining")
@@ -543,7 +544,7 @@ def rmatrix_first_order_checks(L):
     rho_hat = two_fold(rho1)
     r_hat = two_fold(ct.r_sd)
     t_hat = two_fold(ct.t)
-    part_ii_ok = True
+    failing = None
     t_commutes = True
     for x in range(L.dim):
         dx = termops.padd(
@@ -551,12 +552,13 @@ def rmatrix_first_order_checks(L):
         )
         lhs = linalg.mat_commutator(rho_hat, dx)
         rhs = termops.pscale(linalg.mat_commutator(r_hat, dx), -ONE)
-        if not linalg.mat_equal(lhs, rhs):
-            part_ii_ok = False
+        if lhs != rhs and failing is None:
+            failing = L.names[x]
         if linalg.mat_commutator(t_hat, dx):
             t_commutes = False
     part_ii = CheckResult(
-        passed=part_ii_ok,
+        passed=failing is None,
+        witness={} if failing is None else {"x": failing},
         details={
             "symmetric_tensor_commutes": t_commutes,
             "note": "dropping the symmetric tensor gives the same commutator",

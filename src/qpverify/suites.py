@@ -586,7 +586,7 @@ def _suite_rmatrix(series, rank, config):
         _record(
             "coproduct-conjugation",
             "commutator with primitive coproducts reduces to the r-matrix part",
-            lambda: (parts()[1].passed, parts()[1].details),
+            lambda: (parts()[1].passed, parts()[1].witness or parts()[1].details),
         ),
         _record(
             "counit-legs",
@@ -640,16 +640,16 @@ def _suite_star_first_order(series, rank, config):
     def proj1(p):
         return {e: c for e, c in p.items() if sum(e) == 1}
 
+    def failing_triple(res):
+        return {k: res.witness[k] for k in ("x", "a", "b")} if res.witness else None
+
     def run_invariance():
         res = quantize.first_order_invariance_check(m1, ct.r_sd)
-        return res.passed, res.details
+        return res.passed, res.details if res.passed else failing_triple(res)
 
     def run_fault():
         res = quantize.first_order_invariance_check(bad, ct.r_sd)
-        witness = (
-            {k: res.witness[k] for k in ("x", "a", "b")} if res.witness else None
-        )
-        return not res.passed, witness
+        return not res.passed, failing_triple(res)
 
     def run_hoch():
         # a degree-4 window exercises mixed-degree triples

@@ -1,4 +1,4 @@
-"""Pure-Python kernels for sparse exact term algebra.
+"""Sparse exact term-algebra kernels, in pure Python.
 
 Every sum in the package is a zero-free sparse combination: a dict from
 hashable keys to nonzero ``Fraction`` coefficients, where a sum that
@@ -28,12 +28,30 @@ Derivations given by their coordinate images have one evaluator,
 ``apply_derivation``; fixing the first argument of a biderivation gives
 such a derivation (its Hamiltonian field), so a row of brackets
 ``{f, g}`` with one ``f`` costs one image table and one
-``apply_derivation`` per ``g``.
+``apply_derivation`` per ``g``.  Vector fields are stored the same way,
+as coordinate images; ``vector_terms`` turns them into the term dicts
+that ``sn_bracket`` and ``wedge_push`` take.  ``kveval`` and
+``bivector_eval`` are reference evaluators for tests and tracing only.
+
+Kernels call one another through this module's globals, so a wrapper
+set on a module attribute sees every call, from inside or outside.
+``BACKEND`` and ``backends()`` name the single backend for reports
+that record it.
 """
 
+import itertools
+import sys
 from fractions import Fraction
 
+BACKEND = "pure"
+
 _ONE = Fraction(1)
+
+
+def backends():
+    """Return the available backends as a name -> module mapping."""
+    return {BACKEND: sys.modules[__name__]}
+
 
 # ---------------------------------------------------------------------------
 # zero-free sparse combinations
@@ -230,6 +248,11 @@ def wedge_push(terms, field, nvars):
     return out
 
 
+def vector_terms(images):
+    """Vector term dict of the derivation with coordinate images ``images``."""
+    return {(e, (v,)): c for v, img in images.items() for e, c in img.items()}
+
+
 def _dy_table(a):
     """Coordinate derivatives of ``a``, grouped by coordinate index."""
     table = {}
@@ -287,8 +310,6 @@ def kveval(terms, polys):
 
     Each term contributes ``coeff * monomial * det(d_{d_r} f_s)``.
     """
-    import itertools
-
     k = len(polys)
     out = {}
     for (e, d), c in terms.items():

@@ -36,7 +36,7 @@ def test_no_unused_module_imports():
 # defaulted parameters kept although no call in the package passes them:
 # the entry point's argv, and the truncation degree of the reference
 # evaluator that the law tests and the benchmark tracer call
-UNSET_ALLOWED = {("cli.py", "main", "argv"), ("termops/pure.py", "bivector_eval", "maxdeg")}
+UNSET_ALLOWED = {("cli.py", "main", "argv"), ("termops.py", "bivector_eval", "maxdeg")}
 
 
 def _called_name(func):

@@ -88,8 +88,6 @@ def test_sparse_matrix_ops():
     kron = linalg.mat_kron(ident, b, 2)
     assert kron == {(0, 0): F(1), (1, 1): F(3), (2, 2): F(1), (3, 3): F(3)}
     assert linalg.mat_kron_many([ident, ident], [2, 2]) == linalg.mat_identity(4)
-    assert linalg.mat_equal(a, dict(a))
-    assert not linalg.mat_equal(a, b)
 
 
 def test_trace_product_matches_full_product():

@@ -207,7 +207,7 @@ def test_twist_fault_witness_matches_pairwise_scan(sl3_product, monkeypatch):
     monos = trunc.monomials_upto()
 
     def X(leg, e):
-        return polyfield.coadjoint_field(L, leg).evaluate({e: F(1)})
+        return termops.kveval(polyfield.coadjoint_field(L, leg).terms, [{e: F(1)}])
 
     def first_failure():
         for ea in monos:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qpverify import cli, liealg, linalg, polyfield, suites
+from qpverify import cli, liealg, linalg, multivec, polyfield, quantize, suites, termops
 
 
 def test_parse_algebra_aliases_and_errors():
@@ -129,3 +129,42 @@ def test_phibar_sign_fault_fails_with_a_witness(monkeypatch, capsys):
     flipped = polyfield.action_field(liealg.canonical_tensors(L).phi).scale(-1).terms
     first = min(k for k in pb.keys() | flipped.keys() if pb.get(k) != flipped.get(k))
     assert failed["phibar-matches-action-field"]["witness"] == {"term": suites.jsonable(first)}
+
+
+def test_deformed_invariance_failure_reports_the_failing_triple(monkeypatch):
+    standard = quantize.standard_first_order_product
+    built = []
+
+    def doubled(trunc, f_field, r_tensor):
+        m1 = standard(trunc, f_field, r_tensor)
+        built.append(quantize.FirstOrderProduct(trunc, m1.bivector.scale(2), "doubled"))
+        return built[-1]
+
+    monkeypatch.setattr(quantize, "standard_first_order_product", doubled)
+    report = suites.run_suite(
+        suites.SuiteConfig(algebra="A2", suite="star-first-order", degree=2)
+    )
+    check = next(c for c in report.checks if c.id == "deformed-invariance")
+    assert check.status == "fail"
+    L = liealg.algebra("A", 2)
+    res = quantize.first_order_invariance_check(built[0], liealg.canonical_tensors(L).r_sd)
+    assert not res.passed
+    assert check.witness == suites.jsonable({k: res.witness[k] for k in ("x", "a", "b")})
+
+
+def test_coproduct_conjugation_failure_names_the_first_failing_element(monkeypatch):
+    canonical = liealg.canonical_tensors
+
+    def non_invariant_t(L):
+        # h1 (x) h1 commutes with the Cartan coproducts and with nothing else
+        ct = canonical(L)
+        t = multivec.MultiTensor(L, 2, termops.padd(ct.t.terms, {(0, 0): Fraction(1)}), "symmetric")
+        return liealg.CanonicalTensors(t=t, r_sd=ct.r_sd, phi=ct.phi)
+
+    monkeypatch.setattr(liealg, "canonical_tensors", non_invariant_t)
+    report = suites.run_suite(suites.SuiteConfig(algebra="A1", suite="rmatrix-first-order"))
+    check = next(c for c in report.checks if c.id == "coproduct-conjugation")
+    assert check.status == "fail"
+    L = liealg.algebra("A", 1)
+    first = next(L.names[x] for x in range(L.dim) if L.bracket(0, x))
+    assert check.witness == {"x": first}
