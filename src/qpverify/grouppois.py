@@ -78,21 +78,6 @@ def _field_images(L, x, side):
     return images
 
 
-def left_field(L, x, p):
-    """Left-invariant derivation of ``x`` applied to an entry polynomial."""
-    return termops.apply_derivation(_field_images(L, x, "left"), p)
-
-
-def right_field(L, x, p):
-    """Right-invariant derivation of ``x`` applied to an entry polynomial."""
-    return termops.apply_derivation(_field_images(L, x, "right"), p)
-
-
-def conjugation_field(L, x, p):
-    """Derivation of the conjugation action, the left minus the right field."""
-    return termops.apply_derivation(_field_images(L, x, "conjugation"), p)
-
-
 def _pushed_table(L, legs):
     """Generator table of a 2-tensor pushed through field images.
 
@@ -133,9 +118,6 @@ class GroupBivector:
 
     def bracket(self, p, q):
         return termops.table_bracket(self.table, p, q, DEGREE_CAP)
-
-    def is_zero(self):
-        return not self.table
 
 
 def build_two_sided_bracket(L, r1, r2):

@@ -129,9 +129,6 @@ class MultiTensor:
         terms = termops.padd(self.terms, other.terms)
         return MultiTensor(self.algebra, self.degree, terms, self.symmetry)
 
-    def sub(self, other):
-        return self.add(other.scale(-1))
-
     def _check_compatible(self, other):
         if self.algebra is not other.algebra:
             raise ValueError("tensors over different algebras")
@@ -153,26 +150,6 @@ class MultiTensor:
             f"MultiTensor(deg={self.degree}, {self.symmetry}, "
             f"{len(self.terms)} canonical terms)"
         )
-
-
-def tensor_of(algebra, *elements):
-    """Plain tensor product of element coefficient dicts."""
-    terms = {(): ONE}
-    for el in elements:
-        # distinct (key, i) give distinct keys, so nothing accumulates
-        terms = {key + (i,): c * ci for key, c in terms.items() for i, ci in el.items() if ci}
-    return MultiTensor(algebra, len(elements), terms, "plain")
-
-
-def wedge_of(algebra, *elements):
-    """Wedge of element dicts under the prefactor-free embedding."""
-    k = len(elements)
-    plain = {}
-    for perm in itertools.permutations(range(k)):
-        inv = sum(1 for a in range(k) for b in range(a + 1, k) if perm[a] > perm[b])
-        sgn = -1 if inv & 1 else 1
-        termops.piadd(plain, tensor_of(algebra, *(elements[p] for p in perm)).terms, sgn)
-    return MultiTensor.from_plain(algebra, k, plain, "alternating")
 
 
 def ad_action(x, tensor):

@@ -14,7 +14,7 @@ group are not identified.
 from dataclasses import dataclass
 from itertools import combinations
 
-from . import linalg, rootsys, termops
+from . import rootsys
 
 
 @dataclass(frozen=True)
@@ -63,108 +63,3 @@ def enumerate_good_orbits(rs):
                 out.append(datum)
     return out
 
-
-def _support(beta):
-    return frozenset(i + 1 for i, c in enumerate(beta) if c)
-
-
-def levi_and_complement_indices(levi, L):
-    """Basis indices of the Levi subalgebra and of its root-space complement.
-
-    The complement is spanned by the root vectors whose support leaves S;
-    it is stable under the Levi action, so the quotient computations below
-    are well posed.
-    """
-    l_idx = list(range(L.rank))
-    m_idx = []
-    for beta in L.positive_roots:
-        inside = _support(beta) <= levi.S
-        for idx in (L.pos_index(beta), L.neg_index(beta)):
-            (l_idx if inside else m_idx).append(idx)
-    return sorted(l_idx), sorted(m_idx)
-
-
-@dataclass
-class QuotientTensor:
-    m_indices: list
-    terms: dict  # tuples over positions in m_indices -> Fraction
-
-    def is_zero(self):
-        return not self.terms
-
-
-def tangent_projection(psi, levi, L):
-    """Image of a 3-tensor under the cube of the quotient map g -> g/l."""
-    if psi.degree != 3:
-        raise ValueError("tangent projection expects a 3-tensor")
-    if levi.root_system != L.root_system:
-        raise ValueError("Levi datum and algebra have different root systems")
-    _, m_idx = levi_and_complement_indices(levi, L)
-    pos = {idx: p for p, idx in enumerate(m_idx)}
-    terms = {}
-    for key, c in psi.plain_items():
-        if all(i in pos for i in key):
-            termops.siadd(terms, tuple(pos[i] for i in key), c)
-    return QuotientTensor(m_indices=m_idx, terms=terms)
-
-
-def is_symmetric_pair(levi, L):
-    """True iff brackets of complement elements land back in the Levi."""
-    l_idx, m_idx = levi_and_complement_indices(levi, L)
-    l_set = set(l_idx)
-    for a in m_idx:
-        for b in m_idx:
-            row = L.bracket(a, b)
-            if any(k not in l_set for k in row):
-                return False
-    return True
-
-
-def _project_to_m(row, pos):
-    return {pos[k]: c for k, c in row.items() if k in pos}
-
-
-def invariant_bivector_dim_at_base(levi, L):
-    """Dimension of the Levi invariants in the second exterior power of g/l.
-
-    The Cartan sits inside every Levi, so invariants are supported on
-    weight-zero wedge pairs; the remaining constraints come from the
-    raising and lowering vectors of the nodes in S.
-    """
-    _, m_idx = levi_and_complement_indices(levi, L)
-    pos = {idx: p for p, idx in enumerate(m_idx)}
-    zero = tuple([0] * L.rank)
-    labels = [
-        (a, b)
-        for a, b in combinations(range(len(m_idx)), 2)
-        if L.weight_of_key((m_idx[a], m_idx[b])) == zero
-    ]
-    if not labels:
-        return 0
-    index = {lab: i for i, lab in enumerate(labels)}
-    gens = []
-    for i in sorted(levi.S):
-        alpha = tuple(1 if j == i - 1 else 0 for j in range(L.rank))
-        gens.append(L.pos_index(alpha))
-        gens.append(L.neg_index(alpha))
-    if not gens:
-        return len(labels)
-    rows = {}
-    for lab in labels:
-        a, b = lab
-        for g in gens:
-            image = {}
-            ga = _project_to_m(L.bracket(g, m_idx[a]), pos)
-            for k, c in ga.items():
-                if k == b:
-                    continue
-                termops.siadd(image, (k, b) if k < b else (b, k), c if k < b else -c)
-            gb = _project_to_m(L.bracket(g, m_idx[b]), pos)
-            for k, c in gb.items():
-                if k == a:
-                    continue
-                termops.siadd(image, (a, k) if a < k else (k, a), c if a < k else -c)
-            for key, c in image.items():
-                rows.setdefault((g, key), {})[index[lab]] = c
-    basis = linalg.nullspace_sparse(list(rows.values()), len(labels))
-    return len(basis)

@@ -7,11 +7,9 @@ vector field of ``x`` sends the coordinate ``y`` to the coordinate of
 so that the square of a bivector evaluates to twice the Jacobi defect of
 its bracket.
 
-Two computed sign facts are frozen here and regression tested:
-``ACTION_SCHOUTEN_SIGN`` relates the bracket of action fields to the
-action field of the algebraic bracket, and ``PHIBAR_SIGN`` relates the
-cubic trivector built from bracket coefficients to the action field of
-the invariant 3-tensor.
+One computed sign fact is frozen here and regression tested:
+``PHIBAR_SIGN`` relates the cubic trivector built from bracket
+coefficients to the action field of the invariant 3-tensor.
 """
 
 import math
@@ -22,10 +20,6 @@ from itertools import combinations, combinations_with_replacement
 from . import liealg, linalg, termops
 
 ONE = Fraction(1)
-
-# [[psi_M, chi_M]] = ACTION_SCHOUTEN_SIGN * ([[psi, chi]])_M for constant
-# multivectors psi, chi; computed once on rank 1 and 2 and locked.
-ACTION_SCHOUTEN_SIGN = 1
 
 # phibar = PHIBAR_SIGN * action_field(phi); computed once and locked.
 PHIBAR_SIGN = 1
@@ -71,13 +65,6 @@ class PolyVectorField:
 
     def sub(self, other):
         return self.add(other.scale(-1))
-
-    def wedge(self, other):
-        if self.algebra is not other.algebra:
-            raise ValueError("fields over different algebras")
-        return PolyVectorField(
-            self.algebra, self.degree + other.degree, termops.smul(self.terms, other.terms)
-        )
 
     def bracket(self, f, g, maxdeg=-1):
         """Biderivation of a bivector field on two polynomials.
@@ -165,13 +152,8 @@ def coadjoint_images(L, i):
 
 
 def coadjoint_field(L, x):
-    """Fundamental vector field of ``x`` for the coadjoint action."""
-    if isinstance(x, int):
-        return PolyVectorField(L, 1, termops.vector_terms(coadjoint_images(L, x)))
-    out = {}
-    for i, c in x.items():
-        termops.piadd(out, termops.vector_terms(coadjoint_images(L, i)), c)
-    return PolyVectorField(L, 1, out)
+    """Fundamental vector field of basis element ``x`` for the coadjoint action."""
+    return PolyVectorField(L, 1, termops.vector_terms(coadjoint_images(L, x)))
 
 
 def action_field(psi):
@@ -446,10 +428,6 @@ class PencilReport:
     pp: PolyVectorField
     qq: PolyVectorField
     pq: PolyVectorField
-
-    @property
-    def pencil_poisson(self):
-        return self.pp.is_zero() and self.qq.is_zero() and self.pq.is_zero()
 
 
 def poisson_pencil_check(P, Q):

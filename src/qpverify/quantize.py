@@ -17,7 +17,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 from . import liealg, linalg, multivec, polyfield, termops
 
@@ -315,30 +314,35 @@ def jacobi_fault_algebra(L):
 def pbw_flatness(L, degree, seed=0):
     """Normal-form counts, confluence and the formal-parameter comparison.
 
-    Counts of irreducible words of each length are compared against the
-    symmetric-power dimensions (stars and bars, enumerated
-    independently); local confluence is checked on every strictly
-    descending adjacent-overlap triple and on seeded random words, for
-    the deformed and the undeformed parameter value.
+    Counts of irreducible words of each length, taken from the rewriting
+    system's own ``descents`` rule, are compared against the
+    symmetric-power dimensions; local confluence is checked on every
+    strictly descending adjacent-overlap triple and on seeded random
+    words, for the deformed and the undeformed parameter value.
     """
     if degree > PBW_DEGREE_CAP:
         raise polyfield.ResourceLimitError(
             f"rewriting degree {degree} above cap {PBW_DEGREE_CAP}"
         )
-    counts = []
-    for k in range(degree + 1):
-        irreducible = math.comb(L.dim + k - 1, k) if k else 1
-        oracle = sum(1 for _ in combinations_with_replacement(range(L.dim), k))
-        if irreducible != oracle:
-            return CheckResult(passed=False, witness={"k": k, "count": irreducible})
-        counts.append(irreducible)
+    systems = [RewriteSystem(L, ONE), RewriteSystem(L, Fraction(0))]
+    # a word is irreducible iff none of its adjacent letter pairs is a
+    # descent, so the words are counted by their last letter, length by length
+    dim = L.dim
+    pair_ok = [[not systems[0].descents((a, b)) for b in range(dim)] for a in range(dim)]
+    ends = [1] * dim
+    counts = [1]
+    for k in range(1, degree + 1):
+        count = sum(ends)
+        if count != math.comb(dim + k - 1, k):
+            return CheckResult(passed=False, witness={"k": k, "count": count})
+        counts.append(count)
+        ends = [sum(n for a, n in enumerate(ends) if pair_ok[a][b]) for b in range(dim)]
 
     rng = random.Random(seed)
     words = []
     for k in range(3, degree + 1):
         for _ in range(max(1, PBW_SPOT_CHECKS // max(1, degree - 2))):
             words.append(tuple(rng.randrange(L.dim) for _ in range(k)))
-    systems = [RewriteSystem(L, ONE), RewriteSystem(L, Fraction(0))]
     # adjacent overlaps: strictly descending triples
     for a in range(L.dim):
         for b in range(a):

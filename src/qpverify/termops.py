@@ -145,24 +145,12 @@ def pmul(a, b, maxdeg=-1):
 
 
 def pderive(a, i):
-    """Partial derivative of a polynomial along coordinate ``i``."""
-    out = {}
-    for k, c in a.items():
-        e = k[i]
-        if not e:
-            continue
-        kk = k[:i] + (e - 1,) + k[i + 1 :]
-        c = c * e
-        s = out.get(kk)
-        if s is None:
-            out[kk] = c
-        else:
-            s = s + c
-            if s:
-                out[kk] = s
-            else:
-                del out[kk]
-    return out
+    """Partial derivative of a polynomial along coordinate ``i``.
+
+    Lowering one exponent maps distinct monomials to distinct monomials,
+    so no two terms meet and no coefficient cancels.
+    """
+    return {k[:i] + (k[i] - 1,) + k[i + 1 :]: c * k[i] for k, c in a.items() if k[i]}
 
 
 def ptruncate(a, maxdeg):

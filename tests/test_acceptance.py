@@ -97,7 +97,7 @@ def test_criterion_03_phi_bracket_suite():
         assert pb == polyfield.action_field(ct.phi).scale(polyfield.PHIBAR_SIGN)
         p = f.sub(polyfield.rmatrix_bracket(ct.r_sd))
         rep = polyfield.poisson_pencil_check(s, p)
-        assert rep.pencil_poisson
+        assert rep.pp.is_zero() and rep.qq.is_zero() and rep.pq.is_zero()
         assert run("phi-bracket", "A2").aggregate == "pass"
 
 

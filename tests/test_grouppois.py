@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import entry_field
 from qpverify import grouppois, liealg, multivec, termops
 
 F = Fraction
@@ -31,17 +32,17 @@ def test_left_field_of_raising_element(sl2):
     # second column entries to the matching first-column entries
     n = sl2.msize
     for i in range(n):
-        assert grouppois.left_field(sl2, 1, grouppois.entry(n, i, 0)) == {}
-        assert grouppois.left_field(sl2, 1, grouppois.entry(n, i, 1)) == grouppois.entry(
+        assert entry_field(sl2, 1, "left", grouppois.entry(n, i, 0)) == {}
+        assert entry_field(sl2, 1, "left", grouppois.entry(n, i, 1)) == grouppois.entry(
             n, i, 0
         )
 
 
 def test_cartan_left_field_diagonal(sl2):
     n = sl2.msize
-    got = grouppois.left_field(sl2, 0, grouppois.entry(n, 0, 0))
+    got = entry_field(sl2, 0, "left", grouppois.entry(n, 0, 0))
     assert got == grouppois.entry(n, 0, 0)
-    got = grouppois.left_field(sl2, 0, grouppois.entry(n, 0, 1))
+    got = entry_field(sl2, 0, "left", grouppois.entry(n, 0, 1))
     assert got == termops.pscale(grouppois.entry(n, 0, 1), F(-1))
 
 
@@ -51,8 +52,8 @@ def test_left_and_right_fields_commute(sl2):
         for y in range(sl2.dim):
             for v in range(n * n):
                 p = gen(n, v)
-                a = grouppois.left_field(sl2, x, grouppois.right_field(sl2, y, p))
-                b = grouppois.right_field(sl2, y, grouppois.left_field(sl2, x, p))
+                a = entry_field(sl2, x, "left", entry_field(sl2, y, "right", p))
+                b = entry_field(sl2, y, "right", entry_field(sl2, x, "left", p))
                 assert a == b
 
 
@@ -79,7 +80,7 @@ def test_sklyanin_bracket_is_poisson(spec):
 def test_zero_bracket(sl2):
     zero = multivec.MultiTensor.zero(sl2, 2, "alternating")
     b = grouppois.build_two_sided_bracket(sl2, zero, zero)
-    assert b.is_zero()
+    assert b.table == {}
     assert grouppois.jacobiator_on_generators(b) == {}
 
 
@@ -168,7 +169,7 @@ LAWS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
 SL2 = liealg.algebra("A", 1)
 SL3 = liealg.algebra("A", 2)
-FIELDS = (grouppois.left_field, grouppois.right_field, grouppois.conjugation_field)
+SIDES = ("left", "right", "conjugation")
 coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
 
 
@@ -196,22 +197,20 @@ def entry_triples():
 @given(element_and_polys(1))
 def test_conjugation_field_is_left_minus_right(case):
     L, x, p = case
-    expected = termops.padd(
-        grouppois.left_field(L, x, p),
-        termops.pscale(grouppois.right_field(L, x, p), F(-1)),
-    )
-    assert grouppois.conjugation_field(L, x, p) == expected
+    expected = termops.padd(entry_field(L, x, "left", p), entry_field(L, x, "right", p), F(-1))
+    assert entry_field(L, x, "conjugation", p) == expected
 
 
 @LAWS
 @given(element_and_polys(2))
 def test_entry_fields_obey_leibniz_rule(case):
     L, x, p, q = case
-    for field in FIELDS:
+    for side in SIDES:
         expected = termops.padd(
-            termops.pmul(field(L, x, p), q), termops.pmul(p, field(L, x, q))
+            termops.pmul(entry_field(L, x, side, p), q),
+            termops.pmul(p, entry_field(L, x, side, q)),
         )
-        assert field(L, x, termops.pmul(p, q)) == expected, field.__name__
+        assert entry_field(L, x, side, termops.pmul(p, q)) == expected, side
 
 
 @LAWS
@@ -225,9 +224,9 @@ def test_phi_through_conjugation_matches_field_products(case):
     L, u, v, w = case
     expected = {}
     for (a, b, c), coef in liealg.canonical_tensors(L).phi.plain_items():
-        fa = grouppois.conjugation_field(L, a, gen(L.msize, u))
-        fb = grouppois.conjugation_field(L, b, gen(L.msize, v))
-        fc = grouppois.conjugation_field(L, c, gen(L.msize, w))
+        fa = entry_field(L, a, "conjugation", gen(L.msize, u))
+        fb = entry_field(L, b, "conjugation", gen(L.msize, v))
+        fc = entry_field(L, c, "conjugation", gen(L.msize, w))
         termops.piadd(expected, termops.pmul(termops.pmul(fa, fb), fc), coef)
     if len({u, v, w}) < 3:
         assert expected == {}
@@ -296,7 +295,7 @@ def test_jacobiator_is_the_cyclic_sum_of_brackets(case):
 def test_invariance_defect_is_the_three_term_formula(case):
     L, x, B = case
     n2 = L.msize ** 2
-    X = lambda p: grouppois.conjugation_field(L, x, p)
+    X = lambda p: entry_field(L, x, "conjugation", p)
     expected = {}
     for u in range(n2):
         for v in range(u + 1, n2):

@@ -1,7 +1,9 @@
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qpverify"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "qpverify"
+PERFBENCH = ROOT / "perfbench"
 
 
 def unused_imports(source):
@@ -116,3 +118,91 @@ def test_every_defaulted_parameter_is_passed_somewhere():
         for path in sorted(PACKAGE.rglob("*.py"))
     }
     assert unset_parameters(sources) == UNSET_ALLOWED
+
+
+def _read_names(tree):
+    """Every name that ``tree`` loads, bare or as an attribute, by node."""
+    return [
+        (node, node.id if isinstance(node, ast.Name) else node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    ]
+
+
+def unread_definitions(sources):
+    """Definitions whose name no source reads outside the definition's body.
+
+    ``sources`` maps a file name to its text.  Scanned are module-level
+    functions and classes and the non-dunder methods of module-level
+    classes; a name is read where it is loaded bare (``f``) or as an
+    attribute (``m.f``, ``obj.f``).  A method that shares its name with a
+    method of another class, or with any other name read anywhere, is not
+    seen by the scan, since it cannot tell whose attribute a read
+    reaches: ``MultiTensor.sub`` and ``GroupBivector.is_zero`` hid behind
+    ``PolyVectorField.sub`` and ``is_zero`` and were found by a line
+    trace of the suites instead.  Returns ``module.name`` and
+    ``module.Class.name`` strings.
+    """
+    trees = {fname: ast.parse(text) for fname, text in sources.items()}
+    defs = []  # (qualified name, definition node)
+    for fname, tree in trees.items():
+        module = fname.removesuffix(".py").replace("/", ".")
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((f"{module}.{node.name}", node))
+            if isinstance(node, ast.ClassDef):
+                defs.extend(
+                    (f"{module}.{node.name}.{item.name}", item)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                )
+    reads = [read for tree in trees.values() for read in _read_names(tree)]
+    unread = []
+    for qualname, node in defs:
+        inside = {id(n) for n in ast.walk(node)}
+        if not any(name == node.name and id(n) not in inside for n, name in reads):
+            unread.append(qualname)
+    return unread
+
+
+def test_scan_flags_an_unread_definition():
+    source = (
+        "def used():\n    return helper()\n"
+        "def helper():\n    return 1\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
+        "class K:\n"
+        "    def __init__(self):\n        self.kept = 1\n"
+        "    def kept(self):\n        pass\n"
+        "    def dropped(self):\n        return self.dropped\n"
+        "used()\nK().kept\n"
+    )
+    assert unread_definitions({"pkg/s.py": source}) == [
+        "pkg.s.recursive",
+        "pkg.s.K.dropped",
+    ]
+
+
+# reference evaluators and the backend listing, kept for the benchmark
+# (perfbench/tracer.py and the probe in perfbench/run.py read them)
+UNREAD_ALLOWED = ["termops.backends", "termops.kveval", "termops.bivector_eval"]
+
+
+def test_every_definition_is_read_somewhere():
+    sources = {
+        path.relative_to(PACKAGE).as_posix(): path.read_text()
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    assert sorted(unread_definitions(sources)) == sorted(UNREAD_ALLOWED)
+
+
+def test_perfbench_still_reads_every_allowed_name():
+    # a name the benchmark no longer reads leaves the allowlist, and then
+    # its definition goes
+    named = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        named.update(name for _, name in _read_names(tree))
+        strings = [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)]
+        named.update(v for v in strings if isinstance(v, str))
+    assert [q for q in UNREAD_ALLOWED if q.rsplit(".", 1)[1] not in named] == []

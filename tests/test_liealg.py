@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import wedge_of
 from qpverify import liealg, multivec, rootsys
 
 F = Fraction
@@ -151,7 +152,7 @@ def test_canonical_tensors_sl2(algebras):
     assert ct.r_sd.plain_dict() == {(1, 2): F(1, 4), (2, 1): F(-1, 4)}
     # phi = (1/8) h^e^f, i.e. -(1/8) times the alternation of e(x)h(x)f
     assert ct.phi.terms == {(0, 1, 2): F(1, 8)}
-    alt_ehf = multivec.wedge_of(L, {1: F(1)}, {0: F(1)}, {2: F(1)})
+    alt_ehf = wedge_of(L, {1: F(1)}, {0: F(1)}, {2: F(1)})
     assert ct.phi == alt_ehf.scale(F(-1, 8))
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import tensor_of, wedge_of
 from qpverify import liealg, multivec
 
 F = Fraction
@@ -52,7 +53,7 @@ def rand_alternating(L, p, rng, nterms=3):
 
 def test_wedge_embedding_has_no_prefactor(sl2):
     e, f = {1: F(1)}, {2: F(1)}
-    w = multivec.wedge_of(sl2, e, f)
+    w = wedge_of(sl2, e, f)
     assert w.plain_dict() == {(1, 2): F(1), (2, 1): F(-1)}
 
 
@@ -82,16 +83,16 @@ def test_no_stored_zeros(sl2):
 
 def test_ad_examples_sl2(sl2):
     e, f, h = {1: F(1)}, {2: F(1)}, {0: F(1)}
-    ef = multivec.tensor_of(sl2, e, f)
+    ef = tensor_of(sl2, e, f)
     assert multivec.ad_action(0, ef).is_zero()  # weight-zero tensor
 
     ct = liealg.canonical_tensors(sl2)
     assert multivec.ad_action(1, ct.t).is_zero()  # invariance of t
 
-    wedge_ef = multivec.wedge_of(sl2, e, f)
+    wedge_ef = wedge_of(sl2, e, f)
     got = multivec.ad_action(1, wedge_ef)
     # [e,e]^f + e^[e,f] = e^h; value frozen from the leg-expansion oracle
-    assert got == multivec.wedge_of(sl2, e, h)
+    assert got == wedge_of(sl2, e, h)
     assert got.plain_dict() == oracle_ad(sl2, 1, wedge_ef)
 
 

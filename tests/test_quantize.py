@@ -241,6 +241,18 @@ def test_pbw_degree_cap(sl2):
         quantize.pbw_flatness(sl2, quantize.PBW_DEGREE_CAP + 1)
 
 
+def test_pbw_counts_fail_when_descents_are_missed(sl2, monkeypatch):
+    # a rule blind to descents by one letter leaves (1, 0) and (2, 1)
+    # irreducible: 8 words of length 2 against the symmetric square's 6
+    def descents(self, word):
+        return [k for k in range(len(word) - 1) if word[k] > word[k + 1] + 1]
+
+    monkeypatch.setattr(quantize.RewriteSystem, "descents", descents)
+    res = quantize.pbw_flatness(sl2, 4, seed=3)
+    assert not res.passed
+    assert res.witness == {"k": 2, "count": 8}
+
+
 def test_normal_form_matches_symmetrization(sl2):
     # degree-2 straightening: fe -> ef - h at the deformed parameter
     rw = quantize.RewriteSystem(sl2, F(1))

@@ -183,6 +183,35 @@ def test_pscale_is_the_dense_sum(a, c):
 
 
 # ---------------------------------------------------------------------------
+# the partial derivative
+
+rational_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * NVARS),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12).filter(bool),
+    max_size=6,
+)
+
+
+def partial_reference(p, i):
+    """Term by term, ``c * y^e`` goes to ``c * e_i * y^(e - unit_i)``."""
+    out = {}
+    for e, c in p.items():
+        if e[i]:
+            lowered = tuple(x - 1 if j == i else x for j, x in enumerate(e))
+            out[lowered] = out.get(lowered, F(0)) + c * e[i]
+    return {k: v for k, v in out.items() if v}
+
+
+@LAWS
+@given(rational_polys, rational_polys, st.integers(0, NVARS - 1))
+def test_pderive_lowers_one_exponent_and_obeys_leibniz(p, q, i):
+    d = termops.pderive(p, i)
+    assert d == partial_reference(p, i) and zero_free(d)
+    leibniz = termops.padd(termops.pmul(d, q), termops.pmul(p, termops.pderive(q, i)))
+    assert termops.pderive(termops.pmul(p, q), i) == leibniz
+
+
+# ---------------------------------------------------------------------------
 # algebraic laws of the bracket kernels on random inputs
 
 polys = st.dictionaries(exponents, coeffs, max_size=4)
