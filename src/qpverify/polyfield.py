@@ -18,6 +18,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from . import liealg, linalg, termops
+from .termops import ResourceLimitError
 
 ONE = Fraction(1)
 
@@ -27,10 +28,6 @@ PHIBAR_SIGN = 1
 # refuse equivariant systems whose unknown count times constraint count
 # would exceed this many matrix entries
 EQUIVARIANT_ENTRY_CAP = 10**6
-
-
-class ResourceLimitError(RuntimeError):
-    """Raised when a solver request exceeds the configured size caps."""
 
 
 class NoSolutionError(RuntimeError):
@@ -540,23 +537,20 @@ def gl_transport_quadratic_bracket(L):
                 out[termops.unit_exp(dim, m)] = c
         return out
 
+    # left fields multiply on the right, right fields on the left: the
+    # images of basis element a under e_uv and e_vu, for every (u, v)
+    units = [(u, v) for u in range(n) for v in range(n)]
+    left = [[linear(linalg.mat_mul({uv: ONE}, M)) for uv in units] for M in L.matrices]
+    right = [[linear(linalg.mat_mul(M, {(v, u): ONE})) for u, v in units] for M in L.matrices]
     terms = {}
     for a in range(dim):
         for b in range(a + 1, dim):
             value = {}
-            for u in range(n):
-                for v in range(n):
-                    e_uv = {(u, v): ONE}
-                    e_vu = {(v, u): ONE}
-                    # left fields multiply on the right, right fields on the left
-                    la = linear(linalg.mat_mul(e_uv, L.matrices[a]))
-                    rb = linear(linalg.mat_mul(L.matrices[b], e_vu))
-                    if la and rb:
-                        termops.piadd(value, termops.pmul(la, rb), ONE)
-                    lb = linear(linalg.mat_mul(e_uv, L.matrices[b]))
-                    ra = linear(linalg.mat_mul(L.matrices[a], e_vu))
-                    if lb and ra:
-                        termops.piadd(value, termops.pmul(lb, ra), -ONE)
+            for la, rb, lb, ra in zip(left[a], right[b], left[b], right[a]):
+                if la and rb:
+                    termops.piadd(value, termops.pmul(la, rb), ONE)
+                if lb and ra:
+                    termops.piadd(value, termops.pmul(lb, ra), -ONE)
             for e, c in value.items():
                 terms[(e, (a, b))] = c
     return PolyVectorField(L, 2, terms)

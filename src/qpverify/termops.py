@@ -22,6 +22,16 @@ The polyvector encoding is the usual odd-variable picture: derivations are
 anticommuting symbols listed in ascending order, so every product carries
 the sign of the interleaving permutation.
 
+The Schouten kernels ``sn_bracket``, ``smul`` and ``wedge_push`` take and
+return these tuple-keyed ``Fraction`` dicts, but run on packed keys: a
+monomial is one int with a fixed-width field per exponent, wide enough
+for every exponent the call can produce; a derivation set is an int
+bitmask, and coefficients are int numerators over one denominator per
+operand.  Each packs its inputs once and unpacks its result at its
+boundary, so callers, ``suites._equal_terms`` (which sorts tuple keys)
+and printed witnesses see exponent tuples only.  Only an exponent past
+64 bits raises ``ResourceLimitError``.
+
 Biderivations have one evaluator, ``table_bracket``: a bivector term dict
 is first turned into a generator table by ``bivector_table``.
 Derivations given by their coordinate images have one evaluator,
@@ -40,12 +50,22 @@ that record it.
 """
 
 import itertools
+import math
+import struct
 import sys
 from fractions import Fraction
 
 BACKEND = "pure"
 
 _ONE = Fraction(1)
+
+
+class ResourceLimitError(RuntimeError):
+    """Raised when a request exceeds a size cap.
+
+    The caps are the solver sizes of ``polyfield`` and ``quantize`` and
+    the exponent width of the packed polyvector kernels here.
+    """
 
 
 def backends():
@@ -174,66 +194,167 @@ def apply_derivation(images, p, maxdeg=-1):
 
 
 # ---------------------------------------------------------------------------
-# polyvector kernels
+# polyvector kernels, on packed keys
+#
+# Inside ``smul``, ``wedge_push`` and ``sn_bracket`` a term ``(e, d)`` over
+# ``nvars`` coordinates is one int key, ``mono << nvars | mask``.  Bit ``i``
+# of ``mask`` stands for ``d/dy_i``; ``mono`` holds the exponents in
+# fields of 8, 16, 32 or 64 bits, coordinate 0 in the top field, so its
+# big-endian bytes are the exponent tuple.  Each call picks the narrowest
+# width that holds the largest exponent its result can reach, so no field
+# carries.  Two terms with disjoint masks multiply by adding their keys.
+# An operand packs to int numerators over one common denominator, and a
+# result is divided by its denominator once, when it is unpacked.
 
 
-def merge_ders(d1, d2):
-    """Merge two ascending derivation tuples.
+_FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}  # field bits -> struct code
 
-    Returns ``(sign, merged)`` where ``sign`` is the parity of the
-    interleaving permutation, or ``(0, None)`` when an index repeats.
+
+def _codec(nvars, top):
+    """``(struct, field bits)`` of the narrowest fields that hold exponent ``top``."""
+    for bits, code in _FIELD_CODES.items():
+        if not top >> bits:
+            return struct.Struct(f">{nvars}{code}"), bits
+    raise ResourceLimitError(f"exponent {top} does not fit a 64-bit packed field")
+
+
+def _top(terms):
+    """The largest exponent in a polyvector term dict."""
+    return max(itertools.chain.from_iterable(e for e, _ in terms), default=0)
+
+
+def _pack(terms, nvars, codec):
+    """Packed form ``(numerators, den)`` of a polyvector term dict.
+
+    ``numerators`` maps packed keys to int numerators over the common
+    denominator ``den``.
     """
-    if not d1:
-        return 1, d2
-    if not d2:
-        return 1, d1
-    n1, n2 = len(d1), len(d2)
-    i = j = 0
-    inv = 0
+    pack = codec.pack
+    den = math.lcm(*{c.denominator for c in terms.values()})
+    masks = {}
+    out = {}
+    for (e, d), c in terms.items():
+        mask = masks.get(d)
+        if mask is None:
+            mask = masks[d] = sum(1 << i for i in d)
+        key = int.from_bytes(pack(*e), "big") << nvars | mask
+        out[key] = c.numerator * (den // c.denominator)
+    return out, den
+
+
+def _unpack(numerators, den, nvars, codec):
+    """Tuple-keyed ``Fraction`` term dict of packed numerators over ``den``."""
+    low = (1 << nvars) - 1
+    unpack, size = codec.unpack, codec.size
+    ders = {}  # mask -> ascending derivation tuple
+    out = {}
+    for key, c in numerators.items():
+        if not c:
+            continue
+        mask = key & low
+        d = ders.get(mask)
+        if d is None:
+            d = ders[mask] = _mask_indices(mask)
+        out[(unpack((key >> nvars).to_bytes(size, "big")), d)] = Fraction(c, den)
+    return out
+
+
+def _mask_indices(mask):
+    """Ascending tuple of the set bit positions of ``mask``."""
     out = []
-    while i < n1 and j < n2:
-        x, y = d1[i], d2[j]
-        if x == y:
-            return 0, None
-        if x < y:
-            out.append(x)
-            i += 1
-        else:
-            out.append(y)
-            inv += n1 - i
-            j += 1
-    out.extend(d1[i:])
-    out.extend(d2[j:])
-    return (-1 if inv & 1 else 1), tuple(out)
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        out.append(bit.bit_length() - 1)
+    return tuple(out)
+
+
+def _by_mask(numerators, nvars):
+    """Nonzero packed terms as ``{mask: [(key, numerator), ...]}``."""
+    low = (1 << nvars) - 1
+    groups = {}
+    for key, c in numerators.items():
+        if c:
+            groups.setdefault(key & low, []).append((key, c))
+    return groups
+
+
+def _merge_sign(m1, m2):
+    """Sign that sorts the derivations of ``m1`` followed by those of ``m2``.
+
+    It is the parity of the crossed pairs, bits ``i`` of ``m1`` above bits
+    ``j`` of ``m2``; the masks must be disjoint.
+    """
+    crossed = 0
+    while m2:
+        bit = m2 & -m2
+        m2 ^= bit
+        crossed += (m1 & -(bit << 1)).bit_count()
+    return -1 if crossed & 1 else 1
+
+
+def _wedge_into(acc, sign, left, right):
+    """In-place ``acc += sign * left ^ right`` on operands grouped by mask."""
+    get = acc.get
+    for m1, lterms in left.items():
+        for m2, rterms in right.items():
+            if m1 & m2:
+                continue
+            s = sign * _merge_sign(m1, m2)
+            for k1, c1 in lterms:
+                if s < 0:
+                    c1 = -c1
+                for k2, c2 in rterms:
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + c1 * c2
 
 
 def smul(a, b):
     """Wedge (super) product of two polyvector term dicts."""
-    out = {}
-    bitems = list(b.items())
-    for (e1, d1), c1 in a.items():
-        for (e2, d2), c2 in bitems:
-            sgn, dm = merge_ders(d1, d2)
-            if not sgn:
-                continue
-            e = tuple(x + y for x, y in zip(e1, e2))
-            siadd(out, (e, dm), c1 * c2 if sgn > 0 else -c1 * c2)
-    return out
+    if not a or not b:
+        return {}
+    nvars = len(next(iter(a))[0])
+    codec, _ = _codec(nvars, _top(a) + _top(b))
+    pa, da = _pack(a, nvars, codec)
+    pb, db = _pack(b, nvars, codec)
+    acc = {}
+    _wedge_into(acc, 1, _by_mask(pa, nvars), _by_mask(pb, nvars))
+    return _unpack(acc, da * db, nvars, codec)
 
 
 def wedge_push(terms, field, nvars):
     """Sum of ``c * field(i1) ^ ... ^ field(ik)`` over tensor terms ``(i1..ik): c``.
 
-    ``field(i)`` is the vector term dict of index ``i``.
+    ``field(i)`` is the vector term dict of index ``i``; each distinct
+    index is built and packed once.
     """
-    out = {}
-    unit = {((0,) * nvars, ()): Fraction(1)}
-    for key, c in terms.items():
-        prod = unit
+    fields = {}  # index -> vector term dict, then its packed form
+    for key in terms:
         for i in key:
-            prod = smul(prod, field(i))
-        piadd(out, prod, c)
-    return out
+            if i not in fields:
+                fields[i] = field(i)
+    tops = {i: _top(f) for i, f in fields.items()}
+    codec, _ = _codec(nvars, max((sum(tops[i] for i in key) for key in terms), default=0))
+    for i, f in fields.items():
+        numerators, den = _pack(f, nvars, codec)
+        fields[i] = (_by_mask(numerators, nvars), den)
+    den = math.lcm(
+        *(c.denominator * math.prod(fields[i][1] for i in key) for key, c in terms.items())
+    )
+    out = {}
+    for key, c in terms.items():
+        scale = den // c.denominator
+        prod = {0: 1}  # the packed unit
+        for i in key:
+            grouped, fden = fields[i]
+            scale //= fden
+            acc = {}
+            _wedge_into(acc, 1, _by_mask(prod, nvars), grouped)
+            prod = acc
+        scale *= c.numerator
+        for k, v in prod.items():
+            out[k] = out.get(k, 0) + scale * v
+    return _unpack(out, den, nvars, codec)
 
 
 def vector_terms(images):
@@ -241,41 +362,39 @@ def vector_terms(images):
     return {(e, (v,)): c for v, img in images.items() for e, c in img.items()}
 
 
-def _dy_table(a):
-    """Coordinate derivatives of ``a``, grouped by coordinate index."""
+def _partial_table(numerators, nvars, codec, bits):
+    """Coordinate derivatives of a packed operand, by coordinate, then by mask."""
+    low = (1 << nvars) - 1
+    unpack, size = codec.unpack, codec.size
+    units = [1 << nvars + bits * (nvars - 1 - i) for i in range(nvars)]
     table = {}
-    for (e, d), c in a.items():
-        for i, ei in enumerate(e):
-            if not ei:
-                continue
-            ee = e[:i] + (ei - 1,) + e[i + 1 :]
-            table.setdefault(i, []).append(((ee, d), c * ei))
+    for key, c in numerators.items():
+        e = unpack((key >> nvars).to_bytes(size, "big"))
+        for i in itertools.compress(range(nvars), e):
+            entry = (key - units[i], c * e[i])
+            table.setdefault(i, {}).setdefault(key & low, []).append(entry)
     return table
 
 
-def _xi_table(a):
-    """Left derivation-slot derivatives of ``a``, grouped by slot index."""
+def _slot_table(numerators, nvars):
+    """Left derivation-slot derivatives of a packed operand, by slot, then by mask."""
+    low = (1 << nvars) - 1
     table = {}
-    for (e, d), c in a.items():
-        for pos, i in enumerate(d):
-            dd = d[:pos] + d[pos + 1 :]
-            table.setdefault(i, []).append(((e, dd), -c if pos & 1 else c))
+    for key, c in numerators.items():
+        mask = key & low
+        for pos, i in enumerate(_mask_indices(mask)):
+            bit = 1 << i
+            entry = (key ^ bit, -c if pos & 1 else c)
+            table.setdefault(i, {}).setdefault(mask ^ bit, []).append(entry)
     return table
 
 
-def _contract(out, sign, xi_of, dy_of):
-    """In-place ``out += sign * sum_i xi_of[i] * dy_of[i]`` (super product)."""
-    for i, left in xi_of.items():
-        right = dy_of.get(i)
-        if not right:
-            continue
-        for (e1, d1), c1 in left:
-            for (e2, d2), c2 in right:
-                sgn, dm = merge_ders(d1, d2)
-                if not sgn:
-                    continue
-                e = tuple(x + y for x, y in zip(e1, e2))
-                siadd(out, (e, dm), c1 * c2 if sgn * sign > 0 else -c1 * c2)
+def _contract(acc, sign, slots, partials):
+    """In-place ``acc += sign * sum_i slots[i] ^ partials[i]`` (super product)."""
+    for i, left in slots.items():
+        right = partials.get(i)
+        if right:
+            _wedge_into(acc, sign, left, right)
 
 
 def sn_bracket(a, p, b, q):
@@ -286,11 +405,18 @@ def sn_bracket(a, p, b, q):
     to twice the Jacobi defect of the induced bracket.  Both facts are
     pinned by regression tests.
     """
+    if not a or not b:
+        return {}
+    nvars = len(next(iter(a))[0])
+    codec, bits = _codec(nvars, _top(a) + _top(b))
+    pa, da = _pack(a, nvars, codec)
+    pb, db = _pack(b, nvars, codec)
+    acc = {}
     # [[a, b]] = -(-1)^p sum_i xi_i(a) dy_i(b)  -  sum_i dy_i(a) xi_i(b)
-    out = {}
-    _contract(out, 1 if p & 1 else -1, _xi_table(a), _dy_table(b))
-    _contract(out, -1, _dy_table(a), _xi_table(b))
-    return out
+    sign = 1 if p & 1 else -1
+    _contract(acc, sign, _slot_table(pa, nvars), _partial_table(pb, nvars, codec, bits))
+    _contract(acc, -1, _partial_table(pa, nvars, codec, bits), _slot_table(pb, nvars))
+    return _unpack(acc, da * db, nvars, codec)
 
 
 def kveval(terms, polys):

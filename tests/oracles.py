@@ -3,6 +3,10 @@
 ``tensor_of`` and ``wedge_of`` build tensors from their definitions, as
 references for the package's tensor algebra; ``entry_field`` applies one
 entry-field image table of ``grouppois`` to a polynomial.
+
+``merge_ders``, ``smul``, ``wedge_push`` and ``sn_bracket`` are the
+polyvector kernels on exponent and derivation tuples with ``Fraction``
+coefficients, as references for the packed kernels of ``termops``.
 """
 
 import itertools
@@ -34,3 +38,105 @@ def wedge_of(algebra, *elements):
 def entry_field(L, x, side, p):
     """Entry field of basis element ``x`` on ``side`` applied to the polynomial ``p``."""
     return termops.apply_derivation(grouppois._field_images(L, x, side), p)
+
+
+def merge_ders(d1, d2):
+    """Merge two ascending derivation tuples.
+
+    Returns ``(sign, merged)`` where ``sign`` is the parity of the
+    interleaving permutation, or ``(0, None)`` when an index repeats.
+    """
+    if not d1:
+        return 1, d2
+    if not d2:
+        return 1, d1
+    n1, n2 = len(d1), len(d2)
+    i = j = 0
+    inv = 0
+    out = []
+    while i < n1 and j < n2:
+        x, y = d1[i], d2[j]
+        if x == y:
+            return 0, None
+        if x < y:
+            out.append(x)
+            i += 1
+        else:
+            out.append(y)
+            inv += n1 - i
+            j += 1
+    out.extend(d1[i:])
+    out.extend(d2[j:])
+    return (-1 if inv & 1 else 1), tuple(out)
+
+
+def smul(a, b):
+    """Wedge (super) product of two polyvector term dicts."""
+    out = {}
+    bitems = list(b.items())
+    for (e1, d1), c1 in a.items():
+        for (e2, d2), c2 in bitems:
+            sgn, dm = merge_ders(d1, d2)
+            if not sgn:
+                continue
+            e = tuple(x + y for x, y in zip(e1, e2))
+            termops.siadd(out, (e, dm), c1 * c2 if sgn > 0 else -c1 * c2)
+    return out
+
+
+def wedge_push(terms, field, nvars):
+    """Sum of ``c * field(i1) ^ ... ^ field(ik)`` over tensor terms ``(i1..ik): c``."""
+    out = {}
+    unit = {((0,) * nvars, ()): Fraction(1)}
+    for key, c in terms.items():
+        prod = unit
+        for i in key:
+            prod = smul(prod, field(i))
+        termops.piadd(out, prod, c)
+    return out
+
+
+def _dy_table(a):
+    """Coordinate derivatives of ``a``, grouped by coordinate index."""
+    table = {}
+    for (e, d), c in a.items():
+        for i, ei in enumerate(e):
+            if not ei:
+                continue
+            ee = e[:i] + (ei - 1,) + e[i + 1 :]
+            table.setdefault(i, []).append(((ee, d), c * ei))
+    return table
+
+
+def _xi_table(a):
+    """Left derivation-slot derivatives of ``a``, grouped by slot index."""
+    table = {}
+    for (e, d), c in a.items():
+        for pos, i in enumerate(d):
+            dd = d[:pos] + d[pos + 1 :]
+            table.setdefault(i, []).append(((e, dd), -c if pos & 1 else c))
+    return table
+
+
+def _contract(out, sign, xi_of, dy_of):
+    """In-place ``out += sign * sum_i xi_of[i] * dy_of[i]`` (super product)."""
+    for i, left in xi_of.items():
+        right = dy_of.get(i)
+        if not right:
+            continue
+        for (e1, d1), c1 in left:
+            for (e2, d2), c2 in right:
+                sgn, dm = merge_ders(d1, d2)
+                if not sgn:
+                    continue
+                e = tuple(x + y for x, y in zip(e1, e2))
+                termops.siadd(out, (e, dm), c1 * c2 if sgn * sign > 0 else -c1 * c2)
+
+
+def sn_bracket(a, p, b, q):
+    """Schouten-Nijenhuis bracket of homogeneous polyvector term dicts."""
+    # [[a, b]] = -(-1)^p sum_i xi_i(a) dy_i(b)  -  sum_i dy_i(a) xi_i(b)
+    out = {}
+    _contract(out, 1 if p & 1 else -1, _xi_table(a), _dy_table(b))
+    _contract(out, -1, _dy_table(a), _xi_table(b))
+    return out

@@ -131,6 +131,20 @@ def test_resource_cap_exit_3(capsys):
     assert code == 3
 
 
+def test_conjecture_scan_past_exponent_fifteen(capsys):
+    # on sl2 the invariant bivectors of degree k are the Casimir powers
+    # times the linear bracket, so the space has dimension 1 for odd k
+    argv = ("conjecture-scan", "--algebra", "A1", "--degree", "16", "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert len(checks) == 16
+    for k in range(1, 17):
+        check = checks[f"degree-{k}-multiples-of-linear"]
+        assert check["status"] == "pass"
+        assert check["witness"] == {"dimension": k % 2, "invariant_polynomial_dim": k % 2}
+
+
 def test_check_failure_exit_1(capsys):
     # the stated same-tensor expectation cannot hold (the two one-sided
     # extensions of an invariant 3-tensor agree), so the suite reports a

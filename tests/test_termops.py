@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import qpverify.termops as termops
 from qpverify import liealg, polyfield
 
@@ -79,13 +81,23 @@ def test_kernel_calls_inside_the_module_go_through_its_attributes(monkeypatch):
     assert calls == [0, 1]
 
 
-def test_merge_ders():
-    assert termops.merge_ders((0, 2), (1,)) == (-1, (0, 1, 2))
-    assert termops.merge_ders((), (3, 5)) == (1, (3, 5))
-    assert termops.merge_ders((1,), (1,)) == (0, None)
-    assert termops.merge_ders((0, 1), (2, 3)) == (1, (0, 1, 2, 3))
-    assert termops.merge_ders((2, 3), (0, 1)) == (1, (0, 1, 2, 3))
-    assert termops.merge_ders((1,), (0,)) == (-1, (0, 1))
+def test_merge_sign_matches_the_reference_on_all_subset_pairs():
+    # every pair of derivation sets over six coordinates, as bitmasks
+    # and through a one-term wedge product
+    subsets = [d for k in range(7) for d in itertools.combinations(range(6), k)]
+    zero = (0,) * 6
+    for d1 in subsets:
+        m1 = sum(1 << i for i in d1)
+        for d2 in subsets:
+            m2 = sum(1 << i for i in d2)
+            sgn, merged = oracles.merge_ders(d1, d2)
+            product = termops.smul({(zero, d1): F(1)}, {(zero, d2): F(1)})
+            if not sgn:
+                assert m1 & m2 and product == {}
+                continue
+            assert not m1 & m2
+            assert termops._merge_sign(m1, m2) == sgn
+            assert product == {(zero, merged): F(sgn)}
 
 
 def test_poly_basics():
@@ -322,6 +334,116 @@ def test_smul_anticommutes_on_odd_degrees():
         ba = termops.smul(b, a)
         assert ab == termops.pscale(ba, F(-1))
         assert termops.smul(a, a) == {}
+
+
+# ---------------------------------------------------------------------------
+# the packed polyvector kernels against the tuple-and-Fraction references
+# of tests/oracles.py: rational coefficients with denominators up to 12,
+# degrees 0 to 3, empty operands, and 16 coordinates (the entry ring of
+# A3) so that high bit positions are used
+
+
+def active(nvars):
+    # on 16 coordinates, four spread-out indices, so that terms still meet
+    return list(range(nvars)) if nvars <= 4 else [0, 7, 14, 15]
+
+
+def sparse_exponents(nvars):
+    # at most two nonzero exponents, mostly small; the large ones make
+    # some products need 16-bit packed fields
+    exponents = st.integers(1, 2) | st.sampled_from([15, 200, 300])
+    return st.dictionaries(st.sampled_from(active(nvars)), exponents, max_size=2).map(
+        lambda e: tuple(e.get(i, 0) for i in range(nvars))
+    )
+
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12).filter(bool)
+
+
+def rational_multivectors(nvars, k):
+    ders = st.sampled_from(list(itertools.combinations(active(nvars), k)))
+    return st.dictionaries(st.tuples(sparse_exponents(nvars), ders), rationals, max_size=4)
+
+
+def rational_graded(nvars):
+    return st.integers(0, 3).flatmap(
+        lambda k: st.tuples(st.just(k), rational_multivectors(nvars, k))
+    )
+
+
+packed_cases = st.sampled_from([NVARS, 16]).flatmap(
+    lambda n: st.tuples(st.just(n), rational_graded(n), rational_graded(n))
+)
+
+
+@LAWS
+@given(packed_cases)
+def test_packed_sn_bracket_matches_the_reference(case):
+    nvars, (p, a), (q, b) = case
+    got = termops.sn_bracket(a, p, b, q)
+    assert got == oracles.sn_bracket(a, p, b, q) and zero_free(got)
+    # the square of an odd-degree multivector cancels to nothing
+    if p & 1:
+        assert termops.sn_bracket(a, p, a, p) == {}
+
+
+@LAWS
+@given(packed_cases)
+def test_packed_smul_matches_the_reference(case):
+    nvars, (_, a), (_, b) = case
+    got = termops.smul(a, b)
+    assert got == oracles.smul(a, b) and zero_free(got)
+    assert termops.smul(a, {}) == termops.smul({}, b) == {}
+
+
+def wedge_cases(nvars):
+    vector_fields = st.dictionaries(
+        st.integers(0, 3), rational_multivectors(nvars, 1), min_size=4, max_size=4
+    )
+    tensor_keys = st.integers(0, 3).flatmap(lambda k: st.tuples(*[st.integers(0, 3)] * k))
+    tensors = st.dictionaries(tensor_keys, rationals, max_size=5)
+    return st.tuples(st.just(nvars), vector_fields, tensors)
+
+
+@LAWS
+@given(st.sampled_from([NVARS, 16]).flatmap(wedge_cases))
+def test_packed_wedge_push_matches_the_reference(case):
+    nvars, fields, terms = case
+    got = termops.wedge_push(terms, fields.__getitem__, nvars)
+    assert got == oracles.wedge_push(terms, fields.__getitem__, nvars) and zero_free(got)
+    # f0 ^ f1 + f1 ^ f0 cancels
+    assert termops.wedge_push({(0, 1): F(1, 3), (1, 0): F(1, 3)}, fields.__getitem__, nvars) == {}
+
+
+@pytest.mark.parametrize("top", [15, 2**8 - 1, 2**16 - 1, 2**32 - 1])
+def test_packed_kernels_are_exact_across_field_widths(top):
+    # exponents that fill a packed field, multiplied past it
+    a = {((top, 1), (1,)): F(1, 7), ((0, top), (0,)): F(2)}
+    b = {((1, top), (0,)): F(3), ((2, 0), (1,)): F(-1, 5)}
+    assert termops.smul(a, b) == oracles.smul(a, b) != {}
+    assert termops.sn_bracket(a, 1, b, 1) == oracles.sn_bracket(a, 1, b, 1) != {}
+    terms = {(0, 1): F(1, 2), (1, 1, 0): F(4)}
+    fields = {0: a, 1: b}.__getitem__
+    assert termops.wedge_push(terms, fields, 2) == oracles.wedge_push(terms, fields, 2) != {}
+
+
+def test_packed_exponents_past_64_bits_raise():
+    # a bracket that only lowers the largest 64-bit exponent is exact
+    top = {((2**64 - 1, 0), (1,)): F(1, 7)}  # y0^(2^64-1) d/dy1
+    d0 = {((0, 0), (0,)): F(1)}
+    assert termops.sn_bracket(top, 1, d0, 1) == {((2**64 - 2, 0), (1,)): F(1 - 2**64, 7)}
+    y0 = {((1, 0), ()): F(1)}
+    with pytest.raises(termops.ResourceLimitError):
+        termops.smul(top, y0)
+    with pytest.raises(termops.ResourceLimitError):
+        termops.sn_bracket(top, 1, {((1, 0), (0,)): F(1)}, 1)
+    with pytest.raises(termops.ResourceLimitError):
+        termops.wedge_push({(0, 1): F(1)}, {0: top, 1: {((1, 0), (0,)): F(1)}}.__getitem__, 2)
+
+
+def test_one_resource_limit_class():
+    # the solvers and the packed kernels raise the class the CLI maps to exit 3
+    assert polyfield.ResourceLimitError is termops.ResourceLimitError
 
 
 # no cap (-1) or a cap from 0 to 5
