@@ -8,9 +8,11 @@ left-invariant field acts on entries by right matrix multiplication,
 ``x^R t = x t``; with these conventions left fields generate right
 translations and the two kinds commute.
 
-Brackets are stored by their generator table, the values on entry pairs,
-and extend to polynomials by the Leibniz rule.  Identities between them
-are computed on bivector term dicts with the ``termops`` field kernels.
+Each bracket is a bivector field, built in one ``termops.wedge_push``
+of a 2-tensor through the entry fields and stored as a ``termops`` term
+dict.  Its generator table, the values on entry pairs, evaluates it on
+polynomials by the Leibniz rule; identities between brackets are
+computed on the term dicts with the ``termops`` field kernels.
 
 The free entry ring is the coordinate ring of the general (or special)
 linear group, so the Poisson identities proved off the group ideal hold
@@ -19,6 +21,7 @@ constructions still make sense as derivation tables, but the Jacobi
 identities would only hold modulo the isotropy ideal of the subgroup.
 """
 
+import itertools
 import warnings
 from fractions import Fraction
 
@@ -30,8 +33,6 @@ ONE = Fraction(1)
 # 3-tensor pushed through the conjugation fields; computed once and
 # regression locked.
 AD_JACOBIATOR_FACTOR = Fraction(-1, 2)
-
-DEGREE_CAP = 6
 
 
 class RealizationMismatch(ValueError):
@@ -78,50 +79,35 @@ def _field_images(L, x, side):
     return images
 
 
-def _pushed_table(L, legs):
-    """Generator table of a 2-tensor pushed through field images.
+def _pushed_bivector(L, terms):
+    """Bivector field of a 2-tensor pushed through entry fields.
 
-    ``legs`` lists ``(c, (a, side_a), (b, side_b))``; the value on the
-    entry pair (u, v) is the sum of ``c * A_a(u) * B_b(v)``.
+    ``terms`` maps leg pairs ``((a, side_a), (b, side_b))`` to
+    coefficients; each leg is the entry field of basis element ``a`` on
+    its side, and a term contributes ``c`` times the wedge of its legs.
     """
-    n2 = L.msize * L.msize
-    legs = [
-        (c, _field_images(L, a, side_a), _field_images(L, b, side_b))
-        for c, (a, side_a), (b, side_b) in legs
-    ]
-    table = {}
-    for u in range(n2):
-        for v in range(n2):
-            acc = {}
-            for c, images_a, images_b in legs:
-                pa = images_a.get(u)
-                pb = images_b.get(v)
-                if pa and pb:
-                    termops.piadd(acc, termops.pmul(pa, pb), c)
-            if acc:
-                table[(u, v)] = acc
-    return table
+    bivector = termops.wedge_push(
+        terms,
+        lambda leg: termops.vector_terms(_field_images(L, *leg)),
+        L.msize * L.msize,
+    )
+    return GroupBivector(bivector)
 
 
 class GroupBivector:
-    """Antisymmetric bracket on the entry ring, stored on generators."""
+    """Bracket on the entry ring, stored as a bivector term dict."""
 
-    def __init__(self, table):
-        self.table = {k: v for k, v in table.items() if v}
-        for (u, v), val in self.table.items():
-            neg = termops.pscale(self.table.get((v, u), {}), -ONE)
-            if neg != val:
-                raise ValueError("generator table is not antisymmetric")
-        # the same bivector in the polyvector encoding of termops
-        items = self.table.items()
-        self.terms = {(e, (u, v)): c for (u, v), val in items if u < v for e, c in val.items()}
+    def __init__(self, terms):
+        self.terms = terms
+        # values on entry pairs, antisymmetric by construction
+        self.table = termops.bivector_table(terms)
 
     def bracket(self, p, q):
-        return termops.table_bracket(self.table, p, q, DEGREE_CAP)
+        return termops.table_bracket(self.table, p, q)
 
 
 def build_two_sided_bracket(L, r1, r2):
-    """Bracket with generator table from left fields of r1 plus right fields of r2.
+    """Bracket pushed from left fields of r1 plus right fields of r2.
 
     The compatibility condition (equal Schouten squares of the two
     tensors) is checked and reported as a warning when violated; the
@@ -143,9 +129,9 @@ def build_two_sided_bracket(L, r1, r2):
             "the bracket need not be Poisson",
             stacklevel=2,
         )
-    legs = [(c, (a, "left"), (b, "left")) for (a, b), c in r1.plain_items()]
-    legs += [(c, (a, "right"), (b, "right")) for (a, b), c in r2.plain_items()]
-    return GroupBivector(_pushed_table(L, legs))
+    terms = {((a, "left"), (b, "left")): c for (a, b), c in r1.terms.items()}
+    terms.update({((a, "right"), (b, "right")): c for (a, b), c in r2.terms.items()})
+    return _pushed_bivector(L, terms)
 
 
 def build_sklyanin_bracket(L):
@@ -158,19 +144,15 @@ def build_ad_bracket(L):
     """Conjugation-invariant bracket from the invariant symmetric 2-tensor."""
     if L.matrices is None:
         raise RealizationMismatch("algebra carries no matrix realization")
-    legs = []
-    for (a, b), c in liealg.canonical_tensors(L).t.plain_items():
-        legs.append((c, (a, "left"), (b, "right")))
-        legs.append((-c, (b, "right"), (a, "left")))
-    return GroupBivector(_pushed_table(L, legs))
+    t = liealg.canonical_tensors(L).t
+    return _pushed_bivector(L, {((a, "left"), (b, "right")): c for (a, b), c in t.plain_items()})
 
 
-def _by_derivations(terms, maxdeg=-1):
-    """Regroup a term dict as ``{derivations: polynomial}``, capped at ``maxdeg``."""
+def _by_derivations(terms):
+    """Regroup a term dict as ``{derivations: polynomial}``."""
     out = {}
     for (e, d), c in terms.items():
-        if maxdeg < 0 or sum(e) <= maxdeg:
-            out.setdefault(d, {})[e] = c
+        out.setdefault(d, {})[e] = c
     return out
 
 
@@ -181,7 +163,7 @@ def jacobiator_on_generators(B):
     triple; the Leibniz rule makes generator triples sufficient.
     """
     square = termops.sn_bracket(B.terms, 2, B.terms, 2)
-    return _by_derivations(termops.pscale(square, Fraction(1, 2)), DEGREE_CAP)
+    return _by_derivations(termops.pscale(square, Fraction(1, 2)))
 
 
 def ad_invariance_defect(L, B, x):
@@ -191,7 +173,7 @@ def ad_invariance_defect(L, B, x):
     pairs; all zero means the bracket is invariant.
     """
     field = termops.vector_terms(_field_images(L, x, "conjugation"))
-    return _by_derivations(termops.sn_bracket(field, 1, B.terms, 2), DEGREE_CAP)
+    return _by_derivations(termops.sn_bracket(field, 1, B.terms, 2))
 
 
 def phi_through_conjugation(L):
@@ -210,8 +192,6 @@ def phi_through_conjugation(L):
 
 def determinant(n):
     """Determinant of the generic matrix as an entry polynomial."""
-    import itertools
-
     out = {}
     for perm in itertools.permutations(range(n)):
         inv = sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])

@@ -115,9 +115,7 @@ def first_order_invariance_check(m1, r):
 
     for x in range(L.dim):
         delta = multivec.cobracket(r, x)
-        defect = polyfield.schouten_nijenhuis(polyfield.coadjoint_field(L, x), P).sub(
-            polyfield.action_field(delta).scale(HALF)
-        )
+        defect = polyfield.lie_derivative(L, x, P).sub(polyfield.action_field(delta).scale(HALF))
         for a in monos:
             pa = {a: ONE}
             row = defect.hamiltonian(pa, d)

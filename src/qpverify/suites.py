@@ -8,6 +8,7 @@ collected but only embedded in the JSON when explicitly requested.
 
 import json
 import time
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -403,8 +404,6 @@ def _suite_group_sklyanin(series, rank, config):
     )
 
     def mismatch_runner():
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             bad = grouppois.build_two_sided_bracket(L, ct.r_sd, ct.r_sd.scale(2))

@@ -326,7 +326,8 @@ def wedge_push(terms, field, nvars):
     """Sum of ``c * field(i1) ^ ... ^ field(ik)`` over tensor terms ``(i1..ik): c``.
 
     ``field(i)`` is the vector term dict of index ``i``; each distinct
-    index is built and packed once.
+    index is built and packed once.  An index may be any hashable, such
+    as a ``(basis index, side)`` pair naming an entry field.
     """
     fields = {}  # index -> vector term dict, then its packed form
     for key in terms:

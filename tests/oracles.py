@@ -2,7 +2,10 @@
 
 ``tensor_of`` and ``wedge_of`` build tensors from their definitions, as
 references for the package's tensor algebra; ``entry_field`` applies one
-entry-field image table of ``grouppois`` to a polynomial.
+entry-field image table of ``grouppois`` to a polynomial, and
+``pushed_table`` builds the generator table of a 2-tensor pushed through
+those tables entry pair by entry pair, as a reference for the bracket
+builders of ``grouppois``.
 
 ``merge_ders``, ``smul``, ``wedge_push`` and ``sn_bracket`` are the
 polyvector kernels on exponent and derivation tuples with ``Fraction``
@@ -38,6 +41,31 @@ def wedge_of(algebra, *elements):
 def entry_field(L, x, side, p):
     """Entry field of basis element ``x`` on ``side`` applied to the polynomial ``p``."""
     return termops.apply_derivation(grouppois._field_images(L, x, side), p)
+
+
+def pushed_table(L, legs):
+    """Generator table of a 2-tensor pushed through field images.
+
+    ``legs`` lists ``(c, (a, side_a), (b, side_b))``; the value on the
+    entry pair (u, v) is the sum of ``c * A_a(u) * B_b(v)``.
+    """
+    n2 = L.msize * L.msize
+    legs = [
+        (c, grouppois._field_images(L, a, side_a), grouppois._field_images(L, b, side_b))
+        for c, (a, side_a), (b, side_b) in legs
+    ]
+    table = {}
+    for u in range(n2):
+        for v in range(n2):
+            acc = {}
+            for c, images_a, images_b in legs:
+                pa = images_a.get(u)
+                pb = images_b.get(v)
+                if pa and pb:
+                    termops.piadd(acc, termops.pmul(pa, pb), c)
+            if acc:
+                table[(u, v)] = acc
+    return table
 
 
 def merge_ders(d1, d2):

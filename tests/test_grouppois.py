@@ -1,3 +1,4 @@
+import itertools
 import warnings
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import entry_field
+from oracles import entry_field, pushed_table
 from qpverify import grouppois, liealg, multivec, termops
 
 F = Fraction
@@ -126,6 +127,16 @@ def test_in_principal_ideal():
     assert not grouppois.in_principal_ideal(gen(2, 1), det)
 
 
+def test_bracket_keeps_monomials_of_every_degree(sl2):
+    # {t00^4, t01^4} = 16 t00^3 t01^3 {t00, t01} = -4 t00^4 t01^4 with
+    # {t00, t01} = -(1/4) t00 t01; no degree cap truncates it
+    sk = grouppois.build_sklyanin_bracket(sl2)
+    t = lambda i, j: grouppois.var_index(2, i, j)
+    p = {tuple(4 * x for x in termops.unit_exp(4, t(0, 0))): F(1)}
+    q = {tuple(4 * x for x in termops.unit_exp(4, t(0, 1))): F(1)}
+    assert sk.bracket(p, q) == {(4, 4, 0, 0): F(-4)}
+
+
 def test_ad_bracket_antisymmetric_table(sl3):
     ad = grouppois.build_ad_bracket(sl3)
     for (u, v), val in ad.table.items():
@@ -138,6 +149,16 @@ def test_ad_bracket_conjugation_invariant(spec):
     ad = grouppois.build_ad_bracket(L)
     for x in range(L.dim):
         assert grouppois.ad_invariance_defect(L, ad, x) == {}
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_ad_bracket_table_matches_pushed_oracle(rank):
+    L = liealg.algebra("A", rank)
+    legs = []
+    for (a, b), c in liealg.canonical_tensors(L).t.plain_items():
+        legs.append((c, (a, "left"), (b, "right")))
+        legs.append((-c, (b, "right"), (a, "left")))
+    assert grouppois.build_ad_bracket(L).table == pushed_table(L, legs)
 
 
 def test_ad_bracket_phi_identity(sl3):
@@ -236,14 +257,39 @@ def test_phi_through_conjugation_matches_field_products(case):
         assert termops.pscale(got, F(-1) ** inversions) == expected
 
 
+@st.composite
+def tensor_pairs(draw):
+    """An algebra and two alternating 2-tensors with mixed denominators."""
+    L = draw(st.sampled_from([SL2, SL3]))
+    keys = st.sampled_from(list(itertools.combinations(range(L.dim), 2)))
+    values = st.fractions(min_value=-4, max_value=4, max_denominator=12).filter(bool)
+    r1, r2 = (
+        multivec.MultiTensor(L, 2, draw(st.dictionaries(keys, values, max_size=5)), "alternating")
+        for _ in range(2)
+    )
+    return L, r1, r2
+
+
+@LAWS
+@given(tensor_pairs())
+def test_two_sided_table_matches_pushed_oracle(case):
+    L, r1, r2 = case
+    legs = [(c, (a, "left"), (b, "left")) for (a, b), c in r1.plain_items()]
+    legs += [(c, (a, "right"), (b, "right")) for (a, b), c in r2.plain_items()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        B = grouppois.build_two_sided_bracket(L, r1, r2)
+    assert B.table == pushed_table(L, legs)
+
+
 # ---------------------------------------------------------------------------
-# laws of the field-level identities on random generator tables
+# laws of the field-level identities on random bivectors
 
 
 def bivector_cases():
-    """An algebra, a basis index and a random antisymmetric generator table.
+    """An algebra, a basis index and a random bivector on the entry ring.
 
-    Table values are entry polynomials of degree at most 2.
+    Its values on entry pairs are entry polynomials of degree at most 2.
     """
 
     def cases(L):
@@ -263,10 +309,8 @@ def bivector_cases():
 
     def bivector(case):
         L, x, upper = case
-        table = dict(upper)
-        for (u, v), val in upper.items():
-            table[(v, u)] = termops.pscale(val, F(-1))
-        return L, x, grouppois.GroupBivector(table)
+        terms = {(e, (u, v)): c for (u, v), val in upper.items() for e, c in val.items()}
+        return L, x, grouppois.GroupBivector(terms)
 
     return st.sampled_from([SL2, SL3]).flatmap(cases).map(bivector)
 

@@ -35,6 +35,51 @@ def test_no_unused_module_imports():
     assert unused == {}
 
 
+def function_imports(source):
+    """``(line, module)`` of every import made inside a function body.
+
+    ``unused_imports`` reads module-level imports only, so an import in a
+    function would escape it.
+    """
+    tree = ast.parse(source)
+    inside = {
+        id(n)
+        for f in ast.walk(tree)
+        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for n in ast.walk(f)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if id(node) not in inside:
+            continue
+        if isinstance(node, ast.Import):
+            found.extend((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.append((node.lineno, "." * node.level + (node.module or "")))
+    return sorted(found)
+
+
+def test_scan_flags_an_import_inside_a_function():
+    source = (
+        "import os\n"
+        "def f():\n    import sys, json\n"
+        "    def g():\n        from . import x\n"
+        "    return sys\n"
+        "class K:\n    import re\n"
+        "    def m(self):\n        from a.b import c\n"
+    )
+    assert function_imports(source) == [(3, "json"), (3, "sys"), (5, "."), (10, "a.b")]
+
+
+def test_no_imports_inside_functions():
+    found = {
+        str(path.relative_to(PACKAGE)): lines
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if (lines := function_imports(path.read_text()))
+    }
+    assert found == {}
+
+
 # defaulted parameters kept although no call in the package passes them:
 # the entry point's argv, and the truncation degree of the reference
 # evaluator that the law tests and the benchmark tracer call
