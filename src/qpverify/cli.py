@@ -26,7 +26,7 @@ def build_parser():
         default="A1",
         help="algebra spec: letter+rank like A2, B2, D4, G2, or sl3/so5/sp4/so8",
     )
-    parser.add_argument("--degree", type=int, default=None, help="truncation degree override")
+    parser.add_argument("--degree", type=int, default=None, help="degree bound of the suite's scans")
     parser.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
     parser.add_argument(

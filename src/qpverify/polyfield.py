@@ -63,10 +63,9 @@ class PolyVectorField:
     def sub(self, other):
         return self.add(other.scale(-1))
 
-    def bracket(self, f, g, maxdeg=-1):
+    def bracket(self, f, g):
         """Biderivation of a bivector field on two polynomials.
 
-        Monomials above ``maxdeg`` are dropped when it is non-negative.
         The generator table is built on the first call; fields are never
         mutated after construction, so it stays valid.
         """
@@ -74,20 +73,19 @@ class PolyVectorField:
             raise ValueError("bracket evaluation needs a bivector")
         if self._table is None:
             self._table = termops.bivector_table(self.terms)
-        return termops.table_bracket(self._table, f, g, maxdeg)
+        return termops.table_bracket(self._table, f, g)
 
-    def hamiltonian(self, f, maxdeg=-1):
+    def hamiltonian(self, f):
         """Coordinate images of the derivation ``g -> bracket(f, g)``.
 
-        Maps each coordinate index ``v`` to ``bracket(f, y_v, maxdeg)``,
-        zero images dropped.  By the Leibniz rule in the second slot,
-        ``termops.apply_derivation(P.hamiltonian(f, d), g, d)`` equals
-        ``P.bracket(f, g, d)``; truncating the images first drops only
-        terms the final truncation drops, as degrees are non-negative.
+        Maps each coordinate index ``v`` to ``bracket(f, y_v)``, zero
+        images dropped.  By the Leibniz rule in the second slot,
+        ``termops.apply_derivation(P.hamiltonian(f), g)`` equals
+        ``P.bracket(f, g)``.
         """
         images = {}
         for v in range(self.algebra.dim):
-            img = self.bracket(f, coordinate(self.algebra, v), maxdeg)
+            img = self.bracket(f, coordinate(self.algebra, v))
             if img:
                 images[v] = img
         return images
@@ -286,12 +284,12 @@ def solve_equivariant(L, p, q):
             if not any(_weight_of_term(L, exps, ders)):
                 labels.append((exps, ders))
     index = {lab: i for i, lab in enumerate(labels)}
-    gens = _simple_generator_indices(L)
+    gens = [(g, coadjoint_field(L, g)) for g in _simple_generator_indices(L)]
     rows = {}
     for lab in labels:
         single = PolyVectorField(L, p, {lab: ONE})
-        for g in gens:
-            image = lie_derivative(L, g, single)
+        for g, X in gens:
+            image = schouten_nijenhuis(X, single)
             for key, c in image.terms.items():
                 rows.setdefault((g, key), {})[index[lab]] = c
     basis = linalg.nullspace_sparse(list(rows.values()), len(labels))

@@ -10,7 +10,8 @@ exactly through Kronecker powers of a faithful matrix representation.
 
 First-order conventions: the twist starts at half the r-matrix, so the
 coproduct correction of ``x`` is half the cocommutator and the star
-product carries ``(1/2)(f - r_M)`` at order one.
+product carries ``(1/2)(f - r_M)`` at order one.  The order-one scans
+take their degree bound ``d`` as an argument; none truncates a product.
 """
 
 import math
@@ -36,64 +37,63 @@ class CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# truncated polynomial algebra and first-order products
-
-
-class TruncatedPolynomialAlgebra:
-    """Polynomials on the dual space, truncated above a total degree."""
-
-    def __init__(self, L, max_degree):
-        self.algebra = L
-        self.max_degree = max_degree
-
-    def monomials(self, degree):
-        return polyfield.monomials(self.algebra.dim, degree)
-
-    def monomials_upto(self):
-        out = []
-        for k in range(self.max_degree + 1):
-            out.extend(self.monomials(k))
-        return out
-
-    def multiply(self, a, b):
-        return termops.pmul(a, b, self.max_degree)
+# first-order products and their scans up to a degree bound
 
 
 class FirstOrderProduct:
-    """Order-one term of a star product, given by a bivector field."""
+    """Order-one term of a star product, given by a quadratic bivector field.
 
-    def __init__(self, trunc, bivector, label):
-        if bivector.degree != 2:
-            raise ValueError("first-order products come from bivector fields")
-        self.trunc = trunc
+    On monomials ``a`` and ``b`` it is homogeneous of degree ``|a| + |b|``;
+    a bracket that lowers degree has no well-defined truncation.
+    """
+
+    def __init__(self, bivector, label):
+        if bivector.degree != 2 or any(sum(e) != 2 for e, _ in bivector.terms):
+            raise ValueError("first-order products come from quadratic bivector fields")
         self.bivector = bivector
         self.label = label
 
     def __call__(self, a, b):
-        return self.bivector.bracket(a, b, self.trunc.max_degree)
+        return self.bivector.bracket(a, b)
 
 
-def standard_first_order_product(trunc, f_field, r_tensor):
+def standard_first_order_product(f_field, r_tensor):
     """The product ``(1/2)(f - r_M)`` of the invariant-plus-twist shape."""
     rm = polyfield.rmatrix_bracket(r_tensor)
-    return FirstOrderProduct(trunc, f_field.sub(rm).scale(HALF), "(1/2)(f - r_M)")
+    return FirstOrderProduct(f_field.sub(rm).scale(HALF), "(1/2)(f - r_M)")
 
 
-def first_order_invariance_check(m1, r):
+def _scan_rows(L, d):
+    """Left monomials ``a`` of the order-one scans, each with its window of ``b``.
+
+    Both sides of each scanned identity are homogeneous of degree
+    ``|a| + |b|``, so truncation above ``d`` zeroes the pairs of larger
+    degree, and derivations zero the pairs with a constant.  The rest keep
+    the order of a scan over every pair, so the first failure is the same.
+    """
+    monos = []
+    upto = [0]  # upto[k]: how many scanned monomials have degree <= k
+    for k in range(1, d):
+        monos.extend(polyfield.monomials(L.dim, k))
+        upto.append(len(monos))
+    return [(a, monos[: upto[d - sum(a)]]) for a in monos]
+
+
+def first_order_invariance_check(m1, r, d):
     """Deformed-coproduct invariance of a first-order product, order one.
 
-    For every basis element x and monomial pair (a, b) up to the degree:
+    For every basis element x and monomial pair (a, b) up to degree ``d``:
     x.m1(a,b) - m1(xa, b) - m1(a, xb) = (1/2) m0([r, x(x)1 + 1(x)x].(a,b)).
-    The scan evaluates the defect bivector of each x on every pair and
-    reports the first failing triple with both sides.  The derivation
+    The defect bivector of each x, ``L_x P - (1/2) action_field(delta)``,
+    is quadratic, so only the pairs of ``_scan_rows`` are evaluated; the
+    first failing triple is reported with both sides.  The derivation
     ``b -> defect(a, b)`` of each (x, a) row is built once, as the
-    Hamiltonian images of ``a``, and then applied to every ``b``.
+    Hamiltonian images of ``a``.  The ``pairs`` detail counts every pair
+    of monomials of degree at most ``d``; the pairs not visited have
+    product zero in the algebra truncated above ``d``.
     """
-    trunc = m1.trunc
-    L = trunc.algebra
-    d = trunc.max_degree
-    monos = trunc.monomials_upto()
     P = m1.bivector
+    L = P.algebra
 
     def act(x, p):
         return termops.apply_derivation(polyfield.coadjoint_images(L, x), p)
@@ -104,24 +104,25 @@ def first_order_invariance_check(m1, r):
             xa = act(u, a)
             xb = act(v, b)
             if xa and xb:
-                termops.piadd(out, trunc.multiply(xa, xb), c * HALF)
-        return termops.ptruncate(out, d)
+                termops.piadd(out, termops.pmul(xa, xb), c * HALF)
+        return out
 
     def lhs_map(x, a, b):
         out = act(x, m1(a, b))
         termops.piadd(out, m1(act(x, a), b), -ONE)
         termops.piadd(out, m1(a, act(x, b)), -ONE)
-        return termops.ptruncate(out, d)
+        return out
 
+    rows = _scan_rows(L, d)
     for x in range(L.dim):
         delta = multivec.cobracket(r, x)
         defect = polyfield.lie_derivative(L, x, P).sub(polyfield.action_field(delta).scale(HALF))
-        for a in monos:
+        for a, window in rows:
             pa = {a: ONE}
-            row = defect.hamiltonian(pa, d)
-            for b in monos:
+            row = defect.hamiltonian(pa)
+            for b in window:
                 pb = {b: ONE}
-                if termops.apply_derivation(row, pb, d):
+                if termops.apply_derivation(row, pb):
                     return CheckResult(
                         passed=False,
                         witness={
@@ -135,22 +136,21 @@ def first_order_invariance_check(m1, r):
                     )
     return CheckResult(
         passed=True,
-        details={"product": m1.label, "degree": d, "pairs": len(monos) ** 2},
+        details={"product": m1.label, "degree": d, "pairs": math.comb(L.dim + d, d) ** 2},
     )
 
 
-def hochschild_cocycle_check(trunc, m1):
+def hochschild_cocycle_check(L, d, m1):
     """First-order associativity: the Hochschild coboundary of m1 vanishes.
 
-    ``m1`` is any bilinear map on truncated polynomials; biderivations
-    pass identically.  Every monomial triple with positive degrees and
-    total degree up to the bound is scanned.  The products of monomials
+    ``m1`` is any bilinear map on polynomials over the dual of ``L``;
+    biderivations pass identically.  Every monomial triple with positive
+    degrees and total degree up to ``d`` is scanned.  The products of monomials
     inside the coboundary are monomials again, so ``m1`` is evaluated
     once per distinct pair of exponents and the values are reused across
     triples; exponent tuples and coefficients of the stored values are
     shared between entries.
     """
-    d = trunc.max_degree
     patterns = []
     for da in range(1, d - 1):
         for db in range(1, d - da):
@@ -173,17 +173,17 @@ def hochschild_cocycle_check(trunc, m1):
 
     scanned = 0
     for da, db, dc in patterns:
-        for ea in trunc.monomials(da):
+        for ea in polyfield.monomials(L.dim, da):
             pa = {ea: ONE}
-            for eb in trunc.monomials(db):
+            for eb in polyfield.monomials(L.dim, db):
                 eab = times(ea, eb)
                 m_ab = m1_mono(ea, eb)
-                for ec in trunc.monomials(dc):
+                for ec in polyfield.monomials(L.dim, dc):
                     scanned += 1
-                    defect = trunc.multiply(pa, m1_mono(eb, ec))
+                    defect = termops.pmul(pa, m1_mono(eb, ec))
                     termops.piadd(defect, m1_mono(eab, ec), -ONE)
                     termops.piadd(defect, m1_mono(ea, times(eb, ec)), ONE)
-                    termops.piadd(defect, trunc.multiply(m_ab, {ec: ONE}), -ONE)
+                    termops.piadd(defect, termops.pmul(m_ab, {ec: ONE}), -ONE)
                     if defect:
                         return CheckResult(
                             passed=False,
@@ -192,49 +192,48 @@ def hochschild_cocycle_check(trunc, m1):
     return CheckResult(passed=True, details={"degree": d, "monomial_triples": scanned})
 
 
-def twist_correspondence_check(trunc, r_tensor):
-    """Order-one consistency of the twist correspondence.
+def twist_correspondence_check(L, d, r_tensor):
+    """Order-one consistency of the twist correspondence, up to degree ``d``.
 
     The first-order product is the invariant half-bracket corrected by
     the inverse twist, ``m1 = mu1 - (1/2) m0 . r``; its skew part must be
     the biderivation of ``(1/2)(f - r_M)``.  The invariant halves agree
     term by term, so the identity lives in the twist part: the
     skew-symmetrization of the composed map ``m0 . r`` is compared
-    against the r-matrix field route on every monomial pair.
+    against the r-matrix field route on the pairs of ``_scan_rows``, as
+    both routes are homogeneous of degree ``|a| + |b|``.
 
     Each left monomial ``a`` builds its row once on both routes: the
     Hamiltonian images of ``a`` under ``r_M``, and the coadjoint images
     of ``a`` regrouped by the leg that acts on ``b``, ``G[w]``, so that
     the composed map is ``sum_w G[w] * X_w(b)``.  The two routes share
-    no evaluation, and every pair is still compared.
+    no evaluation.
     """
-    L = trunc.algebra
-    d = trunc.max_degree
     rm = polyfield.rmatrix_bracket(r_tensor)
     r_plain = list(r_tensor.plain_items())
-    monos = trunc.monomials_upto()
+    rows = _scan_rows(L, d)
     acted = {}
     for (u, v), _ in r_plain:
         for leg in (u, v):
             if leg not in acted:
                 images = polyfield.coadjoint_images(L, leg)
-                acted[leg] = {e: termops.apply_derivation(images, {e: ONE}) for e in monos}
+                acted[leg] = {e: termops.apply_derivation(images, {e: ONE}) for e, _ in rows}
 
-    for ea in monos:
-        field_row = rm.hamiltonian({ea: ONE}, d)
+    for ea, window in rows:
+        field_row = rm.hamiltonian({ea: ONE})
         # composed twist map, skew-symmetrized: (1/2) sum c (X_u a X_v b - X_u b X_v a)
         twist_row = {}
         for (u, v), c in r_plain:
             termops.piadd(twist_row.setdefault(v, {}), acted[u][ea], c * HALF)
             termops.piadd(twist_row.setdefault(u, {}), acted[v][ea], -c * HALF)
         twist_row = [(w, g) for w, g in twist_row.items() if g]
-        for eb in monos:
+        for eb in window:
             twist = {}
             for w, g in twist_row:
                 xb = acted[w][eb]
                 if xb:
-                    termops.piadd(twist, termops.pmul(g, xb, d), ONE)
-            field_route = termops.apply_derivation(field_row, {eb: ONE}, d)
+                    termops.piadd(twist, termops.pmul(g, xb), ONE)
+            field_route = termops.apply_derivation(field_row, {eb: ONE})
             if twist != field_route:
                 return CheckResult(
                     passed=False,

@@ -24,7 +24,7 @@ ALGEBRA_ALIASES = {
 
 
 class UsageError(ValueError):
-    """Configuration the driver refuses: unknown suite, bad algebra."""
+    """Configuration the CLI refuses: unknown suite, bad algebra, degree out of range."""
 
 
 def parse_algebra(text):
@@ -125,6 +125,15 @@ def _skip(check_id, anchor, reason):
     return CheckRecord(
         id=check_id, paper_ref=anchor, status="skip", witness={"reason": reason}, millis=0
     )
+
+
+def _degree(config, default, minimum):
+    """The degree bound of a suite's scans: ``config.degree`` when set, else ``default``."""
+    if config.degree is None:
+        return default
+    if config.degree < minimum:
+        raise UsageError(f"--degree {config.degree} is below this suite's minimum {minimum}")
+    return config.degree
 
 
 def _classical(series, rank):
@@ -332,7 +341,7 @@ def _suite_phi_bracket(series, rank, config):
 
 def _suite_conjecture_scan(series, rank, config):
     L = _classical(series, rank)
-    d = config.degree if config.degree else (3 if L.dim <= 3 else 2)
+    d = _degree(config, 3 if L.dim <= 3 else 2, 1)
     entries = polyfield.invariant_bivector_scan(L, d)
     f0 = None
     if series == "A" and rank >= 2:
@@ -602,7 +611,7 @@ def _suite_rmatrix(series, rank, config):
 
 def _suite_pbw(series, rank, config):
     L = _classical(series, rank)
-    d = config.degree or (4 if L.dim <= 3 else 3)
+    d = _degree(config, 4 if L.dim <= 3 else 3, 1)
     res = quantize.pbw_flatness(L, d, seed=config.seed)
     bad = quantize.jacobi_fault_algebra(L)
     fault_res = quantize.pbw_flatness(bad, min(d, 3), seed=config.seed)
@@ -624,17 +633,15 @@ def _suite_star_first_order(series, rank, config):
     if series != "A" or rank < 2:
         raise UsageError("the star-product suite needs type A of rank >= 2")
     L = _classical(series, rank)
-    d = config.degree or 3
+    d = _degree(config, 3, 2)
     ct = liealg.canonical_tensors(L)
     cal = polyfield.calibrate_scale(L)
     if cal.lam is None:
         raise UsageError("calibration scale is not rational; graded checks only")
     f = cal.f0.scale(cal.lam)
-    trunc = quantize.TruncatedPolynomialAlgebra(L, d)
-    m1 = quantize.standard_first_order_product(trunc, f, ct.r_sd)
+    m1 = quantize.standard_first_order_product(f, ct.r_sd)
     rm = polyfield.rmatrix_bracket(ct.r_sd)
-    bad = quantize.FirstOrderProduct(trunc, f.add(rm).scale(Fraction(1, 2)), "(1/2)(f + r_M)")
-    trunc5 = quantize.TruncatedPolynomialAlgebra(L, 5)
+    bad = quantize.FirstOrderProduct(f.add(rm).scale(Fraction(1, 2)), "(1/2)(f + r_M)")
 
     def proj1(p):
         return {e: c for e, c in p.items() if sum(e) == 1}
@@ -643,28 +650,26 @@ def _suite_star_first_order(series, rank, config):
         return {k: res.witness[k] for k in ("x", "a", "b")} if res.witness else None
 
     def run_invariance():
-        res = quantize.first_order_invariance_check(m1, ct.r_sd)
+        res = quantize.first_order_invariance_check(m1, ct.r_sd, d)
         return res.passed, res.details if res.passed else failing_triple(res)
 
     def run_fault():
-        res = quantize.first_order_invariance_check(bad, ct.r_sd)
+        res = quantize.first_order_invariance_check(bad, ct.r_sd, d)
         return not res.passed, failing_triple(res)
 
     def run_hoch():
         # a degree-4 window exercises mixed-degree triples
-        trunc4 = quantize.TruncatedPolynomialAlgebra(L, 4)
-        m1_4 = quantize.standard_first_order_product(trunc4, f, ct.r_sd)
-        res = quantize.hochschild_cocycle_check(trunc4, m1_4)
+        res = quantize.hochschild_cocycle_check(L, 4, m1)
         return res.passed, res.details
 
     def run_hoch_fault():
         res = quantize.hochschild_cocycle_check(
-            trunc5, lambda a, b: trunc5.multiply(proj1(a), proj1(b))
+            L, 5, lambda a, b: termops.pmul(proj1(a), proj1(b))
         )
         return not res.passed, None
 
     def run_twist():
-        return quantize.twist_correspondence_check(trunc, ct.r_sd).passed, None
+        return quantize.twist_correspondence_check(L, d, ct.r_sd).passed, None
 
     return [
         _record(

@@ -41,7 +41,8 @@ such a derivation (its Hamiltonian field), so a row of brackets
 ``apply_derivation`` per ``g``.  Vector fields are stored the same way,
 as coordinate images; ``vector_terms`` turns them into the term dicts
 that ``sn_bracket`` and ``wedge_push`` take.  ``kveval`` and
-``bivector_eval`` are reference evaluators for tests and tracing only.
+``bivector_eval`` are reference evaluators for tests and tracing only;
+so is ``ptruncate``, since no kernel truncates by degree.
 
 Kernels call one another through this module's globals, so a wrapper
 set on a module attribute sees every call, from inside or outside.
@@ -138,18 +139,14 @@ def unit_exp(nvars, i):
     return tuple(e)
 
 
-def pmul(a, b, maxdeg=-1):
-    """Product of two polynomials, optionally truncated above ``maxdeg``."""
+def pmul(a, b):
+    """Product of two polynomials."""
     if not a or not b:
         return {}
     out = {}
     bitems = list(b.items())
     for ka, ca in a.items():
-        if maxdeg >= 0:
-            da = sum(ka)
         for kb, cb in bitems:
-            if maxdeg >= 0 and da + sum(kb) > maxdeg:
-                continue
             k = tuple(x + y for x, y in zip(ka, kb))
             c = ca * cb
             s = out.get(k)
@@ -173,23 +170,22 @@ def pderive(a, i):
     return {k[:i] + (k[i] - 1,) + k[i + 1 :]: c * k[i] for k, c in a.items() if k[i]}
 
 
-def ptruncate(a, maxdeg):
-    """Drop monomials of total degree above ``maxdeg``."""
-    return {k: c for k, c in a.items() if sum(k) <= maxdeg}
+def ptruncate(a, degree):
+    """Drop monomials of total degree above ``degree``."""
+    return {k: c for k, c in a.items() if sum(k) <= degree}
 
 
-def apply_derivation(images, p, maxdeg=-1):
+def apply_derivation(images, p):
     """Derivation given by its coordinate images, applied to a polynomial.
 
     ``images`` maps a coordinate index ``v`` to the image of ``y_v``; the
-    result is ``sum_v dp/dv * images[v]``, truncated above ``maxdeg``
-    when it is non-negative.
+    result is ``sum_v dp/dv * images[v]``.
     """
     out = {}
     for v, img in images.items():
         dv = pderive(p, v)
         if dv:
-            piadd(out, pmul(dv, img, maxdeg), _ONE)
+            piadd(out, pmul(dv, img), _ONE)
     return out
 
 
@@ -467,12 +463,12 @@ def bivector_table(terms):
     return table
 
 
-def bivector_eval(terms, f, g, maxdeg=-1):
+def bivector_eval(terms, f, g):
     """Bracket of two polynomials under a bivector term dict."""
-    return table_bracket(bivector_table(terms), f, g, maxdeg)
+    return table_bracket(bivector_table(terms), f, g)
 
 
-def table_bracket(table, p, q, maxdeg=-1):
+def table_bracket(table, p, q):
     """Bracket of two polynomials from a generator table.
 
     ``table`` maps ordered coordinate pairs ``(u, v)`` to polynomial
@@ -494,10 +490,7 @@ def table_bracket(table, p, q, maxdeg=-1):
         dv = dq[v]
         if not dv:
             continue
-        prod = pmul(du, dv, maxdeg)
-        if not prod:
-            continue
-        for k, c in pmul(prod, val, maxdeg).items():
+        for k, c in pmul(pmul(du, dv), val).items():
             s = out.get(k)
             if s is None:
                 out[k] = c

@@ -131,6 +131,42 @@ def test_resource_cap_exit_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a degree of 0 once counted as unset, so the suite ran at its default
+        ("star-first-order", "--algebra", "A2", "--degree", "0"),
+        # no pair of non-constant monomials has a quadratic bracket of degree 1
+        ("star-first-order", "--algebra", "A2", "--degree", "1"),
+        ("pbw", "--algebra", "A1", "--degree", "0"),
+        ("pbw", "--algebra", "A1", "--degree", "-1"),
+        ("conjecture-scan", "--algebra", "A1", "--degree", "0"),
+        ("conjecture-scan", "--algebra", "A1", "--degree", "-1"),
+    ],
+)
+def test_degree_below_the_suite_minimum_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "below this suite's minimum" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("star-first-order", "--algebra", "A2", "--degree", "2"),
+        ("pbw", "--algebra", "A1", "--degree", "1"),
+        ("conjecture-scan", "--algebra", "A1", "--degree", "1"),
+    ],
+)
+def test_degree_at_the_suite_minimum_runs(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["config"]["degree"] == int(argv[-1])
+    assert payload["aggregate"] == "pass"
+
+
 def test_conjecture_scan_past_exponent_fifteen(capsys):
     # on sl2 the invariant bivectors of degree k are the Casimir powers
     # times the linear bracket, so the space has dimension 1 for odd k

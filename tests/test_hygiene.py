@@ -81,9 +81,8 @@ def test_no_imports_inside_functions():
 
 
 # defaulted parameters kept although no call in the package passes them:
-# the entry point's argv, and the truncation degree of the reference
-# evaluator that the law tests and the benchmark tracer call
-UNSET_ALLOWED = {("cli.py", "main", "argv"), ("termops.py", "bivector_eval", "maxdeg")}
+# the entry point's argv
+UNSET_ALLOWED = {("cli.py", "main", "argv")}
 
 
 def _called_name(func):
@@ -228,9 +227,12 @@ def test_scan_flags_an_unread_definition():
     ]
 
 
-# reference evaluators and the backend listing, kept for the benchmark
-# (perfbench/tracer.py and the probe in perfbench/run.py read them)
-UNREAD_ALLOWED = ["termops.backends", "termops.kveval", "termops.bivector_eval"]
+# reference evaluators, the truncation reference and the backend listing,
+# kept for the benchmark (perfbench/tracer.py and the probe in
+# perfbench/run.py read them)
+UNREAD_ALLOWED = [
+    "termops.backends", "termops.kveval", "termops.bivector_eval", "termops.ptruncate",
+]
 
 
 def test_every_definition_is_read_somewhere():

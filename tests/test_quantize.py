@@ -23,8 +23,12 @@ def sl3_product(sl3):
     ct = liealg.canonical_tensors(sl3)
     cal = polyfield.calibrate_scale(sl3)
     f = cal.f0.scale(cal.lam)
-    trunc = quantize.TruncatedPolynomialAlgebra(sl3, 3)
-    return trunc, f, ct
+    return sl3, f, ct
+
+
+def monomials_upto(L, d):
+    """Every monomial of degree at most d, degree by degree."""
+    return [e for k in range(d + 1) for e in polyfield.monomials(L.dim, k)]
 
 
 # ---------------------------------------------------------------------------
@@ -32,18 +36,20 @@ def sl3_product(sl3):
 
 
 def test_invariance_standard_product(sl3_product):
-    trunc, f, ct = sl3_product
-    m1 = quantize.standard_first_order_product(trunc, f, ct.r_sd)
-    res = quantize.first_order_invariance_check(m1, ct.r_sd)
+    L, f, ct = sl3_product
+    m1 = quantize.standard_first_order_product(f, ct.r_sd)
+    res = quantize.first_order_invariance_check(m1, ct.r_sd, 3)
     assert res.passed
-    assert res.details["degree"] == 3
+    # pairs counts every pair up to the degree, those the scan skips too
+    pairs = len(monomials_upto(L, 3)) ** 2
+    assert res.details == {"product": "(1/2)(f - r_M)", "degree": 3, "pairs": pairs}
 
 
 def test_invariance_fault_sign_flip(sl3_product):
-    trunc, f, ct = sl3_product
+    _, f, ct = sl3_product
     rm = polyfield.rmatrix_bracket(ct.r_sd)
-    bad = quantize.FirstOrderProduct(trunc, f.add(rm).scale(F(1, 2)), "(1/2)(f + r_M)")
-    res = quantize.first_order_invariance_check(bad, ct.r_sd)
+    bad = quantize.FirstOrderProduct(f.add(rm).scale(F(1, 2)), "(1/2)(f + r_M)")
+    res = quantize.first_order_invariance_check(bad, ct.r_sd, 3)
     assert not res.passed
     assert res.witness["lhs"] != res.witness["rhs"]
     # the defect the scan found equals the two-sided difference it reports
@@ -53,12 +59,13 @@ def test_invariance_fault_sign_flip(sl3_product):
 
 
 def test_invariance_fault_witness_matches_pairwise_scan(sl3_product):
-    # reference: the defect bivector of each x evaluated pair by pair
-    trunc, f, ct = sl3_product
+    # reference: the defect bivector of each x evaluated on every pair of
+    # monomials up to the degree, truncated above it
+    L, f, ct = sl3_product
     rm = polyfield.rmatrix_bracket(ct.r_sd)
-    bad = quantize.FirstOrderProduct(trunc, f.add(rm).scale(F(1, 2)), "(1/2)(f + r_M)")
-    L, d = trunc.algebra, trunc.max_degree
-    monos = trunc.monomials_upto()
+    bad = quantize.FirstOrderProduct(f.add(rm).scale(F(1, 2)), "(1/2)(f + r_M)")
+    d = 3
+    monos = monomials_upto(L, d)
 
     def first_failure():
         for x in range(L.dim):
@@ -67,21 +74,28 @@ def test_invariance_fault_witness_matches_pairwise_scan(sl3_product):
             ).sub(polyfield.action_field(multivec.cobracket(ct.r_sd, x)).scale(F(1, 2)))
             for a in monos:
                 for b in monos:
-                    if defect.bracket({a: F(1)}, {b: F(1)}, d):
+                    if termops.ptruncate(defect.bracket({a: F(1)}, {b: F(1)}), d):
                         return L.names[x], a, b
 
-    res = quantize.first_order_invariance_check(bad, ct.r_sd)
+    res = quantize.first_order_invariance_check(bad, ct.r_sd, d)
     assert (res.witness["x"], res.witness["a"], res.witness["b"]) == first_failure()
 
 
 def test_invariance_plain_invariant_bivector(sl3):
     # with no twist the condition is ordinary invariance of the bivector
-    trunc = quantize.TruncatedPolynomialAlgebra(sl3, 2)
     zero_r = multivec.MultiTensor.zero(sl3, 2, "alternating")
-    m1 = quantize.FirstOrderProduct(
-        trunc, polyfield.kirillov_bracket(sl3).scale(F(1, 2)), "(1/2)s"
-    )
-    assert quantize.first_order_invariance_check(m1, zero_r).passed
+    f0 = polyfield.calibrate_scale(sl3).f0
+    m1 = quantize.FirstOrderProduct(f0.scale(F(1, 2)), "(1/2)f0")
+    assert quantize.first_order_invariance_check(m1, zero_r, 2).passed
+
+
+def test_first_order_products_need_quadratic_coefficients(sl3):
+    # a linear bracket lowers degree, so no degree bound truncates it
+    s = polyfield.kirillov_bracket(sl3)
+    f0 = polyfield.calibrate_scale(sl3).f0
+    for field_ in (s, s.add(f0)):
+        with pytest.raises(ValueError):
+            quantize.FirstOrderProduct(field_, "mixed")
 
 
 # ---------------------------------------------------------------------------
@@ -89,48 +103,44 @@ def test_invariance_plain_invariant_bivector(sl3):
 
 
 def test_hochschild_bivector_products_pass(sl3_product):
-    trunc, f, ct = sl3_product
-    m1 = quantize.standard_first_order_product(trunc, f, ct.r_sd)
-    assert quantize.hochschild_cocycle_check(trunc, m1).passed
-    assert quantize.hochschild_cocycle_check(trunc, lambda a, b: {}).passed
+    L, f, ct = sl3_product
+    m1 = quantize.standard_first_order_product(f, ct.r_sd)
+    assert quantize.hochschild_cocycle_check(L, 3, m1).passed
+    assert quantize.hochschild_cocycle_check(L, 3, lambda a, b: {}).passed
 
 
 def test_hochschild_euler_cup_product_is_a_cocycle(sl2):
     # the bilinear map (a, b) -> deg(a) deg(b) ab has vanishing coboundary
-    trunc = quantize.TruncatedPolynomialAlgebra(sl2, 4)
-
     def cup(a, b):
         out = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
                 mono = tuple(x + y for x, y in zip(ea, eb))
-                if sum(mono) <= trunc.max_degree:
-                    termops.piadd(out, {mono: F(1)}, ca * cb * sum(ea) * sum(eb))
+                termops.piadd(out, {mono: F(1)}, ca * cb * sum(ea) * sum(eb))
         return out
 
-    assert quantize.hochschild_cocycle_check(trunc, cup).passed
+    assert quantize.hochschild_cocycle_check(sl2, 4, cup).passed
 
 
-def hochschild_triples(trunc):
+def hochschild_triples(L, d):
     """Monomial triples of the cocycle scan, in scan order."""
-    d = trunc.max_degree
     for da in range(1, d - 1):
         for db in range(1, d - da):
             for dc in range(1, d - da - db + 1):
-                for ea in trunc.monomials(da):
-                    for eb in trunc.monomials(db):
-                        for ec in trunc.monomials(dc):
+                for ea in polyfield.monomials(L.dim, da):
+                    for eb in polyfield.monomials(L.dim, db):
+                        for ec in polyfield.monomials(L.dim, dc):
                             yield ea, eb, ec
 
 
-def pairwise_hochschild_witness(trunc, m1):
+def pairwise_hochschild_witness(L, d, m1):
     """Reference: the coboundary of every triple, evaluated from scratch."""
-    for ea, eb, ec in hochschild_triples(trunc):
+    for ea, eb, ec in hochschild_triples(L, d):
         pa, pb, pc = {ea: F(1)}, {eb: F(1)}, {ec: F(1)}
-        defect = trunc.multiply(pa, m1(pb, pc))
-        termops.piadd(defect, m1(trunc.multiply(pa, pb), pc), F(-1))
-        termops.piadd(defect, m1(pa, trunc.multiply(pb, pc)), F(1))
-        termops.piadd(defect, trunc.multiply(m1(pa, pb), pc), F(-1))
+        defect = termops.pmul(pa, m1(pb, pc))
+        termops.piadd(defect, m1(termops.pmul(pa, pb), pc), F(-1))
+        termops.piadd(defect, m1(pa, termops.pmul(pb, pc)), F(1))
+        termops.piadd(defect, termops.pmul(m1(pa, pb), pc), F(-1))
         if defect:
             return {"a": ea, "b": eb, "c": ec, "defect": defect}
     return None
@@ -139,24 +149,21 @@ def pairwise_hochschild_witness(trunc, m1):
 def test_hochschild_genuine_fault_fails(sl2):
     # projecting both slots to their linear parts is bilinear but has a
     # coboundary defect at mixed degrees
-    trunc = quantize.TruncatedPolynomialAlgebra(sl2, 5)
-
     def proj1(p):
         return {e: c for e, c in p.items() if sum(e) == 1}
 
     def fault(a, b):
-        return trunc.multiply(proj1(a), proj1(b))
+        return termops.pmul(proj1(a), proj1(b))
 
-    res = quantize.hochschild_cocycle_check(trunc, fault)
+    res = quantize.hochschild_cocycle_check(sl2, 5, fault)
     assert not res.passed
     assert res.witness["defect"]
-    assert res.witness == pairwise_hochschild_witness(trunc, fault)
+    assert res.witness == pairwise_hochschild_witness(sl2, 5, fault)
 
 
 def test_hochschild_evaluates_each_monomial_pair_once(sl3_product):
-    _, f, ct = sl3_product
-    trunc = quantize.TruncatedPolynomialAlgebra(f.algebra, 4)
-    m1 = quantize.standard_first_order_product(trunc, f, ct.r_sd)
+    L, f, ct = sl3_product
+    m1 = quantize.standard_first_order_product(f, ct.r_sd)
     calls = []
 
     def counted(a, b):
@@ -167,9 +174,9 @@ def test_hochschild_evaluates_each_monomial_pair_once(sl3_product):
         return tuple(i + j for i, j in zip(x, y))
 
     pairs = set()
-    for ea, eb, ec in hochschild_triples(trunc):
+    for ea, eb, ec in hochschild_triples(L, 4):
         pairs.update({(ea, eb), (eb, ec), (times(ea, eb), ec), (ea, times(eb, ec))})
-    res = quantize.hochschild_cocycle_check(trunc, counted)
+    res = quantize.hochschild_cocycle_check(L, 4, counted)
     assert res.passed
     assert res.details["monomial_triples"] == 7424
     assert len(calls) == len(set(calls)) == len(pairs)
@@ -182,13 +189,13 @@ def test_hochschild_evaluates_each_monomial_pair_once(sl3_product):
 
 
 def test_twist_correspondence(sl3_product):
-    trunc, _, ct = sl3_product
-    assert quantize.twist_correspondence_check(trunc, ct.r_sd).passed
+    L, _, ct = sl3_product
+    assert quantize.twist_correspondence_check(L, 3, ct.r_sd).passed
 
 
 def test_twist_fault_witness_matches_pairwise_scan(sl3_product, monkeypatch):
-    trunc, _, ct = sl3_product
-    L, d = trunc.algebra, trunc.max_degree
+    L, _, ct = sl3_product
+    d = 3
     rmatrix_bracket = polyfield.rmatrix_bracket
 
     def corrupted(r):
@@ -199,12 +206,13 @@ def test_twist_fault_witness_matches_pairwise_scan(sl3_product, monkeypatch):
         return polyfield.PolyVectorField(rm.algebra, rm.degree, terms)
 
     monkeypatch.setattr(polyfield, "rmatrix_bracket", corrupted)
-    res = quantize.twist_correspondence_check(trunc, ct.r_sd)
+    res = quantize.twist_correspondence_check(L, d, ct.r_sd)
     assert not res.passed
 
-    # reference: both routes evaluated from scratch on each pair in turn
+    # reference: both routes evaluated from scratch on every pair of
+    # monomials up to the degree, truncated above it
     rm = corrupted(ct.r_sd)
-    monos = trunc.monomials_upto()
+    monos = monomials_upto(L, d)
 
     def X(leg, e):
         return termops.kveval(polyfield.coadjoint_field(L, leg).terms, [{e: F(1)}])
@@ -214,9 +222,10 @@ def test_twist_fault_witness_matches_pairwise_scan(sl3_product, monkeypatch):
             for eb in monos:
                 composed = {}
                 for (u, v), c in ct.r_sd.plain_items():
-                    termops.piadd(composed, termops.pmul(X(u, ea), X(v, eb), d), c / 2)
-                    termops.piadd(composed, termops.pmul(X(u, eb), X(v, ea), d), -c / 2)
-                field = rm.bracket({ea: F(1)}, {eb: F(1)}, d)
+                    termops.piadd(composed, termops.pmul(X(u, ea), X(v, eb)), c / 2)
+                    termops.piadd(composed, termops.pmul(X(u, eb), X(v, ea)), -c / 2)
+                composed = termops.ptruncate(composed, d)
+                field = termops.ptruncate(rm.bracket({ea: F(1)}, {eb: F(1)}), d)
                 if composed != field:
                     return {"a": ea, "b": eb, "composed": composed, "field": field}
 

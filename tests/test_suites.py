@@ -135,9 +135,9 @@ def test_deformed_invariance_failure_reports_the_failing_triple(monkeypatch):
     standard = quantize.standard_first_order_product
     built = []
 
-    def doubled(trunc, f_field, r_tensor):
-        m1 = standard(trunc, f_field, r_tensor)
-        built.append(quantize.FirstOrderProduct(trunc, m1.bivector.scale(2), "doubled"))
+    def doubled(f_field, r_tensor):
+        m1 = standard(f_field, r_tensor)
+        built.append(quantize.FirstOrderProduct(m1.bivector.scale(2), "doubled"))
         return built[-1]
 
     monkeypatch.setattr(quantize, "standard_first_order_product", doubled)
@@ -147,7 +147,7 @@ def test_deformed_invariance_failure_reports_the_failing_triple(monkeypatch):
     check = next(c for c in report.checks if c.id == "deformed-invariance")
     assert check.status == "fail"
     L = liealg.algebra("A", 2)
-    res = quantize.first_order_invariance_check(built[0], liealg.canonical_tensors(L).r_sd)
+    res = quantize.first_order_invariance_check(built[0], liealg.canonical_tensors(L).r_sd, 2)
     assert not res.passed
     assert check.witness == suites.jsonable({k: res.witness[k] for k in ("x", "a", "b")})
 

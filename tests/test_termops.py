@@ -106,7 +106,6 @@ def test_poly_basics():
     assert termops.padd(a, b) == {(0, 1): F(3)}
     assert termops.pscale(b, F(0)) == {}
     assert termops.pmul(a, b) == {(1, 1): F(6), (2, 0): F(-4)}
-    assert termops.pmul(a, b, maxdeg=1) == {}
     assert termops.pderive({(2, 1): F(1)}, 0) == {(1, 1): F(2)}
     assert termops.ptruncate({(2, 1): F(1), (1, 0): F(2)}, 1) == {(1, 0): F(2)}
     assert termops.unit_exp(4, 2) == (0, 0, 1, 0)
@@ -231,7 +230,6 @@ ascending_pairs = st.sampled_from(list(itertools.combinations(range(NVARS), 2)))
 bivectors = st.dictionaries(st.tuples(exponents, ascending_pairs), coeffs, max_size=4)
 ordered_pairs = st.tuples(st.integers(0, NVARS - 1), st.integers(0, NVARS - 1))
 tables = st.dictionaries(ordered_pairs, polys.filter(bool), max_size=5)
-degrees = st.integers(0, 5)
 
 
 def neg(p):
@@ -242,18 +240,6 @@ def neg(p):
 @given(bivectors, polys, polys)
 def test_bivector_eval_is_the_two_by_two_determinant(biv, f, g):
     assert termops.bivector_eval(biv, f, g) == termops.kveval(biv, [f, g])
-
-
-@LAWS
-@given(bivectors, tables, polys, polys, degrees)
-def test_maxdeg_is_truncation_of_the_full_bracket(biv, table, f, g, m):
-    assert termops.bivector_eval(biv, f, g, m) == termops.ptruncate(
-        termops.bivector_eval(biv, f, g), m
-    )
-    assert termops.table_bracket(table, f, g, m) == termops.ptruncate(
-        termops.table_bracket(table, f, g), m
-    )
-    assert termops.pmul(f, g, m) == termops.ptruncate(termops.pmul(f, g), m)
 
 
 @LAWS
@@ -280,13 +266,12 @@ def test_antisymmetric_table_gives_antisymmetric_bracket(half, f, g):
 
 
 @LAWS
-@given(bivectors, polys, polys, degrees)
-def test_field_bracket_matches_bivector_eval(biv, f, g, m):
+@given(bivectors, polys, polys)
+def test_field_bracket_matches_bivector_eval(biv, f, g):
     field = polyfield.PolyVectorField(SL2, 2, biv)
-    # the second and third calls reuse the table built by the first
+    # the second call reuses the table built by the first
     assert field.bracket(f, g) == termops.bivector_eval(biv, f, g)
     assert field.bracket(g, f) == termops.bivector_eval(biv, g, f)
-    assert field.bracket(f, g, m) == termops.bivector_eval(biv, f, g, m)
 
 
 def multivectors(k):
@@ -446,31 +431,27 @@ def test_one_resource_limit_class():
     assert polyfield.ResourceLimitError is termops.ResourceLimitError
 
 
-# no cap (-1) or a cap from 0 to 5
-caps = st.one_of(st.just(-1), degrees)
 images = st.dictionaries(st.integers(0, NVARS - 1), polys.filter(bool), max_size=NVARS)
 
 
 @LAWS
-@given(images, polys, caps)
-def test_apply_derivation_is_the_sum_of_partials_times_images(imgs, p, m):
+@given(images, polys)
+def test_apply_derivation_is_the_sum_of_partials_times_images(imgs, p):
     reference = {}
     for v, img in imgs.items():
         reference = termops.padd(reference, termops.pmul(termops.pderive(p, v), img))
-    if m >= 0:
-        reference = termops.ptruncate(reference, m)
-    assert termops.apply_derivation(imgs, p, m) == reference
+    assert termops.apply_derivation(imgs, p) == reference
 
 
 @LAWS
-@given(bivectors, polys, polys, caps)
-def test_hamiltonian_row_reproduces_the_bracket(biv, p, q, m):
+@given(bivectors, polys, polys)
+def test_hamiltonian_row_reproduces_the_bracket(biv, p, q):
     # the table of a bivector term dict is antisymmetric; coefficients
     # carry denominators 1 to 4
     field = polyfield.PolyVectorField(SL2, 2, biv)
-    row = field.hamiltonian(p, m)
+    row = field.hamiltonian(p)
     assert all(row.values())
-    assert termops.apply_derivation(row, q, m) == field.bracket(p, q, m)
+    assert termops.apply_derivation(row, q) == field.bracket(p, q)
 
 
 def algebra_polys(L):
