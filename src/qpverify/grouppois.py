@@ -145,7 +145,7 @@ def build_ad_bracket(L):
     if L.matrices is None:
         raise RealizationMismatch("algebra carries no matrix realization")
     t = liealg.canonical_tensors(L).t
-    return _pushed_bivector(L, {((a, "left"), (b, "right")): c for (a, b), c in t.plain_items()})
+    return _pushed_bivector(L, {((a, "left"), (b, "right")): c for (a, b), c in t.terms.items()})
 
 
 def _by_derivations(terms):

@@ -188,15 +188,6 @@ class LieAlgebra:
         """Structure constants of [b_i, b_j] as a sparse coefficient dict."""
         return self.struct.get((i, j), {})
 
-    def bracket_elems(self, u, v):
-        out = {}
-        for i, ci in u.items():
-            for j, cj in v.items():
-                row = self.struct.get((i, j))
-                if row:
-                    termops.piadd(out, row, ci * cj)
-        return out
-
     def ad_matrix(self, i):
         return _ad_matrix(self.struct, i)
 
@@ -291,21 +282,17 @@ class CanonicalTensors:
 def canonical_tensors(L):
     """Invariant 2-tensor, standard r-matrix and its Schouten square.
 
-    ``t`` is the inverse Killing tensor; ``r_sd`` sums ``X_b ^ X_-b`` over
-    the positive roots with the lowering vectors rescaled so that the
+    ``t`` is the inverse Killing tensor, stored plain with both orders
+    ``(i, j)`` and ``(j, i)`` of each entry; ``r_sd`` sums ``X_b ^ X_-b``
+    over the positive roots with the lowering vectors rescaled so that the
     Killing pairing of each pair is 1; ``phi = [[r_sd, r_sd]]``.
     """
     if ("canonical tensors",) in L.memo:
         return L.memo[("canonical tensors",)]
     if L.killing_inv is None:
         raise SingularKillingError("Killing form is singular")
-    t_terms = {}
-    for i in range(L.dim):
-        for j in range(i, L.dim):
-            v = L.killing_inv[i][j]
-            if v:
-                t_terms[(i, j)] = v
-    t = multivec.MultiTensor(L, 2, t_terms, "symmetric")
+    t_terms = {(i, j): v for i, row in enumerate(L.killing_inv) for j, v in enumerate(row)}
+    t = multivec.MultiTensor(L, 2, t_terms, "plain")
 
     r_terms = {}
     for beta in L.positive_roots:

@@ -16,52 +16,65 @@ def identity_rows(n):
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
-def rref(rows):
-    """Reduced row echelon form (in place on a copy).
+def _eliminate(rows):
+    """Gaussian elimination of sparse rows (column -> value dicts).
 
-    Returns ``(reduced_rows, pivot_columns)``.
+    Rows are taken sparsest first, for fill-in control; each pivot is the
+    least column of a reduced row.  Returns ``{pivot column: row}``, every
+    row 1 at its pivot and 0 at the other pivots: the reduced row echelon
+    form, which the row space fixes.
     """
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                pivot = i
-                break
-        if pivot is None:
+    pivot_of = {}
+    for row in sorted((dict(r) for r in rows if r), key=lambda r: (len(r), min(r))):
+        # a pivot row is 0 at every other pivot, so one pass reduces
+        for c in [c for c in row if c in pivot_of]:
+            termops.piadd(row, pivot_of[c], -row[c])
+        if not row:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = ONE / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+        c0 = min(row)
+        row = termops.pscale(row, ONE / row[c0])
+        for piv in pivot_of.values():
+            f = piv.get(c0)
+            if f:
+                termops.piadd(piv, row, -f)
+        pivot_of[c0] = row
+    return pivot_of
+
+
+def _sparse_rows(rows):
+    return [{c: v for c, v in enumerate(r) if v} for r in rows]
+
+
+def _kernel_basis(pivot_of, ncols):
+    """Right-kernel basis of an eliminated system, one vector per free column."""
+    basis = []
+    for fc in range(ncols):
+        if fc in pivot_of:
+            continue
+        v = [ZERO] * ncols
+        v[fc] = ONE
+        for pc, piv in pivot_of.items():
+            coef = piv.get(fc)
+            if coef:
+                v[pc] = -coef
+        basis.append(v)
+    return basis
+
+
+def rref(rows):
+    """Reduced row echelon form of dense rows.
+
+    Returns ``(reduced_rows, pivot_columns)``, pivots ascending.
+    """
+    ncols = len(rows[0]) if rows else 0
+    pivot_of = _eliminate(_sparse_rows(rows))
+    pivots = sorted(pivot_of)
+    return [[pivot_of[p].get(c, ZERO) for c in range(ncols)] for p in pivots], pivots
 
 
 def nullspace_dense(rows, ncols):
     """Basis of the right kernel of a dense row list."""
-    red, pivots = rref(rows)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for fc in free:
-        v = [ZERO] * ncols
-        v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
+    return _kernel_basis(_eliminate(_sparse_rows(rows)), ncols)
 
 
 def solve_dense(rows, rhs):
@@ -93,49 +106,10 @@ def invert_dense(rows):
 def nullspace_sparse(rows, ncols):
     """Basis of the right kernel of sparse rows (column -> value dicts).
 
-    Gaussian elimination with pivots chosen by (row sparsity, column
-    index); suited to the invariance constraint systems, which are very
-    sparse.  Returns dense basis vectors.
+    Suited to the invariance constraint systems, which are very sparse.
+    Returns dense basis vectors.
     """
-    work = [dict(r) for r in rows if r]
-    pivot_of = {}  # column -> eliminated row (dict, normalized)
-    # Eliminate rows one at a time, sparsest first for fill-in control.
-    work.sort(key=lambda r: (len(r), min(r)))
-    queue = list(work)
-    while queue:
-        row = queue.pop(0)
-        # reduce against existing pivots
-        changed = True
-        while changed:
-            changed = False
-            for c in sorted(row):
-                piv = pivot_of.get(c)
-                if piv is not None:
-                    termops.piadd(row, piv, -row[c])
-                    changed = True
-                    break
-        if not row:
-            continue
-        c0 = min(row)
-        inv = ONE / row[c0]
-        row = {c: v * inv for c, v in row.items()}
-        # back-substitute into previous pivots
-        for pc, piv in pivot_of.items():
-            f = piv.get(c0)
-            if f:
-                termops.piadd(piv, row, -f)
-        pivot_of[c0] = row
-    free = [c for c in range(ncols) if c not in pivot_of]
-    basis = []
-    for fc in free:
-        v = [ZERO] * ncols
-        v[fc] = ONE
-        for pc, piv in pivot_of.items():
-            coef = piv.get(fc)
-            if coef:
-                v[pc] = -coef
-        basis.append(v)
-    return basis
+    return _kernel_basis(_eliminate(rows), ncols)
 
 
 class RowBasis:

@@ -1,10 +1,11 @@
 """Sparse exact tensor algebra over a Lie algebra.
 
 Tensors live in the k-fold tensor power of the algebra and are stored as
-sparse maps from basis-index tuples to rationals.  Alternating and
-symmetric tensors are kept in canonical form: one representative key per
-index orbit (strictly or weakly ascending), expanded on demand.  The
-wedge embedding carries no prefactor, ``x ^ y = x (x) y - y (x) x``.
+sparse maps from basis-index tuples to rationals.  A plain tensor stores
+every key; an alternating one stores one strictly ascending key per index
+orbit and is expanded only on demand.  The wedge embedding carries no
+prefactor, ``x ^ y = x (x) y - y (x) x``.  The adjoint action works on
+the stored keys of either class.
 """
 
 import itertools
@@ -12,9 +13,7 @@ from fractions import Fraction
 
 from . import termops
 
-ONE = Fraction(1)
-
-SYMMETRIES = ("plain", "alternating", "symmetric")
+SYMMETRIES = ("plain", "alternating")
 
 # cyb(r) equals this multiple of the Schouten square [[r, r]]; fixed once
 # from the rank-1 computation and enforced for every algebra (regression
@@ -55,61 +54,15 @@ class MultiTensor:
     def zero(cls, algebra, degree, symmetry="plain"):
         return cls(algebra, degree, {}, symmetry)
 
-    @classmethod
-    def from_plain(cls, algebra, degree, plain, symmetry="plain"):
-        """Canonicalize a plain coefficient dict into the given symmetry class.
-
-        For alternating/symmetric input the plain coefficients must actually
-        have the claimed symmetry; inconsistent input raises.
-        """
-        if symmetry == "plain":
-            return cls(algebra, degree, plain, "plain")
-        canon = {}
-        seen = {}
-        for key, c in plain.items():
-            if symmetry == "alternating":
-                sign, skey = _sort_sign(key)
-                if sign == 0:
-                    if c:
-                        raise ValueError("repeated index with nonzero alternating coefficient")
-                    continue
-                val = c if sign > 0 else -c
-            else:
-                skey = tuple(sorted(key))
-                val = c
-            if skey in seen:
-                if seen[skey] != val:
-                    raise ValueError(f"coefficients not {symmetry} at {skey}")
-            else:
-                seen[skey] = val
-                if val:
-                    canon[skey] = val
-        # verify the full orbit was supplied consistently
-        for skey, val in seen.items():
-            for perm in itertools.permutations(skey):
-                got = plain.get(perm, Fraction(0))
-                if symmetry == "alternating":
-                    sign, _ = _sort_sign(perm)
-                    want = val * sign
-                else:
-                    want = val
-                if got != want:
-                    raise ValueError(f"coefficients not {symmetry} at {perm}")
-        return cls(algebra, degree, canon, symmetry)
-
     def plain_items(self):
         """Iterate ``(index-tuple, coefficient)`` over the full expansion."""
         if self.symmetry == "plain":
             yield from self.terms.items()
-        elif self.symmetry == "alternating":
-            for key, c in self.terms.items():
-                for perm in itertools.permutations(key):
-                    sign, _ = _sort_sign(perm)
-                    yield perm, (c if sign > 0 else -c)
-        else:
-            for key, c in self.terms.items():
-                for perm in set(itertools.permutations(key)):
-                    yield perm, c
+            return
+        for key, c in self.terms.items():
+            for perm in itertools.permutations(key):
+                sign, _ = _sort_sign(perm)
+                yield perm, (c if sign > 0 else -c)
 
     def plain_dict(self):
         return dict(self.plain_items())
@@ -153,18 +106,24 @@ class MultiTensor:
 
 
 def ad_action(x, tensor):
-    """Diagonal adjoint action of ``x`` (basis index or element dict)."""
+    """Diagonal adjoint action of the basis element ``x``, leg by leg.
+
+    It acts on the stored keys: an alternating image is re-sorted with its
+    sign and dropped when an index repeats, a plain image is kept as it is.
+    """
     alg = tensor.algebra
-    if isinstance(x, int):
-        x = {x: ONE}
-    plain = {}
-    for key, c in tensor.plain_items():
-        for leg in range(tensor.degree):
-            for m, cm in alg.bracket_elems(x, {key[leg]: ONE}).items():
-                termops.siadd(plain, key[:leg] + (m,) + key[leg + 1 :], c * cm)
-    if tensor.symmetry == "plain":
-        return MultiTensor(alg, tensor.degree, plain, "plain")
-    return MultiTensor.from_plain(alg, tensor.degree, plain, tensor.symmetry)
+    alternating = tensor.symmetry == "alternating"
+    out = {}
+    for key, c in tensor.terms.items():
+        for leg, i in enumerate(key):
+            for m, cm in alg.bracket(x, i).items():
+                image = key[:leg] + (m,) + key[leg + 1 :]
+                sign = 1
+                if alternating:
+                    sign, image = _sort_sign(image)
+                if sign:
+                    termops.siadd(out, image, c * cm if sign > 0 else -c * cm)
+    return MultiTensor(alg, tensor.degree, out, tensor.symmetry)
 
 
 def is_invariant(tensor):

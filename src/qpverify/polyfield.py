@@ -159,8 +159,6 @@ def action_field(psi):
     fields; plain tensors substitute term by term.
     """
     L = psi.algebra
-    if psi.symmetry == "symmetric":
-        raise ValueError("action fields of symmetric tensors are not defined here")
     terms = termops.wedge_push(
         psi.terms, lambda i: termops.vector_terms(coadjoint_images(L, i)), L.dim
     )

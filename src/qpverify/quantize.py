@@ -530,7 +530,7 @@ def rmatrix_first_order_checks(L):
     mats, msize = representation(L, "defining")
     if not faithfulness_guard(mats, msize):
         raise AssertionError("representation fails the faithfulness guard")
-    rho1 = ct.t.to_plain().scale(HALF).add(ct.r_sd.to_plain().scale(-1))
+    rho1 = ct.t.scale(HALF).add(ct.r_sd.to_plain().scale(-1))
     words_rho1 = tensor_to_words(rho1)
     part_i = order_h_factorization_check(L, words_rho1)
 

@@ -456,6 +456,8 @@ def _suite_ad_bracket(series, rank, config):
     L = _entry_ring_algebra(series, rank)
     ad = grouppois.build_ad_bracket(L)
     checks = [
+        # guards termops.bivector_table, which builds the table from the
+        # term dict and must write each (j, i) as minus its (i, j)
         _record(
             "table-antisymmetric",
             "generator table of the conjugation-invariant bracket",

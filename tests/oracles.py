@@ -1,11 +1,13 @@
 """Helpers that only the tests use.
 
 ``tensor_of`` and ``wedge_of`` build tensors from their definitions, as
-references for the package's tensor algebra; ``entry_field`` applies one
-entry-field image table of ``grouppois`` to a polynomial, and
-``pushed_table`` builds the generator table of a 2-tensor pushed through
-those tables entry pair by entry pair, as a reference for the bracket
-builders of ``grouppois``.
+references for the package's tensor algebra; ``alternating_from_plain``
+canonicalizes a plain coefficient dict and checks that it alternates;
+``bracket_elems`` brackets two element coefficient dicts through the
+structure constants.  ``entry_field`` applies one entry-field image
+table of ``grouppois`` to a polynomial, and ``pushed_table`` builds the
+generator table of a 2-tensor pushed through those tables entry pair by
+entry pair, as a reference for the bracket builders of ``grouppois``.
 
 ``merge_ders``, ``smul``, ``wedge_push`` and ``sn_bracket`` are the
 polyvector kernels on exponent and derivation tuples with ``Fraction``
@@ -35,7 +37,38 @@ def wedge_of(algebra, *elements):
         inv = sum(1 for a in range(k) for b in range(a + 1, k) if perm[a] > perm[b])
         sgn = -1 if inv & 1 else 1
         termops.piadd(plain, tensor_of(algebra, *(elements[p] for p in perm)).terms, sgn)
-    return multivec.MultiTensor.from_plain(algebra, k, plain, "alternating")
+    return alternating_from_plain(algebra, k, plain)
+
+
+def alternating_from_plain(algebra, degree, plain):
+    """Alternating tensor with one ascending key per orbit of ``plain``.
+
+    Raises ``ValueError`` unless every orbit of ``plain`` is supplied in
+    full with alternating signs and every key with a repeated index is 0.
+    """
+    canon = {}
+    for key, c in plain.items():
+        sign, skey = multivec._sort_sign(key)
+        if sign == 0:
+            if c:
+                raise ValueError("repeated index with nonzero alternating coefficient")
+            continue
+        canon.setdefault(skey, c if sign > 0 else -c)
+    for skey, val in canon.items():
+        for perm in itertools.permutations(skey):
+            sign, _ = multivec._sort_sign(perm)
+            if plain.get(perm, Fraction(0)) != val * sign:
+                raise ValueError(f"coefficients not alternating at {perm}")
+    return multivec.MultiTensor(algebra, degree, canon, "alternating")
+
+
+def bracket_elems(L, u, v):
+    """Bracket of two element coefficient dicts, bilinear in the basis."""
+    out = {}
+    for i, ci in u.items():
+        for j, cj in v.items():
+            termops.piadd(out, L.bracket(i, j), ci * cj)
+    return out
 
 
 def entry_field(L, x, side, p):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import wedge_of
+from oracles import bracket_elems, wedge_of
 from qpverify import liealg, multivec, rootsys
 
 F = Fraction
@@ -51,8 +51,8 @@ def test_antisymmetry_and_jacobi(spec, algebras):
                 bk = {k: F(1)}
                 total = {}
                 for u, v, w in ((bi, bj, bk), (bj, bk, bi), (bk, bi, bj)):
-                    inner = L.bracket_elems(v, w)
-                    for m, c in L.bracket_elems(u, inner).items():
+                    inner = bracket_elems(L, v, w)
+                    for m, c in bracket_elems(L, u, inner).items():
                         s = total.get(m, F(0)) + c
                         if s:
                             total[m] = s

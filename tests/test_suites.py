@@ -1,9 +1,37 @@
+import importlib.util
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from qpverify import cli, liealg, linalg, multivec, polyfield, quantize, suites, termops
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def _expected_verdicts():
+    """The benchmark's hand-written verdict table, loaded by path and only read."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.EXPECTED
+
+
+EXPECTED = _expected_verdicts()
+
+
+def _invocation_id(invocation):
+    return "-".join(arg for arg in invocation if not arg.startswith("--"))
+
+
+@pytest.mark.parametrize("invocation", list(EXPECTED), ids=_invocation_id)
+def test_benchmark_invocation_gives_the_expected_verdicts(invocation):
+    args = cli.build_parser().parse_args(list(invocation))
+    report = suites.run_suite(
+        suites.SuiteConfig(algebra=args.algebra, suite=args.suite, degree=args.degree, seed=0)
+    )
+    assert {c.id: c.status for c in report.checks} == EXPECTED[invocation]
 
 
 def test_parse_algebra_aliases_and_errors():
@@ -158,7 +186,7 @@ def test_coproduct_conjugation_failure_names_the_first_failing_element(monkeypat
     def non_invariant_t(L):
         # h1 (x) h1 commutes with the Cartan coproducts and with nothing else
         ct = canonical(L)
-        t = multivec.MultiTensor(L, 2, termops.padd(ct.t.terms, {(0, 0): Fraction(1)}), "symmetric")
+        t = multivec.MultiTensor(L, 2, termops.padd(ct.t.terms, {(0, 0): Fraction(1)}), "plain")
         return liealg.CanonicalTensors(t=t, r_sd=ct.r_sd, phi=ct.phi)
 
     monkeypatch.setattr(liealg, "canonical_tensors", non_invariant_t)
@@ -168,3 +196,17 @@ def test_coproduct_conjugation_failure_names_the_first_failing_element(monkeypat
     L = liealg.algebra("A", 1)
     first = next(L.names[x] for x in range(L.dim) if L.bracket(0, x))
     assert check.witness == {"x": first}
+
+
+def test_table_antisymmetric_fails_when_the_table_builder_breaks(monkeypatch):
+    def symmetric_table(terms):
+        table = {}
+        for (e, (i, j)), c in terms.items():
+            table.setdefault((i, j), {})[e] = c
+            table.setdefault((j, i), {})[e] = c
+        return table
+
+    monkeypatch.setattr(termops, "bivector_table", symmetric_table)
+    report = suites.run_suite(suites.SuiteConfig(algebra="A1", suite="ad-bracket"))
+    statuses = {c.id: c.status for c in report.checks}
+    assert statuses["table-antisymmetric"] == "fail"
