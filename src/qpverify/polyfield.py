@@ -64,16 +64,8 @@ class PolyVectorField:
         return self.add(other.scale(-1))
 
     def bracket(self, f, g):
-        """Biderivation of a bivector field on two polynomials.
-
-        The generator table is built on the first call; fields are never
-        mutated after construction, so it stays valid.
-        """
-        if self.degree != 2:
-            raise ValueError("bracket evaluation needs a bivector")
-        if self._table is None:
-            self._table = termops.bivector_table(self.terms)
-        return termops.table_bracket(self._table, f, g)
+        """Biderivation of a bivector field on two polynomials."""
+        return termops.table_bracket(self._bracket_table(), f, g)
 
     def hamiltonian(self, f):
         """Coordinate images of the derivation ``g -> bracket(f, g)``.
@@ -83,12 +75,19 @@ class PolyVectorField:
         ``termops.apply_derivation(P.hamiltonian(f), g)`` equals
         ``P.bracket(f, g)``.
         """
-        images = {}
-        for v in range(self.algebra.dim):
-            img = self.bracket(f, coordinate(self.algebra, v))
-            if img:
-                images[v] = img
-        return images
+        return termops.table_row(self._bracket_table(), f)
+
+    def _bracket_table(self):
+        """Generator table of a bivector field.
+
+        It is built on the first call; fields are never mutated after
+        construction, so it stays valid.
+        """
+        if self.degree != 2:
+            raise ValueError("bracket evaluation needs a bivector")
+        if self._table is None:
+            self._table = termops.bivector_table(self.terms)
+        return self._table
 
     def _check(self, other):
         if self.algebra is not other.algebra or self.degree != other.degree:
@@ -108,11 +107,6 @@ class PolyVectorField:
 
     def __repr__(self):
         return f"PolyVectorField(deg={self.degree}, {len(self.terms)} terms)"
-
-
-def coordinate(L, i):
-    """The i-th coordinate function as a polynomial dict."""
-    return {termops.unit_exp(L.dim, i): ONE}
 
 
 def monomials(dim, degree):

@@ -140,54 +140,140 @@ def first_order_invariance_check(m1, r, d):
     )
 
 
+def _pair_values(m1, pack):
+    """Packed values of ``m1`` on pairs of unit monomials, and their denominator.
+
+    Returns ``(value, den)``: ``value(ea, eb)`` is ``m1(y^ea, y^eb)`` as a
+    dict from packed monomials to numerators over ``den``.  A
+    ``FirstOrderProduct`` builds one packed Hamiltonian row per left
+    monomial, with int numerators over the bivector's one denominator,
+    and applies it to ``y^eb`` by the Leibniz rule.  Any other bilinear
+    map is called on the unit polynomials and keeps its ``Fraction``
+    coefficients over 1; a value of degree above ``|ea| + |eb|`` raises
+    ``ValueError``, as the scan's packed fields hold its degree bound only.
+    """
+    if not isinstance(m1, FirstOrderProduct):
+
+        def value(ea, eb):
+            out = {}
+            for e, c in m1({ea: ONE}, {eb: ONE}).items():
+                if sum(e) > sum(ea) + sum(eb):
+                    raise ValueError(f"the map raises the degree of the pair {ea}, {eb}")
+                out[pack(e)] = c
+            return out
+
+        return value, 1
+
+    P = m1.bivector
+    den = math.lcm(*(c.denominator for c in P.terms.values()))
+    units = [pack(termops.unit_exp(P.algebra.dim, v)) for v in range(P.algebra.dim)]
+    rows = {}
+
+    def value(ea, eb):
+        row = rows.get(ea)
+        if row is None:
+            row = rows[ea] = [
+                (
+                    v,
+                    tuple(map(pack, img)),
+                    tuple(c.numerator * (den // c.denominator) for c in img.values()),
+                )
+                for v, img in P.hamiltonian({ea: ONE}).items()
+            ]
+        kb = pack(eb)
+        out = {}
+        get = out.get
+        # m1(a, b) = sum_v (d b / d y_v) * img_v
+        for v, keys, nums in row:
+            bv = eb[v]
+            if bv:
+                shift = kb - units[v]
+                for k, c in zip(keys, nums):
+                    k += shift
+                    out[k] = get(k, 0) + bv * c
+        return {k: c for k, c in out.items() if c}
+
+    return value, den
+
+
 def hochschild_cocycle_check(L, d, m1):
     """First-order associativity: the Hochschild coboundary of m1 vanishes.
 
-    ``m1`` is any bilinear map on polynomials over the dual of ``L``;
-    biderivations pass identically.  Every monomial triple with positive
-    degrees and total degree up to ``d`` is scanned.  The products of monomials
-    inside the coboundary are monomials again, so ``m1`` is evaluated
-    once per distinct pair of exponents and the values are reused across
-    triples; exponent tuples and coefficients of the stored values are
-    shared between entries.
+    ``m1`` is any bilinear map on polynomials over the dual of ``L`` whose
+    value on two monomials has at most the sum of their degrees (a map
+    that raises degree gets ``ValueError``); biderivations pass
+    identically.  Every monomial triple with positive degrees and total
+    degree up to ``d`` is scanned.  The scan runs on packed monomials (``termops.monomial_codec``
+    with fields for exponent ``d``), so a product of monomials is an int
+    addition.  The products of monomials inside the coboundary are
+    monomials again, so ``m1`` is evaluated once per distinct pair of
+    exponents by ``_pair_values`` and the packed values are reused across
+    triples; a first-order product evaluates through packed Hamiltonian
+    rows with int numerators.  Each coboundary is summed on int keys, and
+    only a failing one is decoded into the tuple-keyed ``Fraction``
+    witness.
     """
     patterns = []
     for da in range(1, d - 1):
         for db in range(1, d - da):
             for dc in range(1, d - da - db + 1):
                 patterns.append((da, db, dc))
+    pack, unpack = termops.monomial_codec(L.dim, d)
+    value, den = _pair_values(m1, pack)
+    # left packed monomial -> {right packed monomial: value}; a value is
+    # kept as one flat tuple (key, numerator, key, numerator, ...), and
+    # ``monos`` holds one int object per packed monomial the cache keeps
     values = {}
-    shared = {}
+    monos = {}
 
-    def m1_mono(ea, eb):
-        key = (ea, eb)
-        val = values.get(key)
+    def m1_mono(vals, ka, kb):
+        val = vals.get(kb)
         if val is None:
-            val = m1({ea: ONE}, {eb: ONE})
-            val = {shared.setdefault(k, k): shared.setdefault(c, c) for k, c in val.items()}
-            values[shared.setdefault(ea, ea), shared.setdefault(eb, eb)] = val
+            packed = value(unpack(ka), unpack(kb)).items()
+            val = vals[monos.setdefault(kb, kb)] = tuple(
+                x for k, c in packed for x in (monos.setdefault(k, k), c)
+            )
         return val
-
-    def times(ea, eb):
-        return tuple(x + y for x, y in zip(ea, eb))
 
     scanned = 0
     for da, db, dc in patterns:
+        kcs = [pack(ec) for ec in polyfield.monomials(L.dim, dc)]
         for ea in polyfield.monomials(L.dim, da):
-            pa = {ea: ONE}
+            ka = pack(ea)
+            row_a = values.setdefault(ka, {})
             for eb in polyfield.monomials(L.dim, db):
-                eab = times(ea, eb)
-                m_ab = m1_mono(ea, eb)
-                for ec in polyfield.monomials(L.dim, dc):
+                kb = pack(eb)
+                kab = ka + kb
+                row_b = values.setdefault(kb, {})
+                row_ab = values.setdefault(kab, {})
+                m_ab = m1_mono(row_a, ka, kb)
+                for kc in kcs:
                     scanned += 1
-                    defect = termops.pmul(pa, m1_mono(eb, ec))
-                    termops.piadd(defect, m1_mono(eab, ec), -ONE)
-                    termops.piadd(defect, m1_mono(ea, times(eb, ec)), ONE)
-                    termops.piadd(defect, termops.pmul(m_ab, {ec: ONE}), -ONE)
-                    if defect:
+                    # a m1(b, c) - m1(ab, c) + m1(a, bc) - m1(a, b) c
+                    it = iter(m1_mono(row_b, kb, kc))
+                    defect = {k + ka: c for k, c in zip(it, it)}
+                    get = defect.get
+                    it = iter(m1_mono(row_ab, kab, kc))
+                    for k, c in zip(it, it):
+                        defect[k] = get(k, 0) - c
+                    it = iter(m1_mono(row_a, ka, kb + kc))
+                    for k, c in zip(it, it):
+                        defect[k] = get(k, 0) + c
+                    it = iter(m_ab)
+                    for k, c in zip(it, it):
+                        k += kc
+                        defect[k] = get(k, 0) - c
+                    if any(defect.values()):
                         return CheckResult(
                             passed=False,
-                            witness={"a": ea, "b": eb, "c": ec, "defect": defect},
+                            witness={
+                                "a": ea,
+                                "b": eb,
+                                "c": unpack(kc),
+                                "defect": {
+                                    unpack(k): Fraction(c, den) for k, c in defect.items() if c
+                                },
+                            },
                         )
     return CheckResult(passed=True, details={"degree": d, "monomial_triples": scanned})
 

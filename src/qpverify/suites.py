@@ -662,7 +662,7 @@ def _suite_star_first_order(series, rank, config):
     def run_hoch():
         # a degree-4 window exercises mixed-degree triples
         res = quantize.hochschild_cocycle_check(L, 4, m1)
-        return res.passed, res.details
+        return res.passed, res.details if res.passed else res.witness
 
     def run_hoch_fault():
         res = quantize.hochschild_cocycle_check(
@@ -671,7 +671,8 @@ def _suite_star_first_order(series, rank, config):
         return not res.passed, None
 
     def run_twist():
-        return quantize.twist_correspondence_check(L, d, ct.r_sd).passed, None
+        res = quantize.twist_correspondence_check(L, d, ct.r_sd)
+        return res.passed, res.witness
 
     return [
         _record(

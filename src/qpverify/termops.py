@@ -30,13 +30,18 @@ bitmask, and coefficients are int numerators over one denominator per
 operand.  Each packs its inputs once and unpacks its result at its
 boundary, so callers, ``suites._equal_terms`` (which sorts tuple keys)
 and printed witnesses see exponent tuples only.  Only an exponent past
-64 bits raises ``ResourceLimitError``.
+64 bits raises ``ResourceLimitError``.  ``monomial_codec`` gives the same
+monomial fields to one more packed user, the Hochschild scan of
+``quantize``: it sums its coboundaries on packed monomials with int
+numerators over Hamiltonian rows, and decodes only a failing one.
 
 Biderivations have one evaluator, ``table_bracket``: a bivector term dict
 is first turned into a generator table by ``bivector_table``.
 Derivations given by their coordinate images have one evaluator,
 ``apply_derivation``; fixing the first argument of a biderivation gives
-such a derivation (its Hamiltonian field), so a row of brackets
+such a derivation (its Hamiltonian field, whose images ``table_row``
+builds in one pass over the table), and ``table_bracket`` applies the
+row of its first argument to its second.  So a row of brackets
 ``{f, g}`` with one ``f`` costs one image table and one
 ``apply_derivation`` per ``g``.  Vector fields are stored the same way,
 as coordinate images; ``vector_terms`` turns them into the term dicts
@@ -212,6 +217,26 @@ def _codec(nvars, top):
         if not top >> bits:
             return struct.Struct(f">{nvars}{code}"), bits
     raise ResourceLimitError(f"exponent {top} does not fit a 64-bit packed field")
+
+
+def monomial_codec(nvars, top):
+    """``(pack, unpack)`` between exponent tuples and packed monomial ints.
+
+    ``pack(e)`` is the monomial part of a packed polyvector key, with
+    fields that hold exponent ``top``; while every exponent stays at most
+    ``top``, the product of two monomials is the sum of their ints.
+    ``unpack`` inverts ``pack``.
+    """
+    codec, _ = _codec(nvars, top)
+    pack, unpack, size = codec.pack, codec.unpack, codec.size
+
+    def pack_mono(e):
+        return int.from_bytes(pack(*e), "big")
+
+    def unpack_mono(key):
+        return unpack(key.to_bytes(size, "big"))
+
+    return pack_mono, unpack_mono
 
 
 def _top(terms):
@@ -468,36 +493,31 @@ def bivector_eval(terms, f, g):
     return table_bracket(bivector_table(terms), f, g)
 
 
+def table_row(table, p):
+    """Hamiltonian images of a polynomial under a generator table.
+
+    ``table`` maps ordered coordinate pairs ``(u, v)`` to polynomial
+    values of a bracket on the corresponding coordinates.  The row maps
+    each ``v`` to ``{p, y_v} = sum_u T[u, v] * dp/du``, in ascending
+    ``v`` with zero images dropped; by the Leibniz rule in the second
+    slot, ``apply_derivation`` of the row to ``q`` is ``{p, q}``.
+    """
+    images = {}
+    partials = {}
+    for (u, v), val in table.items():
+        du = partials.get(u)
+        if du is None:
+            du = partials[u] = pderive(p, u)
+        if du:
+            piadd(images.setdefault(v, {}), pmul(du, val), _ONE)
+    return {v: images[v] for v in sorted(images) if images[v]}
+
+
 def table_bracket(table, p, q):
     """Bracket of two polynomials from a generator table.
 
-    ``table`` maps ordered coordinate pairs ``(u, v)`` to polynomial
-    values of the bracket on the corresponding coordinates; the bracket
-    extends to polynomials by the Leibniz rule,
-    ``{p, q} = sum T[u, v] * dp/du * dq/dv``.
+    The bracket extends from coordinates to polynomials by the Leibniz
+    rule, ``{p, q} = sum T[u, v] * dp/du * dq/dv``: the Hamiltonian row
+    of ``p`` applied to ``q``.
     """
-    out = {}
-    dp = {}
-    dq = {}
-    for (u, v), val in table.items():
-        if u not in dp:
-            dp[u] = pderive(p, u)
-        du = dp[u]
-        if not du:
-            continue
-        if v not in dq:
-            dq[v] = pderive(q, v)
-        dv = dq[v]
-        if not dv:
-            continue
-        for k, c in pmul(pmul(du, dv), val).items():
-            s = out.get(k)
-            if s is None:
-                out[k] = c
-            else:
-                s = s + c
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-    return out
+    return apply_derivation(table_row(table, p), q)

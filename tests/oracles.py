@@ -12,12 +12,18 @@ entry pair, as a reference for the bracket builders of ``grouppois``.
 ``merge_ders``, ``smul``, ``wedge_push`` and ``sn_bracket`` are the
 polyvector kernels on exponent and derivation tuples with ``Fraction``
 coefficients, as references for the packed kernels of ``termops``.
+
+``coordinate`` is the polynomial of one coordinate function.
+``hochschild_triples`` and ``pairwise_hochschild_witness`` replay the
+Hochschild scan of ``quantize`` from scratch, triple by triple, and
+``doubled_smallest_term`` corrupts an r-matrix field builder, as a fault
+for the twist-correspondence check.
 """
 
 import itertools
 from fractions import Fraction
 
-from qpverify import grouppois, multivec, termops
+from qpverify import grouppois, multivec, polyfield, termops
 
 
 def tensor_of(algebra, *elements):
@@ -201,3 +207,45 @@ def sn_bracket(a, p, b, q):
     _contract(out, 1 if p & 1 else -1, _xi_table(a), _dy_table(b))
     _contract(out, -1, _dy_table(a), _xi_table(b))
     return out
+
+
+def coordinate(L, i):
+    """The i-th coordinate function as a polynomial dict."""
+    return {termops.unit_exp(L.dim, i): Fraction(1)}
+
+
+def hochschild_triples(L, d):
+    """Monomial triples of the cocycle scan, in scan order."""
+    for da in range(1, d - 1):
+        for db in range(1, d - da):
+            for dc in range(1, d - da - db + 1):
+                for ea in polyfield.monomials(L.dim, da):
+                    for eb in polyfield.monomials(L.dim, db):
+                        for ec in polyfield.monomials(L.dim, dc):
+                            yield ea, eb, ec
+
+
+def pairwise_hochschild_witness(L, d, m1):
+    """Reference: the coboundary of every triple, evaluated from scratch."""
+    for ea, eb, ec in hochschild_triples(L, d):
+        pa, pb, pc = {ea: Fraction(1)}, {eb: Fraction(1)}, {ec: Fraction(1)}
+        defect = termops.pmul(pa, m1(pb, pc))
+        termops.piadd(defect, m1(termops.pmul(pa, pb), pc), Fraction(-1))
+        termops.piadd(defect, m1(pa, termops.pmul(pb, pc)), Fraction(1))
+        termops.piadd(defect, termops.pmul(m1(pa, pb), pc), Fraction(-1))
+        if defect:
+            return {"a": ea, "b": eb, "c": ec, "defect": defect}
+    return None
+
+
+def doubled_smallest_term(rmatrix_bracket):
+    """An r-matrix field builder whose fields have their smallest term doubled."""
+
+    def corrupted(r):
+        rm = rmatrix_bracket(r)
+        terms = dict(rm.terms)
+        key = min(terms)
+        terms[key] *= 2
+        return polyfield.PolyVectorField(rm.algebra, rm.degree, terms)
+
+    return corrupted

@@ -1,8 +1,18 @@
+import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import (
+    coordinate,
+    doubled_smallest_term,
+    hochschild_triples,
+    pairwise_hochschild_witness,
+)
 from qpverify import liealg, multivec, polyfield, quantize, termops
 
 F = Fraction
@@ -122,30 +132,6 @@ def test_hochschild_euler_cup_product_is_a_cocycle(sl2):
     assert quantize.hochschild_cocycle_check(sl2, 4, cup).passed
 
 
-def hochschild_triples(L, d):
-    """Monomial triples of the cocycle scan, in scan order."""
-    for da in range(1, d - 1):
-        for db in range(1, d - da):
-            for dc in range(1, d - da - db + 1):
-                for ea in polyfield.monomials(L.dim, da):
-                    for eb in polyfield.monomials(L.dim, db):
-                        for ec in polyfield.monomials(L.dim, dc):
-                            yield ea, eb, ec
-
-
-def pairwise_hochschild_witness(L, d, m1):
-    """Reference: the coboundary of every triple, evaluated from scratch."""
-    for ea, eb, ec in hochschild_triples(L, d):
-        pa, pb, pc = {ea: F(1)}, {eb: F(1)}, {ec: F(1)}
-        defect = termops.pmul(pa, m1(pb, pc))
-        termops.piadd(defect, m1(termops.pmul(pa, pb), pc), F(-1))
-        termops.piadd(defect, m1(pa, termops.pmul(pb, pc)), F(1))
-        termops.piadd(defect, termops.pmul(m1(pa, pb), pc), F(-1))
-        if defect:
-            return {"a": ea, "b": eb, "c": ec, "defect": defect}
-    return None
-
-
 def test_hochschild_genuine_fault_fails(sl2):
     # projecting both slots to their linear parts is bilinear but has a
     # coboundary defect at mixed degrees
@@ -184,6 +170,126 @@ def test_hochschild_evaluates_each_monomial_pair_once(sl3_product):
     assert all(a[0][1] == b[0][1] == 1 for a, b in calls)
 
 
+def test_hochschild_packs_one_row_per_left_monomial(sl3_product, monkeypatch):
+    L, f, ct = sl3_product
+    m1 = quantize.standard_first_order_product(f, ct.r_sd)
+    rows = []
+    hamiltonian = polyfield.PolyVectorField.hamiltonian
+
+    def counted_row(self, p):
+        rows.append(tuple(p))
+        return hamiltonian(self, p)
+
+    pairs = []
+    pair_values = quantize._pair_values
+
+    def counted_values(m1, pack):
+        value, den = pair_values(m1, pack)
+
+        def counted(ea, eb):
+            pairs.append((ea, eb))
+            return value(ea, eb)
+
+        return counted, den
+
+    monkeypatch.setattr(polyfield.PolyVectorField, "hamiltonian", counted_row)
+    monkeypatch.setattr(quantize, "_pair_values", counted_values)
+    res = quantize.hochschild_cocycle_check(L, 4, m1)
+    assert res.passed
+    assert res.details["monomial_triples"] == 7424
+    # every monomial of degree 1 to 3 on the 8 coordinates leads a pair
+    assert len(rows) == len(set(rows)) == 164
+    assert len(pairs) == len(set(pairs)) == 3856
+    assert {(a,) for a, _ in pairs} == set(rows)
+
+
+# ---------------------------------------------------------------------------
+# laws of the packed Hochschild scan
+
+LAWS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12).filter(bool)
+
+
+def coordinates(n):
+    """A stand-in algebra: the packed scan reads only the number of coordinates."""
+    return SimpleNamespace(dim=n)
+
+
+def monomial(n, vs):
+    return tuple(vs.count(v) for v in range(n))
+
+
+def quadratic_cases(n):
+    """A random quadratic bivector term dict over n coordinates and a monomial pair.
+
+    Both monomials have positive degree and the pair has total degree at
+    most 4, as in the Hochschild scan at ``d = 4``.
+    """
+    quadratic = st.lists(st.integers(0, n - 1), min_size=2, max_size=2).map(
+        lambda vs: monomial(n, vs)
+    )
+    pairs = st.sampled_from(list(itertools.combinations(range(n), 2)))
+    bivector = st.dictionaries(st.tuples(quadratic, pairs), rationals, min_size=3, max_size=8)
+    monos = {k: polyfield.monomials(n, k) for k in (1, 2, 3)}
+    mono_pair = st.integers(1, 3).flatmap(
+        lambda k: st.tuples(
+            st.sampled_from(monos[k]),
+            st.integers(1, 4 - k).flatmap(lambda j: st.sampled_from(monos[j])),
+        )
+    )
+    return st.tuples(st.just(n), bivector, mono_pair)
+
+
+@settings(LAWS, max_examples=100)
+@given(st.sampled_from([3, 4]).flatmap(quadratic_cases))
+def test_packed_pair_value_decodes_to_the_first_order_product(case):
+    n, terms, (a, b) = case
+    m1 = quantize.FirstOrderProduct(polyfield.PolyVectorField(coordinates(n), 2, terms), "random")
+    pack, unpack = termops.monomial_codec(n, 4)
+    value, den = quantize._pair_values(m1, pack)
+    packed = value(a, b)
+    assert all(packed.values())
+    assert {unpack(k): F(c, den) for k, c in packed.items()} == m1({a: F(1)}, {b: F(1)})
+
+
+def projection(k):
+    def proj(p):
+        return {e: c for e, c in p.items() if sum(e) == k}
+
+    return proj
+
+
+# coefficients of proj_i(a) * proj_j(b) for i, j in {1, 2}, then of the product
+bilinear_coefficients = st.lists(st.one_of(st.just(F(0)), rationals), min_size=5, max_size=5)
+
+
+@LAWS
+@given(st.sampled_from([3, 4]), st.sampled_from([4, 5]), bilinear_coefficients)
+def test_packed_scan_witness_matches_pairwise_scan(n, d, coefficients):
+    # degree-selected products are not biderivations; the plain product
+    # is a cocycle, so it shifts the values but not the verdict
+    *selected, plain = coefficients
+    legs = [(projection(i), projection(j)) for i in (1, 2) for j in (1, 2)]
+
+    def m1(p, q):
+        out = termops.pscale(termops.pmul(p, q), plain)
+        for c, (left, right) in zip(selected, legs):
+            termops.piadd(out, termops.pmul(left(p), right(q)), c)
+        return out
+
+    L = coordinates(n)
+    res = quantize.hochschild_cocycle_check(L, d, m1)
+    assert (None if res.passed else res.witness) == pairwise_hochschild_witness(L, d, m1)
+
+
+def test_hochschild_refuses_a_map_that_raises_degree(sl2):
+    def raising(p, q):
+        return termops.pmul(termops.pmul(p, q), coordinate(sl2, 0))
+
+    with pytest.raises(ValueError):
+        quantize.hochschild_cocycle_check(sl2, 4, raising)
+
+
 # ---------------------------------------------------------------------------
 # twist correspondence
 
@@ -196,15 +302,7 @@ def test_twist_correspondence(sl3_product):
 def test_twist_fault_witness_matches_pairwise_scan(sl3_product, monkeypatch):
     L, _, ct = sl3_product
     d = 3
-    rmatrix_bracket = polyfield.rmatrix_bracket
-
-    def corrupted(r):
-        rm = rmatrix_bracket(r)
-        terms = dict(rm.terms)
-        key = min(terms)
-        terms[key] *= 2
-        return polyfield.PolyVectorField(rm.algebra, rm.degree, terms)
-
+    corrupted = doubled_smallest_term(polyfield.rmatrix_bracket)
     monkeypatch.setattr(polyfield, "rmatrix_bracket", corrupted)
     res = quantize.twist_correspondence_check(L, d, ct.r_sd)
     assert not res.passed

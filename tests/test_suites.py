@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import doubled_smallest_term, pairwise_hochschild_witness
 from qpverify import cli, liealg, linalg, multivec, polyfield, quantize, suites, termops
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -210,3 +211,49 @@ def test_table_antisymmetric_fails_when_the_table_builder_breaks(monkeypatch):
     report = suites.run_suite(suites.SuiteConfig(algebra="A1", suite="ad-bracket"))
     statuses = {c.id: c.status for c in report.checks}
     assert statuses["table-antisymmetric"] == "fail"
+
+
+def _star_a2_record(check_id):
+    report = suites.run_suite(suites.SuiteConfig(algebra="A2", suite="star-first-order"))
+    return {c.id: c for c in report.checks}[check_id]
+
+
+def _star_a2_product():
+    L = liealg.algebra("A", 2)
+    cal = polyfield.calibrate_scale(L)
+    ct = liealg.canonical_tensors(L)
+    return L, ct, quantize.standard_first_order_product(cal.f0.scale(cal.lam), ct.r_sd)
+
+
+def test_hochschild_cocycle_failure_carries_its_witness(monkeypatch):
+    # dropping one Hamiltonian image of y_0 leaves a bilinear map that is
+    # no longer a biderivation
+    hamiltonian = polyfield.PolyVectorField.hamiltonian
+    y0 = termops.unit_exp(8, 0)
+
+    def dropped(self, f):
+        row = hamiltonian(self, f)
+        if f == {y0: 1} and row:
+            del row[min(row)]
+        return row
+
+    monkeypatch.setattr(polyfield.PolyVectorField, "hamiltonian", dropped)
+    record = _star_a2_record("hochschild-cocycle")
+    assert record.status == "fail"
+    L, _, m1 = _star_a2_product()
+    reference = pairwise_hochschild_witness(
+        L, 4, lambda p, q: termops.apply_derivation(m1.bivector.hamiltonian(p), q)
+    )
+    assert reference is not None
+    assert record.witness == suites.jsonable(reference)
+
+
+def test_twist_correspondence_failure_carries_its_witness(monkeypatch):
+    corrupted = doubled_smallest_term(polyfield.rmatrix_bracket)
+    monkeypatch.setattr(polyfield, "rmatrix_bracket", corrupted)
+    record = _star_a2_record("twist-correspondence")
+    assert record.status == "fail"
+    L, ct, _ = _star_a2_product()
+    res = quantize.twist_correspondence_check(L, 3, ct.r_sd)
+    assert not res.passed
+    assert record.witness == suites.jsonable(res.witness)
