@@ -32,7 +32,7 @@ def build_parser():
     parser.add_argument(
         "--timings",
         action="store_true",
-        help="embed wall-clock millis in JSON output (breaks byte stability)",
+        help="add wall-clock millis to each check (breaks byte stability)",
     )
     parser.add_argument("--list", action="store_true", help="list available suites")
     return parser
@@ -64,7 +64,7 @@ def main(argv=None):
         print(f"qpverify: resource cap: {exc}", file=sys.stderr)
         return 3
     try:
-        print(report.to_json(timings=args.timings) if args.fmt == "json" else report.to_text())
+        print(report.to_json(timings=args.timings) if args.fmt == "json" else report.to_text(args.timings))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader has gone: send the interpreter's final flush to devnull

@@ -3,10 +3,11 @@
 Each suite is a list of checks run against one algebra; a report records
 per-check status with exact rational witnesses on failure.  Reports are
 byte-stable for a fixed configuration and seed: wall-clock times are
-collected but only embedded in the JSON when explicitly requested.
+collected but only reported when explicitly requested.
 """
 
 import json
+import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -82,11 +83,12 @@ class Report:
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
-    def to_text(self):
+    def to_text(self, timings=False):
         lines = [f"suite {self.suite} on {self.algebra}"]
         for c in sorted(self.checks, key=lambda c: c.id):
             mark = {"pass": "PASS", "fail": "FAIL", "skip": "skip"}[c.status]
-            lines.append(f"  [{mark}] {c.id} ({c.millis} ms)  -- {c.paper_ref}")
+            millis = f" ({c.millis} ms)" if timings else ""
+            lines.append(f"  [{mark}] {c.id}{millis}  -- {c.paper_ref}")
             if c.witness:
                 lines.append(f"         witness: {json.dumps(c.witness, sort_keys=True)}")
         lines.append(f"aggregate: {self.aggregate}")
@@ -636,6 +638,11 @@ def _suite_star_first_order(series, rank, config):
         raise UsageError("the star-product suite needs type A of rank >= 2")
     L = _classical(series, rank)
     d = _degree(config, 3, 2)
+    rows = L.dim * (math.comb(L.dim + d - 1, d - 1) - 1)
+    if rows > quantize.STAR_ROW_CAP:
+        raise polyfield.ResourceLimitError(
+            f"star scans at degree {d} build {rows} rows, above cap {quantize.STAR_ROW_CAP}"
+        )
     ct = liealg.canonical_tensors(L)
     cal = polyfield.calibrate_scale(L)
     if cal.lam is None:

@@ -15,9 +15,11 @@ coefficients, as references for the packed kernels of ``termops``.
 
 ``coordinate`` is the polynomial of one coordinate function.
 ``hochschild_triples`` and ``pairwise_hochschild_witness`` replay the
-Hochschild scan of ``quantize`` from scratch, triple by triple, and
-``doubled_smallest_term`` corrupts an r-matrix field builder, as a fault
-for the twist-correspondence check.
+Hochschild scan of ``quantize`` from scratch, triple by triple;
+``pairwise_invariance_witness`` and ``pairwise_twist_witness`` replay
+its order-one invariance and twist scans pair by pair, with no
+Hamiltonian rows.  ``doubled_smallest_term`` corrupts an r-matrix field
+builder, as a fault for the twist-correspondence check.
 """
 
 import itertools
@@ -249,3 +251,90 @@ def doubled_smallest_term(rmatrix_bracket):
         return polyfield.PolyVectorField(rm.algebra, rm.degree, terms)
 
     return corrupted
+
+
+def monomials_upto(L, d):
+    """Every monomial of degree at most d, degree by degree."""
+    return [e for k in range(d + 1) for e in polyfield.monomials(L.dim, k)]
+
+
+def _pairs_upto(L, d):
+    """Every pair of monomials of total degree at most d, in the order of a scan over both."""
+    monos = monomials_upto(L, d)
+    return [(a, b) for a in monos for b in monos if sum(a) + sum(b) <= d]
+
+
+def _coadjoint_action(L):
+    """The coadjoint fields on polynomials, by determinant evaluation once per monomial."""
+    images = {}
+
+    def act(x, p):
+        out = {}
+        for e, c in p.items():
+            if (x, e) not in images:
+                field = polyfield.coadjoint_field(L, x).terms
+                images[x, e] = termops.kveval(field, [{e: Fraction(1)}])
+            termops.piadd(out, images[x, e], c)
+        return out
+
+    return act
+
+
+def _bilinear(m1):
+    """``m1`` extended bilinearly from its values on unit monomials, each taken once."""
+    values = {}
+
+    def product(p, q):
+        out = {}
+        for a, ca in p.items():
+            for b, cb in q.items():
+                if (a, b) not in values:
+                    values[a, b] = m1({a: Fraction(1)}, {b: Fraction(1)})
+                termops.piadd(out, values[a, b], ca * cb)
+        return out
+
+    return product
+
+
+def pairwise_invariance_witness(m1, r, d):
+    """Reference: the first failing invariance triple, evaluated from the identity.
+
+    For every basis element x and every pair of monomials of total
+    degree at most ``d``, ``x.m1(a,b) - m1(xa, b) - m1(a, xb)`` is
+    compared with ``(1/2) m0(delta(x).(a,b))``.
+    """
+    L = m1.bivector.algebra
+    act, product = _coadjoint_action(L), _bilinear(m1)
+    for x in range(L.dim):
+        delta = list(multivec.cobracket(r, x).plain_items())
+        for a, b in _pairs_upto(L, d):
+            pa, pb = {a: Fraction(1)}, {b: Fraction(1)}
+            lhs = act(x, product(pa, pb))
+            termops.piadd(lhs, product(act(x, pa), pb), Fraction(-1))
+            termops.piadd(lhs, product(pa, act(x, pb)), Fraction(-1))
+            rhs = {}
+            for (u, v), c in delta:
+                termops.piadd(rhs, termops.pmul(act(u, pa), act(v, pb)), c / 2)
+            if lhs != rhs:
+                return {"x": L.names[x], "a": a, "b": b, "lhs": lhs, "rhs": rhs}
+    return None
+
+
+def pairwise_twist_witness(L, d, r, rm):
+    """Reference: the first pair where the composed twist map and ``rm`` differ.
+
+    The skew-symmetrized composed map ``(1/2) m0 . r`` and the bracket of
+    the field ``rm`` are both evaluated on every pair of monomials of
+    total degree at most ``d``.
+    """
+    act = _coadjoint_action(L)
+    for ea, eb in _pairs_upto(L, d):
+        pa, pb = {ea: Fraction(1)}, {eb: Fraction(1)}
+        composed = {}
+        for (u, v), c in r.plain_items():
+            termops.piadd(composed, termops.pmul(act(u, pa), act(v, pb)), c / 2)
+            termops.piadd(composed, termops.pmul(act(u, pb), act(v, pa)), -c / 2)
+        field = rm.bracket(pa, pb)
+        if composed != field:
+            return {"a": ea, "b": eb, "composed": composed, "field": field}
+    return None

@@ -129,6 +129,9 @@ def test_resource_cap_exit_3(capsys):
     assert "resource cap" in err
     code, _, err = run(capsys, "conjecture-scan", "--algebra", "A2", "--degree", "40")
     assert code == 3
+    code, _, err = run(capsys, "star-first-order", "--algebra", "A2", "--degree", "40")
+    assert code == 3
+    assert "resource cap" in err
 
 
 @pytest.mark.parametrize(
@@ -209,12 +212,15 @@ def test_json_round_trip_and_schema(capsys):
 
 
 def test_json_byte_identical_reruns(capsys):
-    runs = []
-    for _ in range(2):
-        code, out, _ = run(capsys, "pbw", "--algebra", "A1", "--seed", "7", "--format", "json")
-        assert code == 0
-        runs.append(out)
-    assert runs[0] == runs[1]
+    # the text report is byte-stable too: its millis need --timings
+    for fmt in ("json", "text"):
+        runs = []
+        for _ in range(2):
+            code, out, _ = run(capsys, "pbw", "--algebra", "A1", "--seed", "7", "--format", fmt)
+            assert code == 0
+            runs.append(out)
+        assert runs[0] == runs[1]
+        assert " ms)" not in runs[0]
 
 
 def test_timings_flag_adds_millis(capsys):
@@ -222,6 +228,10 @@ def test_timings_flag_adds_millis(capsys):
     assert code == 0
     payload = json.loads(out)
     assert all("millis" in c for c in payload["checks"])
+    code, out, _ = run(capsys, "cybe", "--algebra", "A1", "--timings")
+    assert code == 0
+    checks = [line for line in out.splitlines() if line.startswith("  [")]
+    assert checks and all(" ms)  -- " in line for line in checks)
 
 
 def test_run_suite_api_matches_cli():

@@ -11,7 +11,10 @@ from oracles import (
     coordinate,
     doubled_smallest_term,
     hochschild_triples,
+    monomials_upto,
     pairwise_hochschild_witness,
+    pairwise_invariance_witness,
+    pairwise_twist_witness,
 )
 from qpverify import liealg, multivec, polyfield, quantize, termops
 
@@ -36,11 +39,6 @@ def sl3_product(sl3):
     return sl3, f, ct
 
 
-def monomials_upto(L, d):
-    """Every monomial of degree at most d, degree by degree."""
-    return [e for k in range(d + 1) for e in polyfield.monomials(L.dim, k)]
-
-
 # ---------------------------------------------------------------------------
 # first-order invariance
 
@@ -55,11 +53,19 @@ def test_invariance_standard_product(sl3_product):
     assert res.details == {"product": "(1/2)(f - r_M)", "degree": 3, "pairs": pairs}
 
 
+def sign_flipped(f, ct):
+    rm = polyfield.rmatrix_bracket(ct.r_sd)
+    return quantize.FirstOrderProduct(f.add(rm).scale(F(1, 2)), "(1/2)(f + r_M)")
+
+
+def doubled(f, ct):
+    m1 = quantize.standard_first_order_product(f, ct.r_sd)
+    return quantize.FirstOrderProduct(m1.bivector.scale(2), "doubled")
+
+
 def test_invariance_fault_sign_flip(sl3_product):
     _, f, ct = sl3_product
-    rm = polyfield.rmatrix_bracket(ct.r_sd)
-    bad = quantize.FirstOrderProduct(f.add(rm).scale(F(1, 2)), "(1/2)(f + r_M)")
-    res = quantize.first_order_invariance_check(bad, ct.r_sd, 3)
+    res = quantize.first_order_invariance_check(sign_flipped(f, ct), ct.r_sd, 3)
     assert not res.passed
     assert res.witness["lhs"] != res.witness["rhs"]
     # the defect the scan found equals the two-sided difference it reports
@@ -68,27 +74,50 @@ def test_invariance_fault_sign_flip(sl3_product):
     assert diff
 
 
-def test_invariance_fault_witness_matches_pairwise_scan(sl3_product):
-    # reference: the defect bivector of each x evaluated on every pair of
-    # monomials up to the degree, truncated above it
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("fault", [sign_flipped, doubled], ids=["sign-flip", "doubled"])
+def test_invariance_fault_witness_matches_pairwise_scan(sl3_product, fault, d):
+    # reference: the identity itself on every pair of monomials up to the
+    # degree, with no Hamiltonian row
     L, f, ct = sl3_product
-    rm = polyfield.rmatrix_bracket(ct.r_sd)
-    bad = quantize.FirstOrderProduct(f.add(rm).scale(F(1, 2)), "(1/2)(f + r_M)")
-    d = 3
-    monos = monomials_upto(L, d)
-
-    def first_failure():
-        for x in range(L.dim):
-            defect = polyfield.schouten_nijenhuis(
-                polyfield.coadjoint_field(L, x), bad.bivector
-            ).sub(polyfield.action_field(multivec.cobracket(ct.r_sd, x)).scale(F(1, 2)))
-            for a in monos:
-                for b in monos:
-                    if termops.ptruncate(defect.bracket({a: F(1)}, {b: F(1)}), d):
-                        return L.names[x], a, b
-
+    bad = fault(f, ct)
     res = quantize.first_order_invariance_check(bad, ct.r_sd, d)
-    assert (res.witness["x"], res.witness["a"], res.witness["b"]) == first_failure()
+    assert not res.passed
+    assert res.witness == pairwise_invariance_witness(bad, ct.r_sd, d)
+
+
+def test_invariance_scan_builds_one_row_per_left_monomial(sl3_product, monkeypatch):
+    L, f, ct = sl3_product
+    m1 = quantize.standard_first_order_product(f, ct.r_sd)
+    rows = []
+    derivations = []
+    hamiltonian = polyfield.PolyVectorField.hamiltonian
+    apply_derivation = termops.apply_derivation
+
+    def counted_row(self, p):
+        rows.append(tuple(p))
+        return hamiltonian(self, p)
+
+    def counted_derivation(images, p):
+        derivations.append(tuple(p))
+        return apply_derivation(images, p)
+
+    monkeypatch.setattr(polyfield.PolyVectorField, "hamiltonian", counted_row)
+    monkeypatch.setattr(termops, "apply_derivation", counted_derivation)
+    lefts = [(a,) for k in (1, 2) for a in polyfield.monomials(L.dim, k)]
+    assert quantize.first_order_invariance_check(m1, ct.r_sd, 3).passed
+    # one row per (x, a), and no derivation applied to a right monomial
+    assert rows == lefts * L.dim
+    assert derivations == []
+
+    rows.clear()
+    legs = {leg for (u, v), _ in ct.r_sd.plain_items() for leg in (u, v)}
+    assert quantize.twist_correspondence_check(L, 3, ct.r_sd).passed
+    # the field route builds one row per left monomial, and the composed
+    # route applies each leg once to each left monomial and never to a pair
+    assert rows == lefts
+    assert len(derivations) == len(legs) * len(lefts)
+    assert set(derivations) == set(lefts)
 
 
 def test_invariance_plain_invariant_bivector(sl3):
@@ -299,35 +328,24 @@ def test_twist_correspondence(sl3_product):
     assert quantize.twist_correspondence_check(L, 3, ct.r_sd).passed
 
 
-def test_twist_fault_witness_matches_pairwise_scan(sl3_product, monkeypatch):
+def doubled_field(rmatrix_bracket):
+    """An r-matrix field builder whose fields are doubled: a row differs at several coordinates."""
+    return lambda r: rmatrix_bracket(r).scale(2)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize(
+    "fault", [doubled_smallest_term, doubled_field], ids=["smallest-term", "doubled-field"]
+)
+def test_twist_fault_witness_matches_pairwise_scan(sl3_product, monkeypatch, fault, d):
     L, _, ct = sl3_product
-    d = 3
-    corrupted = doubled_smallest_term(polyfield.rmatrix_bracket)
+    corrupted = fault(polyfield.rmatrix_bracket)
     monkeypatch.setattr(polyfield, "rmatrix_bracket", corrupted)
     res = quantize.twist_correspondence_check(L, d, ct.r_sd)
     assert not res.passed
-
     # reference: both routes evaluated from scratch on every pair of
-    # monomials up to the degree, truncated above it
-    rm = corrupted(ct.r_sd)
-    monos = monomials_upto(L, d)
-
-    def X(leg, e):
-        return termops.kveval(polyfield.coadjoint_field(L, leg).terms, [{e: F(1)}])
-
-    def first_failure():
-        for ea in monos:
-            for eb in monos:
-                composed = {}
-                for (u, v), c in ct.r_sd.plain_items():
-                    termops.piadd(composed, termops.pmul(X(u, ea), X(v, eb)), c / 2)
-                    termops.piadd(composed, termops.pmul(X(u, eb), X(v, ea)), -c / 2)
-                composed = termops.ptruncate(composed, d)
-                field = termops.ptruncate(rm.bracket({ea: F(1)}, {eb: F(1)}), d)
-                if composed != field:
-                    return {"a": ea, "b": eb, "composed": composed, "field": field}
-
-    assert res.witness == first_failure()
+    # monomials up to the degree
+    assert res.witness == pairwise_twist_witness(L, d, ct.r_sd, corrupted(ct.r_sd))
 
 
 # ---------------------------------------------------------------------------
