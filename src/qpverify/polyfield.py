@@ -25,8 +25,8 @@ ONE = Fraction(1)
 # phibar = PHIBAR_SIGN * action_field(phi); computed once and locked.
 PHIBAR_SIGN = 1
 
-# refuse equivariant systems whose unknown count times constraint count
-# would exceed this many matrix entries
+# refuse equivariant systems with more than this many candidate unknowns
+# before the weight-zero filter, C(dim, p) * C(dim + q - 1, q)
 EQUIVARIANT_ENTRY_CAP = 10**6
 
 
@@ -232,16 +232,73 @@ def _simple_generator_indices(L):
     return gens
 
 
-def _weight_of_term(L, exps, ders):
+def _weight(L, counts):
+    """Sum of ``n`` times the weight of ``y_j`` over the pairs ``(j, n)`` in ``counts``.
+
+    The monomial ``y^e`` has weight ``_weight(L, enumerate(e))``; the
+    derivation ``d/dy_D`` has minus the weight of ``D``'s pairs ``(d, 1)``.
+    """
     w = [0] * L.rank
-    for j, e in enumerate(exps):
-        if e:
+    for j, n in counts:
+        if n:
             for t in range(L.rank):
-                w[t] += e * L.weights[j][t]
-    for d in ders:
-        for t in range(L.rank):
-            w[t] -= L.weights[d][t]
+                w[t] += n * L.weights[j][t]
     return tuple(w)
+
+
+def _derivation_part(jac, ders):
+    """The term dict ``D' -> c`` of ``-sum_s sum_k (d X_k / dy_{d_s}) d/dy_{D[d_s -> k]}``.
+
+    ``jac`` maps ``m`` to ``{k: d X_k / dy_m}`` for a linear vector field
+    ``X``.  Slot ``s`` of ``D`` becomes ``k`` and the set is re-sorted,
+    with sign ``(-1)^(s + pos)`` where ``pos`` is the place of ``k`` in the
+    rest; a ``k`` that is already another slot of ``D`` gives zero.
+    """
+    out = {}
+    for s, d in enumerate(ders):
+        col = jac.get(d)
+        if not col:
+            continue
+        rest = ders[:s] + ders[s + 1 :]
+        for k, c in col.items():
+            if k in rest:
+                continue
+            pos = sum(1 for x in rest if x < k)
+            termops.siadd(out, rest[:pos] + (k,) + rest[pos:], c if (s + pos) & 1 else -c)
+    return out
+
+
+def coadjoint_term_images(L, x):
+    """Lie derivative of single terms along the coadjoint field ``X`` of ``x``.
+
+    Returns ``image(e, D)``, the term dict of ``[X, y^e d/dy_D]``.  Since
+    ``X`` is linear, the bracket has the closed form
+    ``X(y^e) d/dy_D - y^e sum_s sum_k (d X_k / dy_{d_s}) d/dy_{D[d_s -> k]}``:
+    the first part is cached per exponent ``e`` through
+    ``termops.apply_derivation``, the second (``_derivation_part``) per
+    derivation set ``D``.  It equals ``schouten_nijenhuis`` of the
+    coadjoint field and the term with coefficient 1.
+    """
+    images = coadjoint_images(L, x)
+    jac = {}  # m -> {k: d X_k / dy_m}
+    for k in range(L.dim):
+        for m, c in L.struct.get((x, k), {}).items():
+            jac.setdefault(m, {})[k] = c
+    by_exps, by_ders = {}, {}
+
+    def image(exps, ders):
+        moved = by_exps.get(exps)
+        if moved is None:
+            moved = by_exps[exps] = termops.apply_derivation(images, {exps: ONE})
+        turned = by_ders.get(ders)
+        if turned is None:
+            turned = by_ders[ders] = _derivation_part(jac, ders)
+        out = {(e, ders): c for e, c in moved.items()}
+        for d, c in turned.items():
+            termops.siadd(out, (exps, d), c)
+        return out
+
+    return image
 
 
 def invariant_field_space(L, p, q):
@@ -269,21 +326,33 @@ def solve_equivariant(L, p, q):
     the vanishing Lie derivative of its field; it reduces to weight zero
     plus annihilation by the simple raising and lowering fields, and the
     basis is re-verified against every basis generator.
+
+    The unknowns are the weight-zero terms ``y^e d/dy_D``: monomials are
+    bucketed by weight, and each ``D`` takes the bucket of its own weight,
+    ``D`` outer and ``monomials`` order inner.  A constraint row is one
+    term of the Lie derivative of an unknown along a simple field ``X``,
+    taken in closed form rather than as a Schouten bracket:
+    ``[X, y^e d/dy_D] = X(y^e) d/dy_D - y^e sum_s sum_k (d X_k / dy_{d_s})
+    d/dy_{D[d_s -> k]}``, by the Leibniz rule and ``[X, d/dy_d] = -sum_k
+    (d X_k / dy_d) d/dy_k``.  ``X`` is linear, so each ``d X_k / dy_d`` is
+    a number: the first part depends on ``e`` alone and the second, up to
+    the factor ``y^e``, on ``D`` alone, and each is built once
+    (``coadjoint_term_images``).
     """
-    labels = []
-    for ders in combinations(range(L.dim), p):
-        for exps in monomials(L.dim, q):
-            if not any(_weight_of_term(L, exps, ders)):
-                labels.append((exps, ders))
-    index = {lab: i for i, lab in enumerate(labels)}
-    gens = [(g, coadjoint_field(L, g)) for g in _simple_generator_indices(L)]
+    by_weight = {}
+    for exps in monomials(L.dim, q):
+        by_weight.setdefault(_weight(L, enumerate(exps)), []).append(exps)
+    labels = [
+        (exps, ders)
+        for ders in combinations(range(L.dim), p)
+        for exps in by_weight.get(_weight(L, ((d, 1) for d in ders)), ())
+    ]
+    gens = [(g, coadjoint_term_images(L, g)) for g in _simple_generator_indices(L)]
     rows = {}
-    for lab in labels:
-        single = PolyVectorField(L, p, {lab: ONE})
-        for g, X in gens:
-            image = schouten_nijenhuis(X, single)
-            for key, c in image.terms.items():
-                rows.setdefault((g, key), {})[index[lab]] = c
+    for col, (exps, ders) in enumerate(labels):
+        for g, image in gens:
+            for key, c in image(exps, ders).items():
+                rows.setdefault((g, key), {})[col] = c
     basis = linalg.nullspace_sparse(list(rows.values()), len(labels))
     fields = tuple(
         PolyVectorField(L, p, {labels[i]: c for i, c in enumerate(vec) if c})
@@ -386,21 +455,22 @@ def phibar(L):
     terms = {}
     for a in range(dim):
         for b in range(a + 1, dim - 1):
-            # [t1,a][t2,b] for each term of phi, shared by every c
-            heads = []
+            # sum of coef*[t1,a][t2,b] over the terms of phi, by third
+            # leg t3, shared by every c
+            heads = {}
             for (t1, t2, t3), coef in phi_plain:
                 p1 = lin.get((t1, a))
                 if not p1:
                     continue
                 p2 = lin.get((t2, b))
                 if p2:
-                    heads.append((termops.pmul(p1, p2), t3, coef))
+                    termops.piadd(heads.setdefault(t3, {}), termops.pmul(p1, p2), coef)
             for c in range(b + 1, dim):
                 value = {}
-                for p12, t3, coef in heads:
+                for t3, p12 in heads.items():
                     p3 = lin.get((t3, c))
                     if p3:
-                        termops.piadd(value, termops.pmul(p12, p3), coef)
+                        termops.piadd(value, termops.pmul(p12, p3), ONE)
                 for e, v in value.items():
                     terms[(e, (a, b, c))] = v
     return PolyVectorField(L, 3, terms)

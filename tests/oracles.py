@@ -13,6 +13,10 @@ entry pair, as a reference for the bracket builders of ``grouppois``.
 polyvector kernels on exponent and derivation tuples with ``Fraction``
 coefficients, as references for the packed kernels of ``termops``.
 
+``solve_equivariant_by_schouten`` is the invariant-field solve with one
+Schouten bracket per constraint row and a weight filter over every
+candidate term, as a reference for ``polyfield.solve_equivariant``.
+
 ``coordinate`` is the polynomial of one coordinate function.
 ``hochschild_triples`` and ``pairwise_hochschild_witness`` replay the
 Hochschild scan of ``quantize`` from scratch, triple by triple;
@@ -25,7 +29,9 @@ builder, as a fault for the twist-correspondence check.
 import itertools
 from fractions import Fraction
 
-from qpverify import grouppois, multivec, polyfield, termops
+from qpverify import grouppois, linalg, multivec, polyfield, termops
+
+ONE = Fraction(1)
 
 
 def tensor_of(algebra, *elements):
@@ -209,6 +215,45 @@ def sn_bracket(a, p, b, q):
     _contract(out, 1 if p & 1 else -1, _xi_table(a), _dy_table(b))
     _contract(out, -1, _dy_table(a), _xi_table(b))
     return out
+
+
+def _weight_of_term(L, exps, ders):
+    w = [0] * L.rank
+    for j, e in enumerate(exps):
+        if e:
+            for t in range(L.rank):
+                w[t] += e * L.weights[j][t]
+    for d in ders:
+        for t in range(L.rank):
+            w[t] -= L.weights[d][t]
+    return tuple(w)
+
+
+def solve_equivariant_by_schouten(L, p, q):
+    """Reference: ``polyfield.solve_equivariant`` with Schouten-bracket rows."""
+    labels = []
+    for ders in itertools.combinations(range(L.dim), p):
+        for exps in polyfield.monomials(L.dim, q):
+            if not any(_weight_of_term(L, exps, ders)):
+                labels.append((exps, ders))
+    index = {lab: i for i, lab in enumerate(labels)}
+    gens = [(g, polyfield.coadjoint_field(L, g)) for g in polyfield._simple_generator_indices(L)]
+    rows = {}
+    for lab in labels:
+        single = polyfield.PolyVectorField(L, p, {lab: ONE})
+        for g, X in gens:
+            image = polyfield.schouten_nijenhuis(X, single)
+            for key, c in image.terms.items():
+                rows.setdefault((g, key), {})[index[lab]] = c
+    basis = linalg.nullspace_sparse(list(rows.values()), len(labels))
+    fields = tuple(
+        polyfield.PolyVectorField(L, p, {labels[i]: c for i, c in enumerate(vec) if c})
+        for vec in basis
+    )
+    for f in fields:
+        if not polyfield.is_invariant_field(f):
+            raise AssertionError("solver produced a non-invariant field")
+    return fields
 
 
 def coordinate(L, i):

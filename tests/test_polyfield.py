@@ -3,11 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import coordinate
-from qpverify import liealg, multivec, polyfield, termops
+from oracles import coordinate, solve_equivariant_by_schouten
+from qpverify import liealg, multivec, polyfield, suites, termops
 
 F = Fraction
+
+LAWS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
 
 @pytest.fixture(scope="module")
@@ -212,6 +216,48 @@ def test_invariant_linear_fields_are_euler_multiples(sl2, sl3, so5):
             },
         )
         assert polyfield.fields_proportional(fields[0], euler) is not None
+
+
+@pytest.mark.parametrize("p, q", [(0, 2), (0, 3), (1, 1), (2, 1), (2, 2), (3, 0), (3, 1)])
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "C2"])
+def test_solve_equivariant_matches_schouten_rows(name, p, q):
+    L = liealg.algebra(name[0], int(name[1:]))
+    assert polyfield.solve_equivariant(L, p, q) == solve_equivariant_by_schouten(L, p, q)
+
+
+@st.composite
+def single_terms(draw):
+    """An algebra and one term ``c * y^e d/dy_D`` with ``|D| <= 3``, ``|e| <= 3``."""
+    name = draw(st.sampled_from(["A1", "A2", "A3", "B2"]))
+    L = liealg.algebra(name[0], int(name[1:]))
+    p, q = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    ders = draw(st.sampled_from(list(itertools.combinations(range(L.dim), p))))
+    exps = draw(st.sampled_from(polyfield.monomials(L.dim, q)))
+    c = draw(st.fractions(min_value=-5, max_value=5, max_denominator=12).filter(bool))
+    return L, exps, ders, c
+
+
+@LAWS
+@given(single_terms())
+def test_closed_form_term_images_are_schouten_brackets(term):
+    L, exps, ders, c = term
+    single = polyfield.PolyVectorField(L, len(ders), {(exps, ders): c})
+    for x in range(L.dim):
+        image = polyfield.coadjoint_term_images(L, x)(exps, ders)
+        X = polyfield.coadjoint_field(L, x)
+        assert termops.pscale(image, c) == polyfield.schouten_nijenhuis(X, single).terms
+
+
+def test_rows_without_the_derivation_part_are_caught(sl3, monkeypatch):
+    # the coefficient part alone admits non-invariant fields, such as the
+    # Casimir times a weight-zero wedge; the re-verification must refuse them
+    monkeypatch.setattr(polyfield, "_derivation_part", lambda jac, ders: {})
+    with pytest.raises(AssertionError, match="solver produced a non-invariant field"):
+        polyfield.solve_equivariant(sl3, 2, 2)
+    # and the suite does not pass over them once the cached basis is gone
+    monkeypatch.delitem(sl3.memo, ("invariant fields", 2, 2), raising=False)
+    with pytest.raises(AssertionError, match="solver produced a non-invariant field"):
+        suites.run_suite(suites.SuiteConfig(algebra="A2", suite="phi-bracket"))
 
 
 def test_equivariant_resource_guard(sl3, monkeypatch):
