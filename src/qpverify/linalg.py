@@ -1,9 +1,11 @@
 """Exact rational linear algebra on small dense and sparse-row systems.
 
 Everything here works over ``Fraction`` and is deterministic: pivots are
-chosen by fixed rules, never by magnitude.
+chosen by fixed rules, never by magnitude.  The elimination itself runs
+on ``int`` rows and turns its result into ``Fraction``s once.
 """
 
+import math
 from fractions import Fraction
 
 from . import termops
@@ -16,29 +18,69 @@ def identity_rows(n):
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
-def _eliminate(rows):
-    """Gaussian elimination of sparse rows (column -> value dicts).
+def _int_row(row):
+    """A sparse ``Fraction`` row scaled by the lcm of its denominators."""
+    den = math.lcm(*(v.denominator for v in row.values()))
+    return {c: v.numerator * (den // v.denominator) for c, v in row.items()}
 
-    Rows are taken sparsest first, for fill-in control; each pivot is the
-    least column of a reduced row.  Returns ``{pivot column: row}``, every
-    row 1 at its pivot and 0 at the other pivots: the reduced row echelon
-    form, which the row space fixes.
+
+def _cross(row, a, piv, b):
+    """``row = a*row - b*piv`` in place, then ``row`` over its content."""
+    if a != 1:
+        for c in row:
+            row[c] *= a
+    for c, v in piv.items():
+        w = row.get(c, 0) - b * v
+        if w:
+            row[c] = w
+        else:
+            del row[c]
+    g = math.gcd(*row.values())
+    if g > 1:
+        for c in row:
+            row[c] //= g
+
+
+def _pivot_rows(rows):
+    """Fraction-free Gaussian elimination of sparse rows (column -> value dicts).
+
+    Each row is scaled to ``int`` entries.  Rows are taken sparsest first,
+    for fill-in control; a row is reduced by cross-multiplying with the
+    pivot rows, and each pivot is the least column of a reduced row.  After
+    each reduction and back-substitution a row is divided by its content
+    (the gcd of its entries), so the ints stay small.  Returns ``{pivot
+    column: int row}``, every row 0 at the other pivots.
     """
     pivot_of = {}
-    for row in sorted((dict(r) for r in rows if r), key=lambda r: (len(r), min(r))):
+    for row in sorted((_int_row(r) for r in rows if r), key=lambda r: (len(r), min(r))):
         # a pivot row is 0 at every other pivot, so one pass reduces
         for c in [c for c in row if c in pivot_of]:
-            termops.piadd(row, pivot_of[c], -row[c])
+            piv = pivot_of[c]
+            g = math.gcd(row[c], piv[c])
+            _cross(row, piv[c] // g, piv, row[c] // g)
         if not row:
             continue
         c0 = min(row)
-        row = termops.pscale(row, ONE / row[c0])
         for piv in pivot_of.values():
             f = piv.get(c0)
             if f:
-                termops.piadd(piv, row, -f)
+                g = math.gcd(f, row[c0])
+                _cross(piv, row[c0] // g, row, f // g)
         pivot_of[c0] = row
     return pivot_of
+
+
+def _eliminate(rows):
+    """Reduced row echelon form of sparse rows (column -> value dicts).
+
+    Returns ``{pivot column: row}``, every row 1 at its pivot and 0 at the
+    other pivots, which the row space fixes.  The elimination runs on
+    ``int`` rows (``_pivot_rows``); each row becomes ``Fraction`` once, here.
+    """
+    return {
+        c0: {c: Fraction(v, row[c0]) for c, v in row.items()}
+        for c0, row in _pivot_rows(rows).items()
+    }
 
 
 def _sparse_rows(rows):

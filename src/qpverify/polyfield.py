@@ -308,7 +308,7 @@ def invariant_field_space(L, p, q):
     algebra and degree pair and returned as a tuple, so no caller can
     change the cached copy.
     """
-    full = math.comb(L.dim, p) * math.comb(L.dim + q - 1, q) if q else math.comb(L.dim, p)
+    full = math.comb(L.dim, p) * math.comb(L.dim + q - 1, q)
     if full > EQUIVARIANT_ENTRY_CAP:
         raise ResourceLimitError(
             f"equivariant system of {full} entries exceeds the cap {EQUIVARIANT_ENTRY_CAP}"
@@ -441,16 +441,28 @@ def phibar(L):
     invariant 3-tensor of the products [t1,a][t2,b][t3,c].  It is
     ``PHIBAR_SIGN`` times the action field of that tensor, which the
     ``phi-bracket`` suite checks.
+
+    Monomials are packed by ``termops.monomial_codec``, so a product of
+    monomials is one ``int`` sum, and coefficients are ``int`` numerators
+    over ``lcm(phi denominators) * lcm(structure denominators)^3``; each
+    term is decoded once.
     """
     ct = liealg.canonical_tensors(L)
     phi_plain = list(ct.phi.plain_items())
     dim = L.dim
-    # the linear polynomial of the coordinate of [t, a], keyed by (t, a)
+    pack, unpack = termops.monomial_codec(dim, 3)
+    units = [pack(termops.unit_exp(dim, k)) for k in range(dim)]
+    sden = math.lcm(*(c.denominator for row in L.struct.values() for c in row.values()))
+    pden = math.lcm(*(c.denominator for _, c in phi_plain))
+    den = pden * sden**3
+    # the linear polynomial of the coordinate of [t, a], keyed by (t, a),
+    # as (packed monomial, numerator over sden) pairs
     lin = {
-        key: {termops.unit_exp(dim, k): c for k, c in row.items()}
+        key: [(units[k], c.numerator * (sden // c.denominator)) for k, c in row.items()]
         for key, row in L.struct.items()
         if row
     }
+    phi_int = [(t, c.numerator * (pden // c.denominator)) for t, c in phi_plain]
 
     terms = {}
     for a in range(dim):
@@ -458,21 +470,27 @@ def phibar(L):
             # sum of coef*[t1,a][t2,b] over the terms of phi, by third
             # leg t3, shared by every c
             heads = {}
-            for (t1, t2, t3), coef in phi_plain:
+            for (t1, t2, t3), coef in phi_int:
                 p1 = lin.get((t1, a))
                 if not p1:
                     continue
                 p2 = lin.get((t2, b))
                 if p2:
-                    termops.piadd(heads.setdefault(t3, {}), termops.pmul(p1, p2), coef)
+                    head = heads.setdefault(t3, {})
+                    for m1, c1 in p1:
+                        c1 *= coef
+                        for m2, c2 in p2:
+                            head[m1 + m2] = head.get(m1 + m2, 0) + c1 * c2
+            heads = {t3: [(m, v) for m, v in head.items() if v] for t3, head in heads.items()}
             for c in range(b + 1, dim):
                 value = {}
                 for t3, p12 in heads.items():
-                    p3 = lin.get((t3, c))
-                    if p3:
-                        termops.piadd(value, termops.pmul(p12, p3), ONE)
-                for e, v in value.items():
-                    terms[(e, (a, b, c))] = v
+                    for m3, c3 in lin.get((t3, c), ()):
+                        for m, v in p12:
+                            value[m + m3] = value.get(m + m3, 0) + v * c3
+                for m, v in value.items():
+                    if v:
+                        terms[(unpack(m), (a, b, c))] = Fraction(v, den)
     return PolyVectorField(L, 3, terms)
 
 

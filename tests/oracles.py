@@ -17,6 +17,11 @@ coefficients, as references for the packed kernels of ``termops``.
 Schouten bracket per constraint row and a weight filter over every
 candidate term, as a reference for ``polyfield.solve_equivariant``.
 
+``eliminate_fractions`` is the Gaussian elimination of ``linalg`` over
+``Fraction`` rows, and ``phibar_by_pmul`` the cubic trivector of
+``polyfield.phibar`` on exponent tuples with ``termops.pmul``, as
+references for their ``int`` forms.
+
 ``coordinate`` is the polynomial of one coordinate function.
 ``hochschild_triples`` and ``pairwise_hochschild_witness`` replay the
 Hochschild scan of ``quantize`` from scratch, triple by triple;
@@ -29,7 +34,7 @@ builder, as a fault for the twist-correspondence check.
 import itertools
 from fractions import Fraction
 
-from qpverify import grouppois, linalg, multivec, polyfield, termops
+from qpverify import grouppois, liealg, linalg, multivec, polyfield, termops
 
 ONE = Fraction(1)
 
@@ -254,6 +259,77 @@ def solve_equivariant_by_schouten(L, p, q):
         if not polyfield.is_invariant_field(f):
             raise AssertionError("solver produced a non-invariant field")
     return fields
+
+
+def eliminate_fractions(rows):
+    """Reference: ``linalg._eliminate`` over ``Fraction`` rows.
+
+    Gaussian elimination of sparse rows (column -> value dicts).
+
+    Rows are taken sparsest first, for fill-in control; each pivot is the
+    least column of a reduced row.  Returns ``{pivot column: row}``, every
+    row 1 at its pivot and 0 at the other pivots: the reduced row echelon
+    form, which the row space fixes.
+    """
+    pivot_of = {}
+    for row in sorted((dict(r) for r in rows if r), key=lambda r: (len(r), min(r))):
+        # a pivot row is 0 at every other pivot, so one pass reduces
+        for c in [c for c in row if c in pivot_of]:
+            termops.piadd(row, pivot_of[c], -row[c])
+        if not row:
+            continue
+        c0 = min(row)
+        row = termops.pscale(row, ONE / row[c0])
+        for piv in pivot_of.values():
+            f = piv.get(c0)
+            if f:
+                termops.piadd(piv, row, -f)
+        pivot_of[c0] = row
+    return pivot_of
+
+
+def phibar_by_pmul(L):
+    """Reference: ``polyfield.phibar`` on exponent tuples with ``termops.pmul``.
+
+    Cubic trivector with coefficients built from bracket coordinates.
+
+    On coordinates a, b, c the value is the sum over the expansion of the
+    invariant 3-tensor of the products [t1,a][t2,b][t3,c].  It is
+    ``PHIBAR_SIGN`` times the action field of that tensor, which the
+    ``phi-bracket`` suite checks.
+    """
+    ct = liealg.canonical_tensors(L)
+    phi_plain = list(ct.phi.plain_items())
+    dim = L.dim
+    # the linear polynomial of the coordinate of [t, a], keyed by (t, a)
+    lin = {
+        key: {termops.unit_exp(dim, k): c for k, c in row.items()}
+        for key, row in L.struct.items()
+        if row
+    }
+
+    terms = {}
+    for a in range(dim):
+        for b in range(a + 1, dim - 1):
+            # sum of coef*[t1,a][t2,b] over the terms of phi, by third
+            # leg t3, shared by every c
+            heads = {}
+            for (t1, t2, t3), coef in phi_plain:
+                p1 = lin.get((t1, a))
+                if not p1:
+                    continue
+                p2 = lin.get((t2, b))
+                if p2:
+                    termops.piadd(heads.setdefault(t3, {}), termops.pmul(p1, p2), coef)
+            for c in range(b + 1, dim):
+                value = {}
+                for t3, p12 in heads.items():
+                    p3 = lin.get((t3, c))
+                    if p3:
+                        termops.piadd(value, termops.pmul(p12, p3), ONE)
+                for e, v in value.items():
+                    terms[(e, (a, b, c))] = v
+    return polyfield.PolyVectorField(L, 3, terms)
 
 
 def coordinate(L, i):

@@ -2,10 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import eliminate_fractions
 from qpverify import linalg, termops
 
 F = Fraction
+
+LAWS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
 
 def rand_matrix(rng, rows, cols, density=0.4):
@@ -107,3 +112,37 @@ def test_trace_product_matches_full_product():
         assert linalg.mat_trace_product(a, b) == sum(
             (v for (r, c), v in prod.items() if r == c), F(0)
         )
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free elimination against its Fraction reference
+
+entries = st.fractions(min_value=-6, max_value=6, max_denominator=12).filter(bool)
+sparse_rows = st.dictionaries(st.integers(0, 7), entries, max_size=5)
+
+
+@st.composite
+def row_systems(draw):
+    """Sparse rows, some empty, with repeated, negated and dependent rows added."""
+    rows = draw(st.lists(sparse_rows, max_size=6))
+    for _ in range(draw(st.integers(0, 4)) if rows else 0):
+        u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        kind = draw(st.sampled_from(["repeat", "negate", "combine"]))
+        if kind == "repeat":
+            rows.append(dict(u))
+        elif kind == "negate":
+            # a negative leading entry
+            rows.append(termops.pscale(u, -abs(draw(entries))))
+        else:
+            rows.append(termops.padd(termops.pscale(u, draw(entries)), v, draw(entries)))
+    return rows
+
+
+@LAWS
+@given(row_systems())
+def test_eliminate_is_the_fraction_elimination(rows):
+    before = [dict(r) for r in rows]
+    reduced = linalg._eliminate(rows)
+    assert reduced == eliminate_fractions(rows)
+    assert all(type(v) is Fraction for row in reduced.values() for v in row.values())
+    assert rows == before

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import coordinate, solve_equivariant_by_schouten
-from qpverify import liealg, multivec, polyfield, suites, termops
+from oracles import coordinate, phibar_by_pmul, solve_equivariant_by_schouten
+from qpverify import liealg, linalg, multivec, polyfield, suites, termops
 
 F = Fraction
 
@@ -260,6 +260,20 @@ def test_rows_without_the_derivation_part_are_caught(sl3, monkeypatch):
         suites.run_suite(suites.SuiteConfig(algebra="A2", suite="phi-bracket"))
 
 
+def test_elimination_without_normalisation_is_caught(sl3, monkeypatch):
+    # pivot rows left over their int pivots give wrong kernel vectors; the
+    # re-verification must refuse the fields they make
+    monkeypatch.setattr(
+        linalg,
+        "_eliminate",
+        lambda rows: {
+            c0: {c: F(v) for c, v in row.items()} for c0, row in linalg._pivot_rows(rows).items()
+        },
+    )
+    with pytest.raises(AssertionError, match="solver produced a non-invariant field"):
+        polyfield.solve_equivariant(sl3, 2, 2)
+
+
 def test_equivariant_resource_guard(sl3, monkeypatch):
     monkeypatch.setattr(polyfield, "EQUIVARIANT_ENTRY_CAP", 10)
     with pytest.raises(polyfield.ResourceLimitError):
@@ -315,6 +329,12 @@ def test_phibar(sl2, sl3):
     assert polyfield.PHIBAR_SIGN == 1
     # invariance: the Lie derivative along every coadjoint field vanishes
     assert polyfield.is_invariant_field(pb)
+
+
+@pytest.mark.parametrize("name", ["A2", "A3"])
+def test_phibar_matches_pmul_oracle(name):
+    L = liealg.algebra(name[0], int(name[1:]))
+    assert polyfield.phibar(L).terms == phibar_by_pmul(L).terms
 
 
 def test_gl_transport_matches_solver_generator(sl3):
