@@ -203,8 +203,35 @@ class LieAlgebra:
         return f"LieAlgebra({self.root_system}, dim={self.dim})"
 
 
+def trace_dual(matrices):
+    """Dual basis of sparse matrices under the trace form, or ``None``.
+
+    ``dual[m] = sum_j ginv[m][j] M_j`` with ``ginv`` the inverse of the
+    gram matrix ``tr(M_i M_j)``, so ``tr(dual[m] M_k)`` is 1 at ``m = k``
+    and 0 elsewhere, and ``tr(dual[m] A)`` is the ``M_m`` coordinate of
+    any ``A`` in the span.  ``None`` when the gram matrix is singular: the
+    matrices are dependent or the trace form degenerates on their span.
+    """
+    gram = [[linalg.mat_trace_product(a, b) for b in matrices] for a in matrices]
+    ginv = linalg.invert_dense(gram)
+    if ginv is None:
+        return None
+    dual = []
+    for row in ginv:
+        acc = {}
+        for M, c in zip(matrices, row):
+            termops.piadd(acc, M, c)
+        dual.append(acc)
+    return dual
+
+
 def realize_classical(rs):
-    """Matrix realization of a classical root system (types A, B, C, D)."""
+    """Matrix realization of a classical root system (types A, B, C, D).
+
+    Structure constants are read through the trace-form dual basis
+    (``trace_dual``); each commutator is rebuilt from its coordinates,
+    so one outside the span of the basis matrices is refused.
+    """
     if rs.series not in ("A", "B", "C", "D"):
         raise UnsupportedTypeError(
             f"series {rs.series} has no matrix realization here; only root data"
@@ -224,22 +251,24 @@ def realize_classical(rs):
         weights.append(tuple(-b for b in beta))
         matrices.append(root_mats[tuple(-b for b in beta)])
 
+    dual = trace_dual(matrices)
+    if dual is None:
+        raise AssertionError("trace form degenerate on the realization")
     dim = len(matrices)
-    flat = [
-        [m.get((r, c), Fraction(0)) for r in range(msize) for c in range(msize)]
-        for m in matrices
-    ]
-    basis = linalg.RowBasis(flat)
-
     struct = {}
     for i in range(dim):
         for j in range(i + 1, dim):
             comm = linalg.mat_commutator(matrices[i], matrices[j])
-            vec = [comm.get((r, c), Fraction(0)) for r in range(msize) for c in range(msize)]
-            coeffs = basis.decompose(vec)
-            if coeffs is None:
+            row = {}
+            for k in range(dim):
+                c = linalg.mat_trace_product(dual[k], comm)
+                if c:
+                    row[k] = c
+            rebuilt = {}
+            for k, c in row.items():
+                termops.piadd(rebuilt, matrices[k], c)
+            if rebuilt != comm:
                 raise AssertionError("commutator escaped the basis span")
-            row = {k: c for k, c in enumerate(coeffs) if c}
             if row:
                 struct[(i, j)] = row
                 struct[(j, i)] = {k: -c for k, c in row.items()}

@@ -14,10 +14,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def identity_rows(n):
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
 def _int_row(row):
     """A sparse ``Fraction`` row scaled by the lcm of its denominators."""
     den = math.lcm(*(v.denominator for v in row.values()))
@@ -138,7 +134,7 @@ def solve_dense(rows, rhs):
 def invert_dense(rows):
     """Inverse of a square rational matrix, or ``None`` when singular."""
     n = len(rows)
-    aug = [list(r) + ident for r, ident in zip(rows, identity_rows(n))]
+    aug = [list(r) + [ONE if i == j else ZERO for j in range(n)] for i, r in enumerate(rows)]
     red, pivots = rref(aug)
     if pivots != list(range(n)):
         return None
@@ -152,41 +148,6 @@ def nullspace_sparse(rows, ncols):
     Returns dense basis vectors.
     """
     return _kernel_basis(_eliminate(rows), ncols)
-
-
-class RowBasis:
-    """Row space with exact decomposition of new vectors.
-
-    Used to express matrix commutators in a fixed basis: feed the basis
-    rows once, then ``decompose`` returns coordinates or ``None``.
-    """
-
-    def __init__(self, rows):
-        self.rows = [list(r) for r in rows]
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        aug = [list(r) + unit for r, unit in zip(self.rows, identity_rows(len(self.rows)))]
-        red, pivots = rref(aug)
-        if any(p >= self.ncols for p in pivots):
-            raise ValueError("rows are linearly dependent")
-        self._red = red
-        self._pivots = pivots
-
-    def decompose(self, vec):
-        """Coordinates of ``vec`` in the stored rows, or ``None``."""
-        residual = list(vec)
-        coeffs = [ZERO] * len(self.rows)
-        for r, pc in enumerate(self._pivots):
-            f = residual[pc]
-            if f:
-                row = self._red[r]
-                for c in range(self.ncols):
-                    if row[c]:
-                        residual[c] -= f * row[c]
-                for c in range(len(self.rows)):
-                    coeffs[c] += f * self._red[r][self.ncols + c]
-        if any(residual):
-            return None
-        return coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -232,20 +232,6 @@ def _simple_generator_indices(L):
     return gens
 
 
-def _weight(L, counts):
-    """Sum of ``n`` times the weight of ``y_j`` over the pairs ``(j, n)`` in ``counts``.
-
-    The monomial ``y^e`` has weight ``_weight(L, enumerate(e))``; the
-    derivation ``d/dy_D`` has minus the weight of ``D``'s pairs ``(d, 1)``.
-    """
-    w = [0] * L.rank
-    for j, n in counts:
-        if n:
-            for t in range(L.rank):
-                w[t] += n * L.weights[j][t]
-    return tuple(w)
-
-
 def _derivation_part(jac, ders):
     """The term dict ``D' -> c`` of ``-sum_s sum_k (d X_k / dy_{d_s}) d/dy_{D[d_s -> k]}``.
 
@@ -341,11 +327,13 @@ def solve_equivariant(L, p, q):
     """
     by_weight = {}
     for exps in monomials(L.dim, q):
-        by_weight.setdefault(_weight(L, enumerate(exps)), []).append(exps)
+        # y^e has the weight of the key that lists each j e_j times
+        key = tuple(j for j, n in enumerate(exps) for _ in range(n))
+        by_weight.setdefault(L.weight_of_key(key), []).append(exps)
     labels = [
         (exps, ders)
         for ders in combinations(range(L.dim), p)
-        for exps in by_weight.get(_weight(L, ((d, 1) for d in ders)), ())
+        for exps in by_weight.get(L.weight_of_key(ders), ())
     ]
     gens = [(g, coadjoint_term_images(L, g)) for g in _simple_generator_indices(L)]
     rows = {}
@@ -592,19 +580,9 @@ def gl_transport_quadratic_bracket(L):
         raise ValueError("needs a matrix realization")
     n = L.msize
     dim = L.dim
-    gram = [
-        [linalg.mat_trace_product(L.matrices[i], L.matrices[j]) for j in range(dim)]
-        for i in range(dim)
-    ]
-    ginv = linalg.invert_dense(gram)
-    if ginv is None:
+    dual = liealg.trace_dual(L.matrices)
+    if dual is None:
         raise AssertionError("trace form degenerate on the realization")
-    dual = []
-    for m in range(dim):
-        acc = {}
-        for j in range(dim):
-            termops.piadd(acc, L.matrices[j], ginv[m][j])
-        dual.append(acc)
 
     def linear(prod):
         # the linear coordinate polynomial of a matrix, read through tr(dual[m] .)

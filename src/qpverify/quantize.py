@@ -7,7 +7,8 @@ monomial rather than at each monomial pair.  The symmetric-algebra
 family is probed through a rewriting system whose normal forms are
 ordered monomials, and the coproduct-level identities (pentagon shadow,
 first-order R-matrix relations, counit constraints) are evaluated
-exactly through Kronecker powers of a faithful matrix representation.
+exactly through Kronecker powers of a faithful matrix representation,
+each a list of slot layouts summed over word terms by ``_kron_terms``.
 
 First-order conventions: the twist starts at half the r-matrix, so the
 coproduct correction of ``x`` is half the cocommutator and the star
@@ -15,6 +16,7 @@ product carries ``(1/2)(f - r_M)`` at order one.  The order-one scans
 take their degree bound ``d`` as an argument; none truncates a product.
 """
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -474,24 +476,54 @@ def tensor_to_words(tensor):
     return [(c, tuple((i,) for i in key)) for key, c in tensor.plain_items()]
 
 
-def _word_matrix(mats, msize, word):
-    out = linalg.mat_identity(msize)
-    for letter in word:
-        out = linalg.mat_mul(out, mats[letter])
-    return out
+def _kron_terms(mats, msize, word_terms, layout):
+    """``sum c (slot_1 (x) ... (x) slot_k)`` over the word terms ``(c, legs)``.
 
-
-def _coproduct_matrix(mats, msize, word):
-    """Matrix of the coproduct of a word in the doubled representation."""
-    out = linalg.mat_identity(msize * msize)
+    Each slot of ``layout`` is ``i`` for the matrix of leg ``i`` (its
+    letters multiplied in order), ``("D", i)`` for the coproduct of leg
+    ``i`` in the doubled representation (the product over its letters
+    of ``X (x) 1 + 1 (x) X``), or ``None`` for the identity of the
+    representation.  Every product goes through ``linalg.mat_kron_many``.
+    """
     ident = linalg.mat_identity(msize)
-    for letter in word:
-        step = termops.padd(
-            linalg.mat_kron(mats[letter], ident, msize),
-            linalg.mat_kron(ident, mats[letter], msize),
+    doubled = msize * msize
+    primitive = {}
+
+    def coproduct(letter):
+        if letter not in primitive:
+            primitive[letter] = termops.padd(
+                linalg.mat_kron_many([mats[letter], ident], [msize, msize]),
+                linalg.mat_kron_many([ident, mats[letter]], [msize, msize]),
+            )
+        return primitive[letter]
+
+    def slot(s, legs):
+        if s is None:
+            return ident
+        # an empty leg is the unit word, whose matrix is the identity
+        if isinstance(s, int):
+            factors = [mats[letter] for letter in legs[s]] or [ident]
+        else:
+            factors = [coproduct(letter) for letter in legs[s[1]]] or [linalg.mat_identity(doubled)]
+        return functools.reduce(linalg.mat_mul, factors)
+
+    dims = [doubled if isinstance(s, tuple) else msize for s in layout]
+    total = {}
+    for coeff, legs in word_terms:
+        termops.piadd(
+            total, linalg.mat_kron_many([slot(s, legs) for s in layout], dims), coeff
         )
-        out = linalg.mat_mul(out, step)
-    return out
+    return total
+
+
+# (id (x) id (x) D)T + (D (x) id (x) id)T - 1 (x) T - (id (x) D (x) id)T - T (x) 1
+PENTAGON_LAYOUTS = (
+    (ONE, (0, 1, ("D", 2))),
+    (ONE, (("D", 0), 1, 2)),
+    (-ONE, (None, 0, 1, 2)),
+    (-ONE, (0, ("D", 1), 2)),
+    (-ONE, (0, 1, 2, None)),
+)
 
 
 def pentagon_order2_check(L, word_terms=None, rep="defining"):
@@ -507,25 +539,9 @@ def pentagon_order2_check(L, word_terms=None, rep="defining"):
         return CheckResult(passed=False, witness={"reason": "representation not faithful"})
     if word_terms is None:
         word_terms = tensor_to_words(liealg.canonical_tensors(L).phi)
-    ident = linalg.mat_identity(msize)
     total = {}
-
-    def add_terms(sign, builder):
-        for coeff, words in word_terms:
-            termops.piadd(total, builder(words), sign * coeff)
-
-    def leg(word):
-        return _word_matrix(mats, msize, word)
-
-    def cop(word):
-        return _coproduct_matrix(mats, msize, word)
-
-    dims3 = [msize, msize, msize * msize]
-    add_terms(ONE, lambda w: linalg.mat_kron_many([leg(w[0]), leg(w[1]), cop(w[2])], dims3))
-    add_terms(ONE, lambda w: linalg.mat_kron_many([cop(w[0]), leg(w[1]), leg(w[2])], [msize * msize, msize, msize]))
-    add_terms(-ONE, lambda w: linalg.mat_kron_many([ident, leg(w[0]), leg(w[1]), leg(w[2])], [msize] * 4))
-    add_terms(-ONE, lambda w: linalg.mat_kron_many([leg(w[0]), cop(w[1]), leg(w[2])], [msize, msize * msize, msize]))
-    add_terms(-ONE, lambda w: linalg.mat_kron_many([leg(w[0]), leg(w[1]), leg(w[2]), ident], [msize] * 4))
+    for sign, layout in PENTAGON_LAYOUTS:
+        termops.piadd(total, _kron_terms(mats, msize, word_terms, layout), sign)
     single_letter = all(
         all(len(w) == 1 for w in words) for _, words in word_terms
     )
@@ -557,35 +573,15 @@ def order_h_factorization_check(L, word_terms):
     these hold exactly when every leg is primitive and fail otherwise.
     """
     mats, msize = representation(L, "defining")
-    ident = linalg.mat_identity(msize)
-    m2 = msize * msize
-    lhs1 = {}
-    rhs1 = {}
-    lhs2 = {}
-    rhs2 = {}
-    for coeff, (wa, wb) in word_terms:
-        A = _word_matrix(mats, msize, wa)
-        B = _word_matrix(mats, msize, wb)
-        dA = _coproduct_matrix(mats, msize, wa)
-        dB = _coproduct_matrix(mats, msize, wb)
-        termops.piadd(lhs1, linalg.mat_kron(dA, B, msize), coeff)
-        termops.piadd(
-            rhs1,
-            termops.padd(
-                linalg.mat_kron_many([A, ident, B], [msize] * 3),
-                linalg.mat_kron_many([ident, A, B], [msize] * 3),
-            ),
-            coeff,
-        )
-        termops.piadd(lhs2, linalg.mat_kron(A, dB, m2), coeff)
-        termops.piadd(
-            rhs2,
-            termops.padd(
-                linalg.mat_kron_many([A, ident, B], [msize] * 3),
-                linalg.mat_kron_many([A, B, ident], [msize] * 3),
-            ),
-            coeff,
-        )
+
+    def kron(layout):
+        return _kron_terms(mats, msize, word_terms, layout)
+
+    rho_13 = kron((0, None, 1))
+    lhs1 = kron((("D", 0), 1))
+    rhs1 = termops.padd(rho_13, kron((None, 0, 1)))
+    lhs2 = kron((0, ("D", 1)))
+    rhs2 = termops.padd(rho_13, kron((0, 1, None)))
     ok1 = lhs1 == rhs1
     ok2 = lhs2 == rhs2
     return CheckResult(
@@ -611,23 +607,13 @@ def rmatrix_first_order_checks(L):
     words_rho1 = tensor_to_words(rho1)
     part_i = order_h_factorization_check(L, words_rho1)
 
-    ident = linalg.mat_identity(msize)
-
-    def two_fold(tensor):
-        out = {}
-        for (a, b), c in tensor.plain_items():
-            termops.piadd(out, linalg.mat_kron(mats[a], mats[b], msize), c)
-        return out
-
-    rho_hat = two_fold(rho1)
-    r_hat = two_fold(ct.r_sd)
-    t_hat = two_fold(ct.t)
+    rho_hat = _kron_terms(mats, msize, words_rho1, (0, 1))
+    r_hat = _kron_terms(mats, msize, tensor_to_words(ct.r_sd), (0, 1))
+    t_hat = _kron_terms(mats, msize, tensor_to_words(ct.t), (0, 1))
     failing = None
     t_commutes = True
     for x in range(L.dim):
-        dx = termops.padd(
-            linalg.mat_kron(mats[x], ident, msize), linalg.mat_kron(ident, mats[x], msize)
-        )
+        dx = _kron_terms(mats, msize, [(ONE, ((x,),))], (("D", 0),))
         lhs = linalg.mat_commutator(rho_hat, dx)
         rhs = termops.pscale(linalg.mat_commutator(r_hat, dx), -ONE)
         if lhs != rhs and failing is None:

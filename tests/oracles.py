@@ -22,6 +22,15 @@ candidate term, as a reference for ``polyfield.solve_equivariant``.
 ``polyfield.phibar`` on exponent tuples with ``termops.pmul``, as
 references for their ``int`` forms.
 
+``RowBasis`` decomposes dense vectors over a fixed row basis by an
+augmented ``rref``, and ``realize_by_row_basis`` reads the structure
+constants and Killing form of a matrix realization through it, as a
+reference for the trace-dual coordinates of ``liealg``.
+``word_matrix``, ``coproduct_matrix``, ``pentagon_total``,
+``factorization_relations``, ``two_fold`` and ``primitive_coproduct``
+build the Kronecker powers of ``quantize`` one at a time, with their
+dimension lists written out, as references for ``quantize._kron_terms``.
+
 ``coordinate`` is the polynomial of one coordinate function.
 ``hochschild_triples`` and ``pairwise_hochschild_witness`` replay the
 Hochschild scan of ``quantize`` from scratch, triple by triple;
@@ -35,7 +44,9 @@ import itertools
 from fractions import Fraction
 
 from qpverify import grouppois, liealg, linalg, multivec, polyfield, termops
+from qpverify.linalg import rref
 
+ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -286,6 +297,155 @@ def eliminate_fractions(rows):
                 termops.piadd(piv, row, -f)
         pivot_of[c0] = row
     return pivot_of
+
+
+def identity_rows(n):
+    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+
+
+class RowBasis:
+    """Row space with exact decomposition of new vectors.
+
+    Used to express matrix commutators in a fixed basis: feed the basis
+    rows once, then ``decompose`` returns coordinates or ``None``.
+    """
+
+    def __init__(self, rows):
+        self.rows = [list(r) for r in rows]
+        self.ncols = len(self.rows[0]) if self.rows else 0
+        aug = [list(r) + unit for r, unit in zip(self.rows, identity_rows(len(self.rows)))]
+        red, pivots = rref(aug)
+        if any(p >= self.ncols for p in pivots):
+            raise ValueError("rows are linearly dependent")
+        self._red = red
+        self._pivots = pivots
+
+    def decompose(self, vec):
+        """Coordinates of ``vec`` in the stored rows, or ``None``."""
+        residual = list(vec)
+        coeffs = [ZERO] * len(self.rows)
+        for r, pc in enumerate(self._pivots):
+            f = residual[pc]
+            if f:
+                row = self._red[r]
+                for c in range(self.ncols):
+                    if row[c]:
+                        residual[c] -= f * row[c]
+                for c in range(len(self.rows)):
+                    coeffs[c] += f * self._red[r][self.ncols + c]
+        if any(residual):
+            return None
+        return coeffs
+
+
+def realize_by_row_basis(L):
+    """Reference: ``(struct, killing)`` of ``L``'s matrices, decomposed by ``RowBasis``.
+
+    Each matrix is flattened to a dense vector; each commutator of a
+    basis pair is decomposed over those vectors, and the Killing form is
+    the trace form of the adjoint matrices of the resulting constants.
+    """
+    n = L.msize
+
+    def flat(m):
+        return [m.get((r, c), ZERO) for r in range(n) for c in range(n)]
+
+    basis = RowBasis([flat(m) for m in L.matrices])
+    struct = {}
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            coeffs = basis.decompose(flat(linalg.mat_commutator(L.matrices[i], L.matrices[j])))
+            if coeffs is None:
+                raise AssertionError("commutator escaped the basis span")
+            row = {k: c for k, c in enumerate(coeffs) if c}
+            if row:
+                struct[(i, j)] = row
+                struct[(j, i)] = {k: -c for k, c in row.items()}
+    ads = [liealg._ad_matrix(struct, i) for i in range(L.dim)]
+    killing = [[linalg.mat_trace_product(a, b) for b in ads] for a in ads]
+    return struct, killing
+
+
+def word_matrix(mats, msize, word):
+    """Reference: the matrix of a word, its letters multiplied in order."""
+    out = linalg.mat_identity(msize)
+    for letter in word:
+        out = linalg.mat_mul(out, mats[letter])
+    return out
+
+
+def coproduct_matrix(mats, msize, word):
+    """Reference: the matrix of the coproduct of a word in the doubled representation."""
+    out = linalg.mat_identity(msize * msize)
+    ident = linalg.mat_identity(msize)
+    for letter in word:
+        step = termops.padd(
+            linalg.mat_kron(mats[letter], ident, msize),
+            linalg.mat_kron(ident, mats[letter], msize),
+        )
+        out = linalg.mat_mul(out, step)
+    return out
+
+
+def pentagon_total(mats, msize, word_terms):
+    """Reference: the signed sum that ``quantize.pentagon_order2_check`` tests for zero.
+
+    ``(id (x) id (x) D)T + (D (x) id (x) id)T - 1 (x) T - (id (x) D (x) id)T
+    - T (x) 1`` over word terms ``(c, (w0, w1, w2))``.
+    """
+    ident = linalg.mat_identity(msize)
+    m2 = msize * msize
+    total = {}
+    for coeff, (w0, w1, w2) in word_terms:
+        a, b, c = (word_matrix(mats, msize, w) for w in (w0, w1, w2))
+        da, db, dc = (coproduct_matrix(mats, msize, w) for w in (w0, w1, w2))
+        for sign, slots, dims in (
+            (ONE, [a, b, dc], [msize, msize, m2]),
+            (ONE, [da, b, c], [m2, msize, msize]),
+            (-ONE, [ident, a, b, c], [msize] * 4),
+            (-ONE, [a, db, c], [msize, m2, msize]),
+            (-ONE, [a, b, c, ident], [msize] * 4),
+        ):
+            termops.piadd(total, linalg.mat_kron_many(slots, dims), sign * coeff)
+    return total
+
+
+def factorization_relations(mats, msize, word_terms):
+    """Reference: whether ``(D (x) id)rho = rho_13 + rho_23`` and
+    ``(id (x) D)rho = rho_13 + rho_12`` hold, for word terms ``(c, (wa, wb))``.
+    """
+    ident = linalg.mat_identity(msize)
+    m2 = msize * msize
+    lhs1, rhs1, lhs2, rhs2 = {}, {}, {}, {}
+    for coeff, (wa, wb) in word_terms:
+        A = word_matrix(mats, msize, wa)
+        B = word_matrix(mats, msize, wb)
+        dA = coproduct_matrix(mats, msize, wa)
+        dB = coproduct_matrix(mats, msize, wb)
+        rho_13 = linalg.mat_kron_many([A, ident, B], [msize] * 3)
+        termops.piadd(lhs1, linalg.mat_kron(dA, B, msize), coeff)
+        termops.piadd(rhs1, rho_13, coeff)
+        termops.piadd(rhs1, linalg.mat_kron_many([ident, A, B], [msize] * 3), coeff)
+        termops.piadd(lhs2, linalg.mat_kron(A, dB, m2), coeff)
+        termops.piadd(rhs2, rho_13, coeff)
+        termops.piadd(rhs2, linalg.mat_kron_many([A, B, ident], [msize] * 3), coeff)
+    return lhs1 == rhs1, lhs2 == rhs2
+
+
+def two_fold(mats, msize, tensor):
+    """Reference: a plain 2-tensor in the doubled representation."""
+    out = {}
+    for (a, b), c in tensor.plain_items():
+        termops.piadd(out, linalg.mat_kron(mats[a], mats[b], msize), c)
+    return out
+
+
+def primitive_coproduct(mats, msize, x):
+    """Reference: ``X (x) 1 + 1 (x) X`` for the basis element ``x``."""
+    ident = linalg.mat_identity(msize)
+    return termops.padd(
+        linalg.mat_kron(mats[x], ident, msize), linalg.mat_kron(ident, mats[x], msize)
+    )
 
 
 def phibar_by_pmul(L):

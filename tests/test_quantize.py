@@ -10,11 +10,15 @@ from hypothesis import strategies as st
 from oracles import (
     coordinate,
     doubled_smallest_term,
+    factorization_relations,
     hochschild_triples,
     monomials_upto,
     pairwise_hochschild_witness,
     pairwise_invariance_witness,
     pairwise_twist_witness,
+    pentagon_total,
+    primitive_coproduct,
+    two_fold,
 )
 from qpverify import liealg, multivec, polyfield, quantize, termops
 
@@ -437,6 +441,9 @@ def test_pentagon_word_leg_fault(sl2):
     fault = [(F(1), ((1, 1), (0,), (2,)))]
     res = quantize.pentagon_order2_check(sl2, word_terms=fault)
     assert not res.passed
+    assert res.witness == {"position": (1, 12), "value": "2", "nonzero_entries": 2}
+    res = quantize.pentagon_order2_check(liealg.algebra("A", 3), word_terms=fault)
+    assert res.witness == {"position": (82, 82), "value": "2", "nonzero_entries": 16}
 
 
 def test_faithfulness_guard(sl2):
@@ -469,3 +476,49 @@ def test_factorization_primitive_vs_word_legs(sl2):
     # a squared-letter leg fails them
     bad = quantize.order_h_factorization_check(sl2, [(F(1), ((1, 1), (1,)))])
     assert not bad.passed
+    assert bad.witness == {"first_relation": False, "second_relation": True}
+
+
+def word_terms(dim, legs):
+    """Random word terms: 1 to 3 of them, each leg a word of 1 or 2 letters."""
+    word = st.lists(st.integers(0, dim - 1), min_size=1, max_size=2).map(tuple)
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    return st.lists(st.tuples(coeff, st.tuples(*[word] * legs)), min_size=1, max_size=3)
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@LAWS
+@given(data=st.data())
+def test_kron_terms_match_the_leg_by_leg_builders(rank, data):
+    L = liealg.algebra("A", rank)
+    mats, msize = quantize.representation(L, "defining")
+    terms = data.draw(word_terms(L.dim, 3))
+    total = {}
+    for sign, layout in quantize.PENTAGON_LAYOUTS:
+        termops.piadd(total, quantize._kron_terms(mats, msize, terms, layout), sign)
+    want = pentagon_total(mats, msize, terms)
+    assert total == want
+    res = quantize.pentagon_order2_check(L, word_terms=terms)
+    assert res.passed == (not want)
+    if want:
+        key = min(want)
+        assert res.witness == {"position": key, "value": str(want[key]), "nonzero_entries": len(want)}
+
+    terms = data.draw(word_terms(L.dim, 2))
+    ok1, ok2 = factorization_relations(mats, msize, terms)
+    res = quantize.order_h_factorization_check(L, terms)
+    assert res.passed == (ok1 and ok2)
+    assert res.witness == ({} if ok1 and ok2 else {"first_relation": ok1, "second_relation": ok2})
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_kron_terms_two_fold_and_primitive_coproduct(rank):
+    L = liealg.algebra("A", rank)
+    mats, msize = quantize.representation(L, "defining")
+    ct = liealg.canonical_tensors(L)
+    for tensor in (ct.t, ct.r_sd):
+        got = quantize._kron_terms(mats, msize, quantize.tensor_to_words(tensor), (0, 1))
+        assert got == two_fold(mats, msize, tensor)
+    for x in range(L.dim):
+        got = quantize._kron_terms(mats, msize, [(F(1), ((x,),))], (("D", 0),))
+        assert got == primitive_coproduct(mats, msize, x)
