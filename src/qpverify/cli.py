@@ -9,7 +9,7 @@ import argparse
 import os
 import sys
 
-from . import polyfield, suites
+from . import suites, termops
 
 
 def build_parser():
@@ -60,7 +60,7 @@ def main(argv=None):
     except suites.UsageError as exc:
         print(f"qpverify: error: {exc}", file=sys.stderr)
         return 2
-    except polyfield.ResourceLimitError as exc:
+    except termops.ResourceLimitError as exc:
         print(f"qpverify: resource cap: {exc}", file=sys.stderr)
         return 3
     try:

@@ -79,6 +79,11 @@ def _eliminate(rows):
     }
 
 
+def rank(rows):
+    """Rank of sparse rows (column -> nonzero value dicts) with comparable columns."""
+    return len(_pivot_rows(rows))
+
+
 def _sparse_rows(rows):
     return [{c: v for c, v in enumerate(r) if v} for r in rows]
 
@@ -108,11 +113,6 @@ def rref(rows):
     pivot_of = _eliminate(_sparse_rows(rows))
     pivots = sorted(pivot_of)
     return [[pivot_of[p].get(c, ZERO) for c in range(ncols)] for p in pivots], pivots
-
-
-def nullspace_dense(rows, ncols):
-    """Basis of the right kernel of a dense row list."""
-    return _kernel_basis(_eliminate(_sparse_rows(rows)), ncols)
 
 
 def solve_dense(rows, rhs):

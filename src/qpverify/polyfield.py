@@ -18,7 +18,6 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from . import liealg, linalg, termops
-from .termops import ResourceLimitError
 
 ONE = Fraction(1)
 
@@ -296,7 +295,7 @@ def invariant_field_space(L, p, q):
     """
     full = math.comb(L.dim, p) * math.comb(L.dim + q - 1, q)
     if full > EQUIVARIANT_ENTRY_CAP:
-        raise ResourceLimitError(
+        raise termops.ResourceLimitError(
             f"equivariant system of {full} entries exceeds the cap {EQUIVARIANT_ENTRY_CAP}"
         )
     key = ("invariant fields", p, q)
@@ -508,9 +507,7 @@ def poisson_pencil_check(P, Q):
 class ScanEntry:
     degree: int
     dimension: int
-    basis: list
     invariant_poly_dim: int
-    all_kirillov_multiples: bool
     extras: list
 
 
@@ -518,12 +515,14 @@ def invariant_bivector_scan(L, max_degree):
     """Invariant bivector fields by coefficient degree, versus b * kirillov.
 
     For each coefficient degree k <= max_degree the entry records the
-    space of invariant bivector fields and whether it is exhausted by
-    invariant-polynomial multiples of the linear bivector.
+    dimension of the space of invariant bivector fields and, as
+    ``extras``, the basis fields that raise the rank of the
+    invariant-polynomial multiples of the linear bivector; the space is
+    exhausted by those multiples exactly when ``extras`` is empty.
     """
     worst = math.comb(L.dim, 2) * math.comb(L.dim + max_degree - 1, max_degree)
     if worst > EQUIVARIANT_ENTRY_CAP:
-        raise ResourceLimitError(
+        raise termops.ResourceLimitError(
             f"scan at degree {max_degree} needs {worst} entries, "
             f"above the cap {EQUIVARIANT_ENTRY_CAP}"
         )
@@ -532,32 +531,14 @@ def invariant_bivector_scan(L, max_degree):
     for k in range(1, max_degree + 1):
         fields = invariant_field_space(L, 2, k)
         inv_polys = invariant_polynomials(L, k - 1)
-        multiples = [
-            PolyVectorField(L, 2, termops.smul({(e, ()): c for e, c in b.items()}, s.terms))
-            for b in inv_polys
-        ]
-        # membership of each solution in the span of the multiples
-        all_multiple = True
-        extras = []
-        if fields:
-            keys = sorted({key for f in (*fields, *multiples) for key in f.terms})
-
-            def dense(f):
-                return [f.terms.get(key, Fraction(0)) for key in keys]
-
-            # one column per multiple
-            system = list(zip(*map(dense, multiples)))
-            for f in fields:
-                if not multiples or linalg.solve_dense(system, dense(f)) is None:
-                    all_multiple = False
-                    extras.append(f)
+        multiples = [termops.smul({(e, ()): c for e, c in b.items()}, s.terms) for b in inv_polys]
+        spanned = linalg.rank(multiples)
+        extras = [f for f in fields if linalg.rank([*multiples, f.terms]) > spanned]
         out.append(
             ScanEntry(
                 degree=k,
                 dimension=len(fields),
-                basis=fields,
                 invariant_poly_dim=len(inv_polys),
-                all_kirillov_multiples=all_multiple,
                 extras=extras,
             )
         )

@@ -350,7 +350,7 @@ def _suite_conjecture_scan(series, rank, config):
         f0 = polyfield.quadratic_bracket(L)
     checks = []
     for entry in entries:
-        if entry.all_kirillov_multiples:
+        if not entry.extras:
             ok = entry.dimension == entry.invariant_poly_dim
             witness = {
                 "dimension": entry.dimension,
@@ -539,31 +539,36 @@ def _suite_good_orbits(series, rank, config):
 
 def _suite_pentagon(series, rank, config):
     L = _classical(series, rank)
+    words = quantize.tensor_to_words(liealg.canonical_tensors(L).phi)
+
+    def defining():
+        res = quantize.pentagon_order2_check(L.matrices, L.msize, words)
+        if res.passed:
+            return True, {"representation": "defining", **res.details}
+        return False, res.witness
+
+    def adjoint():
+        mats = [L.ad_matrix(i) for i in range(L.dim)]
+        return (
+            quantize.faithfulness_guard(mats, L.dim)
+            and quantize.pentagon_order2_check(mats, L.dim, words).passed,
+            None,
+        )
+
     checks = [
         _record(
             "faithfulness-guard",
             "identity and basis images are linearly independent",
-            lambda: (
-                quantize.faithfulness_guard(*quantize.representation(L, "defining")),
-                None,
-            ),
+            lambda: (quantize.faithfulness_guard(L.matrices, L.msize), None),
         ),
         _record(
             "pentagon-defining",
             "order-two pentagon shadow in the 4-fold defining power",
-            lambda: (lambda res: (res.passed, res.details))(
-                quantize.pentagon_order2_check(L)
-            ),
+            defining,
         ),
     ]
     if L.dim <= 3:
-        checks.append(
-            _record(
-                "pentagon-adjoint",
-                "cross-representation consistency",
-                lambda: (quantize.pentagon_order2_check(L, rep="adjoint").passed, None),
-            )
-        )
+        checks.append(_record("pentagon-adjoint", "cross-representation consistency", adjoint))
     else:
         checks.append(
             _skip("pentagon-adjoint", "cross-representation consistency", "large adjoint power")
@@ -573,7 +578,7 @@ def _suite_pentagon(series, rank, config):
         _record(
             "word-leg-fault-detected",
             "a non-primitive leg breaks the shadow identity",
-            lambda: (not quantize.pentagon_order2_check(L, word_terms=fault).passed, None),
+            lambda: (not quantize.pentagon_order2_check(L.matrices, L.msize, fault).passed, None),
         )
     )
     return checks
@@ -581,34 +586,48 @@ def _suite_pentagon(series, rank, config):
 
 def _suite_rmatrix(series, rank, config):
     L = _classical(series, rank)
-    state = {}
+    if not quantize.faithfulness_guard(L.matrices, L.msize):
+        raise AssertionError("representation fails the faithfulness guard")
+    ct = liealg.canonical_tensors(L)
+    # the first-order twist datum t/2 - r
+    rho_words = quantize.tensor_to_words(
+        ct.t.scale(Fraction(1, 2)).add(ct.r_sd.to_plain().scale(-1))
+    )
 
-    def parts():
-        if not state:
-            state["parts"] = quantize.rmatrix_first_order_checks(L)
-        return state["parts"]
+    def factorized():
+        res = quantize.order_h_factorization_check(L.matrices, L.msize, rho_words)
+        return res.passed, res.witness
+
+    def conjugation():
+        res = quantize.coproduct_conjugation_check(L, rho_words)
+        return res.passed, res.witness or res.details
 
     fault = [(Fraction(1), ((1, 1), (1,)))]
     return [
         _record(
             "factorized-coproduct",
             "order-one factorization of the doubled R-matrix",
-            lambda: (parts()[0].passed, parts()[0].witness or None),
+            factorized,
         ),
         _record(
             "coproduct-conjugation",
             "commutator with primitive coproducts reduces to the r-matrix part",
-            lambda: (parts()[1].passed, parts()[1].witness or parts()[1].details),
+            conjugation,
         ),
         _record(
             "counit-legs",
             "counit kills each leg of the first-order twist datum",
-            lambda: (parts()[2].passed, None),
+            # contracting either slot with the counit kills the datum when
+            # every leg is a positive-length word
+            lambda: (all(wa and wb for _, (wa, wb) in quantize.tensor_to_words(ct.r_sd)), None),
         ),
         _record(
             "word-leg-fault-detected",
             "a non-primitive leg fails the factorization",
-            lambda: (not quantize.order_h_factorization_check(L, fault).passed, None),
+            lambda: (
+                not quantize.order_h_factorization_check(L.matrices, L.msize, fault).passed,
+                None,
+            ),
         ),
     ]
 
@@ -640,7 +659,7 @@ def _suite_star_first_order(series, rank, config):
     d = _degree(config, 3, 2)
     rows = L.dim * (math.comb(L.dim + d - 1, d - 1) - 1)
     if rows > quantize.STAR_ROW_CAP:
-        raise polyfield.ResourceLimitError(
+        raise termops.ResourceLimitError(
             f"star scans at degree {d} build {rows} rows, above cap {quantize.STAR_ROW_CAP}"
         )
     ct = liealg.canonical_tensors(L)

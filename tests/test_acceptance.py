@@ -123,12 +123,12 @@ def test_criterion_06_conjecture_scan():
     with Budget("06 conjecture scan", 120):
         L2 = liealg.algebra("A", 1)
         for entry in polyfield.invariant_bivector_scan(L2, 3):
-            assert entry.all_kirillov_multiples
+            assert not entry.extras
             assert entry.dimension == entry.invariant_poly_dim
         L3 = liealg.algebra("A", 2)
         entries = polyfield.invariant_bivector_scan(L3, 2)
         deg2 = entries[1]
-        assert deg2.dimension == 1 and not deg2.all_kirillov_multiples
+        assert deg2.dimension == 1 and len(deg2.extras) == 1
         f0 = polyfield.quadratic_bracket(L3)
         assert polyfield.fields_proportional(deg2.extras[0], f0) is not None
         assert run("conjecture-scan", "A1", degree=3).aggregate == "pass"
@@ -206,12 +206,17 @@ def test_criterion_08_good_orbit_classification():
 
 def test_criterion_09_quantization_order_suite():
     with Budget("09 quantization orders", 300):
-        assert quantize.pentagon_order2_check(liealg.algebra("A", 1)).passed
-        assert quantize.pentagon_order2_check(liealg.algebra("A", 2)).passed
-        part_i, part_ii, part_iii = quantize.rmatrix_first_order_checks(
-            liealg.algebra("A", 1)
-        )
-        assert part_i.passed and part_ii.passed and part_iii.passed
+        for rank in (1, 2):
+            sl = liealg.algebra("A", rank)
+            words = quantize.tensor_to_words(liealg.canonical_tensors(sl).phi)
+            assert quantize.pentagon_order2_check(sl.matrices, sl.msize, words).passed
+        report = run("rmatrix-first-order", "A1")
+        assert {c.id: c.status for c in report.checks} == {
+            "coproduct-conjugation": "pass",
+            "counit-legs": "pass",
+            "factorized-coproduct": "pass",
+            "word-leg-fault-detected": "pass",
+        }
 
         L = liealg.algebra("A", 2)
         ct = liealg.canonical_tensors(L)

@@ -253,3 +253,64 @@ def test_perfbench_still_reads_every_allowed_name():
         strings = [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)]
         named.update(v for v in strings if isinstance(v, str))
     assert [q for q in UNREAD_ALLOWED if q.rsplit(".", 1)[1] not in named] == []
+
+
+def _is_dataclass(decorator):
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return _called_name(decorator) == "dataclass"
+
+
+def unread_fields(sources):
+    """Fields of module-level dataclasses that no source reads.
+
+    ``sources`` maps a file name to its text.  A field counts as read
+    where any source loads an attribute of its name (``obj.field``);
+    passing it to the constructor is not a read.  As in
+    ``unread_definitions``, a field that shares its name with any other
+    attribute read is not seen by the scan.  Returns
+    ``module.Class.field`` strings.
+    """
+    trees = {fname: ast.parse(text) for fname, text in sources.items()}
+    fields = []  # (qualified name, field name)
+    for fname, tree in trees.items():
+        module = fname.removesuffix(".py").replace("/", ".")
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+                fields.extend(
+                    (f"{module}.{node.name}.{item.target.id}", item.target.id)
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                )
+    read = {
+        n.attr
+        for tree in trees.values()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    return [qualname for qualname, name in fields if name not in read]
+
+
+def test_scan_flags_an_unread_field():
+    source = (
+        "from dataclasses import dataclass\n"
+        "import dataclasses\n"
+        "@dataclass\nclass A:\n    kept: int\n    dropped: int = 0\n"
+        "@dataclass(frozen=True)\nclass B:\n    shown: int\n    written: int\n"
+        "@dataclasses.dataclass\nclass C:\n    hidden: list\n"
+        "class Plain:\n    ignored: int\n"
+        "def f(a, b):\n    b.written = B(shown=1, written=2)\n    return a.kept + b.shown\n"
+    )
+    assert unread_fields({"pkg/s.py": source}) == [
+        "pkg.s.A.dropped",
+        "pkg.s.B.written",
+        "pkg.s.C.hidden",
+    ]
+
+
+def test_every_dataclass_field_is_read_somewhere():
+    sources = {
+        path.relative_to(PACKAGE).as_posix(): path.read_text()
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    assert unread_fields(sources) == []

@@ -35,6 +35,7 @@ def test_rref_known_case():
 
 
 def test_nullspace_dense_and_sparse_agree():
+    # the sparse kernel has the dimension the dense echelon form predicts
     rng = random.Random(31)
     for _ in range(30):
         rows_n = rng.randint(1, 6)
@@ -44,15 +45,15 @@ def test_nullspace_dense_and_sparse_agree():
             {i: v for i, v in enumerate(r) if v}
             for r in dense
         ]
-        basis_d = linalg.nullspace_dense(dense, cols)
+        _, pivots = linalg.rref(dense)
         basis_s = linalg.nullspace_sparse([r for r in sparse if r], cols)
-        assert len(basis_d) == len(basis_s)
-        for v in basis_d + basis_s:
+        assert len(basis_s) == cols - len(pivots)
+        for v in basis_s:
             assert all(x == 0 for x in mat_vec(dense, v))
-        # spans agree: stack both and check rank equals the common dimension
-        if basis_d:
-            _, pivots = linalg.rref(basis_d + basis_s)
-            assert len(pivots) == len(basis_d)
+        # the kernel vectors are independent
+        if basis_s:
+            _, kernel_pivots = linalg.rref(basis_s)
+            assert len(kernel_pivots) == len(basis_s)
 
 
 def test_solve_dense():
@@ -118,13 +119,15 @@ def test_trace_product_matches_full_product():
 # the fraction-free elimination against its Fraction reference
 
 entries = st.fractions(min_value=-6, max_value=6, max_denominator=12).filter(bool)
-sparse_rows = st.dictionaries(st.integers(0, 7), entries, max_size=5)
+int_columns = st.integers(0, 7)
+# (r, c) columns, as in the sparse matrices that the faithfulness guard ranks
+pair_columns = st.tuples(st.integers(0, 2), st.integers(0, 2))
 
 
 @st.composite
-def row_systems(draw):
+def row_systems(draw, columns=int_columns):
     """Sparse rows, some empty, with repeated, negated and dependent rows added."""
-    rows = draw(st.lists(sparse_rows, max_size=6))
+    rows = draw(st.lists(st.dictionaries(columns, entries, max_size=5), max_size=6))
     for _ in range(draw(st.integers(0, 4)) if rows else 0):
         u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
         kind = draw(st.sampled_from(["repeat", "negate", "combine"]))
@@ -145,4 +148,12 @@ def test_eliminate_is_the_fraction_elimination(rows):
     reduced = linalg._eliminate(rows)
     assert reduced == eliminate_fractions(rows)
     assert all(type(v) is Fraction for row in reduced.values() for v in row.values())
+    assert rows == before
+
+
+@LAWS
+@given(st.one_of(row_systems(), row_systems(pair_columns)))
+def test_rank_counts_the_fraction_pivots(rows):
+    before = [dict(r) for r in rows]
+    assert linalg.rank(rows) == len(eliminate_fractions(rows))
     assert rows == before

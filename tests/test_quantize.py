@@ -366,7 +366,7 @@ def test_pbw_counts(sl2, sl3):
 
 
 def test_pbw_degree_cap(sl2):
-    with pytest.raises(polyfield.ResourceLimitError):
+    with pytest.raises(termops.ResourceLimitError):
         quantize.pbw_flatness(sl2, quantize.PBW_DEGREE_CAP + 1)
 
 
@@ -412,14 +412,20 @@ def test_jacobi_fault_detected(sl2, sl3):
 # pentagon shadow
 
 
+def phi_words(L):
+    return quantize.tensor_to_words(liealg.canonical_tensors(L).phi)
+
+
 def test_pentagon_passes_sl2_sl3(sl2, sl3):
-    assert quantize.pentagon_order2_check(sl2).passed
-    assert quantize.pentagon_order2_check(sl3).passed
+    assert quantize.pentagon_order2_check(sl2.matrices, sl2.msize, phi_words(sl2)).passed
+    assert quantize.pentagon_order2_check(sl3.matrices, sl3.msize, phi_words(sl3)).passed
 
 
 def test_pentagon_cross_representation(sl2):
-    a = quantize.pentagon_order2_check(sl2, rep="defining")
-    b = quantize.pentagon_order2_check(sl2, rep="adjoint")
+    ad = [sl2.ad_matrix(i) for i in range(sl2.dim)]
+    a = quantize.pentagon_order2_check(sl2.matrices, sl2.msize, phi_words(sl2))
+    b = quantize.pentagon_order2_check(ad, sl2.dim, phi_words(sl2))
+    assert quantize.faithfulness_guard(ad, sl2.dim)
     assert a.passed and b.passed
 
 
@@ -431,7 +437,7 @@ def test_pentagon_structural_for_primitive_legs(sl2):
         (F(rng.randint(1, 4)), ((rng.randrange(3),), (rng.randrange(3),), (rng.randrange(3),)))
         for _ in range(5)
     ]
-    res = quantize.pentagon_order2_check(sl2, word_terms=terms)
+    res = quantize.pentagon_order2_check(sl2.matrices, sl2.msize, terms)
     assert res.passed
     assert "primitive" in res.details["note"]
 
@@ -439,16 +445,16 @@ def test_pentagon_structural_for_primitive_legs(sl2):
 def test_pentagon_word_leg_fault(sl2):
     # a squared-letter leg is not primitive and breaks the identity
     fault = [(F(1), ((1, 1), (0,), (2,)))]
-    res = quantize.pentagon_order2_check(sl2, word_terms=fault)
+    res = quantize.pentagon_order2_check(sl2.matrices, sl2.msize, fault)
     assert not res.passed
     assert res.witness == {"position": (1, 12), "value": "2", "nonzero_entries": 2}
-    res = quantize.pentagon_order2_check(liealg.algebra("A", 3), word_terms=fault)
+    sl4 = liealg.algebra("A", 3)
+    res = quantize.pentagon_order2_check(sl4.matrices, sl4.msize, fault)
     assert res.witness == {"position": (82, 82), "value": "2", "nonzero_entries": 16}
 
 
 def test_faithfulness_guard(sl2):
-    mats, msize = quantize.representation(sl2, "defining")
-    assert quantize.faithfulness_guard(mats, msize)
+    assert quantize.faithfulness_guard(sl2.matrices, sl2.msize)
     assert not quantize.faithfulness_guard([{}, {}], 1)
 
 
@@ -456,25 +462,34 @@ def test_faithfulness_guard(sl2):
 # first-order R-matrix data
 
 
+def rho_words(L):
+    """Word terms of the first-order twist datum ``t/2 - r``."""
+    ct = liealg.canonical_tensors(L)
+    return quantize.tensor_to_words(ct.t.scale(F(1, 2)).add(ct.r_sd.to_plain().scale(-1)))
+
+
 def test_rmatrix_first_order(sl2):
-    part_i, part_ii, part_iii = quantize.rmatrix_first_order_checks(sl2)
-    assert part_i.passed
+    words = rho_words(sl2)
+    assert quantize.order_h_factorization_check(sl2.matrices, sl2.msize, words).passed
+    part_ii = quantize.coproduct_conjugation_check(sl2, words)
     assert part_ii.passed
     assert part_ii.details["symmetric_tensor_commutes"]
-    assert part_iii.passed
 
 
 def test_rmatrix_first_order_sl3(sl3):
-    part_i, part_ii, part_iii = quantize.rmatrix_first_order_checks(sl3)
-    assert part_i.passed and part_ii.passed and part_iii.passed
+    words = rho_words(sl3)
+    assert quantize.order_h_factorization_check(sl3.matrices, sl3.msize, words).passed
+    assert quantize.coproduct_conjugation_check(sl3, words).passed
 
 
 def test_factorization_primitive_vs_word_legs(sl2):
     # any tensor with letters in the algebra passes the order-one relations
-    ok = quantize.order_h_factorization_check(sl2, [(F(1), ((1,), (1,)))])
+    ok = quantize.order_h_factorization_check(sl2.matrices, sl2.msize, [(F(1), ((1,), (1,)))])
     assert ok.passed
     # a squared-letter leg fails them
-    bad = quantize.order_h_factorization_check(sl2, [(F(1), ((1, 1), (1,)))])
+    bad = quantize.order_h_factorization_check(
+        sl2.matrices, sl2.msize, [(F(1), ((1, 1), (1,)))]
+    )
     assert not bad.passed
     assert bad.witness == {"first_relation": False, "second_relation": True}
 
@@ -491,14 +506,14 @@ def word_terms(dim, legs):
 @given(data=st.data())
 def test_kron_terms_match_the_leg_by_leg_builders(rank, data):
     L = liealg.algebra("A", rank)
-    mats, msize = quantize.representation(L, "defining")
+    mats, msize = L.matrices, L.msize
     terms = data.draw(word_terms(L.dim, 3))
     total = {}
     for sign, layout in quantize.PENTAGON_LAYOUTS:
         termops.piadd(total, quantize._kron_terms(mats, msize, terms, layout), sign)
     want = pentagon_total(mats, msize, terms)
     assert total == want
-    res = quantize.pentagon_order2_check(L, word_terms=terms)
+    res = quantize.pentagon_order2_check(mats, msize, terms)
     assert res.passed == (not want)
     if want:
         key = min(want)
@@ -506,7 +521,7 @@ def test_kron_terms_match_the_leg_by_leg_builders(rank, data):
 
     terms = data.draw(word_terms(L.dim, 2))
     ok1, ok2 = factorization_relations(mats, msize, terms)
-    res = quantize.order_h_factorization_check(L, terms)
+    res = quantize.order_h_factorization_check(mats, msize, terms)
     assert res.passed == (ok1 and ok2)
     assert res.witness == ({} if ok1 and ok2 else {"first_relation": ok1, "second_relation": ok2})
 
@@ -514,7 +529,7 @@ def test_kron_terms_match_the_leg_by_leg_builders(rank, data):
 @pytest.mark.parametrize("rank", [1, 2])
 def test_kron_terms_two_fold_and_primitive_coproduct(rank):
     L = liealg.algebra("A", rank)
-    mats, msize = quantize.representation(L, "defining")
+    mats, msize = L.matrices, L.msize
     ct = liealg.canonical_tensors(L)
     for tensor in (ct.t, ct.r_sd):
         got = quantize._kron_terms(mats, msize, quantize.tensor_to_words(tensor), (0, 1))

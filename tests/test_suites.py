@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import doubled_smallest_term, pairwise_hochschild_witness
+from oracles import doubled_smallest_term, pairwise_hochschild_witness, pentagon_total
 from qpverify import cli, liealg, linalg, multivec, polyfield, quantize, suites, termops
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -181,7 +181,7 @@ def test_deformed_invariance_failure_reports_the_failing_triple(monkeypatch):
     assert check.witness == suites.jsonable({k: res.witness[k] for k in ("x", "a", "b")})
 
 
-def test_coproduct_conjugation_failure_names_the_first_failing_element(monkeypatch):
+def _non_invariant_t(monkeypatch):
     canonical = liealg.canonical_tensors
 
     def non_invariant_t(L):
@@ -191,6 +191,10 @@ def test_coproduct_conjugation_failure_names_the_first_failing_element(monkeypat
         return liealg.CanonicalTensors(t=t, r_sd=ct.r_sd, phi=ct.phi)
 
     monkeypatch.setattr(liealg, "canonical_tensors", non_invariant_t)
+
+
+def test_coproduct_conjugation_failure_names_the_first_failing_element(monkeypatch):
+    _non_invariant_t(monkeypatch)
     report = suites.run_suite(suites.SuiteConfig(algebra="A1", suite="rmatrix-first-order"))
     check = next(c for c in report.checks if c.id == "coproduct-conjugation")
     assert check.status == "fail"
@@ -257,3 +261,113 @@ def test_twist_correspondence_failure_carries_its_witness(monkeypatch):
     res = quantize.twist_correspondence_check(L, 3, ct.r_sd)
     assert not res.passed
     assert record.witness == suites.jsonable(res.witness)
+
+
+# ---------------------------------------------------------------------------
+# the representation-evaluated suites: one guard per representation, and
+# a fault for every check that can fail
+
+
+@pytest.mark.parametrize(
+    "suite, algebra, guards",
+    [("pentagon", "A3", 1), ("pentagon", "A1", 2), ("rmatrix-first-order", "A1", 1)],
+)
+def test_each_representation_is_guarded_once(monkeypatch, suite, algebra, guards):
+    # A1 guards its defining and its adjoint matrices; A3 skips the adjoint
+    calls = _count_calls(monkeypatch, quantize, "faithfulness_guard")
+    report = suites.run_suite(suites.SuiteConfig(algebra=algebra, suite=suite))
+    assert report.aggregate == "pass"
+    assert len(calls) == guards
+
+
+# a squared-letter leg is not primitive and breaks the pentagon shadow
+PENTAGON_FAULT = [(Fraction(1), ((1, 1), (0,), (2,)))]
+
+
+def test_failing_pentagon_defining_keeps_its_witness(monkeypatch):
+    passing = _witnesses("pentagon", "A1")["pentagon-defining"]
+    assert passing["representation"] == "defining" and "primitive" in passing["note"]
+    monkeypatch.setattr(quantize, "tensor_to_words", lambda tensor: PENTAGON_FAULT)
+    report = suites.run_suite(suites.SuiteConfig(algebra="A1", suite="pentagon"))
+    check = next(c for c in report.checks if c.id == "pentagon-defining")
+    assert check.status == "fail"
+    L = liealg.algebra("A", 1)
+    total = pentagon_total(L.matrices, L.msize, PENTAGON_FAULT)
+    key = min(total)
+    assert check.witness == suites.jsonable(
+        {"position": key, "value": str(total[key]), "nonzero_entries": len(total)}
+    )
+
+
+def _unfaithful_defining(monkeypatch):
+    # every basis element acts as 0
+    L = liealg.algebra("A", 1)
+    monkeypatch.setattr(L, "matrices", [{} for _ in range(L.dim)])
+
+
+def _unfaithful_adjoint(monkeypatch):
+    monkeypatch.setattr(liealg.LieAlgebra, "ad_matrix", lambda self, i: {})
+
+
+def _word_leg_phi(monkeypatch):
+    monkeypatch.setattr(quantize, "tensor_to_words", lambda tensor: PENTAGON_FAULT)
+
+
+def _word_leg_rho(monkeypatch):
+    # every 2-tensor gains a term with a squared-letter leg
+    words = quantize.tensor_to_words
+    extra = (Fraction(1), ((1, 1), (1,)))
+    monkeypatch.setattr(quantize, "tensor_to_words", lambda tensor: [*words(tensor), extra])
+
+
+def _no_kron_products(monkeypatch):
+    # every Kronecker product evaluates to 0, so no identity can fail
+    monkeypatch.setattr(linalg, "mat_kron_many", lambda mats, dims: {})
+
+
+FLIPS = [
+    # an unfaithful representation no longer lets the word-leg fault pass
+    ("pentagon", _unfaithful_defining, {"faithfulness-guard", "word-leg-fault-detected"}),
+    ("pentagon", _unfaithful_adjoint, {"pentagon-adjoint"}),
+    ("pentagon", _word_leg_phi, {"pentagon-defining", "pentagon-adjoint"}),
+    ("pentagon", _no_kron_products, {"word-leg-fault-detected"}),
+    # the extra term is x1 x1 (x) x1, which is 0 on the defining
+    # representation, so the conjugation sees no change; its coproduct
+    # 2 x1 (x) x1 is not, so the factorization fails
+    ("rmatrix-first-order", _word_leg_rho, {"factorized-coproduct"}),
+    ("rmatrix-first-order", _non_invariant_t, {"coproduct-conjugation"}),
+    ("rmatrix-first-order", _no_kron_products, {"word-leg-fault-detected"}),
+]
+
+
+def _failing(suite):
+    report = suites.run_suite(suites.SuiteConfig(algebra="A1", suite=suite))
+    return {c.id for c in report.checks if c.status == "fail"}
+
+
+@pytest.mark.parametrize(
+    "suite, fault, flipped", FLIPS, ids=[f"{s}-{f.__name__[1:]}" for s, f, _ in FLIPS]
+)
+def test_a_fault_flips_exactly_its_checks(monkeypatch, suite, fault, flipped):
+    assert _failing(suite) == set()
+    fault(monkeypatch)
+    assert _failing(suite) == flipped
+
+
+def test_every_representation_check_but_counit_legs_has_a_fault():
+    # counit-legs cannot flip: every leg that quantize.tensor_to_words
+    # builds is a single letter, so no fault of the evaluation chain
+    # reaches it (ROADMAP item 9)
+    ids = {
+        (suite, c.id)
+        for suite in ("pentagon", "rmatrix-first-order")
+        for c in suites.run_suite(suites.SuiteConfig(algebra="A1", suite=suite)).checks
+    }
+    covered = {(suite, check) for suite, _, flipped in FLIPS for check in flipped}
+    assert ids - covered == {("rmatrix-first-order", "counit-legs")}
+
+
+def test_rmatrix_suite_refuses_an_unfaithful_representation(monkeypatch):
+    _unfaithful_defining(monkeypatch)
+    with pytest.raises(AssertionError, match="faithfulness guard"):
+        suites.run_suite(suites.SuiteConfig(algebra="A1", suite="rmatrix-first-order"))

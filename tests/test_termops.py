@@ -426,11 +426,6 @@ def test_packed_exponents_past_64_bits_raise():
         termops.wedge_push({(0, 1): F(1)}, {0: top, 1: {((1, 0), (0,)): F(1)}}.__getitem__, 2)
 
 
-def test_one_resource_limit_class():
-    # the solvers and the packed kernels raise the class the CLI maps to exit 3
-    assert polyfield.ResourceLimitError is termops.ResourceLimitError
-
-
 images = st.dictionaries(st.integers(0, NVARS - 1), polys.filter(bool), max_size=NVARS)
 
 
