@@ -17,12 +17,15 @@ First-order conventions: the twist starts at half the r-matrix, so the
 coproduct correction of ``x`` is half the cocommutator and the star
 product carries ``(1/2)(f - r_M)`` at order one.  The order-one scans
 take their degree bound ``d`` as an argument; none truncates a product.
+
+Each check returns the pair ``(passed, witness)`` that its report
+records: on a failure the witness is the evidence, on a pass it is the
+scan size or note the report keeps, or ``None``.
 """
 
 import functools
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import liealg, linalg, multivec, polyfield, termops
@@ -35,13 +38,6 @@ PBW_DEGREE_CAP = 6
 STAR_ROW_CAP = 60000
 # seeded random words per rewriting run, spread over the lengths 3..degree
 PBW_SPOT_CHECKS = 100
-
-
-@dataclass
-class CheckResult:
-    passed: bool
-    witness: dict = field(default_factory=dict)
-    details: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -83,58 +79,23 @@ def first_order_invariance_check(m1, r, d):
     when the row is nonzero, and the first failing ``b`` of a scan over
     the monomials of degree 1 to ``d - |a|``, degree by degree, is
     ``y_j`` for the least ``j`` in the row.  So one row is built per x
-    and left monomial of degree 1 to ``d - 1``, and the first failing
-    triple is reported with both sides.  The ``pairs`` detail counts
-    every pair of monomials of degree at most ``d``; the rows cover them
-    all, as a pair with a constant or of degree above ``d`` has zero
-    defect in the algebra truncated above ``d``.
+    and left monomial of degree 1 to ``d - 1``, and the witness of a
+    failure is the first failing triple ``{x, a, b}``.  A pass records
+    the count of ``pairs`` of monomials of degree at most ``d``; the rows
+    cover them all, as a pair with a constant or of degree above ``d``
+    has zero defect in the algebra truncated above ``d``.
     """
     P = m1.bivector
     L = P.algebra
-
-    def act(x, p):
-        return termops.apply_derivation(polyfield.coadjoint_images(L, x), p)
-
-    def rhs_map(x, a, b):
-        out = {}
-        for (u, v), c in multivec.cobracket(r, x).plain_items():
-            xa = act(u, a)
-            xb = act(v, b)
-            if xa and xb:
-                termops.piadd(out, termops.pmul(xa, xb), c * HALF)
-        return out
-
-    def lhs_map(x, a, b):
-        out = act(x, m1(a, b))
-        termops.piadd(out, m1(act(x, a), b), -ONE)
-        termops.piadd(out, m1(a, act(x, b)), -ONE)
-        return out
-
     lefts = [a for k in range(1, d) for a in polyfield.monomials(L.dim, k)]
     for x in range(L.dim):
         delta = multivec.cobracket(r, x)
         defect = polyfield.lie_derivative(L, x, P).sub(polyfield.action_field(delta).scale(HALF))
         for a in lefts:
-            pa = {a: ONE}
-            row = defect.hamiltonian(pa)
+            row = defect.hamiltonian({a: ONE})
             if row:
-                b = termops.unit_exp(L.dim, min(row))
-                pb = {b: ONE}
-                return CheckResult(
-                    passed=False,
-                    witness={
-                        "x": L.names[x],
-                        "a": a,
-                        "b": b,
-                        "lhs": lhs_map(x, pa, pb),
-                        "rhs": rhs_map(x, pa, pb),
-                    },
-                    details={"product": m1.label, "degree": d},
-                )
-    return CheckResult(
-        passed=True,
-        details={"product": m1.label, "degree": d, "pairs": math.comb(L.dim + d, d) ** 2},
-    )
+                return False, {"x": L.names[x], "a": a, "b": termops.unit_exp(L.dim, min(row))}
+    return True, {"product": m1.label, "degree": d, "pairs": math.comb(L.dim + d, d) ** 2}
 
 
 def _pair_values(m1, pack):
@@ -261,18 +222,15 @@ def hochschild_cocycle_check(L, d, m1):
                         k += kc
                         defect[k] = get(k, 0) - c
                     if any(defect.values()):
-                        return CheckResult(
-                            passed=False,
-                            witness={
-                                "a": ea,
-                                "b": eb,
-                                "c": unpack(kc),
-                                "defect": {
-                                    unpack(k): Fraction(c, den) for k, c in defect.items() if c
-                                },
+                        return False, {
+                            "a": ea,
+                            "b": eb,
+                            "c": unpack(kc),
+                            "defect": {
+                                unpack(k): Fraction(c, den) for k, c in defect.items() if c
                             },
-                        )
-    return CheckResult(passed=True, details={"degree": d, "monomial_triples": scanned})
+                        }
+    return True, {"degree": d, "monomial_triples": scanned}
 
 
 def twist_correspondence_check(L, d, r_tensor):
@@ -321,11 +279,8 @@ def twist_correspondence_check(L, d, r_tensor):
             field_route = field_row.get(j, {})
             if twist != field_route:
                 eb = termops.unit_exp(L.dim, j)
-                return CheckResult(
-                    passed=False,
-                    witness={"a": ea, "b": eb, "composed": twist, "field": field_route},
-                )
-    return CheckResult(passed=True)
+                return False, {"a": ea, "b": eb, "composed": twist, "field": field_route}
+    return True, None
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +368,7 @@ def pbw_flatness(L, degree, seed=0):
     for k in range(1, degree + 1):
         count = sum(ends)
         if count != math.comb(dim + k - 1, k):
-            return CheckResult(passed=False, witness={"k": k, "count": count})
+            return False, {"k": k, "count": count}
         counts.append(count)
         ends = [sum(n for a, n in enumerate(ends) if pair_ok[a][b]) for b in range(dim)]
 
@@ -432,19 +387,13 @@ def pbw_flatness(L, degree, seed=0):
             left = system.normal_form(word, "leftmost")
             right = system.normal_form(word, "rightmost")
             if left != right:
-                return CheckResult(
-                    passed=False,
-                    witness={
-                        "word": word,
-                        "t": str(system.t),
-                        "leftmost": {str(k): str(v) for k, v in left.items()},
-                        "rightmost": {str(k): str(v) for k, v in right.items()},
-                    },
-                )
-    return CheckResult(
-        passed=True,
-        details={"counts": counts, "confluence_words": len(words)},
-    )
+                return False, {
+                    "word": word,
+                    "t": str(system.t),
+                    "leftmost": {str(k): str(v) for k, v in left.items()},
+                    "rightmost": {str(k): str(v) for k, v in right.items()},
+                }
+    return True, {"counts": counts, "confluence_words": len(words)}
 
 
 # ---------------------------------------------------------------------------
@@ -526,22 +475,16 @@ def pentagon_order2_check(mats, msize, word_terms):
         termops.piadd(total, _kron_terms(mats, msize, word_terms, layout), sign)
     if total:
         key = min(total)
-        return CheckResult(
-            passed=False,
-            witness={"position": key, "value": str(total[key]), "nonzero_entries": len(total)},
-        )
+        return False, {"position": key, "value": str(total[key]), "nonzero_entries": len(total)}
     single_letter = all(all(len(w) == 1 for w in words) for _, words in word_terms)
-    return CheckResult(
-        passed=True,
-        details={
-            "note": (
-                "single-letter legs are primitive, so the identity holds for any "
-                "3-tensor over the algebra; the check certifies the evaluation chain"
-                if single_letter
-                else "word legs exercise the coproduct nontrivially"
-            ),
-        },
-    )
+    return True, {
+        "note": (
+            "single-letter legs are primitive, so the identity holds for any "
+            "3-tensor over the algebra; the check certifies the evaluation chain"
+            if single_letter
+            else "word legs exercise the coproduct nontrivially"
+        ),
+    }
 
 
 def order_h_factorization_check(mats, msize, word_terms):
@@ -561,10 +504,9 @@ def order_h_factorization_check(mats, msize, word_terms):
     rhs2 = termops.padd(rho_13, kron((0, 1, None)))
     ok1 = lhs1 == rhs1
     ok2 = lhs2 == rhs2
-    return CheckResult(
-        passed=ok1 and ok2,
-        witness={} if ok1 and ok2 else {"first_relation": ok1, "second_relation": ok2},
-    )
+    if ok1 and ok2:
+        return True, None
+    return False, {"first_relation": ok1, "second_relation": ok2}
 
 
 def coproduct_conjugation_check(L, rho_words):
@@ -590,11 +532,9 @@ def coproduct_conjugation_check(L, rho_words):
             failing = L.names[x]
         if linalg.mat_commutator(t_hat, dx):
             t_commutes = False
-    return CheckResult(
-        passed=failing is None,
-        witness={} if failing is None else {"x": failing},
-        details={
-            "symmetric_tensor_commutes": t_commutes,
-            "note": "dropping the symmetric tensor gives the same commutator",
-        },
-    )
+    if failing is not None:
+        return False, {"x": failing}
+    return True, {
+        "symmetric_tensor_commutes": t_commutes,
+        "note": "dropping the symmetric tensor gives the same commutator",
+    }

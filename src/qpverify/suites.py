@@ -123,6 +123,16 @@ def _record(check_id, anchor, runner):
     )
 
 
+def _detected(result):
+    """A fault check's pair from its check's ``(passed, witness)``.
+
+    The fault is detected when the check fails, and then the check's
+    witness is recorded; an undetected fault records none.
+    """
+    passed, witness = result
+    return not passed, None if passed else witness
+
+
 def _skip(check_id, anchor, reason):
     return CheckRecord(
         id=check_id, paper_ref=anchor, status="skip", witness={"reason": reason}, millis=0
@@ -261,18 +271,26 @@ def _suite_phi_bracket(series, rank, config):
     if len(space) != 1:
         return checks
     cal = polyfield.calibrate_scale(L)
+
+    def calibration():
+        # f0 is, up to sign, the trace-form bracket that
+        # matrix-trace-bracket-proportional builds, while phibar comes from
+        # the Killing form, which is 2n tr on sl(n): so lam = 1/(2n)
+        expected = Fraction(1, 4 * L.msize**2)
+        witness = {
+            "lam_squared": cal.lam_squared,
+            "lam": cal.lam,
+            **({"obstruction": cal.obstruction} if cal.obstruction else {}),
+        }
+        if cal.lam_squared == expected:
+            return True, witness
+        return False, {**witness, "expected": expected}
+
     checks.append(
         _record(
             "calibration",
             "scale fixed by the square of the quadratic bracket",
-            lambda: (
-                True,
-                {
-                    "lam_squared": cal.lam_squared,
-                    "lam": cal.lam,
-                    **({"obstruction": cal.obstruction} if cal.obstruction else {}),
-                },
-            ),
+            calibration,
         )
     )
     s = polyfield.kirillov_bracket(L)
@@ -542,16 +560,14 @@ def _suite_pentagon(series, rank, config):
     words = quantize.tensor_to_words(liealg.canonical_tensors(L).phi)
 
     def defining():
-        res = quantize.pentagon_order2_check(L.matrices, L.msize, words)
-        if res.passed:
-            return True, {"representation": "defining", **res.details}
-        return False, res.witness
+        passed, witness = quantize.pentagon_order2_check(L.matrices, L.msize, words)
+        return passed, {"representation": "defining", **witness} if passed else witness
 
     def adjoint():
         mats = [L.ad_matrix(i) for i in range(L.dim)]
         return (
             quantize.faithfulness_guard(mats, L.dim)
-            and quantize.pentagon_order2_check(mats, L.dim, words).passed,
+            and quantize.pentagon_order2_check(mats, L.dim, words)[0],
             None,
         )
 
@@ -578,7 +594,7 @@ def _suite_pentagon(series, rank, config):
         _record(
             "word-leg-fault-detected",
             "a non-primitive leg breaks the shadow identity",
-            lambda: (not quantize.pentagon_order2_check(L.matrices, L.msize, fault).passed, None),
+            lambda: (not quantize.pentagon_order2_check(L.matrices, L.msize, fault)[0], None),
         )
     )
     return checks
@@ -593,26 +609,17 @@ def _suite_rmatrix(series, rank, config):
     rho_words = quantize.tensor_to_words(
         ct.t.scale(Fraction(1, 2)).add(ct.r_sd.to_plain().scale(-1))
     )
-
-    def factorized():
-        res = quantize.order_h_factorization_check(L.matrices, L.msize, rho_words)
-        return res.passed, res.witness
-
-    def conjugation():
-        res = quantize.coproduct_conjugation_check(L, rho_words)
-        return res.passed, res.witness or res.details
-
     fault = [(Fraction(1), ((1, 1), (1,)))]
     return [
         _record(
             "factorized-coproduct",
             "order-one factorization of the doubled R-matrix",
-            factorized,
+            lambda: quantize.order_h_factorization_check(L.matrices, L.msize, rho_words),
         ),
         _record(
             "coproduct-conjugation",
             "commutator with primitive coproducts reduces to the r-matrix part",
-            conjugation,
+            lambda: quantize.coproduct_conjugation_check(L, rho_words),
         ),
         _record(
             "counit-legs",
@@ -625,7 +632,7 @@ def _suite_rmatrix(series, rank, config):
             "word-leg-fault-detected",
             "a non-primitive leg fails the factorization",
             lambda: (
-                not quantize.order_h_factorization_check(L.matrices, L.msize, fault).passed,
+                not quantize.order_h_factorization_check(L.matrices, L.msize, fault)[0],
                 None,
             ),
         ),
@@ -635,19 +642,17 @@ def _suite_rmatrix(series, rank, config):
 def _suite_pbw(series, rank, config):
     L = _classical(series, rank)
     d = _degree(config, 4 if L.dim <= 3 else 3, 1)
-    res = quantize.pbw_flatness(L, d, seed=config.seed)
     bad = quantize.jacobi_fault_algebra(L)
-    fault_res = quantize.pbw_flatness(bad, min(d, 3), seed=config.seed)
     return [
         _record(
             "normal-form-counts",
             "irreducible words count the symmetric powers",
-            lambda: (res.passed, res.details if res.passed else res.witness),
+            lambda: quantize.pbw_flatness(L, d, seed=config.seed),
         ),
         _record(
             "jacobi-fault-detected",
             "corrupted structure constants break confluence",
-            lambda: (not fault_res.passed, fault_res.witness),
+            lambda: _detected(quantize.pbw_flatness(bad, min(d, 3), seed=config.seed)),
         ),
     ]
 
@@ -674,57 +679,37 @@ def _suite_star_first_order(series, rank, config):
     def proj1(p):
         return {e: c for e, c in p.items() if sum(e) == 1}
 
-    def failing_triple(res):
-        return {k: res.witness[k] for k in ("x", "a", "b")} if res.witness else None
-
-    def run_invariance():
-        res = quantize.first_order_invariance_check(m1, ct.r_sd, d)
-        return res.passed, res.details if res.passed else failing_triple(res)
-
-    def run_fault():
-        res = quantize.first_order_invariance_check(bad, ct.r_sd, d)
-        return not res.passed, failing_triple(res)
-
-    def run_hoch():
-        # a degree-4 window exercises mixed-degree triples
-        res = quantize.hochschild_cocycle_check(L, 4, m1)
-        return res.passed, res.details if res.passed else res.witness
-
-    def run_hoch_fault():
-        res = quantize.hochschild_cocycle_check(
-            L, 5, lambda a, b: termops.pmul(proj1(a), proj1(b))
-        )
-        return not res.passed, None
-
-    def run_twist():
-        res = quantize.twist_correspondence_check(L, d, ct.r_sd)
-        return res.passed, res.witness
-
     return [
         _record(
             "deformed-invariance",
             "order-one invariance under the twisted coproduct",
-            run_invariance,
+            lambda: quantize.first_order_invariance_check(m1, ct.r_sd, d),
         ),
         _record(
             "sign-fault-detected",
             "flipping the twist sign fails with a witness",
-            run_fault,
+            lambda: _detected(quantize.first_order_invariance_check(bad, ct.r_sd, d)),
         ),
         _record(
             "hochschild-cocycle",
             "biderivation products are order-one associative",
-            run_hoch,
+            # a degree-4 window exercises mixed-degree triples
+            lambda: quantize.hochschild_cocycle_check(L, 4, m1),
         ),
         _record(
             "hochschild-fault-detected",
             "a non-biderivation bilinear map fails",
-            run_hoch_fault,
+            lambda: (
+                not quantize.hochschild_cocycle_check(
+                    L, 5, lambda a, b: termops.pmul(proj1(a), proj1(b))
+                )[0],
+                None,
+            ),
         ),
         _record(
             "twist-correspondence",
             "composed twist map agrees with the r-matrix field route",
-            run_twist,
+            lambda: quantize.twist_correspondence_check(L, d, ct.r_sd),
         ),
     ]
 

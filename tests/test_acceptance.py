@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import pairwise_invariance_witness
 from qpverify import (
     grouppois,
     liealg,
@@ -209,7 +210,8 @@ def test_criterion_09_quantization_order_suite():
         for rank in (1, 2):
             sl = liealg.algebra("A", rank)
             words = quantize.tensor_to_words(liealg.canonical_tensors(sl).phi)
-            assert quantize.pentagon_order2_check(sl.matrices, sl.msize, words).passed
+            passed, _ = quantize.pentagon_order2_check(sl.matrices, sl.msize, words)
+            assert passed
         report = run("rmatrix-first-order", "A1")
         assert {c.id: c.status for c in report.checks} == {
             "coproduct-conjugation": "pass",
@@ -223,11 +225,15 @@ def test_criterion_09_quantization_order_suite():
         cal = polyfield.calibrate_scale(L)
         f = cal.f0.scale(cal.lam)
         m1 = quantize.standard_first_order_product(f, ct.r_sd)
-        assert quantize.first_order_invariance_check(m1, ct.r_sd, 3).passed
+        passed, _ = quantize.first_order_invariance_check(m1, ct.r_sd, 3)
+        assert passed
         rm = polyfield.rmatrix_bracket(ct.r_sd)
         bad = quantize.FirstOrderProduct(f.add(rm).scale(F(1, 2)), "(1/2)(f + r_M)")
-        res_bad = quantize.first_order_invariance_check(bad, ct.r_sd, 3)
-        assert not res_bad.passed and res_bad.witness["lhs"] != res_bad.witness["rhs"]
+        passed, witness = quantize.first_order_invariance_check(bad, ct.r_sd, 3)
+        # both sides, evaluated from the identity at the reported triple
+        reference = pairwise_invariance_witness(bad, ct.r_sd, 3)
+        assert not passed and reference["lhs"] != reference["rhs"]
+        assert witness == {k: reference[k] for k in ("x", "a", "b")}
 
         # every bivector-induced product is a Hochschild cocycle; the
         # degree-4 window includes mixed-degree triples
@@ -237,18 +243,20 @@ def test_criterion_09_quantization_order_suite():
             (rm, "r-field"),
             (f, "quadratic"),
         ):
-            assert quantize.hochschild_cocycle_check(L, 4, field_.bracket).passed, label
+            passed, _ = quantize.hochschild_cocycle_check(L, 4, field_.bracket)
+            assert passed, label
 
 
 def test_criterion_10_pbw_suite():
     with Budget("10 pbw", 60):
-        res2 = quantize.pbw_flatness(liealg.algebra("A", 1), 4, seed=0)
-        assert res2.passed and res2.details["counts"] == [1, 3, 6, 10, 15]
-        res3 = quantize.pbw_flatness(liealg.algebra("A", 2), 3, seed=0)
-        assert res3.passed and res3.details["counts"] == [1, 8, 36, 120]
+        passed2, witness2 = quantize.pbw_flatness(liealg.algebra("A", 1), 4, seed=0)
+        assert passed2 and witness2["counts"] == [1, 3, 6, 10, 15]
+        passed3, witness3 = quantize.pbw_flatness(liealg.algebra("A", 2), 3, seed=0)
+        assert passed3 and witness3["counts"] == [1, 8, 36, 120]
         for spec in (("A", 1), ("A", 2)):
             bad = quantize.jacobi_fault_algebra(liealg.algebra(*spec))
-            assert not quantize.pbw_flatness(bad, 3, seed=0).passed
+            passed, _ = quantize.pbw_flatness(bad, 3, seed=0)
+            assert not passed
 
 
 def test_criterion_11_deterministic_reports():

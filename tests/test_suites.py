@@ -160,6 +160,17 @@ def test_phibar_sign_fault_fails_with_a_witness(monkeypatch, capsys):
     assert failed["phibar-matches-action-field"]["witness"] == {"term": suites.jsonable(first)}
 
 
+def test_calibration_fails_when_the_fitted_scale_leaves_the_closed_form(monkeypatch):
+    # a doubled phibar doubles the fitted lam^2 away from 1/(4 n^2)
+    phibar = polyfield.phibar
+    monkeypatch.setattr(polyfield, "phibar", lambda L: phibar(L).scale(2))
+    report = suites.run_suite(suites.SuiteConfig(algebra="A2", suite="phi-bracket"))
+    check = next(c for c in report.checks if c.id == "calibration")
+    assert check.status == "fail"
+    assert check.witness["lam_squared"] == "1/18"
+    assert check.witness["expected"] == "1/36"
+
+
 def test_deformed_invariance_failure_reports_the_failing_triple(monkeypatch):
     standard = quantize.standard_first_order_product
     built = []
@@ -176,9 +187,11 @@ def test_deformed_invariance_failure_reports_the_failing_triple(monkeypatch):
     check = next(c for c in report.checks if c.id == "deformed-invariance")
     assert check.status == "fail"
     L = liealg.algebra("A", 2)
-    res = quantize.first_order_invariance_check(built[0], liealg.canonical_tensors(L).r_sd, 2)
-    assert not res.passed
-    assert check.witness == suites.jsonable({k: res.witness[k] for k in ("x", "a", "b")})
+    passed, witness = quantize.first_order_invariance_check(
+        built[0], liealg.canonical_tensors(L).r_sd, 2
+    )
+    assert not passed
+    assert check.witness == suites.jsonable(witness)
 
 
 def _non_invariant_t(monkeypatch):
@@ -258,9 +271,46 @@ def test_twist_correspondence_failure_carries_its_witness(monkeypatch):
     record = _star_a2_record("twist-correspondence")
     assert record.status == "fail"
     L, ct, _ = _star_a2_product()
-    res = quantize.twist_correspondence_check(L, 3, ct.r_sd)
-    assert not res.passed
-    assert record.witness == suites.jsonable(res.witness)
+    passed, witness = quantize.twist_correspondence_check(L, 3, ct.r_sd)
+    assert not passed
+    assert record.witness == suites.jsonable(witness)
+
+
+def _quantize_calls():
+    """The ``quantize`` call behind each pass-through check, at its suite's defaults."""
+    L, ct, m1 = _star_a2_product()
+    sl2 = liealg.algebra("A", 1)
+    ct2 = liealg.canonical_tensors(sl2)
+    rho = quantize.tensor_to_words(ct2.t.scale(Fraction(1, 2)).add(ct2.r_sd.to_plain().scale(-1)))
+    return {
+        "deformed-invariance": lambda: quantize.first_order_invariance_check(m1, ct.r_sd, 3),
+        "hochschild-cocycle": lambda: quantize.hochschild_cocycle_check(L, 4, m1),
+        "twist-correspondence": lambda: quantize.twist_correspondence_check(L, 3, ct.r_sd),
+        "normal-form-counts": lambda: quantize.pbw_flatness(sl2, 4, seed=0),
+        "factorized-coproduct": lambda: quantize.order_h_factorization_check(
+            sl2.matrices, sl2.msize, rho
+        ),
+        "coproduct-conjugation": lambda: quantize.coproduct_conjugation_check(sl2, rho),
+    }
+
+
+PASS_THROUGH = [
+    ("star-first-order", "A2", "deformed-invariance"),
+    ("star-first-order", "A2", "hochschild-cocycle"),
+    ("star-first-order", "A2", "twist-correspondence"),
+    ("pbw", "A1", "normal-form-counts"),
+    ("rmatrix-first-order", "A1", "factorized-coproduct"),
+    ("rmatrix-first-order", "A1", "coproduct-conjugation"),
+]
+
+
+@pytest.mark.parametrize("suite, algebra, check_id", PASS_THROUGH, ids=[c for *_, c in PASS_THROUGH])
+def test_report_records_the_pair_its_check_returns(suite, algebra, check_id):
+    report = suites.run_suite(suites.SuiteConfig(algebra=algebra, suite=suite))
+    record = next(c for c in report.checks if c.id == check_id)
+    passed, witness = _quantize_calls()[check_id]()
+    assert record.status == ("pass" if passed else "fail")
+    assert record.witness == suites.jsonable(witness)
 
 
 # ---------------------------------------------------------------------------
