@@ -12,7 +12,7 @@ rank 1 the triple is ``[e, f] = h``, ``[h, e] = 2e``); pairings with
 ``canonical_tensors``, which rescales the lowering vectors.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg, multivec, rootsys, termops
@@ -301,11 +301,8 @@ def _ad_matrix(struct, i):
     return out
 
 
-@dataclass(frozen=True)
-class CanonicalTensors:
-    t: multivec.MultiTensor
-    r_sd: multivec.MultiTensor
-    phi: multivec.MultiTensor
+# three multivec.MultiTensor values
+CanonicalTensors = namedtuple("CanonicalTensors", "t r_sd phi")
 
 
 def canonical_tensors(L):

@@ -11,20 +11,13 @@ Orbit classes are indexed by S itself; conjugate Levis under the Weyl
 group are not identified.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from . import rootsys
 
 
-@dataclass(frozen=True)
-class LeviDatum:
-    root_system: object
-    S: frozenset
-    T: frozenset
-    orbit_rank: int
-    good: bool
-    hermitian_symmetric: bool
+LeviDatum = namedtuple("LeviDatum", "root_system S T orbit_rank good hermitian_symmetric")
 
 
 def classify_levi(rs, S):

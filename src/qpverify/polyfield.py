@@ -13,7 +13,7 @@ coefficients to the action field of the invariant 3-tensor.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
@@ -373,14 +373,10 @@ def _sqrt_fraction(x):
     return None
 
 
-@dataclass
-class QuadraticCalibration:
-    f0: PolyVectorField
-    lam_squared: Fraction
-    lam: Fraction  # None when lam_squared is not a rational square
-    obstruction: str
-    ff: PolyVectorField  # [[f0, f0]]
-    phibar: PolyVectorField
+# lam is None when lam_squared is not a rational square; ff is [[f0, f0]]
+QuadraticCalibration = namedtuple(
+    "QuadraticCalibration", "f0 lam_squared lam obstruction ff phibar"
+)
 
 
 def quadratic_bracket(L):
@@ -485,11 +481,7 @@ def phibar(L):
 # pencils and the invariant-bivector scan
 
 
-@dataclass
-class PencilReport:
-    pp: PolyVectorField
-    qq: PolyVectorField
-    pq: PolyVectorField
+PencilReport = namedtuple("PencilReport", "pp qq pq")
 
 
 def poisson_pencil_check(P, Q):
@@ -503,12 +495,7 @@ def poisson_pencil_check(P, Q):
     )
 
 
-@dataclass
-class ScanEntry:
-    degree: int
-    dimension: int
-    invariant_poly_dim: int
-    extras: list
+ScanEntry = namedtuple("ScanEntry", "degree dimension invariant_poly_dim extras")
 
 
 def invariant_bivector_scan(L, max_degree):

@@ -7,7 +7,7 @@ with column ``j``.  Simple roots are numbered in the Bourbaki order; for
 the B series the last simple root is short, for the C series it is long.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class InvalidTypeError(ValueError):
@@ -66,13 +66,10 @@ def cartan_matrix(series, rank):
     return tuple(tuple(r) for r in a)
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    series: str
-    rank: int
-    cartan_matrix: tuple
-    positive_roots: tuple
-    highest_root: tuple
+class RootSystem(
+    namedtuple("RootSystem", "series rank cartan_matrix positive_roots highest_root")
+):
+    __slots__ = ()
 
     def pairing(self, beta, i):
         """Pairing of the root ``beta`` with the i-th coroot (0-based)."""

@@ -10,7 +10,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import grouppois, liealg, multivec, orbits, polyfield, quantize, rootsys, termops
@@ -38,30 +38,15 @@ def parse_algebra(text):
         raise UsageError(str(exc)) from exc
 
 
-@dataclass
-class SuiteConfig:
-    algebra: str
-    suite: str
-    degree: int = None  # CLI-facing override for the suite's main degree
-    seed: int = 0
+# degree is the CLI-facing override for the suite's main degree
+SuiteConfig = namedtuple("SuiteConfig", "algebra suite degree seed", defaults=(None, 0))
+
+# status is pass | fail | skip
+CheckRecord = namedtuple("CheckRecord", "id paper_ref status witness millis")
 
 
-@dataclass
-class CheckRecord:
-    id: str
-    paper_ref: str
-    status: str  # pass | fail | skip
-    witness: dict = None
-    millis: int = 0
-
-
-@dataclass
-class Report:
-    suite: str
-    algebra: str
-    config: dict
-    checks: list
-    aggregate: str
+class Report(namedtuple("Report", "suite algebra config checks aggregate")):
+    __slots__ = ()
 
     def to_json(self, timings=False):
         payload = {
@@ -522,6 +507,20 @@ def _suite_ad_bracket(series, rank, config):
     return checks
 
 
+# the nodes k whose maximal parabolic (T = {k}) gives a Hermitian symmetric
+# orbit, in Bourbaki numbering, written from the classical list rather
+# than from the highest root
+HERMITIAN_SYMMETRIC_NODES = {
+    "A": lambda n: set(range(1, n + 1)),
+    "B": lambda n: {1},
+    "C": lambda n: {n},
+    "D": lambda n: {1, n - 1, n},
+    "E": lambda n: {6: {1, 6}, 7: {7}, 8: set()}[n],
+    "F": lambda n: set(),
+    "G": lambda n: set(),
+}
+
+
 def _suite_good_orbits(series, rank, config):
     rs = rootsys.build_root_system(series, rank)
     data = orbits.enumerate_good_orbits(rs)
@@ -541,6 +540,27 @@ def _suite_good_orbits(series, rank, config):
         }
         for d in data
     ]
+    hermitian_nodes = HERMITIAN_SYMMETRIC_NODES[series](rank)
+
+    def classification():
+        # every row, then the maximal parabolic of each Hermitian symmetric
+        # node, which a lost coefficient-1 node would drop from the table;
+        # hermitian_symmetric is None where the table has no row for S
+        nodes = set(range(1, rank + 1))
+        marked = {tuple(row["S"]): row["hermitian_symmetric"] for row in table}
+        maximal = [sorted(nodes - {k}) for k in sorted(hermitian_nodes)]
+        for S in [row["S"] for row in table] + maximal:
+            T = nodes - set(S)
+            expected = len(T) == 1 and T <= hermitian_nodes
+            if marked.get(tuple(S)) != expected:
+                mismatch = {
+                    "S": S,
+                    "hermitian_symmetric": marked.get(tuple(S)),
+                    "expected": expected,
+                }
+                return False, {"orbits": table, "mismatch": mismatch}
+        return True, {"orbits": table}
+
     return [
         _record(
             "count-matches-derivation",
@@ -550,7 +570,7 @@ def _suite_good_orbits(series, rank, config):
         _record(
             "classification-table",
             "orbit classes indexed by Levi node subsets",
-            lambda: (True, {"orbits": table}),
+            classification,
         ),
     ]
 

@@ -35,6 +35,87 @@ def test_no_unused_module_imports():
     assert unused == {}
 
 
+def dataclasses_imports(source):
+    """Lines of every import of ``dataclasses``, at any depth.
+
+    The package's record types are ``collections.namedtuple`` classes:
+    importing ``dataclasses`` costs each process about 10 ms.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.extend(
+                node.lineno for alias in node.names if alias.name.split(".")[0] == "dataclasses"
+            )
+        elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            found.append(node.lineno)
+    return found
+
+
+def test_scan_flags_a_dataclasses_import():
+    source = (
+        "import os, dataclasses\n"
+        "from dataclasses import field\n"
+        "from collections import namedtuple\n"
+        "def f():\n    import dataclasses as dc\n"
+    )
+    assert dataclasses_imports(source) == [1, 2, 5]
+
+
+def test_no_dataclasses_import():
+    found = {
+        str(path.relative_to(PACKAGE)): lines
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if (lines := dataclasses_imports(path.read_text()))
+    }
+    assert found == {}
+
+
+def lazy_registrations(source):
+    """Names passed to a module-level ``_register_lazily(...)`` call."""
+    return [
+        arg.value
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Expr)
+        and isinstance(node.value, ast.Call)
+        and _called_name(node.value.func) == "_register_lazily"
+        for arg in node.value.args
+    ]
+
+
+def unimported_registrations(sources):
+    """Modules that ``__init__.py`` registers lazily but no module imports.
+
+    ``sources`` maps a file name to its text.  A registered module that
+    no ``from . import`` line binds is read by no code, as an unused
+    import is.
+    """
+    imported = {
+        alias.name
+        for text in sources.values()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+        for alias in node.names
+    }
+    return [name for name in lazy_registrations(sources["__init__.py"]) if name not in imported]
+
+
+def test_scan_flags_an_unimported_registration():
+    sources = {
+        "__init__.py": "_register_lazily('kept', 'dropped')\nprint('x')\n",
+        "a.py": "from . import kept\nfrom .dropped import f\n",
+    }
+    assert unimported_registrations(sources) == ["dropped"]
+
+
+def test_every_module_but_cli_is_registered_and_imported():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert sorted(lazy_registrations(sources["__init__.py"])) == sorted(
+        name.removesuffix(".py") for name in sources if name not in ("__init__.py", "cli.py")
+    )
+    assert unimported_registrations(sources) == []
+
+
 def function_imports(source):
     """``(line, module)`` of every import made inside a function body.
 
@@ -255,14 +336,18 @@ def test_perfbench_still_reads_every_allowed_name():
     assert [q for q in UNREAD_ALLOWED if q.rsplit(".", 1)[1] not in named] == []
 
 
-def _is_dataclass(decorator):
-    if isinstance(decorator, ast.Call):
-        decorator = decorator.func
-    return _called_name(decorator) == "dataclass"
+def _namedtuple_fields(node):
+    """Field names of a ``namedtuple("Name", "a b")`` call, else None."""
+    if isinstance(node, ast.Call) and _called_name(node.func) == "namedtuple":
+        return node.args[1].value.replace(",", " ").split()
+    return None
 
 
 def unread_fields(sources):
-    """Fields of module-level dataclasses that no source reads.
+    """Fields of module-level named tuples that no source reads.
+
+    A named tuple is a module-level ``Name = namedtuple(...)`` or a
+    module-level class with a ``namedtuple(...)`` base.
 
     ``sources`` maps a file name to its text.  A field counts as read
     where any source loads an attribute of its name (``obj.field``);
@@ -276,11 +361,15 @@ def unread_fields(sources):
     for fname, tree in trees.items():
         module = fname.removesuffix(".py").replace("/", ".")
         for node in tree.body:
-            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+            if isinstance(node, ast.ClassDef):
+                name, calls = node.name, node.bases
+            elif isinstance(node, ast.Assign) and len(node.targets) == 1:
+                name, calls = getattr(node.targets[0], "id", None), [node.value]
+            else:
+                continue
+            for call in calls:
                 fields.extend(
-                    (f"{module}.{node.name}.{item.target.id}", item.target.id)
-                    for item in node.body
-                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                    (f"{module}.{name}.{field}", field) for field in _namedtuple_fields(call) or ()
                 )
     read = {
         n.attr
@@ -293,11 +382,11 @@ def unread_fields(sources):
 
 def test_scan_flags_an_unread_field():
     source = (
-        "from dataclasses import dataclass\n"
-        "import dataclasses\n"
-        "@dataclass\nclass A:\n    kept: int\n    dropped: int = 0\n"
-        "@dataclass(frozen=True)\nclass B:\n    shown: int\n    written: int\n"
-        "@dataclasses.dataclass\nclass C:\n    hidden: list\n"
+        "import collections\n"
+        "from collections import namedtuple\n"
+        "A = namedtuple('A', 'kept dropped', defaults=(0,))\n"
+        "class B(namedtuple('B', 'shown, written')):\n    __slots__ = ()\n"
+        "C = collections.namedtuple('C', 'hidden')\n"
         "class Plain:\n    ignored: int\n"
         "def f(a, b):\n    b.written = B(shown=1, written=2)\n    return a.kept + b.shown\n"
     )
@@ -308,7 +397,7 @@ def test_scan_flags_an_unread_field():
     ]
 
 
-def test_every_dataclass_field_is_read_somewhere():
+def test_every_named_tuple_field_is_read_somewhere():
     sources = {
         path.relative_to(PACKAGE).as_posix(): path.read_text()
         for path in sorted(PACKAGE.rglob("*.py"))

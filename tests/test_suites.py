@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from oracles import doubled_smallest_term, pairwise_hochschild_witness, pentagon_total
-from qpverify import cli, liealg, linalg, multivec, polyfield, quantize, suites, termops
+from qpverify import cli, liealg, linalg, multivec, orbits, polyfield, quantize, rootsys, suites, termops
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -421,3 +421,60 @@ def test_rmatrix_suite_refuses_an_unfaithful_representation(monkeypatch):
     _unfaithful_defining(monkeypatch)
     with pytest.raises(AssertionError, match="faithfulness guard"):
         suites.run_suite(suites.SuiteConfig(algebra="A1", suite="rmatrix-first-order"))
+
+
+# ---------------------------------------------------------------------------
+# the good-orbit classification against the classical Hermitian symmetric list
+
+
+@pytest.mark.parametrize("flip, computed", [({2, 3, 4}, False), ({1, 2}, True)])
+def test_a_flipped_orbit_class_fails_only_the_classification_table(monkeypatch, flip, computed):
+    # on D4, S = {2, 3, 4} leaves T = {1}, a Hermitian symmetric node; S =
+    # {1, 2} leaves two nodes, which never are
+    def run():
+        report = suites.run_suite(suites.SuiteConfig(algebra="D4", suite="good-orbits"))
+        return {c.id: c for c in report.checks}
+
+    assert all(c.status == "pass" for c in run().values())
+    classify = orbits.classify_levi
+
+    def flipped(rs, S):
+        datum = classify(rs, S)
+        if set(S) == flip:
+            return datum._replace(hermitian_symmetric=not datum.hermitian_symmetric)
+        return datum
+
+    monkeypatch.setattr(orbits, "classify_levi", flipped)
+    checks = run()
+    assert {i for i, c in checks.items() if c.status == "fail"} == {"classification-table"}
+    assert checks["classification-table"].witness["mismatch"] == {
+        "S": sorted(flip),
+        "hermitian_symmetric": computed,
+        "expected": not computed,
+    }
+
+
+def test_a_lost_coefficient_one_node_fails_only_the_classification_table(monkeypatch):
+    # D4 without node 4 keeps a consistent table and count, but the
+    # maximal parabolic S = {1, 2, 3} drops out of it
+    ones = rootsys.coefficient_one_nodes
+    monkeypatch.setattr(rootsys, "coefficient_one_nodes", lambda rs: ones(rs) - {4})
+    report = suites.run_suite(suites.SuiteConfig(algebra="D4", suite="good-orbits"))
+    checks = {c.id: c for c in report.checks}
+    assert {i for i, c in checks.items() if c.status == "fail"} == {"classification-table"}
+    assert checks["classification-table"].witness["mismatch"] == {
+        "S": [1, 2, 3],
+        "hermitian_symmetric": None,
+        "expected": True,
+    }
+
+
+def test_the_hermitian_symmetric_list_is_the_coefficient_one_maximal_parabolics():
+    # the classical list agrees with the highest roots that rootsys builds
+    for series, rank in [
+        ("A", 1), ("A", 4), ("B", 3), ("C", 4), ("D", 4), ("D", 6),
+        ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2),
+    ]:
+        rs = rootsys.build_root_system(series, rank)
+        want = suites.HERMITIAN_SYMMETRIC_NODES[series](rank)
+        assert rootsys.coefficient_one_nodes(rs) == want
