@@ -162,7 +162,7 @@ def jacobiator_on_generators(B):
     Half the Schouten square of the bivector, read off by derivation
     triple; the Leibniz rule makes generator triples sufficient.
     """
-    square = termops.sn_bracket(B.terms, 2, B.terms, 2)
+    square = termops.sn_bracket(B.terms, B.terms)
     return _by_derivations(termops.pscale(square, Fraction(1, 2)))
 
 
@@ -173,7 +173,7 @@ def ad_invariance_defect(L, B, x):
     pairs; all zero means the bracket is invariant.
     """
     field = termops.vector_terms(_field_images(L, x, "conjugation"))
-    return _by_derivations(termops.sn_bracket(field, 1, B.terms, 2))
+    return _by_derivations(termops.sn_bracket(field, B.terms))
 
 
 def phi_through_conjugation(L):

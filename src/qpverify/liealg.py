@@ -55,28 +55,29 @@ def _euclid_simple_roots(series, rank):
     raise UnsupportedTypeError(f"no matrix realization for series {series}")
 
 
-def _root_coords(euclid, simple_euclid):
-    """Express a Euclidean root over the simple roots (exact, integral)."""
-    rows = [[simple_euclid[j][c] for j in range(len(simple_euclid))] for c in range(len(euclid))]
-    sol = linalg.solve_dense(rows, euclid)
-    if sol is None:
-        raise AssertionError("root outside the simple-root lattice")
-    out = []
-    for x in sol:
-        if x.denominator != 1:
-            raise AssertionError("non-integral root coordinate")
-        out.append(int(x))
-    return tuple(out)
-
-
-def _classical_matrices(series, rank):
+def _classical_matrices(rs):
     """Cartan coroot matrices and a matrix for every root.
 
     Returns ``(msize, coroots, root_mats)`` with ``root_mats`` keyed by
-    the root in simple-root coordinates.
+    the root in simple-root coordinates.  Each matrix is built for a
+    root in orthogonal coordinates, and ``simple`` maps the orthogonal
+    coordinates of every root of ``rs`` and of its negative to its
+    simple-root coordinates.
     """
-    simple_euclid, _ = _euclid_simple_roots(series, rank)
-    n = rank
+    series, n = rs.series, rs.rank
+    simple_euclid, size = _euclid_simple_roots(series, n)
+    simple = {}
+    for beta in rs.positive_roots:
+        euclid = tuple(sum(b * r[c] for b, r in zip(beta, simple_euclid)) for c in range(size))
+        simple[euclid] = beta
+        simple[tuple(-x for x in euclid)] = tuple(-b for b in beta)
+
+    def root(*pairs):
+        # simple-root coordinates of the root sum_(idx, val) val * e_idx
+        v = [0] * size
+        for idx, val in pairs:
+            v[idx] += val
+        return simple[tuple(v)]
 
     def unit(i, j):
         return {(i, j): ONE}
@@ -91,8 +92,7 @@ def _classical_matrices(series, rank):
             for j in range(m):
                 if i == j:
                     continue
-                euclid = [ONE if c == i else (-ONE if c == j else Fraction(0)) for c in range(m)]
-                root_mats[_root_coords(euclid, simple_euclid)] = unit(i, j)
+                root_mats[root((i, 1), (j, -1))] = unit(i, j)
         return m, coroots, root_mats
 
     # B and D preserve a symmetric form, C an alternating one: the sign of
@@ -114,40 +114,24 @@ def _classical_matrices(series, rank):
     else:
         coroots.append(termops.padd(diag(n - 2), diag(n - 1)))
 
-    def ecoord(*pairs):
-        v = [Fraction(0)] * n
-        for idx, val in pairs:
-            v[idx] += val
-        return v
-
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            root_mats[_root_coords(ecoord((i, ONE), (j, -ONE)), simple_euclid)] = (
-                termops.padd(unit(i, j), unit(bar(j), bar(i)), -ONE)
-            )
+            root_mats[root((i, 1), (j, -1))] = termops.padd(unit(i, j), unit(bar(j), bar(i)), -ONE)
     for i in range(n):
         for j in range(i + 1, n):
-            root_mats[_root_coords(ecoord((i, ONE), (j, ONE)), simple_euclid)] = (
-                termops.padd(unit(i, bar(j)), unit(j, bar(i)), eps)
-            )
-            root_mats[_root_coords(ecoord((i, -ONE), (j, -ONE)), simple_euclid)] = (
-                termops.padd(unit(bar(j), i), unit(bar(i), j), eps)
-            )
+            root_mats[root((i, 1), (j, 1))] = termops.padd(unit(i, bar(j)), unit(j, bar(i)), eps)
+            root_mats[root((i, -1), (j, -1))] = termops.padd(unit(bar(j), i), unit(bar(i), j), eps)
     if series == "B":
         mid = n
         for i in range(n):
-            root_mats[_root_coords(ecoord((i, ONE)), simple_euclid)] = (
-                termops.padd(unit(i, mid), unit(mid, bar(i)), -ONE)
-            )
-            root_mats[_root_coords(ecoord((i, -ONE)), simple_euclid)] = (
-                termops.padd(unit(mid, i), unit(bar(i), mid), -ONE)
-            )
+            root_mats[root((i, 1))] = termops.padd(unit(i, mid), unit(mid, bar(i)), -ONE)
+            root_mats[root((i, -1))] = termops.padd(unit(mid, i), unit(bar(i), mid), -ONE)
     elif series == "C":
         for i in range(n):
-            root_mats[_root_coords(ecoord((i, Fraction(2))), simple_euclid)] = unit(i, bar(i))
-            root_mats[_root_coords(ecoord((i, Fraction(-2))), simple_euclid)] = unit(bar(i), i)
+            root_mats[root((i, 2))] = unit(i, bar(i))
+            root_mats[root((i, -2))] = unit(bar(i), i)
     return m, coroots, root_mats
 
 
@@ -236,7 +220,7 @@ def realize_classical(rs):
         raise UnsupportedTypeError(
             f"series {rs.series} has no matrix realization here; only root data"
         )
-    msize, coroots, root_mats = _classical_matrices(rs.series, rs.rank)
+    msize, coroots, root_mats = _classical_matrices(rs)
 
     order = list(rs.positive_roots)
     names = [f"h{i+1}" for i in range(rs.rank)]

@@ -115,22 +115,6 @@ def rref(rows):
     return [[pivot_of[p].get(c, ZERO) for c in range(ncols)] for p in pivots], pivots
 
 
-def solve_dense(rows, rhs):
-    """One exact solution of ``rows * x = rhs`` or ``None``.
-
-    ``rows`` is a list of coefficient rows, ``rhs`` the target column.
-    """
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    n = len(rows[0]) if rows else 0
-    if n in pivots:
-        return None
-    x = [ZERO] * n
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][n]
-    return x
-
-
 def invert_dense(rows):
     """Inverse of a square rational matrix, or ``None`` when singular."""
     n = len(rows)

@@ -2,10 +2,12 @@
 
 Coordinates on the dual are indexed by the algebra basis; the coadjoint
 vector field of ``x`` sends the coordinate ``y`` to the coordinate of
-``[x, y]``.  Fields are stored in the odd-variable encoding of
-``qpverify.termops``; the Schouten-Nijenhuis bracket there is normalized
-so that the square of a bivector evaluates to twice the Jacobi defect of
-its bracket.
+``[x, y]``.  A field is a zero-free ``termops`` polyvector term dict,
+``{(exponents, derivations): Fraction}``, homogeneous in its number of
+derivations, so its degree is the length of any key's derivation tuple;
+sums, scalings and brackets are the ``termops`` kernels.  The
+Schouten-Nijenhuis bracket there is normalized so that the square of a
+bivector evaluates to twice the Jacobi defect of its bracket.
 
 One computed sign fact is frozen here and regression tested:
 ``PHIBAR_SIGN`` relates the cubic trivector built from bracket
@@ -31,81 +33,6 @@ EQUIVARIANT_ENTRY_CAP = 10**6
 
 class NoSolutionError(RuntimeError):
     """Raised when a required solution space has the wrong dimension."""
-
-
-class PolyVectorField:
-    """Homogeneous-degree multivector field with polynomial coefficients."""
-
-    __slots__ = ("algebra", "degree", "terms", "_table")
-
-    def __init__(self, algebra, degree, terms):
-        self.algebra = algebra
-        self.degree = degree
-        self.terms = {k: v for k, v in terms.items() if v}
-        self._table = None
-
-    @classmethod
-    def zero(cls, algebra, degree):
-        return cls(algebra, degree, {})
-
-    def is_zero(self):
-        return not self.terms
-
-    def scale(self, c):
-        c = Fraction(c)
-        return PolyVectorField(self.algebra, self.degree, termops.pscale(self.terms, c))
-
-    def add(self, other):
-        self._check(other)
-        return PolyVectorField(self.algebra, self.degree, termops.padd(self.terms, other.terms))
-
-    def sub(self, other):
-        return self.add(other.scale(-1))
-
-    def bracket(self, f, g):
-        """Biderivation of a bivector field on two polynomials."""
-        return termops.table_bracket(self._bracket_table(), f, g)
-
-    def hamiltonian(self, f):
-        """Coordinate images of the derivation ``g -> bracket(f, g)``.
-
-        Maps each coordinate index ``v`` to ``bracket(f, y_v)``, zero
-        images dropped.  By the Leibniz rule in the second slot,
-        ``termops.apply_derivation(P.hamiltonian(f), g)`` equals
-        ``P.bracket(f, g)``.
-        """
-        return termops.table_row(self._bracket_table(), f)
-
-    def _bracket_table(self):
-        """Generator table of a bivector field.
-
-        It is built on the first call; fields are never mutated after
-        construction, so it stays valid.
-        """
-        if self.degree != 2:
-            raise ValueError("bracket evaluation needs a bivector")
-        if self._table is None:
-            self._table = termops.bivector_table(self.terms)
-        return self._table
-
-    def _check(self, other):
-        if self.algebra is not other.algebra or self.degree != other.degree:
-            raise ValueError("field mismatch")
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyVectorField):
-            return NotImplemented
-        return (
-            self.algebra is other.algebra
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        raise TypeError("PolyVectorField is unhashable")
-
-    def __repr__(self):
-        return f"PolyVectorField(deg={self.degree}, {len(self.terms)} terms)"
 
 
 def monomials(dim, degree):
@@ -141,7 +68,7 @@ def coadjoint_images(L, i):
 
 def coadjoint_field(L, x):
     """Fundamental vector field of basis element ``x`` for the coadjoint action."""
-    return PolyVectorField(L, 1, termops.vector_terms(coadjoint_images(L, x)))
+    return termops.vector_terms(coadjoint_images(L, x))
 
 
 def action_field(psi):
@@ -152,25 +79,19 @@ def action_field(psi):
     fields; plain tensors substitute term by term.
     """
     L = psi.algebra
-    terms = termops.wedge_push(
+    return termops.wedge_push(
         psi.terms, lambda i: termops.vector_terms(coadjoint_images(L, i)), L.dim
     )
-    return PolyVectorField(L, psi.degree, terms)
 
 
 def schouten_nijenhuis(P, Q):
-    """Schouten-Nijenhuis bracket of two fields.
+    """Schouten-Nijenhuis bracket of two fields, ``termops.sn_bracket``.
 
-    Degree-0 operands are functions: the bracket with a vector field is
+    A degree-0 operand is a function: its bracket with a vector field is
     the derivative, with a higher field the contraction against the
-    differential.
+    differential, and with another function zero.
     """
-    if P.algebra is not Q.algebra:
-        raise ValueError("fields over different algebras")
-    if P.degree == 0 and Q.degree == 0:
-        return PolyVectorField.zero(P.algebra, 0)
-    terms = termops.sn_bracket(P.terms, P.degree, Q.terms, Q.degree)
-    return PolyVectorField(P.algebra, P.degree + Q.degree - 1, terms)
+    return termops.sn_bracket(P, Q)
 
 
 def lie_derivative(L, x, P):
@@ -178,9 +99,9 @@ def lie_derivative(L, x, P):
     return schouten_nijenhuis(coadjoint_field(L, x), P)
 
 
-def is_invariant_field(P):
-    """True iff every coadjoint field annihilates ``P``."""
-    return all(lie_derivative(P.algebra, i, P).is_zero() for i in range(P.algebra.dim))
+def is_invariant_field(L, P):
+    """True iff every coadjoint field of ``L`` annihilates ``P``."""
+    return not any(lie_derivative(L, i, P) for i in range(L.dim))
 
 
 def kirillov_bracket(L):
@@ -193,7 +114,7 @@ def kirillov_bracket(L):
                 continue
             for k, c in row.items():
                 terms[(termops.unit_exp(L.dim, k), (i, j))] = c
-    return PolyVectorField(L, 2, terms)
+    return terms
 
 
 def rmatrix_bracket(r):
@@ -205,15 +126,15 @@ def rmatrix_bracket(r):
 
 def fields_proportional(P, Q):
     """Return c with P == c*Q, or None; both zero counts as c = 1."""
-    if P.is_zero() and Q.is_zero():
+    if not P and not Q:
         return ONE
-    if P.is_zero() or Q.is_zero():
+    if not P or not Q:
         return None
-    key = next(iter(Q.terms))
-    if key not in P.terms:
+    key = next(iter(Q))
+    if key not in P:
         return None
-    c = P.terms[key] / Q.terms[key]
-    if P.terms == termops.pscale(Q.terms, c):
+    c = P[key] / Q[key]
+    if P == termops.pscale(Q, c):
         return c
     return None
 
@@ -341,12 +262,9 @@ def solve_equivariant(L, p, q):
             for key, c in image(exps, ders).items():
                 rows.setdefault((g, key), {})[col] = c
     basis = linalg.nullspace_sparse(list(rows.values()), len(labels))
-    fields = tuple(
-        PolyVectorField(L, p, {labels[i]: c for i, c in enumerate(vec) if c})
-        for vec in basis
-    )
+    fields = tuple({labels[i]: c for i, c in enumerate(vec) if c} for vec in basis)
     for f in fields:
-        if not is_invariant_field(f):
+        if not is_invariant_field(L, f):
             raise AssertionError("solver produced a non-invariant field")
     return fields
 
@@ -356,7 +274,7 @@ def invariant_polynomials(L, degree):
     if degree == 0:
         return [ {tuple([0] * L.dim): ONE} ]
     fields = invariant_field_space(L, 0, degree)
-    return [ {e: c for (e, _), c in f.terms.items()} for f in fields ]
+    return [ {e: c for (e, _), c in f.items()} for f in fields ]
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +319,7 @@ def calibrate_scale(L):
     f0 = quadratic_bracket(L)
     ff = schouten_nijenhuis(f0, f0)
     pb = phibar(L)
-    if ff.is_zero():
+    if not ff:
         raise NoSolutionError("[[f0, f0]] vanishes; no calibration condition")
     ratio = fields_proportional(pb, ff)
     if ratio is None:
@@ -474,7 +392,7 @@ def phibar(L):
                 for m, v in value.items():
                     if v:
                         terms[(unpack(m), (a, b, c))] = Fraction(v, den)
-    return PolyVectorField(L, 3, terms)
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +404,7 @@ PencilReport = namedtuple("PencilReport", "pp qq pq")
 
 def poisson_pencil_check(P, Q):
     """Schouten data deciding whether every aP + bQ is Poisson."""
-    if P.degree != 2 or Q.degree != 2:
+    if any(len(d) != 2 for field in (P, Q) for _, d in field):
         raise ValueError("pencil check expects bivectors")
     return PencilReport(
         pp=schouten_nijenhuis(P, P),
@@ -518,9 +436,9 @@ def invariant_bivector_scan(L, max_degree):
     for k in range(1, max_degree + 1):
         fields = invariant_field_space(L, 2, k)
         inv_polys = invariant_polynomials(L, k - 1)
-        multiples = [termops.smul({(e, ()): c for e, c in b.items()}, s.terms) for b in inv_polys]
+        multiples = [termops.smul({(e, ()): c for e, c in b.items()}, s) for b in inv_polys]
         spanned = linalg.rank(multiples)
-        extras = [f for f in fields if linalg.rank([*multiples, f.terms]) > spanned]
+        extras = [f for f in fields if linalg.rank([*multiples, f]) > spanned]
         out.append(
             ScanEntry(
                 degree=k,
@@ -577,4 +495,4 @@ def gl_transport_quadratic_bracket(L):
                     termops.piadd(value, termops.pmul(lb, ra), -ONE)
             for e, c in value.items():
                 terms[(e, (a, b))] = c
-    return PolyVectorField(L, 2, terms)
+    return terms

@@ -1,9 +1,11 @@
 """Leading-order quantization checks.
 
 First-order star products are biderivations attached to bivector fields
-on the dual space; their equivariance under the deformed coproduct is an
-exact identity of derivations, checked on one Hamiltonian row per left
-monomial rather than at each monomial pair.  The symmetric-algebra
+on the dual space, ``termops`` term dicts as in ``polyfield``; each
+product keeps the generator table of its bivector.  Their equivariance
+under the deformed coproduct is an exact identity of derivations,
+checked on one Hamiltonian row (``termops.table_row``) per left monomial
+rather than at each monomial pair.  The symmetric-algebra
 family is probed through a rewriting system whose normal forms are
 ordered monomials, and the coproduct-level identities (pentagon shadow,
 first-order R-matrix relations) are evaluated exactly through Kronecker
@@ -48,23 +50,27 @@ class FirstOrderProduct:
     """Order-one term of a star product, given by a quadratic bivector field.
 
     On monomials ``a`` and ``b`` it is homogeneous of degree ``|a| + |b|``;
-    a bracket that lowers degree has no well-defined truncation.
+    a bracket that lowers degree has no well-defined truncation.  The
+    generator table of the bivector is built once and evaluates every
+    product and Hamiltonian row.
     """
 
     def __init__(self, bivector, label):
-        if bivector.degree != 2 or any(sum(e) != 2 for e, _ in bivector.terms):
+        if any(len(d) != 2 or sum(e) != 2 for e, d in bivector):
             raise ValueError("first-order products come from quadratic bivector fields")
         self.bivector = bivector
+        self.table = termops.bivector_table(bivector)
         self.label = label
 
     def __call__(self, a, b):
-        return self.bivector.bracket(a, b)
+        return termops.table_bracket(self.table, a, b)
 
 
 def standard_first_order_product(f_field, r_tensor):
     """The product ``(1/2)(f - r_M)`` of the invariant-plus-twist shape."""
     rm = polyfield.rmatrix_bracket(r_tensor)
-    return FirstOrderProduct(f_field.sub(rm).scale(HALF), "(1/2)(f - r_M)")
+    half_difference = termops.pscale(termops.padd(f_field, rm, -ONE), HALF)
+    return FirstOrderProduct(half_difference, "(1/2)(f - r_M)")
 
 
 def first_order_invariance_check(m1, r, d):
@@ -85,30 +91,33 @@ def first_order_invariance_check(m1, r, d):
     cover them all, as a pair with a constant or of degree above ``d``
     has zero defect in the algebra truncated above ``d``.
     """
-    P = m1.bivector
-    L = P.algebra
+    L = r.algebra
     lefts = [a for k in range(1, d) for a in polyfield.monomials(L.dim, k)]
     for x in range(L.dim):
         delta = multivec.cobracket(r, x)
-        defect = polyfield.lie_derivative(L, x, P).sub(polyfield.action_field(delta).scale(HALF))
+        defect = termops.padd(
+            polyfield.lie_derivative(L, x, m1.bivector), polyfield.action_field(delta), -HALF
+        )
+        table = termops.bivector_table(defect)
         for a in lefts:
-            row = defect.hamiltonian({a: ONE})
+            row = termops.table_row(table, {a: ONE})
             if row:
                 return False, {"x": L.names[x], "a": a, "b": termops.unit_exp(L.dim, min(row))}
     return True, {"product": m1.label, "degree": d, "pairs": math.comb(L.dim + d, d) ** 2}
 
 
-def _pair_values(m1, pack):
+def _pair_values(m1, pack, dim):
     """Packed values of ``m1`` on pairs of unit monomials, and their denominator.
 
     Returns ``(value, den)``: ``value(ea, eb)`` is ``m1(y^ea, y^eb)`` as a
-    dict from packed monomials to numerators over ``den``.  A
-    ``FirstOrderProduct`` builds one packed Hamiltonian row per left
-    monomial, with int numerators over the bivector's one denominator,
-    and applies it to ``y^eb`` by the Leibniz rule.  Any other bilinear
-    map is called on the unit polynomials and keeps its ``Fraction``
-    coefficients over 1; a value of degree above ``|ea| + |eb|`` raises
-    ``ValueError``, as the scan's packed fields hold its degree bound only.
+    dict from packed monomials to numerators over ``den``, for monomials
+    in ``dim`` coordinates.  A ``FirstOrderProduct`` builds one packed
+    Hamiltonian row per left monomial from its generator table, with int
+    numerators over the bivector's one denominator, and applies it to
+    ``y^eb`` by the Leibniz rule.  Any other bilinear map is called on
+    the unit polynomials and keeps its ``Fraction`` coefficients over 1;
+    a value of degree above ``|ea| + |eb|`` raises ``ValueError``, as the
+    scan's packed fields hold its degree bound only.
     """
     if not isinstance(m1, FirstOrderProduct):
 
@@ -122,9 +131,8 @@ def _pair_values(m1, pack):
 
         return value, 1
 
-    P = m1.bivector
-    den = math.lcm(*(c.denominator for c in P.terms.values()))
-    units = [pack(termops.unit_exp(P.algebra.dim, v)) for v in range(P.algebra.dim)]
+    den = math.lcm(*(c.denominator for c in m1.bivector.values()))
+    units = [pack(termops.unit_exp(dim, v)) for v in range(dim)]
     rows = {}
 
     def value(ea, eb):
@@ -136,7 +144,7 @@ def _pair_values(m1, pack):
                     tuple(map(pack, img)),
                     tuple(c.numerator * (den // c.denominator) for c in img.values()),
                 )
-                for v, img in P.hamiltonian({ea: ONE}).items()
+                for v, img in termops.table_row(m1.table, {ea: ONE}).items()
             ]
         kb = pack(eb)
         out = {}
@@ -177,7 +185,7 @@ def hochschild_cocycle_check(L, d, m1):
             for dc in range(1, d - da - db + 1):
                 patterns.append((da, db, dc))
     pack, unpack = termops.monomial_codec(L.dim, d)
-    value, den = _pair_values(m1, pack)
+    value, den = _pair_values(m1, pack, L.dim)
     # left packed monomial -> {right packed monomial: value}; a value is
     # kept as one flat tuple (key, numerator, key, numerator, ...), and
     # ``monos`` holds one int object per packed monomial the cache keeps
@@ -253,7 +261,7 @@ def twist_correspondence_check(L, d, r_tensor):
     scan over the monomials of degree 1 to ``d - |a|``, degree by
     degree, is ``y_j`` for the least ``j`` where they differ.
     """
-    rm = polyfield.rmatrix_bracket(r_tensor)
+    rm_table = termops.bivector_table(polyfield.rmatrix_bracket(r_tensor))
     r_plain = list(r_tensor.plain_items())
     lefts = [a for k in range(1, d) for a in polyfield.monomials(L.dim, k)]
     acted = {}
@@ -264,7 +272,7 @@ def twist_correspondence_check(L, d, r_tensor):
                 acted[leg] = {e: termops.apply_derivation(images, {e: ONE}) for e in lefts}
 
     for ea in lefts:
-        field_row = rm.hamiltonian({ea: ONE})
+        field_row = termops.table_row(rm_table, {ea: ONE})
         # composed twist map, skew-symmetrized: (1/2) sum c (X_u a X_v b - X_u b X_v a)
         grouped = {}
         for (u, v), c in r_plain:

@@ -20,7 +20,11 @@ Two key shapes carry the bracket computations:
 
 The polyvector encoding is the usual odd-variable picture: derivations are
 anticommuting symbols listed in ascending order, so every product carries
-the sign of the interleaving permutation.
+the sign of the interleaving permutation.  The polyvector fields of
+``polyfield`` and ``quantize`` and the entry-ring brackets of
+``grouppois`` are such dicts, with no wrapper: a homogeneous field's
+degree is the length of any key's derivation tuple, which is where
+``sn_bracket(a, b)`` reads the degree of ``a``.
 
 The Schouten kernels ``sn_bracket``, ``smul`` and ``wedge_push`` take and
 return these tuple-keyed ``Fraction`` dicts, but run on packed keys: a
@@ -419,23 +423,26 @@ def _contract(acc, sign, slots, partials):
             _wedge_into(acc, sign, left, right)
 
 
-def sn_bracket(a, p, b, q):
+def sn_bracket(a, b):
     """Schouten-Nijenhuis bracket of homogeneous polyvector term dicts.
 
-    Sign convention: on vector fields the bracket is the commutator, and
-    for a bivector P the square ``[[P, P]]`` evaluates on three functions
-    to twice the Jacobi defect of the induced bracket.  Both facts are
-    pinned by regression tests.
+    The degree of ``a``, which fixes the sign of the first sum, is the
+    length of the derivation tuple of its first key.  Sign convention:
+    on vector fields the bracket is the commutator, and for a bivector P
+    the square ``[[P, P]]`` evaluates on three functions to twice the
+    Jacobi defect of the induced bracket.  Both facts are pinned by
+    regression tests.
     """
     if not a or not b:
         return {}
-    nvars = len(next(iter(a))[0])
+    exps, ders = next(iter(a))
+    nvars = len(exps)
     codec, bits = _codec(nvars, _top(a) + _top(b))
     pa, da = _pack(a, nvars, codec)
     pb, db = _pack(b, nvars, codec)
     acc = {}
     # [[a, b]] = -(-1)^p sum_i xi_i(a) dy_i(b)  -  sum_i dy_i(a) xi_i(b)
-    sign = 1 if p & 1 else -1
+    sign = 1 if len(ders) & 1 else -1
     _contract(acc, sign, _slot_table(pa, nvars), _partial_table(pb, nvars, codec, bits))
     _contract(acc, -1, _partial_table(pa, nvars, codec, bits), _slot_table(pb, nvars))
     return _unpack(acc, da * db, nvars, codec)

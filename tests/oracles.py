@@ -224,8 +224,8 @@ def _contract(out, sign, xi_of, dy_of):
                 termops.siadd(out, (e, dm), c1 * c2 if sgn * sign > 0 else -c1 * c2)
 
 
-def sn_bracket(a, p, b, q):
-    """Schouten-Nijenhuis bracket of homogeneous polyvector term dicts."""
+def sn_bracket(a, p, b):
+    """Schouten-Nijenhuis bracket of homogeneous polyvector term dicts; ``a`` has degree ``p``."""
     # [[a, b]] = -(-1)^p sum_i xi_i(a) dy_i(b)  -  sum_i dy_i(a) xi_i(b)
     out = {}
     _contract(out, 1 if p & 1 else -1, _xi_table(a), _dy_table(b))
@@ -256,18 +256,15 @@ def solve_equivariant_by_schouten(L, p, q):
     gens = [(g, polyfield.coadjoint_field(L, g)) for g in polyfield._simple_generator_indices(L)]
     rows = {}
     for lab in labels:
-        single = polyfield.PolyVectorField(L, p, {lab: ONE})
+        single = {lab: ONE}
         for g, X in gens:
             image = polyfield.schouten_nijenhuis(X, single)
-            for key, c in image.terms.items():
+            for key, c in image.items():
                 rows.setdefault((g, key), {})[index[lab]] = c
     basis = linalg.nullspace_sparse(list(rows.values()), len(labels))
-    fields = tuple(
-        polyfield.PolyVectorField(L, p, {labels[i]: c for i, c in enumerate(vec) if c})
-        for vec in basis
-    )
+    fields = tuple({labels[i]: c for i, c in enumerate(vec) if c} for vec in basis)
     for f in fields:
-        if not polyfield.is_invariant_field(f):
+        if not polyfield.is_invariant_field(L, f):
             raise AssertionError("solver produced a non-invariant field")
     return fields
 
@@ -489,7 +486,7 @@ def phibar_by_pmul(L):
                         termops.piadd(value, termops.pmul(p12, p3), ONE)
                 for e, v in value.items():
                     terms[(e, (a, b, c))] = v
-    return polyfield.PolyVectorField(L, 3, terms)
+    return terms
 
 
 def coordinate(L, i):
@@ -525,11 +522,10 @@ def doubled_smallest_term(rmatrix_bracket):
     """An r-matrix field builder whose fields have their smallest term doubled."""
 
     def corrupted(r):
-        rm = rmatrix_bracket(r)
-        terms = dict(rm.terms)
+        terms = dict(rmatrix_bracket(r))
         key = min(terms)
         terms[key] *= 2
-        return polyfield.PolyVectorField(rm.algebra, rm.degree, terms)
+        return terms
 
     return corrupted
 
@@ -553,7 +549,7 @@ def _coadjoint_action(L):
         out = {}
         for e, c in p.items():
             if (x, e) not in images:
-                field = polyfield.coadjoint_field(L, x).terms
+                field = polyfield.coadjoint_field(L, x)
                 images[x, e] = termops.kveval(field, [{e: Fraction(1)}])
             termops.piadd(out, images[x, e], c)
         return out
@@ -584,7 +580,7 @@ def pairwise_invariance_witness(m1, r, d):
     degree at most ``d``, ``x.m1(a,b) - m1(xa, b) - m1(a, xb)`` is
     compared with ``(1/2) m0(delta(x).(a,b))``.
     """
-    L = m1.bivector.algebra
+    L = r.algebra
     act, product = _coadjoint_action(L), _bilinear(m1)
     for x in range(L.dim):
         delta = list(multivec.cobracket(r, x).plain_items())
@@ -609,13 +605,14 @@ def pairwise_twist_witness(L, d, r, rm):
     total degree at most ``d``.
     """
     act = _coadjoint_action(L)
+    table = termops.bivector_table(rm)
     for ea, eb in _pairs_upto(L, d):
         pa, pb = {ea: Fraction(1)}, {eb: Fraction(1)}
         composed = {}
         for (u, v), c in r.plain_items():
             termops.piadd(composed, termops.pmul(act(u, pa), act(v, pb)), c / 2)
             termops.piadd(composed, termops.pmul(act(u, pb), act(v, pa)), -c / 2)
-        field = rm.bracket(pa, pb)
+        field = termops.table_bracket(table, pa, pb)
         if composed != field:
             return {"a": ea, "b": eb, "composed": composed, "field": field}
     return None

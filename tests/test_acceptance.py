@@ -11,6 +11,7 @@ test 7b asserts the stated expectation and fails honestly; the analysis
 lives in the suite report and the repository notes.
 """
 
+import functools
 import json
 import time
 from fractions import Fraction
@@ -27,6 +28,7 @@ from qpverify import (
     quantize,
     rootsys,
     suites,
+    termops,
 )
 
 F = Fraction
@@ -89,16 +91,16 @@ def test_criterion_03_phi_bracket_suite():
         assert len(space) == 1
         cal = polyfield.calibrate_scale(L)
         assert cal.lam is not None
-        f = cal.f0.scale(cal.lam)
+        f = termops.pscale(cal.f0, cal.lam)
         s = polyfield.kirillov_bracket(L)
-        assert polyfield.schouten_nijenhuis(s, f).is_zero()
+        assert not polyfield.schouten_nijenhuis(s, f)
         pb = polyfield.phibar(L)
-        assert polyfield.schouten_nijenhuis(f, f) == pb.scale(-1)
+        assert polyfield.schouten_nijenhuis(f, f) == termops.pscale(pb, -1)
         ct = liealg.canonical_tensors(L)
-        assert pb == polyfield.action_field(ct.phi).scale(polyfield.PHIBAR_SIGN)
-        p = f.sub(polyfield.rmatrix_bracket(ct.r_sd))
+        assert pb == termops.pscale(polyfield.action_field(ct.phi), polyfield.PHIBAR_SIGN)
+        p = termops.padd(f, polyfield.rmatrix_bracket(ct.r_sd), -1)
         rep = polyfield.poisson_pencil_check(s, p)
-        assert rep.pp.is_zero() and rep.qq.is_zero() and rep.pq.is_zero()
+        assert not rep.pp and not rep.qq and not rep.pq
         assert run("phi-bracket", "A2").aggregate == "pass"
 
 
@@ -115,9 +117,9 @@ def test_criterion_05_rank1_degeneracy():
     with Budget("05 rank-1 degeneracy", 5):
         L = liealg.algebra("A", 1)
         ct = liealg.canonical_tensors(L)
-        assert polyfield.action_field(ct.phi).is_zero()
+        assert not polyfield.action_field(ct.phi)
         rm = polyfield.rmatrix_bracket(ct.r_sd)
-        assert polyfield.schouten_nijenhuis(rm, rm).is_zero()
+        assert not polyfield.schouten_nijenhuis(rm, rm)
 
 
 def test_criterion_06_conjecture_scan():
@@ -223,12 +225,14 @@ def test_criterion_09_quantization_order_suite():
         L = liealg.algebra("A", 2)
         ct = liealg.canonical_tensors(L)
         cal = polyfield.calibrate_scale(L)
-        f = cal.f0.scale(cal.lam)
+        f = termops.pscale(cal.f0, cal.lam)
         m1 = quantize.standard_first_order_product(f, ct.r_sd)
         passed, _ = quantize.first_order_invariance_check(m1, ct.r_sd, 3)
         assert passed
         rm = polyfield.rmatrix_bracket(ct.r_sd)
-        bad = quantize.FirstOrderProduct(f.add(rm).scale(F(1, 2)), "(1/2)(f + r_M)")
+        bad = quantize.FirstOrderProduct(
+            termops.pscale(termops.padd(f, rm), F(1, 2)), "(1/2)(f + r_M)"
+        )
         passed, witness = quantize.first_order_invariance_check(bad, ct.r_sd, 3)
         # both sides, evaluated from the identity at the reported triple
         reference = pairwise_invariance_witness(bad, ct.r_sd, 3)
@@ -239,11 +243,12 @@ def test_criterion_09_quantization_order_suite():
         # degree-4 window includes mixed-degree triples
         for field_, label in (
             (m1.bivector, "standard"),
-            (polyfield.kirillov_bracket(L).scale(F(1, 2)), "linear"),
+            (termops.pscale(polyfield.kirillov_bracket(L), F(1, 2)), "linear"),
             (rm, "r-field"),
             (f, "quadratic"),
         ):
-            passed, _ = quantize.hochschild_cocycle_check(L, 4, field_.bracket)
+            bracket = functools.partial(termops.table_bracket, termops.bivector_table(field_))
+            passed, _ = quantize.hochschild_cocycle_check(L, 4, bracket)
             assert passed, label
 
 

@@ -263,9 +263,9 @@ def unread_definitions(sources):
     attribute (``m.f``, ``obj.f``).  A method that shares its name with a
     method of another class, or with any other name read anywhere, is not
     seen by the scan, since it cannot tell whose attribute a read
-    reaches: ``MultiTensor.sub`` and ``GroupBivector.is_zero`` hid behind
-    ``PolyVectorField.sub`` and ``is_zero`` and were found by a line
-    trace of the suites instead.  Returns ``module.name`` and
+    reaches: ``MultiTensor.sub`` and ``GroupBivector.is_zero`` once hid
+    behind same-named methods of a polyvector field class and were
+    found by a line trace of the suites instead.  Returns ``module.name`` and
     ``module.Class.name`` strings.
     """
     trees = {fname: ast.parse(text) for fname, text in sources.items()}
@@ -403,3 +403,93 @@ def test_every_named_tuple_field_is_read_somewhere():
         for path in sorted(PACKAGE.rglob("*.py"))
     }
     assert unread_fields(sources) == []
+
+
+def unread_parameters(sources):
+    """Parameters that their function's body never reads.
+
+    ``sources`` maps a file name to its text.  Every function and method
+    is scanned, nested ones too; the first parameter of a method that is
+    not a ``staticmethod`` is bound by the instance and skipped.  A
+    parameter counts as read where its body, nested functions included,
+    loads the name.  Returns ``(file, function, parameter)`` triples.
+    """
+    unread = set()
+    for fname, text in sources.items():
+        tree = ast.parse(text)
+        methods = {
+            id(item)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+            static = any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list
+            )
+            if id(node) in methods and not static:
+                params = params[1:]
+            read = {
+                n.id
+                for stmt in node.body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            unread.update(
+                (fname, node.name, p.arg) for p in params if p is not None and p.arg not in read
+            )
+    return unread
+
+
+def registered_runners(source):
+    """Names of the runner functions that a module-level ``SUITES`` dict registers."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "SUITES":
+            return {
+                n.id
+                for value in node.value.values
+                for n in ast.walk(value)
+                if isinstance(n, ast.Name)
+            }
+    return set()
+
+
+def test_scan_flags_an_unread_parameter():
+    source = (
+        "def f(a, b, *args, c, **kw):\n    return a + kw['x']\n"
+        "def g(x):\n    def inner(y):\n        return x\n    return inner\n"
+        "class K:\n"
+        "    def m(self, y):\n        return 1\n"
+        "    @staticmethod\n    def s(z):\n        return 0\n"
+        "SUITES = {'one': ('first', g), 'two': ('second', f)}\n"
+    )
+    assert unread_parameters({"s.py": source}) == {
+        ("s.py", "f", "b"),
+        ("s.py", "f", "args"),
+        ("s.py", "f", "c"),
+        ("s.py", "inner", "y"),
+        ("s.py", "m", "y"),
+        ("s.py", "s", "z"),
+    }
+    assert registered_runners(source) == {"f", "g"}
+
+
+def test_every_parameter_is_read():
+    # run_suite calls every registered suite runner with one signature,
+    # so a runner may leave its config unread
+    sources = {
+        path.relative_to(PACKAGE).as_posix(): path.read_text()
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    runners = registered_runners(sources["suites.py"])
+    unread = {
+        (fname, function, param)
+        for fname, function, param in unread_parameters(sources)
+        if not (fname == "suites.py" and function in runners)
+    }
+    assert unread == set()

@@ -56,12 +56,6 @@ def test_nullspace_dense_and_sparse_agree():
             assert len(kernel_pivots) == len(basis_s)
 
 
-def test_solve_dense():
-    rows = [[F(2), F(0)], [F(0), F(3)], [F(2), F(3)]]
-    assert linalg.solve_dense(rows, [F(4), F(9), F(13)]) == [F(2), F(3)]
-    assert linalg.solve_dense(rows, [F(4), F(9), F(1)]) is None
-
-
 def test_invert_dense():
     rng = random.Random(5)
     m = [[F(2), F(1)], [F(1), F(1)]]
