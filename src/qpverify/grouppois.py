@@ -9,10 +9,12 @@ left-invariant field acts on entries by right matrix multiplication,
 translations and the two kinds commute.
 
 Each bracket is a bivector field, built in one ``termops.wedge_push``
-of a 2-tensor through the entry fields and stored as a ``termops`` term
-dict.  Its generator table, the values on entry pairs, evaluates it on
+of a 2-tensor through the entry fields, whose coordinate images
+``_field_images`` builds, and stored as a ``termops`` term dict.  Its
+generator table, the values on entry pairs, evaluates it on
 polynomials by the Leibniz rule; identities between brackets are
-computed on the term dicts with the ``termops`` field kernels.
+computed on the term dicts with the ``termops`` field kernels, which
+``polyfield`` calls with the coadjoint images.
 
 The free entry ring is the coordinate ring of the general (or special)
 linear group, so the Poisson identities proved off the group ideal hold
@@ -86,11 +88,7 @@ def _pushed_bivector(L, terms):
     coefficients; each leg is the entry field of basis element ``a`` on
     its side, and a term contributes ``c`` times the wedge of its legs.
     """
-    bivector = termops.wedge_push(
-        terms,
-        lambda leg: termops.vector_terms(_field_images(L, *leg)),
-        L.msize * L.msize,
-    )
+    bivector = termops.wedge_push(terms, lambda leg: _field_images(L, *leg), L.msize * L.msize)
     return GroupBivector(bivector)
 
 
@@ -114,8 +112,6 @@ def build_two_sided_bracket(L, r1, r2):
     bracket is still produced, which is how a non-Poisson witness is
     exhibited.
     """
-    if L.matrices is None:
-        raise RealizationMismatch("algebra carries no matrix realization")
     for r in (r1, r2):
         if r.algebra is not L:
             raise RealizationMismatch("tensor built over a different algebra")
@@ -142,8 +138,6 @@ def build_sklyanin_bracket(L):
 
 def build_ad_bracket(L):
     """Conjugation-invariant bracket from the invariant symmetric 2-tensor."""
-    if L.matrices is None:
-        raise RealizationMismatch("algebra carries no matrix realization")
     t = liealg.canonical_tensors(L).t
     return _pushed_bivector(L, {((a, "left"), (b, "right")): c for (a, b), c in t.terms.items()})
 
@@ -172,8 +166,7 @@ def ad_invariance_defect(L, B, x):
     Returns the defect X{u,v} - {Xu,v} - {u,Xv} on ascending generator
     pairs; all zero means the bracket is invariant.
     """
-    field = termops.vector_terms(_field_images(L, x, "conjugation"))
-    return _by_derivations(termops.sn_bracket(field, B.terms))
+    return _by_derivations(termops.lie_derivative(_field_images(L, x, "conjugation"), B.terms))
 
 
 def phi_through_conjugation(L):
@@ -184,7 +177,7 @@ def phi_through_conjugation(L):
     """
     trivector = termops.wedge_push(
         liealg.canonical_tensors(L).phi.terms,
-        lambda x: termops.vector_terms(_field_images(L, x, "conjugation")),
+        lambda x: _field_images(L, x, "conjugation"),
         L.msize * L.msize,
     )
     return _by_derivations(trivector)

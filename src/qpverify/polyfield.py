@@ -2,7 +2,9 @@
 
 Coordinates on the dual are indexed by the algebra basis; the coadjoint
 vector field of ``x`` sends the coordinate ``y`` to the coordinate of
-``[x, y]``.  A field is a zero-free ``termops`` polyvector term dict,
+``[x, y]``, and ``coadjoint_images`` is the image function that the
+``termops`` field kernels take, as ``grouppois`` gives conjugation's.
+A field is a zero-free ``termops`` polyvector term dict,
 ``{(exponents, derivations): Fraction}``, homogeneous in its number of
 derivations, so its degree is the length of any key's derivation tuple;
 sums, scalings and brackets are the ``termops`` kernels.  The
@@ -14,6 +16,7 @@ One computed sign fact is frozen here and regression tested:
 coefficients to the action field of the invariant 3-tensor.
 """
 
+import functools
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -66,11 +69,6 @@ def coadjoint_images(L, i):
     return L.memo[key]
 
 
-def coadjoint_field(L, x):
-    """Fundamental vector field of basis element ``x`` for the coadjoint action."""
-    return termops.vector_terms(coadjoint_images(L, x))
-
-
 def action_field(psi):
     """Multivector field induced by the action map on tensor legs.
 
@@ -79,9 +77,7 @@ def action_field(psi):
     fields; plain tensors substitute term by term.
     """
     L = psi.algebra
-    return termops.wedge_push(
-        psi.terms, lambda i: termops.vector_terms(coadjoint_images(L, i)), L.dim
-    )
+    return termops.wedge_push(psi.terms, functools.partial(coadjoint_images, L), L.dim)
 
 
 def schouten_nijenhuis(P, Q):
@@ -94,14 +90,9 @@ def schouten_nijenhuis(P, Q):
     return termops.sn_bracket(P, Q)
 
 
-def lie_derivative(L, x, P):
-    """Lie derivative of a field along the coadjoint field of ``x``."""
-    return schouten_nijenhuis(coadjoint_field(L, x), P)
-
-
 def is_invariant_field(L, P):
     """True iff every coadjoint field of ``L`` annihilates ``P``."""
-    return not any(lie_derivative(L, i, P) for i in range(L.dim))
+    return not any(termops.lie_derivative(coadjoint_images(L, i), P) for i in range(L.dim))
 
 
 def kirillov_bracket(L):
@@ -462,13 +453,9 @@ def gl_transport_quadratic_bracket(L):
     to the traceless part); proportional to the equivariant-solver
     generator for type A.
     """
-    if L.matrices is None:
-        raise ValueError("needs a matrix realization")
     n = L.msize
     dim = L.dim
     dual = liealg.trace_dual(L.matrices)
-    if dual is None:
-        raise AssertionError("trace form degenerate on the realization")
 
     def linear(prod):
         # the linear coordinate polynomial of a matrix, read through tr(dual[m] .)

@@ -96,7 +96,9 @@ def first_order_invariance_check(m1, r, d):
     for x in range(L.dim):
         delta = multivec.cobracket(r, x)
         defect = termops.padd(
-            polyfield.lie_derivative(L, x, m1.bivector), polyfield.action_field(delta), -HALF
+            termops.lie_derivative(polyfield.coadjoint_images(L, x), m1.bivector),
+            polyfield.action_field(delta),
+            -HALF,
         )
         table = termops.bivector_table(defect)
         for a in lefts:

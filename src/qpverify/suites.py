@@ -330,20 +330,19 @@ def _suite_phi_bracket(series, rank, config):
             pencil,
         )
     )
-    if L.matrices is not None:
-        transported = polyfield.gl_transport_quadratic_bracket(L)
+    transported = polyfield.gl_transport_quadratic_bracket(L)
 
-        def proportional():
-            ratio = polyfield.fields_proportional(transported, f0)
-            return ratio is not None, {"ratio": ratio}
+    def proportional():
+        ratio = polyfield.fields_proportional(transported, f0)
+        return ratio is not None, {"ratio": ratio}
 
-        checks.append(
-            _record(
-                "matrix-trace-bracket-proportional",
-                "left/right-multiplication bracket restricts to a multiple",
-                proportional,
-            )
+    checks.append(
+        _record(
+            "matrix-trace-bracket-proportional",
+            "left/right-multiplication bracket restricts to a multiple",
+            proportional,
         )
+    )
     return checks
 
 

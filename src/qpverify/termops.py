@@ -48,8 +48,10 @@ builds in one pass over the table), and ``table_bracket`` applies the
 row of its first argument to its second.  So a row of brackets
 ``{f, g}`` with one ``f`` costs one image table and one
 ``apply_derivation`` per ``g``.  Vector fields are stored the same way,
-as coordinate images; ``vector_terms`` turns them into the term dicts
-that ``sn_bracket`` and ``wedge_push`` take.  ``kveval`` and
+as coordinate images, and an action is given by its image function
+``images(i)``: ``wedge_push`` pushes a tensor through its fields and
+``lie_derivative`` differentiates along one, for the coadjoint action
+and for conjugation alike.  ``kveval`` and
 ``bivector_eval`` are reference evaluators for tests and tracing only;
 so is ``ptruncate``, since no kernel truncates by degree.
 
@@ -347,18 +349,18 @@ def smul(a, b):
     return _unpack(acc, da * db, nvars, codec)
 
 
-def wedge_push(terms, field, nvars):
-    """Sum of ``c * field(i1) ^ ... ^ field(ik)`` over tensor terms ``(i1..ik): c``.
+def wedge_push(terms, images, nvars):
+    """Sum of ``c * X_i1 ^ ... ^ X_ik`` over tensor terms ``(i1..ik): c``.
 
-    ``field(i)`` is the vector term dict of index ``i``; each distinct
-    index is built and packed once.  An index may be any hashable, such
-    as a ``(basis index, side)`` pair naming an entry field.
+    ``X_i`` has the coordinate images ``images(i)``; each distinct index
+    is built and packed once.  An index may be any hashable, such as a
+    ``(basis index, side)`` pair; ``nvars`` serves a degree-0 term.
     """
     fields = {}  # index -> vector term dict, then its packed form
     for key in terms:
         for i in key:
             if i not in fields:
-                fields[i] = field(i)
+                fields[i] = vector_terms(images(i))
     tops = {i: _top(f) for i, f in fields.items()}
     codec, _ = _codec(nvars, max((sum(tops[i] for i in key) for key in terms), default=0))
     for i, f in fields.items():
@@ -386,6 +388,11 @@ def wedge_push(terms, field, nvars):
 def vector_terms(images):
     """Vector term dict of the derivation with coordinate images ``images``."""
     return {(e, (v,)): c for v, img in images.items() for e, c in img.items()}
+
+
+def lie_derivative(images, field):
+    """Lie derivative of ``field`` along the vector field with coordinate images ``images``."""
+    return sn_bracket(vector_terms(images), field)
 
 
 def _partial_table(numerators, nvars, codec, bits):

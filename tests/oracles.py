@@ -12,6 +12,9 @@ entry pair, as a reference for the bracket builders of ``grouppois``.
 ``merge_ders``, ``smul``, ``wedge_push`` and ``sn_bracket`` are the
 polyvector kernels on exponent and derivation tuples with ``Fraction``
 coefficients, as references for the packed kernels of ``termops``.
+``vector_field`` turns coordinate images into a vector term dict and
+``images_of`` turns it back; ``coadjoint_field`` is the vector term dict
+of one coadjoint field.
 
 ``solve_equivariant_by_schouten`` is the invariant-field solve with one
 Schouten bracket per constraint row and a weight filter over every
@@ -175,14 +178,35 @@ def smul(a, b):
     return out
 
 
-def wedge_push(terms, field, nvars):
-    """Sum of ``c * field(i1) ^ ... ^ field(ik)`` over tensor terms ``(i1..ik): c``."""
+def vector_field(images):
+    """Vector term dict of the derivation with coordinate images ``images``."""
+    return {(e, (v,)): c for v, img in images.items() for e, c in img.items()}
+
+
+def images_of(field):
+    """Coordinate images of a vector term dict, the inverse of ``vector_field``."""
+    images = {}
+    for (e, (v,)), c in field.items():
+        images.setdefault(v, {})[e] = c
+    return images
+
+
+def coadjoint_field(L, x):
+    """Fundamental vector field of basis element ``x`` for the coadjoint action."""
+    return vector_field(polyfield.coadjoint_images(L, x))
+
+
+def wedge_push(terms, images, nvars):
+    """Sum of ``c * X_i1 ^ ... ^ X_ik`` over tensor terms ``(i1..ik): c``.
+
+    ``X_i`` is the vector field with coordinate images ``images(i)``.
+    """
     out = {}
     unit = {((0,) * nvars, ()): Fraction(1)}
     for key, c in terms.items():
         prod = unit
         for i in key:
-            prod = smul(prod, field(i))
+            prod = smul(prod, vector_field(images(i)))
         termops.piadd(out, prod, c)
     return out
 
@@ -253,7 +277,7 @@ def solve_equivariant_by_schouten(L, p, q):
             if not any(_weight_of_term(L, exps, ders)):
                 labels.append((exps, ders))
     index = {lab: i for i, lab in enumerate(labels)}
-    gens = [(g, polyfield.coadjoint_field(L, g)) for g in polyfield._simple_generator_indices(L)]
+    gens = [(g, coadjoint_field(L, g)) for g in polyfield._simple_generator_indices(L)]
     rows = {}
     for lab in labels:
         single = {lab: ONE}
@@ -549,7 +573,7 @@ def _coadjoint_action(L):
         out = {}
         for e, c in p.items():
             if (x, e) not in images:
-                field = polyfield.coadjoint_field(L, x)
+                field = coadjoint_field(L, x)
                 images[x, e] = termops.kveval(field, [{e: Fraction(1)}])
             termops.piadd(out, images[x, e], c)
         return out

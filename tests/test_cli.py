@@ -231,6 +231,8 @@ def test_json_byte_identical_reruns(capsys):
         ("phi-bracket", "--algebra", "A2"),
         ("group-sklyanin", "--algebra", "A1"),
         ("good-orbits", "--algebra", "D4"),
+        ("ad-bracket", "--algebra", "A2"),
+        ("star-first-order", "--algebra", "A2"),
     ],
 )
 def test_reports_do_not_depend_on_the_hash_seed(argv):

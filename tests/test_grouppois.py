@@ -111,6 +111,17 @@ def test_realization_mismatch_rejected(sl2, sl3):
         grouppois.build_two_sided_bracket(sl2, r3, r3)
 
 
+def test_entry_brackets_refuse_an_algebra_without_matrices(sl2):
+    # sl2's structure, tensors and Killing form, with no matrix realization
+    bare = liealg.LieAlgebra(
+        sl2.root_system, sl2.names, sl2.weights, sl2.struct, sl2.killing, sl2.killing_inv,
+        matrices=None, msize=sl2.msize,
+    )
+    for build in (grouppois.build_ad_bracket, grouppois.build_sklyanin_bracket):
+        with pytest.raises(grouppois.RealizationMismatch, match="no matrix realization"):
+            build(bare)
+
+
 def test_determinant_ideal_preserved_n2(sl2):
     sk = grouppois.build_sklyanin_bracket(sl2)
     det = grouppois.determinant(2)

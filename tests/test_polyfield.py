@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import coordinate, phibar_by_pmul, solve_equivariant_by_schouten
+from oracles import coadjoint_field, coordinate, phibar_by_pmul, solve_equivariant_by_schouten
 from qpverify import liealg, linalg, multivec, polyfield, suites, termops
 
 F = Fraction
@@ -49,7 +49,7 @@ def rand_field(L, p, rng, nterms=3, maxdeg=2):
 
 
 def test_coadjoint_field_of_cartan(sl2):
-    X = polyfield.coadjoint_field(sl2, 0)
+    X = coadjoint_field(sl2, 0)
     ye, yf, yh = (coordinate(sl2, i) for i in (1, 2, 0))
     assert termops.kveval(X, [ye]) == termops.pscale(ye, F(2))
     assert termops.kveval(X, [yf]) == termops.pscale(yf, F(-2))
@@ -92,12 +92,10 @@ def test_action_intertwines_brackets(sl2, sl3, so5):
 def test_vector_fields_intertwine(sl3):
     for x in range(sl3.dim):
         for y in range(sl3.dim):
-            lhs = polyfield.schouten_nijenhuis(
-                polyfield.coadjoint_field(sl3, x), polyfield.coadjoint_field(sl3, y)
-            )
+            lhs = polyfield.schouten_nijenhuis(coadjoint_field(sl3, x), coadjoint_field(sl3, y))
             images = {}
             for k, c in sl3.bracket(x, y).items():
-                termops.piadd(images, termops.vector_terms(polyfield.coadjoint_images(sl3, k)), c)
+                termops.piadd(images, coadjoint_field(sl3, k), c)
             assert lhs == images
 
 
@@ -240,7 +238,7 @@ def test_closed_form_term_images_are_schouten_brackets(term):
     single = {(exps, ders): c}
     for x in range(L.dim):
         image = polyfield.coadjoint_term_images(L, x)(exps, ders)
-        X = polyfield.coadjoint_field(L, x)
+        X = coadjoint_field(L, x)
         assert termops.pscale(image, c) == polyfield.schouten_nijenhuis(X, single)
 
 

@@ -1,12 +1,15 @@
 import importlib.util
 import json
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from oracles import doubled_smallest_term, pairwise_hochschild_witness, pentagon_total
-from qpverify import cli, liealg, linalg, multivec, orbits, polyfield, quantize, rootsys, suites, termops
+from qpverify import (
+    cli, grouppois, liealg, linalg, multivec, orbits, polyfield, quantize, rootsys, suites, termops,
+)
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -210,20 +213,6 @@ def test_coproduct_conjugation_failure_names_the_first_failing_element(monkeypat
     assert check.witness == {"x": first}
 
 
-def test_table_antisymmetric_fails_when_the_table_builder_breaks(monkeypatch):
-    def symmetric_table(terms):
-        table = {}
-        for (e, (i, j)), c in terms.items():
-            table.setdefault((i, j), {})[e] = c
-            table.setdefault((j, i), {})[e] = c
-        return table
-
-    monkeypatch.setattr(termops, "bivector_table", symmetric_table)
-    report = suites.run_suite(suites.SuiteConfig(algebra="A1", suite="ad-bracket"))
-    statuses = {c.id: c.status for c in report.checks}
-    assert statuses["table-antisymmetric"] == "fail"
-
-
 def _star_a2_record(check_id):
     report = suites.run_suite(suites.SuiteConfig(algebra="A2", suite="star-first-order"))
     return {c.id: c for c in report.checks}[check_id]
@@ -369,46 +358,163 @@ def _no_kron_products(monkeypatch):
     monkeypatch.setattr(linalg, "mat_kron_many", lambda mats, dims: {})
 
 
+def _symmetric_table(monkeypatch):
+    # every (j, i) entry equal to its (i, j) entry, as a symmetric form has
+    def symmetric_table(terms):
+        table = {}
+        for (e, (i, j)), c in terms.items():
+            table.setdefault((i, j), {})[e] = c
+            table.setdefault((j, i), {})[e] = c
+        return table
+
+    monkeypatch.setattr(termops, "bivector_table", symmetric_table)
+
+
+def _conjugation_as_sum(monkeypatch):
+    # conjugation images built as left plus right instead of left minus right
+    field_images = grouppois._field_images
+
+    def summed(L, x, side):
+        if side != "conjugation":
+            return field_images(L, x, side)
+        images = {u: dict(img) for u, img in field_images(L, x, "left").items()}
+        for u, img in field_images(L, x, "right").items():
+            termops.piadd(images.setdefault(u, {}), img, Fraction(1))
+        return {u: img for u, img in images.items() if img}
+
+    monkeypatch.setattr(grouppois, "_field_images", summed)
+
+
+def _halved_jacobiator_factor(monkeypatch):
+    monkeypatch.setattr(grouppois, "AD_JACOBIATOR_FACTOR", Fraction(1, 2))
+
+
+def _doubled_sklyanin_right(monkeypatch):
+    # left fields of r plus right fields of -2r: the squares differ
+    def doubled(L):
+        r = liealg.canonical_tensors(L).r_sd
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return grouppois.build_two_sided_bracket(L, r, r.scale(-2))
+
+    monkeypatch.setattr(grouppois, "build_sklyanin_bracket", doubled)
+
+
+def _two_sided_ignores_r2(monkeypatch):
+    # r1 on both sides unless r2 is -r1, so the mismatched squares agree
+    build = grouppois.build_two_sided_bracket
+
+    def ignoring(L, r1, r2):
+        return build(L, r1, r2 if r2 == r1.scale(-1) else r1)
+
+    monkeypatch.setattr(grouppois, "build_two_sided_bracket", ignoring)
+
+
+def _permanent(monkeypatch):
+    # the permanent does not generate an ideal that the bracket preserves
+    determinant = grouppois.determinant
+    monkeypatch.setattr(
+        grouppois, "determinant", lambda n: {e: abs(c) for e, c in determinant(n).items()}
+    )
+
+
+def _same_r_doubled_right(monkeypatch):
+    # the same-r bracket gets 2r on the right, so the squares differ
+    build = grouppois.build_two_sided_bracket
+
+    def doubled(L, r1, r2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return build(L, r1, r1.scale(2) if r2 == r1 else r2)
+
+    monkeypatch.setattr(grouppois, "build_two_sided_bracket", doubled)
+
+
+# (suite, algebras, fault, checks whose status the fault changes)
 FLIPS = [
     # an unfaithful representation no longer lets the word-leg fault pass
-    ("pentagon", _unfaithful_defining, {"faithfulness-guard", "word-leg-fault-detected"}),
-    ("pentagon", _unfaithful_adjoint, {"pentagon-adjoint"}),
-    ("pentagon", _word_leg_phi, {"pentagon-defining", "pentagon-adjoint"}),
-    ("pentagon", _no_kron_products, {"word-leg-fault-detected"}),
+    ("pentagon", ("A1",), _unfaithful_defining, {"faithfulness-guard", "word-leg-fault-detected"}),
+    ("pentagon", ("A1",), _unfaithful_adjoint, {"pentagon-adjoint"}),
+    ("pentagon", ("A1",), _word_leg_phi, {"pentagon-defining", "pentagon-adjoint"}),
+    ("pentagon", ("A1",), _no_kron_products, {"word-leg-fault-detected"}),
     # the extra term is x1 x1 (x) x1, which is 0 on the defining
     # representation, so the conjugation sees no change; its coproduct
     # 2 x1 (x) x1 is not, so the factorization fails
-    ("rmatrix-first-order", _word_leg_rho, {"factorized-coproduct"}),
-    ("rmatrix-first-order", _non_invariant_t, {"coproduct-conjugation"}),
-    ("rmatrix-first-order", _no_kron_products, {"word-leg-fault-detected"}),
+    ("rmatrix-first-order", ("A1",), _word_leg_rho, {"factorized-coproduct"}),
+    ("rmatrix-first-order", ("A1",), _non_invariant_t, {"coproduct-conjugation"}),
+    ("rmatrix-first-order", ("A1",), _no_kron_products, {"word-leg-fault-detected"}),
+    ("ad-bracket", ("A1",), _symmetric_table, {"table-antisymmetric"}),
+    (
+        "ad-bracket",
+        ("A2",),
+        _conjugation_as_sum,
+        {"conjugation-invariant", "phi-bracket-identity-on-generators"},
+    ),
+    # phi pushes to zero on A1, so the factor shows from A2
+    ("ad-bracket", ("A2",), _halved_jacobiator_factor, {"phi-bracket-identity-on-generators"}),
+    ("group-sklyanin", ("A1", "A2"), _doubled_sklyanin_right, {"sklyanin-poisson"}),
+    (
+        "group-sklyanin",
+        ("A1", "A2"),
+        _two_sided_ignores_r2,
+        {"square-mismatch-jacobiator-witness"},
+    ),
+    ("group-sklyanin", ("A1",), _permanent, {"determinant-ideal"}),
+    # this check fails by design, and passes under the fault
+    (
+        "group-sklyanin",
+        ("A2",),
+        _same_r_doubled_right,
+        {"two-sided-same-r-nonzero-jacobiator"},
+    ),
 ]
 
 
-def _failing(suite):
-    report = suites.run_suite(suites.SuiteConfig(algebra="A1", suite=suite))
-    return {c.id for c in report.checks if c.status == "fail"}
+def _statuses(suite, algebra):
+    report = suites.run_suite(suites.SuiteConfig(algebra=algebra, suite=suite))
+    return {c.id: c.status for c in report.checks}
 
 
 @pytest.mark.parametrize(
-    "suite, fault, flipped", FLIPS, ids=[f"{s}-{f.__name__[1:]}" for s, f, _ in FLIPS]
+    "suite, algebras, fault, flipped",
+    FLIPS,
+    ids=[f"{s}-{f.__name__[1:]}" for s, _, f, _ in FLIPS],
 )
-def test_a_fault_flips_exactly_its_checks(monkeypatch, suite, fault, flipped):
-    assert _failing(suite) == set()
+def test_a_fault_flips_exactly_its_checks(monkeypatch, suite, algebras, fault, flipped):
+    # a flip is a change of status, so a check that fails by design flips
+    # when its fault makes it pass
+    before = {algebra: _statuses(suite, algebra) for algebra in algebras}
+    for statuses in before.values():
+        failing = {i for i, status in statuses.items() if status == "fail"}
+        assert failing <= {"two-sided-same-r-nonzero-jacobiator"}
     fault(monkeypatch)
-    assert _failing(suite) == flipped
+    for algebra in algebras:
+        after = _statuses(suite, algebra)
+        assert after.keys() == before[algebra].keys()
+        assert {i for i, status in after.items() if status != before[algebra][i]} == flipped
+
+
+def _uncovered(suites_to_cover):
+    ids = {
+        (suite, c.id)
+        for suite in suites_to_cover
+        for c in suites.run_suite(suites.SuiteConfig(algebra="A1", suite=suite)).checks
+    }
+    return ids - {(suite, check) for suite, _, _, flipped in FLIPS for check in flipped}
 
 
 def test_every_representation_check_but_counit_legs_has_a_fault():
     # counit-legs cannot flip: every leg that quantize.tensor_to_words
     # builds is a single letter, so no fault of the evaluation chain
     # reaches it (ROADMAP item 9)
-    ids = {
-        (suite, c.id)
-        for suite in ("pentagon", "rmatrix-first-order")
-        for c in suites.run_suite(suites.SuiteConfig(algebra="A1", suite=suite)).checks
+    assert _uncovered(("pentagon", "rmatrix-first-order")) == {
+        ("rmatrix-first-order", "counit-legs")
     }
-    covered = {(suite, check) for suite, _, flipped in FLIPS for check in flipped}
-    assert ids - covered == {("rmatrix-first-order", "counit-legs")}
+
+
+def test_every_entry_ring_check_has_a_fault():
+    # A1 runs every check of both suites; determinant-ideal skips above 2x2
+    assert _uncovered(("ad-bracket", "group-sklyanin")) == set()
 
 
 def test_rmatrix_suite_refuses_an_unfaithful_representation(monkeypatch):

@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import itertools
 import random
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 import qpverify.termops as termops
-from qpverify import liealg, polyfield
+from qpverify import grouppois, liealg, multivec, polyfield
 
 F = Fraction
 
@@ -382,8 +383,12 @@ def test_packed_smul_matches_the_reference(case):
 
 
 def wedge_cases(nvars):
+    # the coordinate images of four vector fields
     vector_fields = st.dictionaries(
-        st.integers(0, 3), rational_multivectors(nvars, 1), min_size=4, max_size=4
+        st.integers(0, 3),
+        rational_multivectors(nvars, 1).map(oracles.images_of),
+        min_size=4,
+        max_size=4,
     )
     tensor_keys = st.integers(0, 3).flatmap(lambda k: st.tuples(*[st.integers(0, 3)] * k))
     tensors = st.dictionaries(tensor_keys, rationals, max_size=5)
@@ -408,7 +413,7 @@ def test_packed_kernels_are_exact_across_field_widths(top):
     assert termops.smul(a, b) == oracles.smul(a, b) != {}
     assert termops.sn_bracket(a, b) == oracles.sn_bracket(a, 1, b) != {}
     terms = {(0, 1): F(1, 2), (1, 1, 0): F(4)}
-    fields = {0: a, 1: b}.__getitem__
+    fields = {0: oracles.images_of(a), 1: oracles.images_of(b)}.__getitem__
     assert termops.wedge_push(terms, fields, 2) == oracles.wedge_push(terms, fields, 2) != {}
 
 
@@ -422,8 +427,9 @@ def test_packed_exponents_past_64_bits_raise():
         termops.smul(top, y0)
     with pytest.raises(termops.ResourceLimitError):
         termops.sn_bracket(top, {((1, 0), (0,)): F(1)})
+    fields = {0: oracles.images_of(top), 1: {0: {(1, 0): F(1)}}}.__getitem__
     with pytest.raises(termops.ResourceLimitError):
-        termops.wedge_push({(0, 1): F(1)}, {0: top, 1: {((1, 0), (0,)): F(1)}}.__getitem__, 2)
+        termops.wedge_push({(0, 1): F(1)}, fields, 2)
 
 
 images = st.dictionaries(st.integers(0, NVARS - 1), polys.filter(bool), max_size=NVARS)
@@ -464,5 +470,38 @@ coadjoint_cases = st.sampled_from([SL2, liealg.algebra("A", 2)]).flatmap(
 @given(coadjoint_cases)
 def test_coadjoint_images_apply_as_the_reference_vector_field(case):
     L, x, p = case
-    reference = termops.kveval(polyfield.coadjoint_field(L, x), [p])
+    reference = termops.kveval(oracles.coadjoint_field(L, x), [p])
     assert termops.apply_derivation(polyfield.coadjoint_images(L, x), p) == reference
+
+
+# the two actions of the package, as (image function, coordinate count)
+ACTIONS = {
+    "coadjoint": lambda L: (functools.partial(polyfield.coadjoint_images, L), L.dim),
+    "conjugation": lambda L: (
+        lambda x: grouppois._field_images(L, x, "conjugation"),
+        L.msize * L.msize,
+    ),
+}
+
+
+@st.composite
+def alternating_tensors(draw):
+    """An algebra over A1 or A2, a basis element and an alternating 2- or 3-tensor."""
+    L = draw(st.sampled_from([SL2, liealg.algebra("A", 2)]))
+    k = draw(st.integers(2, 3))
+    keys = st.sampled_from(list(itertools.combinations(range(L.dim), k)))
+    terms = draw(st.dictionaries(keys, rationals, min_size=1, max_size=4))
+    x = draw(st.integers(0, L.dim - 1))
+    return L, x, multivec.MultiTensor(L, k, terms, "alternating")
+
+
+@pytest.mark.parametrize("action", list(ACTIONS))
+@LAWS
+@given(alternating_tensors())
+def test_the_push_intertwines_the_lie_derivative_with_the_adjoint_action(action, case):
+    # L_x (push psi) = push (x . psi), with the sign +1 for both actions
+    L, x, psi = case
+    images, n = ACTIONS[action](L)
+    pushed = termops.wedge_push(psi.terms, images, n)
+    moved = termops.wedge_push(multivec.ad_action(x, psi).terms, images, n)
+    assert termops.lie_derivative(images(x), pushed) == moved
