@@ -10,11 +10,12 @@ translations and the two kinds commute.
 
 Each bracket is a bivector field, built in one ``termops.wedge_push``
 of a 2-tensor through the entry fields, whose coordinate images
-``_field_images`` builds, and stored as a ``termops`` term dict.  Its
-generator table, the values on entry pairs, evaluates it on
-polynomials by the Leibniz rule; identities between brackets are
-computed on the term dicts with the ``termops`` field kernels, which
-``polyfield`` calls with the coadjoint images.
+``_field_images`` builds, and stored as a ``termops.PackedField``.  Its
+generator table, the values on entry pairs, is decoded once and
+evaluates it on polynomials by the Leibniz rule; identities between
+brackets are computed on the packed fields with the ``termops`` field
+kernels, which ``polyfield`` calls with the coadjoint images, and each
+result is decoded once, by derivations, for the report.
 
 The free entry ring is the coordinate ring of the general (or special)
 linear group, so the Poisson identities proved off the group ideal hold
@@ -93,11 +94,11 @@ def _pushed_bivector(L, terms):
 
 
 class GroupBivector:
-    """Bracket on the entry ring, stored as a bivector term dict."""
+    """Bracket on the entry ring, stored as a packed bivector field."""
 
     def __init__(self, terms):
         self.terms = terms
-        # values on entry pairs, antisymmetric by construction
+        # values on entry pairs, antisymmetric by construction, decoded
         self.table = termops.bivector_table(terms)
 
     def bracket(self, p, q):
@@ -142,10 +143,10 @@ def build_ad_bracket(L):
     return _pushed_bivector(L, {((a, "left"), (b, "right")): c for (a, b), c in t.terms.items()})
 
 
-def _by_derivations(terms):
-    """Regroup a term dict as ``{derivations: polynomial}``."""
+def _by_derivations(field):
+    """Regroup a packed field, decoded, as ``{derivations: polynomial}``."""
     out = {}
-    for (e, d), c in terms.items():
+    for (e, d), c in termops.unpack(field).items():
         out.setdefault(d, {})[e] = c
     return out
 

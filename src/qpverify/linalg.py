@@ -15,7 +15,7 @@ ONE = Fraction(1)
 
 
 def _int_row(row):
-    """A sparse ``Fraction`` row scaled by the lcm of its denominators."""
+    """A sparse ``Fraction`` (or ``int``) row scaled by the lcm of its denominators."""
     den = math.lcm(*(v.denominator for v in row.values()))
     return {c: v.numerator * (den // v.denominator) for c, v in row.items()}
 

@@ -4,12 +4,15 @@ Coordinates on the dual are indexed by the algebra basis; the coadjoint
 vector field of ``x`` sends the coordinate ``y`` to the coordinate of
 ``[x, y]``, and ``coadjoint_images`` is the image function that the
 ``termops`` field kernels take, as ``grouppois`` gives conjugation's.
-A field is a zero-free ``termops`` polyvector term dict,
-``{(exponents, derivations): Fraction}``, homogeneous in its number of
-derivations, so its degree is the length of any key's derivation tuple;
-sums, scalings and brackets are the ``termops`` kernels.  The
-Schouten-Nijenhuis bracket there is normalized so that the square of a
-bivector evaluates to twice the Jacobi defect of its bracket.
+A field is a ``termops.PackedField``, homogeneous in its number of
+derivations; sums, scalings, brackets, zero tests and comparisons are
+the ``termops`` kernels, on int numerators.  The solver packs its basis
+once, ``phibar`` builds its field packed, and ``fields_proportional``
+and the scan's ``linalg.rank`` read the int numerators; a field is
+decoded here only into an invariant polynomial and for the pencil
+check's degree guard.  The Schouten-Nijenhuis
+bracket is normalized so that the square of a bivector evaluates to
+twice the Jacobi defect of its bracket.
 
 One computed sign fact is frozen here and regression tested:
 ``PHIBAR_SIGN`` relates the cubic trivector built from bracket
@@ -105,7 +108,7 @@ def kirillov_bracket(L):
                 continue
             for k, c in row.items():
                 terms[(termops.unit_exp(L.dim, k), (i, j))] = c
-    return terms
+    return termops.pack(terms, L.dim)
 
 
 def rmatrix_bracket(r):
@@ -116,18 +119,24 @@ def rmatrix_bracket(r):
 
 
 def fields_proportional(P, Q):
-    """Return c with P == c*Q, or None; both zero counts as c = 1."""
+    """Return c with P == c*Q, or None; both zero counts as c = 1.
+
+    The numerators are compared by cross-multiplying at one term, so no
+    ``Fraction`` is built but ``c``.
+    """
     if not P and not Q:
         return ONE
     if not P or not Q:
         return None
-    key = next(iter(Q))
-    if key not in P:
+    p, dp = P.numerators()
+    q, dq = Q.numerators()
+    if p.keys() != q.keys():
         return None
-    c = P[key] / Q[key]
-    if P == termops.pscale(Q, c):
-        return c
-    return None
+    key = next(iter(q))
+    a, b = p[key], q[key]
+    if any(v * b != q[k] * a for k, v in p.items()):
+        return None
+    return Fraction(a * dq, b * dp)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +262,9 @@ def solve_equivariant(L, p, q):
             for key, c in image(exps, ders).items():
                 rows.setdefault((g, key), {})[col] = c
     basis = linalg.nullspace_sparse(list(rows.values()), len(labels))
-    fields = tuple({labels[i]: c for i, c in enumerate(vec) if c} for vec in basis)
+    fields = tuple(
+        termops.pack({labels[i]: c for i, c in enumerate(vec) if c}, L.dim) for vec in basis
+    )
     for f in fields:
         if not is_invariant_field(L, f):
             raise AssertionError("solver produced a non-invariant field")
@@ -265,7 +276,7 @@ def invariant_polynomials(L, degree):
     if degree == 0:
         return [ {tuple([0] * L.dim): ONE} ]
     fields = invariant_field_space(L, 0, degree)
-    return [ {e: c for (e, _), c in f.items()} for f in fields ]
+    return [ {e: c for (e, _), c in termops.unpack(f).items()} for f in fields ]
 
 
 # ---------------------------------------------------------------------------
@@ -334,15 +345,16 @@ def phibar(L):
     ``PHIBAR_SIGN`` times the action field of that tensor, which the
     ``phi-bracket`` suite checks.
 
-    Monomials are packed by ``termops.monomial_codec``, so a product of
-    monomials is one ``int`` sum, and coefficients are ``int`` numerators
-    over ``lcm(phi denominators) * lcm(structure denominators)^3``; each
-    term is decoded once.
+    Monomials are packed as in a packed field (``termops.monomial_codec``
+    at ``termops.field_top``), so a product of monomials is one ``int``
+    sum, and coefficients are ``int`` numerators over
+    ``lcm(phi denominators) * lcm(structure denominators)^3``; the terms
+    become a packed field as they are, with no decoding.
     """
     ct = liealg.canonical_tensors(L)
     phi_plain = list(ct.phi.plain_items())
     dim = L.dim
-    pack, unpack = termops.monomial_codec(dim, 3)
+    pack, _ = termops.monomial_codec(dim, termops.field_top(dim))
     units = [pack(termops.unit_exp(dim, k)) for k in range(dim)]
     sden = math.lcm(*(c.denominator for row in L.struct.values() for c in row.values()))
     pden = math.lcm(*(c.denominator for _, c in phi_plain))
@@ -381,9 +393,8 @@ def phibar(L):
                         for m, v in p12:
                             value[m + m3] = value.get(m + m3, 0) + v * c3
                 for m, v in value.items():
-                    if v:
-                        terms[(unpack(m), (a, b, c))] = Fraction(v, den)
-    return terms
+                    terms[(m, (a, b, c))] = v
+    return termops.pack_monomials(terms, den, dim, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +406,7 @@ PencilReport = namedtuple("PencilReport", "pp qq pq")
 
 def poisson_pencil_check(P, Q):
     """Schouten data deciding whether every aP + bQ is Poisson."""
-    if any(len(d) != 2 for field in (P, Q) for _, d in field):
+    if any(len(d) != 2 for field in (P, Q) for _, d in termops.unpack(field)):
         raise ValueError("pencil check expects bivectors")
     return PencilReport(
         pp=schouten_nijenhuis(P, P),
@@ -427,9 +438,14 @@ def invariant_bivector_scan(L, max_degree):
     for k in range(1, max_degree + 1):
         fields = invariant_field_space(L, 2, k)
         inv_polys = invariant_polynomials(L, k - 1)
-        multiples = [termops.smul({(e, ()): c for e, c in b.items()}, s) for b in inv_polys]
-        spanned = linalg.rank(multiples)
-        extras = [f for f in fields if linalg.rank([*multiples, f]) > spanned]
+        multiples = [
+            termops.smul(termops.pack({(e, ()): c for e, c in b.items()}, L.dim), s)
+            for b in inv_polys
+        ]
+        # scaling a row keeps the rank, so each field's int numerators are its row
+        rows = [m.numerators()[0] for m in multiples]
+        spanned = linalg.rank(rows)
+        extras = [f for f in fields if linalg.rank([*rows, f.numerators()[0]]) > spanned]
         out.append(
             ScanEntry(
                 degree=k,
@@ -482,4 +498,4 @@ def gl_transport_quadratic_bracket(L):
                     termops.piadd(value, termops.pmul(lb, ra), -ONE)
             for e, c in value.items():
                 terms[(e, (a, b))] = c
-    return terms
+    return termops.pack(terms, dim)

@@ -1,11 +1,11 @@
 """Leading-order quantization checks.
 
 First-order star products are biderivations attached to bivector fields
-on the dual space, ``termops`` term dicts as in ``polyfield``; each
-product keeps the generator table of its bivector.  Their equivariance
-under the deformed coproduct is an exact identity of derivations,
-checked on one Hamiltonian row (``termops.table_row``) per left monomial
-rather than at each monomial pair.  The symmetric-algebra
+on the dual space, packed fields as in ``polyfield``; each product
+decodes its bivector into the generator table it keeps.  Their
+equivariance under the deformed coproduct is an exact identity of
+derivations, checked on one Hamiltonian row (``termops.table_row``) per
+left monomial rather than at each monomial pair.  The symmetric-algebra
 family is probed through a rewriting system whose normal forms are
 ordered monomials, and the coproduct-level identities (pentagon shadow,
 first-order R-matrix relations) are evaluated exactly through Kronecker
@@ -56,7 +56,7 @@ class FirstOrderProduct:
     """
 
     def __init__(self, bivector, label):
-        if any(len(d) != 2 or sum(e) != 2 for e, d in bivector):
+        if any(len(d) != 2 or sum(e) != 2 for e, d in termops.unpack(bivector)):
             raise ValueError("first-order products come from quadratic bivector fields")
         self.bivector = bivector
         self.table = termops.bivector_table(bivector)
@@ -133,7 +133,7 @@ def _pair_values(m1, pack, dim):
 
         return value, 1
 
-    den = math.lcm(*(c.denominator for c in m1.bivector.values()))
+    den = math.lcm(*(c.denominator for val in m1.table.values() for c in val.values()))
     units = [pack(termops.unit_exp(dim, v)) for v in range(dim)]
     rows = {}
 

@@ -150,13 +150,17 @@ def _entry_ring_algebra(series, rank):
 
 
 def _equal_terms(got, want, name):
-    """Check that two term dicts are equal.
+    """Check that two term dicts, or two packed fields, are equal.
 
     On failure the witness ``{name: key}`` gives the first differing key
-    in sorted order.
+    in sorted order; packed fields are decoded for it, and only then.
     """
+    if got == want:
+        return True, None
+    if isinstance(got, termops.PackedField):
+        got, want = termops.unpack(got), termops.unpack(want)
     differ = sorted(k for k in got.keys() | want.keys() if got.get(k) != want.get(k))
-    return not differ, {name: differ[0]} if differ else None
+    return False, {name: differ[0]}
 
 
 # ---------------------------------------------------------------------------

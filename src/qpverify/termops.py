@@ -2,45 +2,42 @@
 
 Every sum in the package is a zero-free sparse combination: a dict from
 hashable keys to nonzero ``Fraction`` coefficients, where a sum that
-cancels deletes its key.  Polynomials, polyvector fields, sparse
-matrices (``(row, col)`` keys), tensors (basis-index tuples), Lie
-algebra elements (basis indices) and rewriting words all use it.
+cancels deletes its key.  Polynomials, sparse matrices (``(row, col)``
+keys), tensors (basis-index tuples), Lie algebra elements (basis
+indices) and rewriting words all use it; polyvector fields are held
+packed instead (below).
 Outside the inner loops of this module's kernels, every sum goes
 through four kernels: ``siadd`` (``acc[key] += c``), ``piadd``
 (``acc += c*b``), ``padd`` (``a + c*b``) and ``pscale`` (``c*a``).  A
 scale of 1 or -1 costs no multiply.
 
-Two key shapes carry the bracket computations:
+Polynomials are dicts keyed by exponent tuples, one slot per coordinate
+(``unit_exp`` builds the coordinate monomials).  A polyvector field is
+held packed, as a ``PackedField``: int numerators over one denominator,
+each term ``y^e * d/dy_i ^ d/dy_j ^ ...`` keyed by one int that packs
+its exponents in fields of a width fixed per coordinate count together
+with a bitmask of its derivations.  Derivations are anticommuting
+symbols in ascending order, so every product carries the sign of the
+interleaving permutation.  The field kernels ``sn_bracket``, ``smul``,
+``wedge_push`` and ``lie_derivative`` take and return packed fields, and
+so do ``pscale`` and ``padd`` on a packed operand; ``not field`` is the
+zero test and ``==`` the exact equality, by cross-multiplying.  The
+fields of ``polyfield``, ``quantize`` and ``grouppois`` stay packed from
+the solver, ``phibar`` and the pushes through every bracket, sum and
+comparison.  ``pack`` builds a field from a tuple-keyed ``Fraction``
+term dict ``{(exponents, derivations): c}``, with ``derivations`` a
+strictly ascending index tuple; ``unpack`` decodes one, and only a
+witness, a report and a tuple-keyed generator table (``bivector_table``)
+decode.  An exponent that could pass the packed width raises
+``ResourceLimitError``.  ``monomial_codec`` packs monomials alone: at
+``field_top`` it gives the monomials of the fields (``phibar`` builds
+its field from them with ``pack_monomials``), and at a smaller bound it
+serves the Hochschild scan of ``quantize``, which sums its coboundaries
+on packed monomials with int numerators over Hamiltonian rows and
+decodes only a failing one.
 
-* polynomial: exponent tuples, one slot per coordinate (``unit_exp``
-  builds the coordinate monomials);
-* polyvector: ``(exponents, derivations)``, where ``derivations`` is a
-  strictly ascending tuple of coordinate indices.  A key
-  ``(e, (i, j))`` stands for the term ``y^e * d/dy_i ^ d/dy_j``.
-
-The polyvector encoding is the usual odd-variable picture: derivations are
-anticommuting symbols listed in ascending order, so every product carries
-the sign of the interleaving permutation.  The polyvector fields of
-``polyfield`` and ``quantize`` and the entry-ring brackets of
-``grouppois`` are such dicts, with no wrapper: a homogeneous field's
-degree is the length of any key's derivation tuple, which is where
-``sn_bracket(a, b)`` reads the degree of ``a``.
-
-The Schouten kernels ``sn_bracket``, ``smul`` and ``wedge_push`` take and
-return these tuple-keyed ``Fraction`` dicts, but run on packed keys: a
-monomial is one int with a fixed-width field per exponent, wide enough
-for every exponent the call can produce; a derivation set is an int
-bitmask, and coefficients are int numerators over one denominator per
-operand.  Each packs its inputs once and unpacks its result at its
-boundary, so callers, ``suites._equal_terms`` (which sorts tuple keys)
-and printed witnesses see exponent tuples only.  Only an exponent past
-64 bits raises ``ResourceLimitError``.  ``monomial_codec`` gives the same
-monomial fields to one more packed user, the Hochschild scan of
-``quantize``: it sums its coboundaries on packed monomials with int
-numerators over Hamiltonian rows, and decodes only a failing one.
-
-Biderivations have one evaluator, ``table_bracket``: a bivector term dict
-is first turned into a generator table by ``bivector_table``.
+Biderivations have one evaluator, ``table_bracket``: a packed bivector
+field is first decoded into a generator table by ``bivector_table``.
 Derivations given by their coordinate images have one evaluator,
 ``apply_derivation``; fixing the first argument of a biderivation gives
 such a derivation (its Hamiltonian field, whose images ``table_row``
@@ -61,10 +58,12 @@ set on a module attribute sees every call, from inside or outside.
 that record it.
 """
 
+import functools
 import itertools
 import math
 import struct
 import sys
+import types
 from fractions import Fraction
 
 BACKEND = "pure"
@@ -104,7 +103,9 @@ def siadd(acc, key, c):
 
 
 def pscale(a, c):
-    """``c*a`` as a new dict."""
+    """``c*a`` as a new dict, or as a packed field for a packed ``a``."""
+    if isinstance(a, PackedField):
+        return _pscale_field(a, c)
     if not c:
         return {}
     if c == 1:
@@ -133,7 +134,9 @@ def piadd(acc, b, c):
 
 
 def padd(a, b, c=1):
-    """``a + c*b`` as a new dict."""
+    """``a + c*b`` as a new dict, or as a packed field for packed fields."""
+    if isinstance(a, PackedField):
+        return _padd_field(a, b, c)
     out = dict(a)
     piadd(out, b, c)
     return out
@@ -201,20 +204,26 @@ def apply_derivation(images, p):
 
 
 # ---------------------------------------------------------------------------
-# polyvector kernels, on packed keys
+# packed polyvector fields
 #
-# Inside ``smul``, ``wedge_push`` and ``sn_bracket`` a term ``(e, d)`` over
-# ``nvars`` coordinates is one int key, ``mono << nvars | mask``.  Bit ``i``
-# of ``mask`` stands for ``d/dy_i``; ``mono`` holds the exponents in
-# fields of 8, 16, 32 or 64 bits, coordinate 0 in the top field, so its
-# big-endian bytes are the exponent tuple.  Each call picks the narrowest
-# width that holds the largest exponent its result can reach, so no field
-# carries.  Two terms with disjoint masks multiply by adding their keys.
-# An operand packs to int numerators over one common denominator, and a
-# result is divided by its denominator once, when it is unpacked.
+# A ``PackedField`` over ``nvars`` coordinates keys a term ``(e, d)`` by one
+# int, ``mono << nvars | mask``.  Bit ``i`` of ``mask`` stands for
+# ``d/dy_i``; ``mono`` holds the exponents in fields of 8, 16, 32 or 64
+# bits, coordinate 0 in the top field, so its big-endian bytes are the
+# exponent tuple.  The width is fixed per coordinate count (the widest
+# whose monomial stays within ``_MONOMIAL_BITS``), so a term has one key in
+# every field over the same coordinates, and two terms with disjoint masks
+# multiply by adding their keys.  Each field carries a bound on its
+# exponents; a product whose operand bounds add up past the width raises
+# ``ResourceLimitError`` before it runs, so no field carries into the next.
+# Coefficients are int numerators over one positive denominator, which is
+# not reduced: equality cross-multiplies.
 
 
 _FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}  # field bits -> struct code
+# the widest fields whose monomial fits this many bits, at least 8: a key
+# stays within about nine CPython digits, so its sums and hashes stay cheap
+_MONOMIAL_BITS = 256
 
 
 def _codec(nvars, top):
@@ -225,13 +234,35 @@ def _codec(nvars, top):
     raise ResourceLimitError(f"exponent {top} does not fit a 64-bit packed field")
 
 
+@functools.cache
+def _field_codec(nvars):
+    """``(struct, field bits)`` of the packed fields over ``nvars`` coordinates."""
+    bits = next((b for b in (64, 32, 16) if nvars * b <= _MONOMIAL_BITS), 8)
+    return struct.Struct(f">{nvars}{_FIELD_CODES[bits]}"), bits
+
+
+def field_top(nvars):
+    """The largest exponent a packed field over ``nvars`` coordinates holds."""
+    return (1 << _field_codec(nvars)[1]) - 1
+
+
+def _fits(top, nvars):
+    """``top``, or ``ResourceLimitError`` if it passes the packed width."""
+    if top > field_top(nvars):
+        raise ResourceLimitError(
+            f"exponent {top} does not fit the packed fields of {nvars} coordinates"
+        )
+    return top
+
+
 def monomial_codec(nvars, top):
     """``(pack, unpack)`` between exponent tuples and packed monomial ints.
 
-    ``pack(e)`` is the monomial part of a packed polyvector key, with
-    fields that hold exponent ``top``; while every exponent stays at most
-    ``top``, the product of two monomials is the sum of their ints.
-    ``unpack`` inverts ``pack``.
+    ``pack(e)`` packs a monomial in the narrowest fields that hold exponent
+    ``top``; while every exponent stays at most ``top``, the product of
+    two monomials is the sum of their ints.  ``unpack`` inverts ``pack``.
+    With ``top = field_top(nvars)`` these are the monomials of the packed
+    fields, which ``pack_monomials`` takes.
     """
     codec, _ = _codec(nvars, top)
     pack, unpack, size = codec.pack, codec.unpack, codec.size
@@ -245,44 +276,120 @@ def monomial_codec(nvars, top):
     return pack_mono, unpack_mono
 
 
-def _top(terms):
+class PackedField:
+    """A polyvector field held packed, in a format private to this module.
+
+    ``pack`` and ``pack_monomials`` build one, the field kernels take and
+    return them, and ``unpack`` gives the tuple-keyed ``Fraction`` term
+    dict back.  A field is immutable and stores no zero.  ``not field``
+    is the zero test, and ``==`` compares two fields over the same
+    coordinates exactly; ``numerators`` exposes the int numerators for
+    integer arithmetic outside this module.
+    """
+
+    __slots__ = ("_nums", "_den", "_nvars", "_top", "_partials", "_slots")
+
+    def __init__(self, nums, den, nvars, top):
+        self._nums = nums  # packed key -> nonzero int numerator
+        self._den = den  # positive int
+        self._nvars = nvars
+        self._top = top  # bound on every exponent
+        # the derivative tables of sn_bracket, each built on first use
+        self._partials = self._slots = None
+
+    def __bool__(self):
+        return bool(self._nums)
+
+    def __eq__(self, other):
+        _coordinates(self, other)
+        a, b = self._nums, other._nums
+        da, db = self._den, other._den
+        if da == db:
+            return a == b
+        return a.keys() == b.keys() and all(v * db == b[k] * da for k, v in a.items())
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"PackedField({unpack(self)!r})"
+
+    def numerators(self):
+        """``(numerators, den)``: the field is ``numerators / den``.
+
+        ``numerators`` is a read-only map from opaque int keys to nonzero
+        int numerators; a term has the same key in every field over the
+        same coordinates, so the maps of several fields are sparse rows
+        with comparable columns.
+        """
+        return types.MappingProxyType(self._nums), self._den
+
+
+def _coordinates(a, b):
+    """The coordinate count of two packed fields, which must share it."""
+    if not (isinstance(a, PackedField) and isinstance(b, PackedField)):
+        names = type(a).__name__, type(b).__name__
+        raise TypeError(f"expected two packed fields, got {names[0]} and {names[1]}")
+    if a._nvars != b._nvars:
+        raise ValueError(f"fields over {a._nvars} and {b._nvars} coordinates")
+    return a._nvars
+
+
+def _field(acc, den, nvars, top):
+    """The packed field of ``acc`` over ``den``, with its zeros dropped."""
+    return PackedField({k: v for k, v in acc.items() if v}, den, nvars, top)
+
+
+def _largest_exponent(terms):
     """The largest exponent in a polyvector term dict."""
     return max(itertools.chain.from_iterable(e for e, _ in terms), default=0)
 
 
-def _pack(terms, nvars, codec):
-    """Packed form ``(numerators, den)`` of a polyvector term dict.
-
-    ``numerators`` maps packed keys to int numerators over the common
-    denominator ``den``.
-    """
-    pack = codec.pack
+def pack(terms, nvars):
+    """The packed field of a tuple-keyed term dict over ``nvars`` coordinates."""
+    top = _fits(_largest_exponent(terms), nvars)
+    pack_exps = _field_codec(nvars)[0].pack
     den = math.lcm(*{c.denominator for c in terms.values()})
+    numerators = {
+        (int.from_bytes(pack_exps(*e), "big"), d): c.numerator * (den // c.denominator)
+        for (e, d), c in terms.items()
+    }
+    return pack_monomials(numerators, den, nvars, top)
+
+
+def pack_monomials(terms, den, nvars, top):
+    """The packed field of ``{(monomial, derivations): numerator}`` over ``den``.
+
+    Monomials are packed by ``monomial_codec(nvars, field_top(nvars))``,
+    derivations are ascending index tuples, numerators are ints, and
+    ``top`` bounds every exponent.
+    """
+    _fits(top, nvars)
     masks = {}
     out = {}
-    for (e, d), c in terms.items():
+    for (mono, d), c in terms.items():
+        if not c:
+            continue
         mask = masks.get(d)
         if mask is None:
             mask = masks[d] = sum(1 << i for i in d)
-        key = int.from_bytes(pack(*e), "big") << nvars | mask
-        out[key] = c.numerator * (den // c.denominator)
-    return out, den
+        out[mono << nvars | mask] = c
+    return PackedField(out, den, nvars, top)
 
 
-def _unpack(numerators, den, nvars, codec):
-    """Tuple-keyed ``Fraction`` term dict of packed numerators over ``den``."""
+def unpack(field):
+    """The tuple-keyed ``Fraction`` term dict of a packed field."""
+    nvars, den = field._nvars, field._den
     low = (1 << nvars) - 1
-    unpack, size = codec.unpack, codec.size
+    codec, _ = _field_codec(nvars)
+    unpack_exps, size = codec.unpack, codec.size
     ders = {}  # mask -> ascending derivation tuple
     out = {}
-    for key, c in numerators.items():
-        if not c:
-            continue
+    for key, c in field._nums.items():
         mask = key & low
         d = ders.get(mask)
         if d is None:
             d = ders[mask] = _mask_indices(mask)
-        out[(unpack((key >> nvars).to_bytes(size, "big")), d)] = Fraction(c, den)
+        out[(unpack_exps((key >> nvars).to_bytes(size, "big")), d)] = Fraction(c, den)
     return out
 
 
@@ -294,6 +401,39 @@ def _mask_indices(mask):
         mask ^= bit
         out.append(bit.bit_length() - 1)
     return tuple(out)
+
+
+def _pscale_field(a, c):
+    """``c*a`` for a packed field ``a``."""
+    if not c:
+        return PackedField({}, 1, a._nvars, 0)
+    if c == 1:
+        return a
+    if c == -1:
+        return PackedField({k: -v for k, v in a._nums.items()}, a._den, a._nvars, a._top)
+    n = c.numerator
+    nums = {k: v * n for k, v in a._nums.items()}
+    return PackedField(nums, a._den * c.denominator, a._nvars, a._top)
+
+
+def _padd_field(a, b, c):
+    """``a + c*b`` for packed fields ``a`` and ``b``."""
+    nvars = _coordinates(a, b)
+    if not c or not b:
+        return a
+    # a/da + (p/q)*b/db over lcm(da, q*db)
+    da, db = a._den, c.denominator * b._den
+    den = math.lcm(da, db)
+    sa, sb = den // da, c.numerator * (den // db)
+    out = dict(a._nums) if sa == 1 else {k: v * sa for k, v in a._nums.items()}
+    get = out.get
+    for k, v in b._nums.items():
+        s = get(k, 0) + v * sb
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return PackedField(out, den, nvars, max(a._top, b._top))
 
 
 def _by_mask(numerators, nvars):
@@ -321,7 +461,10 @@ def _merge_sign(m1, m2):
 
 
 def _wedge_into(acc, sign, left, right):
-    """In-place ``acc += sign * left ^ right`` on operands grouped by mask."""
+    """In-place ``acc += sign * left ^ right`` on operands grouped by mask.
+
+    Only the sign of ``sign`` is read.
+    """
     get = acc.get
     for m1, lterms in left.items():
         for m2, rterms in right.items():
@@ -337,16 +480,12 @@ def _wedge_into(acc, sign, left, right):
 
 
 def smul(a, b):
-    """Wedge (super) product of two polyvector term dicts."""
-    if not a or not b:
-        return {}
-    nvars = len(next(iter(a))[0])
-    codec, _ = _codec(nvars, _top(a) + _top(b))
-    pa, da = _pack(a, nvars, codec)
-    pb, db = _pack(b, nvars, codec)
+    """Wedge (super) product of two packed fields."""
+    nvars = _coordinates(a, b)
+    top = _fits(a._top + b._top, nvars)
     acc = {}
-    _wedge_into(acc, 1, _by_mask(pa, nvars), _by_mask(pb, nvars))
-    return _unpack(acc, da * db, nvars, codec)
+    _wedge_into(acc, 1, _by_mask(a._nums, nvars), _by_mask(b._nums, nvars))
+    return _field(acc, a._den * b._den, nvars, top)
 
 
 def wedge_push(terms, images, nvars):
@@ -355,34 +494,31 @@ def wedge_push(terms, images, nvars):
     ``X_i`` has the coordinate images ``images(i)``; each distinct index
     is built and packed once.  An index may be any hashable, such as a
     ``(basis index, side)`` pair; ``nvars`` serves a degree-0 term.
+    Returns a packed field.
     """
-    fields = {}  # index -> vector term dict, then its packed form
+    fields = {}  # index -> packed vector field
     for key in terms:
         for i in key:
             if i not in fields:
-                fields[i] = vector_terms(images(i))
-    tops = {i: _top(f) for i, f in fields.items()}
-    codec, _ = _codec(nvars, max((sum(tops[i] for i in key) for key in terms), default=0))
-    for i, f in fields.items():
-        numerators, den = _pack(f, nvars, codec)
-        fields[i] = (_by_mask(numerators, nvars), den)
+                fields[i] = pack(vector_terms(images(i)), nvars)
+    top = _fits(max((sum(fields[i]._top for i in key) for key in terms), default=0), nvars)
+    grouped = {i: _by_mask(f._nums, nvars) for i, f in fields.items()}
     den = math.lcm(
-        *(c.denominator * math.prod(fields[i][1] for i in key) for key, c in terms.items())
+        *(c.denominator * math.prod(fields[i]._den for i in key) for key, c in terms.items())
     )
     out = {}
     for key, c in terms.items():
         scale = den // c.denominator
         prod = {0: 1}  # the packed unit
         for i in key:
-            grouped, fden = fields[i]
-            scale //= fden
+            scale //= fields[i]._den
             acc = {}
-            _wedge_into(acc, 1, _by_mask(prod, nvars), grouped)
+            _wedge_into(acc, 1, _by_mask(prod, nvars), grouped[i])
             prod = acc
         scale *= c.numerator
         for k, v in prod.items():
             out[k] = out.get(k, 0) + scale * v
-    return _unpack(out, den, nvars, codec)
+    return _field(out, den, nvars, top)
 
 
 def vector_terms(images):
@@ -391,35 +527,49 @@ def vector_terms(images):
 
 
 def lie_derivative(images, field):
-    """Lie derivative of ``field`` along the vector field with coordinate images ``images``."""
-    return sn_bracket(vector_terms(images), field)
+    """Lie derivative of a packed field along the vector field with coordinate images ``images``."""
+    return sn_bracket(pack(vector_terms(images), field._nvars), field)
 
 
-def _partial_table(numerators, nvars, codec, bits):
-    """Coordinate derivatives of a packed operand, by coordinate, then by mask."""
-    low = (1 << nvars) - 1
-    unpack, size = codec.unpack, codec.size
-    units = [1 << nvars + bits * (nvars - 1 - i) for i in range(nvars)]
-    table = {}
-    for key, c in numerators.items():
-        e = unpack((key >> nvars).to_bytes(size, "big"))
-        for i in itertools.compress(range(nvars), e):
-            entry = (key - units[i], c * e[i])
-            table.setdefault(i, {}).setdefault(key & low, []).append(entry)
-    return table
+def _partial_table(field):
+    """Coordinate derivatives of a field's terms, by coordinate, then by mask.
+
+    Built on first use and kept with the field, as a field enters several
+    brackets (the quadratic bracket is re-verified along every coadjoint
+    field, then bracketed with itself and the pencil).
+    """
+    if field._partials is None:
+        nums, nvars = field._nums, field._nvars
+        codec, bits = _field_codec(nvars)
+        low = (1 << nvars) - 1
+        unpack_exps, size = codec.unpack, codec.size
+        units = [1 << nvars + bits * (nvars - 1 - i) for i in range(nvars)]
+        table = {}
+        for key, c in nums.items():
+            e = unpack_exps((key >> nvars).to_bytes(size, "big"))
+            for i in itertools.compress(range(nvars), e):
+                entry = (key - units[i], c * e[i])
+                table.setdefault(i, {}).setdefault(key & low, []).append(entry)
+        field._partials = table
+    return field._partials
 
 
-def _slot_table(numerators, nvars):
-    """Left derivation-slot derivatives of a packed operand, by slot, then by mask."""
-    low = (1 << nvars) - 1
-    table = {}
-    for key, c in numerators.items():
-        mask = key & low
-        for pos, i in enumerate(_mask_indices(mask)):
-            bit = 1 << i
-            entry = (key ^ bit, -c if pos & 1 else c)
-            table.setdefault(i, {}).setdefault(mask ^ bit, []).append(entry)
-    return table
+def _slot_table(field):
+    """Left derivation-slot derivatives of a field's terms, by slot, then by mask.
+
+    Built on first use and kept with the field, as ``_partial_table``.
+    """
+    if field._slots is None:
+        low = (1 << field._nvars) - 1
+        table = {}
+        for key, c in field._nums.items():
+            mask = key & low
+            for pos, i in enumerate(_mask_indices(mask)):
+                bit = 1 << i
+                entry = (key ^ bit, -c if pos & 1 else c)
+                table.setdefault(i, {}).setdefault(mask ^ bit, []).append(entry)
+        field._slots = table
+    return field._slots
 
 
 def _contract(acc, sign, slots, partials):
@@ -431,38 +581,43 @@ def _contract(acc, sign, slots, partials):
 
 
 def sn_bracket(a, b):
-    """Schouten-Nijenhuis bracket of homogeneous polyvector term dicts.
+    """Schouten-Nijenhuis bracket of homogeneous packed fields.
 
     The degree of ``a``, which fixes the sign of the first sum, is the
-    length of the derivation tuple of its first key.  Sign convention:
-    on vector fields the bracket is the commutator, and for a bivector P
-    the square ``[[P, P]]`` evaluates on three functions to twice the
-    Jacobi defect of the induced bracket.  Both facts are pinned by
-    regression tests.
+    number of derivations in its first term.  Sign convention: on vector
+    fields the bracket is the commutator, and for a bivector P the square
+    ``[[P, P]]`` evaluates on three functions to twice the Jacobi defect
+    of the induced bracket.  Both facts are pinned by regression tests.
+    A square, ``b is a``, takes one contraction.
     """
+    nvars = _coordinates(a, b)
     if not a or not b:
-        return {}
-    exps, ders = next(iter(a))
-    nvars = len(exps)
-    codec, bits = _codec(nvars, _top(a) + _top(b))
-    pa, da = _pack(a, nvars, codec)
-    pb, db = _pack(b, nvars, codec)
+        return PackedField({}, 1, nvars, 0)
+    top = _fits(a._top + b._top, nvars)
+    odd = (next(iter(a._nums)) & ((1 << nvars) - 1)).bit_count() & 1
     acc = {}
     # [[a, b]] = -(-1)^p sum_i xi_i(a) dy_i(b)  -  sum_i dy_i(a) xi_i(b)
-    sign = 1 if len(ders) & 1 else -1
-    _contract(acc, sign, _slot_table(pa, nvars), _partial_table(pb, nvars, codec, bits))
-    _contract(acc, -1, _partial_table(pa, nvars, codec, bits), _slot_table(pb, nvars))
-    return _unpack(acc, da * db, nvars, codec)
+    if b is a:
+        # xi_i(a) has degree p - 1 and dy_i(a) degree p, so the two factors
+        # commute and the sums are equal: they cancel for odd p, and for
+        # even p the square is -2 sum_i dy_i(a) xi_i(a)
+        if odd:
+            return PackedField({}, 1, nvars, 0)
+        _contract(acc, -1, _partial_table(a), _slot_table(a))
+        return PackedField({k: v + v for k, v in acc.items() if v}, a._den**2, nvars, top)
+    _contract(acc, 1 if odd else -1, _slot_table(a), _partial_table(b))
+    _contract(acc, -1, _partial_table(a), _slot_table(b))
+    return _field(acc, a._den * b._den, nvars, top)
 
 
-def kveval(terms, polys):
-    """Evaluate a k-vector term dict on k polynomials.
+def kveval(field, polys):
+    """Evaluate a packed k-vector field on k polynomials.
 
     Each term contributes ``coeff * monomial * det(d_{d_r} f_s)``.
     """
     k = len(polys)
     out = {}
-    for (e, d), c in terms.items():
+    for (e, d), c in unpack(field).items():
         if len(d) != k:
             raise ValueError("degree mismatch in evaluation")
         # det over permutations; polys are sparse dicts
@@ -489,22 +644,22 @@ def kveval(terms, polys):
     return out
 
 
-def bivector_table(terms):
-    """Generator table of a bivector term dict.
+def bivector_table(field):
+    """Generator table of a packed bivector field, decoded.
 
     A term ``c * y^e * d/dy_i ^ d/dy_j`` with ``i < j`` puts ``c * y^e``
     at ``(i, j)`` and ``-c * y^e`` at ``(j, i)``.
     """
     table = {}
-    for (e, (i, j)), c in terms.items():
+    for (e, (i, j)), c in unpack(field).items():
         table.setdefault((i, j), {})[e] = c
         table.setdefault((j, i), {})[e] = -c
     return table
 
 
-def bivector_eval(terms, f, g):
-    """Bracket of two polynomials under a bivector term dict."""
-    return table_bracket(bivector_table(terms), f, g)
+def bivector_eval(field, f, g):
+    """Bracket of two polynomials under a packed bivector field."""
+    return table_bracket(bivector_table(field), f, g)
 
 
 def table_row(table, p):

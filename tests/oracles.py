@@ -9,9 +9,10 @@ table of ``grouppois`` to a polynomial, and ``pushed_table`` builds the
 generator table of a 2-tensor pushed through those tables entry pair by
 entry pair, as a reference for the bracket builders of ``grouppois``.
 
-``merge_ders``, ``smul``, ``wedge_push`` and ``sn_bracket`` are the
-polyvector kernels on exponent and derivation tuples with ``Fraction``
-coefficients, as references for the packed kernels of ``termops``.
+``merge_ders``, ``smul``, ``wedge_push``, ``sn_bracket`` and
+``fields_proportional`` are the polyvector kernels on exponent and
+derivation tuples with ``Fraction`` coefficients, as references for the
+packed fields of ``termops`` and ``polyfield``.
 ``vector_field`` turns coordinate images into a vector term dict and
 ``images_of`` turns it back; ``coadjoint_field`` is the vector term dict
 of one coadjoint field.
@@ -178,6 +179,24 @@ def smul(a, b):
     return out
 
 
+def fields_proportional(P, Q):
+    """Reference: ``polyfield.fields_proportional`` on tuple-keyed term dicts.
+
+    Returns c with P == c*Q, or None; both zero counts as c = 1.
+    """
+    if not P and not Q:
+        return ONE
+    if not P or not Q:
+        return None
+    key = next(iter(Q))
+    if key not in P:
+        return None
+    c = P[key] / Q[key]
+    if P == termops.pscale(Q, c):
+        return c
+    return None
+
+
 def vector_field(images):
     """Vector term dict of the derivation with coordinate images ``images``."""
     return {(e, (v,)): c for v, img in images.items() for e, c in img.items()}
@@ -282,13 +301,13 @@ def solve_equivariant_by_schouten(L, p, q):
     for lab in labels:
         single = {lab: ONE}
         for g, X in gens:
-            image = polyfield.schouten_nijenhuis(X, single)
+            image = sn_bracket(X, 1, single)
             for key, c in image.items():
                 rows.setdefault((g, key), {})[index[lab]] = c
     basis = linalg.nullspace_sparse(list(rows.values()), len(labels))
     fields = tuple({labels[i]: c for i, c in enumerate(vec) if c} for vec in basis)
     for f in fields:
-        if not polyfield.is_invariant_field(L, f):
+        if not polyfield.is_invariant_field(L, termops.pack(f, L.dim)):
             raise AssertionError("solver produced a non-invariant field")
     return fields
 
@@ -546,10 +565,10 @@ def doubled_smallest_term(rmatrix_bracket):
     """An r-matrix field builder whose fields have their smallest term doubled."""
 
     def corrupted(r):
-        terms = dict(rmatrix_bracket(r))
+        terms = termops.unpack(rmatrix_bracket(r))
         key = min(terms)
         terms[key] *= 2
-        return terms
+        return termops.pack(terms, r.algebra.dim)
 
     return corrupted
 
@@ -573,7 +592,7 @@ def _coadjoint_action(L):
         out = {}
         for e, c in p.items():
             if (x, e) not in images:
-                field = coadjoint_field(L, x)
+                field = termops.pack(coadjoint_field(L, x), L.dim)
                 images[x, e] = termops.kveval(field, [{e: Fraction(1)}])
             termops.piadd(out, images[x, e], c)
         return out

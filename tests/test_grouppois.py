@@ -329,7 +329,7 @@ def bivector_cases():
     def bivector(case):
         L, x, upper = case
         terms = {(e, (u, v)): c for (u, v), val in upper.items() for e, c in val.items()}
-        return L, x, grouppois.GroupBivector(terms)
+        return L, x, grouppois.GroupBivector(termops.pack(terms, L.msize**2))
 
     return st.sampled_from([SL2, SL3]).flatmap(cases).map(bivector)
 

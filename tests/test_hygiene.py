@@ -493,3 +493,56 @@ def test_every_parameter_is_read():
         if not (fname == "suites.py" and function in runners)
     }
     assert unread == set()
+
+
+def packed_slots(source):
+    """The ``__slots__`` names of the ``PackedField`` class defined in ``source``."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name == "PackedField":
+            for item in node.body:
+                target = getattr(item, "targets", [None])[0]
+                if getattr(target, "id", "") == "__slots__":
+                    return {elt.value for elt in item.value.elts}
+    return set()
+
+
+def private_field_reads(sources, slots):
+    """``(file, line, attribute)`` of every use of a private packed-field attribute.
+
+    ``sources`` maps a file name to its text; ``termops.py``, which owns
+    the packed format, is skipped.  Any attribute access named after a
+    slot counts, whatever object it is made on.
+    """
+    found = []
+    for fname, text in sources.items():
+        if fname == "termops.py":
+            continue
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Attribute) and node.attr in slots:
+                found.append((fname, node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_scan_flags_a_private_field_read():
+    source = (
+        "class PackedField:\n    __slots__ = ('_nums', '_den')\n"
+        "def f(field):\n    return field._nums, field.numerators(), field._other\n"
+    )
+    slots = packed_slots(source)
+    assert slots == {"_nums", "_den"}
+    assert private_field_reads({"a.py": source, "termops.py": source}, slots) == [
+        ("a.py", 4, "_nums")
+    ]
+
+
+def test_only_termops_reads_the_packed_format():
+    # the package modules and the tests reach a packed field through
+    # termops and its public methods only
+    slots = packed_slots((PACKAGE / "termops.py").read_text())
+    assert slots
+    sources = {
+        path.relative_to(ROOT).as_posix(): path.read_text()
+        for path in [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "tests").glob("*.py"))]
+    }
+    sources["termops.py"] = sources.pop("src/qpverify/termops.py")
+    assert private_field_reads(sources, slots) == []

@@ -290,7 +290,7 @@ def quadratic_cases(n):
 @given(st.sampled_from([3, 4]).flatmap(quadratic_cases))
 def test_packed_pair_value_decodes_to_the_first_order_product(case):
     n, terms, (a, b) = case
-    m1 = quantize.FirstOrderProduct(terms, "random")
+    m1 = quantize.FirstOrderProduct(termops.pack(terms, n), "random")
     pack, unpack = termops.monomial_codec(n, 4)
     value, den = quantize._pair_values(m1, pack, n)
     packed = value(a, b)

@@ -92,7 +92,8 @@ def test_merge_sign_matches_the_reference_on_all_subset_pairs():
         for d2 in subsets:
             m2 = sum(1 << i for i in d2)
             sgn, merged = oracles.merge_ders(d1, d2)
-            product = termops.smul({(zero, d1): F(1)}, {(zero, d2): F(1)})
+            left, right = (termops.pack({(zero, d): F(1)}, 6) for d in (d1, d2))
+            product = termops.unpack(termops.smul(left, right))
             if not sgn:
                 assert m1 & m2 and product == {}
                 continue
@@ -240,6 +241,7 @@ def neg(p):
 @LAWS
 @given(bivectors, polys, polys)
 def test_bivector_eval_is_the_two_by_two_determinant(biv, f, g):
+    biv = termops.pack(biv, NVARS)
     assert termops.bivector_eval(biv, f, g) == termops.kveval(biv, [f, g])
 
 
@@ -269,6 +271,7 @@ def test_antisymmetric_table_gives_antisymmetric_bracket(half, f, g):
 @LAWS
 @given(bivectors, polys, polys)
 def test_field_bracket_matches_bivector_eval(biv, f, g):
+    biv = termops.pack(biv, NVARS)
     table = termops.bivector_table(biv)
     # the second call reuses the table built once
     assert termops.table_bracket(table, f, g) == termops.bivector_eval(biv, f, g)
@@ -292,6 +295,7 @@ def koszul(p, q):
 @given(graded, graded)
 def test_sn_bracket_graded_antisymmetry(a, b):
     (p, ta), (q, tb) = a, b
+    ta, tb = termops.pack(ta, NVARS), termops.pack(tb, NVARS)
     # [[A, B]] = -(-1)^((p-1)(q-1)) [[B, A]]
     swapped = termops.sn_bracket(tb, ta)
     assert termops.sn_bracket(ta, tb) == termops.pscale(swapped, -koszul(p, q))
@@ -304,22 +308,23 @@ def test_sn_bracket_graded_jacobi_identity(a, b, c):
         (p, tx), (q, ty) = x, y
         return p + q - 1, termops.sn_bracket(tx, ty)
 
+    a, b, c = ((k, termops.pack(t, NVARS)) for k, t in (a, b, c))
     # sum over cyclic (A, B, C) of (-1)^((a-1)(c-1)) [[A, [[B, C]]]] vanishes
-    total = {}
+    total = termops.pack({}, NVARS)
     for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
         _, term = br(x, br(y, z))
         total = termops.padd(total, term, koszul(x[0], z[0]))
-    assert total == {}
+    assert termops.unpack(total) == {}
 
 
 def test_smul_anticommutes_on_odd_degrees():
     rng = random.Random(17)
     for _ in range(10):
-        a, b = rand_terms(rng, degree=1), rand_terms(rng, degree=1)
+        a, b = (termops.pack(rand_terms(rng, degree=1), 4) for _ in range(2))
         ab = termops.smul(a, b)
         ba = termops.smul(b, a)
         assert ab == termops.pscale(ba, F(-1))
-        assert termops.smul(a, a) == {}
+        assert termops.unpack(termops.smul(a, a)) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -366,20 +371,22 @@ packed_cases = st.sampled_from([NVARS, 16]).flatmap(
 @given(packed_cases)
 def test_packed_sn_bracket_matches_the_reference(case):
     nvars, (p, a), (q, b) = case
-    got = termops.sn_bracket(a, b)
+    got = termops.unpack(termops.sn_bracket(termops.pack(a, nvars), termops.pack(b, nvars)))
     assert got == oracles.sn_bracket(a, p, b) and zero_free(got)
     # the square of an odd-degree multivector cancels to nothing
     if p & 1:
-        assert termops.sn_bracket(a, a) == {}
+        packed = termops.pack(a, nvars)
+        assert termops.unpack(termops.sn_bracket(packed, packed)) == {}
 
 
 @LAWS
 @given(packed_cases)
 def test_packed_smul_matches_the_reference(case):
     nvars, (_, a), (_, b) = case
-    got = termops.smul(a, b)
+    pa, pb, empty = (termops.pack(t, nvars) for t in (a, b, {}))
+    got = termops.unpack(termops.smul(pa, pb))
     assert got == oracles.smul(a, b) and zero_free(got)
-    assert termops.smul(a, {}) == termops.smul({}, b) == {}
+    assert termops.unpack(termops.smul(pa, empty)) == termops.unpack(termops.smul(empty, pb)) == {}
 
 
 def wedge_cases(nvars):
@@ -399,10 +406,11 @@ def wedge_cases(nvars):
 @given(st.sampled_from([NVARS, 16]).flatmap(wedge_cases))
 def test_packed_wedge_push_matches_the_reference(case):
     nvars, fields, terms = case
-    got = termops.wedge_push(terms, fields.__getitem__, nvars)
+    got = termops.unpack(termops.wedge_push(terms, fields.__getitem__, nvars))
     assert got == oracles.wedge_push(terms, fields.__getitem__, nvars) and zero_free(got)
     # f0 ^ f1 + f1 ^ f0 cancels
-    assert termops.wedge_push({(0, 1): F(1, 3), (1, 0): F(1, 3)}, fields.__getitem__, nvars) == {}
+    cancelled = termops.wedge_push({(0, 1): F(1, 3), (1, 0): F(1, 3)}, fields.__getitem__, nvars)
+    assert termops.unpack(cancelled) == {}
 
 
 @pytest.mark.parametrize("top", [15, 2**8 - 1, 2**16 - 1, 2**32 - 1])
@@ -410,26 +418,185 @@ def test_packed_kernels_are_exact_across_field_widths(top):
     # exponents that fill a packed field, multiplied past it
     a = {((top, 1), (1,)): F(1, 7), ((0, top), (0,)): F(2)}
     b = {((1, top), (0,)): F(3), ((2, 0), (1,)): F(-1, 5)}
-    assert termops.smul(a, b) == oracles.smul(a, b) != {}
-    assert termops.sn_bracket(a, b) == oracles.sn_bracket(a, 1, b) != {}
+    pa, pb = termops.pack(a, 2), termops.pack(b, 2)
+    assert termops.unpack(termops.smul(pa, pb)) == oracles.smul(a, b) != {}
+    assert termops.unpack(termops.sn_bracket(pa, pb)) == oracles.sn_bracket(a, 1, b) != {}
     terms = {(0, 1): F(1, 2), (1, 1, 0): F(4)}
     fields = {0: oracles.images_of(a), 1: oracles.images_of(b)}.__getitem__
-    assert termops.wedge_push(terms, fields, 2) == oracles.wedge_push(terms, fields, 2) != {}
+    pushed = termops.unpack(termops.wedge_push(terms, fields, 2))
+    assert pushed == oracles.wedge_push(terms, fields, 2) != {}
 
 
 def test_packed_exponents_past_64_bits_raise():
     # a bracket that only lowers the largest 64-bit exponent is exact
-    top = {((2**64 - 1, 0), (1,)): F(1, 7)}  # y0^(2^64-1) d/dy1
-    d0 = {((0, 0), (0,)): F(1)}
-    assert termops.sn_bracket(top, d0) == {((2**64 - 2, 0), (1,)): F(1 - 2**64, 7)}
-    y0 = {((1, 0), ()): F(1)}
+    top_terms = {((2**64 - 1, 0), (1,)): F(1, 7)}  # y0^(2^64-1) d/dy1
+    top = termops.pack(top_terms, 2)
+    d0 = termops.pack({((0, 0), (0,)): F(1)}, 2)
+    assert termops.unpack(termops.sn_bracket(top, d0)) == {((2**64 - 2, 0), (1,)): F(1 - 2**64, 7)}
+    y0 = termops.pack({((1, 0), ()): F(1)}, 2)
     with pytest.raises(termops.ResourceLimitError):
         termops.smul(top, y0)
     with pytest.raises(termops.ResourceLimitError):
-        termops.sn_bracket(top, {((1, 0), (0,)): F(1)})
-    fields = {0: oracles.images_of(top), 1: {0: {(1, 0): F(1)}}}.__getitem__
+        termops.sn_bracket(top, termops.pack({((1, 0), (0,)): F(1)}, 2))
+    fields = {0: oracles.images_of(top_terms), 1: {0: {(1, 0): F(1)}}}.__getitem__
     with pytest.raises(termops.ResourceLimitError):
         termops.wedge_push({(0, 1): F(1)}, fields, 2)
+
+
+# (coordinate count, degree, multivector) with the degree from 1 to 3
+squared_cases = st.sampled_from([NVARS, 16]).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.integers(1, 3).flatmap(lambda k: st.tuples(st.just(k), rational_multivectors(n, k))),
+    )
+)
+
+
+@LAWS
+@given(squared_cases)
+def test_a_square_matches_the_reference_and_the_two_contraction_bracket(case):
+    # the same object twice takes the one-contraction square; an equal
+    # copy takes both contractions
+    nvars, (p, a) = case
+    packed = termops.pack(a, nvars)
+    square = termops.sn_bracket(packed, packed)
+    got = termops.unpack(square)
+    assert got == oracles.sn_bracket(a, p, a) and zero_free(got)
+    assert square == termops.sn_bracket(packed, termops.pack(a, nvars))
+
+
+def test_a_square_runs_one_contraction(monkeypatch):
+    f0 = polyfield.quadratic_bracket(liealg.algebra("A", 2))
+    calls = []
+    contract = termops._contract
+
+    def counted(*args):
+        calls.append(args[1])
+        return contract(*args)
+
+    monkeypatch.setattr(termops, "_contract", counted)
+    square = termops.sn_bracket(f0, f0)
+    assert len(calls) == 1 and square
+    calls.clear()
+    assert termops.sn_bracket(f0, termops.pack(termops.unpack(f0), 8)) == square
+    assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# the operations of a packed field against the tuple-keyed references:
+# the field strategies of the packed kernel laws above, so denominators up
+# to 12 and exponents that need 16-bit fields on 16 coordinates
+
+packed_pairs = st.sampled_from([NVARS, 16]).flatmap(
+    lambda n: st.tuples(st.just(n), rational_graded(n), rational_graded(n), rationals)
+)
+
+
+def stored(field):
+    """The numerators a packed field stores."""
+    return list(field.numerators()[0].values())
+
+
+@LAWS
+@given(packed_pairs)
+def test_pack_round_trips_and_stores_no_zero(case):
+    nvars, (_, a), _, c = case
+    packed = termops.pack(a, nvars)
+    assert termops.unpack(packed) == a and zero_free(termops.unpack(packed))
+    assert all(stored(packed)) and bool(packed) == bool(a)
+    # an explicit zero coefficient is not stored
+    zeroed = {((0,) * nvars, (0,)): F(0), **a}
+    assert termops.unpack(termops.pack(zeroed, nvars)) == a
+
+
+@LAWS
+@given(packed_pairs)
+def test_packed_pscale_is_the_dense_sum(case):
+    nvars, (_, a), _, c = case
+    packed = termops.pack(a, nvars)
+    for scalar in (c, 0, 1, -1, F(-1), 2):
+        got = termops.pscale(packed, scalar)
+        assert termops.unpack(got) == dense_sum((scalar, a)) and all(stored(got))
+
+
+@LAWS
+@given(packed_pairs)
+def test_packed_padd_is_the_dense_sum_and_cancels_to_zero(case):
+    nvars, (_, a), (_, b), c = case
+    pa, pb = termops.pack(a, nvars), termops.pack(b, nvars)
+    for scalar in (c, 0, 1, -1):
+        got = termops.padd(pa, pb, scalar)
+        assert termops.unpack(got) == dense_sum((1, a), (scalar, b)) and all(stored(got))
+    # a - a, over a denominator scaled away from a's own, stores nothing
+    gone = termops.padd(pa, termops.pscale(termops.pscale(pa, 3), F(1, 3)), -1)
+    assert not gone and stored(gone) == [] and termops.unpack(gone) == {}
+    assert termops.padd(termops.pack({}, nvars), pa, c) == termops.pscale(pa, c)
+
+
+@LAWS
+@given(packed_pairs)
+def test_packed_equality_and_the_zero_test_match_the_reference(case):
+    nvars, (_, a), (_, b), c = case
+    pa, pb = termops.pack(a, nvars), termops.pack(b, nvars)
+    assert (pa == pb) == (a == b)
+    assert bool(pa) == bool(a) and bool(termops.pscale(pa, 0)) is False
+    # equal fields over unreduced, different denominators
+    same = termops.pscale(termops.pscale(pa, c), 1 / c)
+    assert same == pa and (same == termops.pscale(pa, 2)) == (not a)
+    with pytest.raises(TypeError):
+        pa == a
+    with pytest.raises(ValueError):
+        pa == termops.pack({}, nvars + 1)
+
+
+@LAWS
+@given(packed_pairs)
+def test_fields_proportional_matches_the_reference(case):
+    nvars, (_, a), (_, b), c = case
+    pa, pb = termops.pack(a, nvars), termops.pack(b, nvars)
+    assert polyfield.fields_proportional(pa, pb) == oracles.fields_proportional(a, b)
+    scaled = termops.pscale(pb, c)
+    expected = oracles.fields_proportional(dense_sum((c, b)), b)
+    assert polyfield.fields_proportional(scaled, pb) == expected == (c if b else 1)
+    zero = termops.pack({}, nvars)
+    assert polyfield.fields_proportional(zero, pb) == oracles.fields_proportional({}, b)
+
+
+# a coordinate count for each packed width: 64, 32, 16 and 8 bits
+WIDTHS = {2: 64, 5: 32, 9: 16, 17: 8}
+
+
+def near_the_top(nvars):
+    """Vector term dicts whose exponents of y0 sit at and around the packed top."""
+    top = 2 ** WIDTHS[nvars] - 1
+    exps = st.sampled_from([0, 1, top // 2, top - 1, top, top + 1]).map(
+        lambda k: (k,) + (0,) * (nvars - 1)
+    )
+    terms = st.dictionaries(st.tuples(exps, st.sampled_from([(0,), (1,)])), rationals, max_size=2)
+    return st.tuples(st.just(nvars), terms, terms)
+
+
+@LAWS
+@given(st.sampled_from(list(WIDTHS)).flatmap(near_the_top))
+def test_an_exponent_past_the_fixed_width_raises(case):
+    nvars, a, b = case
+    top = termops.field_top(nvars)
+    assert top == 2 ** WIDTHS[nvars] - 1
+    if oracles_top(a) > top:
+        with pytest.raises(termops.ResourceLimitError):
+            termops.pack(a, nvars)
+        return
+    pa, pb = termops.pack(a, nvars), termops.pack(b if oracles_top(b) <= top else {}, nvars)
+    b = termops.unpack(pb)
+    if oracles_top(a) + oracles_top(b) > top:
+        with pytest.raises(termops.ResourceLimitError):
+            termops.smul(pa, pb)
+    else:
+        assert termops.unpack(termops.smul(pa, pb)) == oracles.smul(a, b)
+
+
+def oracles_top(terms):
+    return max((max(e) for e, _ in terms), default=0)
 
 
 images = st.dictionaries(st.integers(0, NVARS - 1), polys.filter(bool), max_size=NVARS)
@@ -449,7 +616,7 @@ def test_apply_derivation_is_the_sum_of_partials_times_images(imgs, p):
 def test_hamiltonian_row_reproduces_the_bracket(biv, p, q):
     # the table of a bivector term dict is antisymmetric; coefficients
     # carry denominators 1 to 4
-    table = termops.bivector_table(biv)
+    table = termops.bivector_table(termops.pack(biv, NVARS))
     row = termops.table_row(table, p)
     assert all(row.values())
     assert termops.apply_derivation(row, q) == termops.table_bracket(table, p, q)
@@ -470,7 +637,7 @@ coadjoint_cases = st.sampled_from([SL2, liealg.algebra("A", 2)]).flatmap(
 @given(coadjoint_cases)
 def test_coadjoint_images_apply_as_the_reference_vector_field(case):
     L, x, p = case
-    reference = termops.kveval(oracles.coadjoint_field(L, x), [p])
+    reference = termops.kveval(termops.pack(oracles.coadjoint_field(L, x), L.dim), [p])
     assert termops.apply_derivation(polyfield.coadjoint_images(L, x), p) == reference
 
 
