@@ -2,10 +2,12 @@
 
 First-order star products are biderivations attached to bivector fields
 on the dual space, packed fields as in ``polyfield``; each product
-decodes its bivector into the generator table it keeps.  Their
-equivariance under the deformed coproduct is an exact identity of
-derivations, checked on one Hamiltonian row (``termops.table_row``) per
-left monomial rather than at each monomial pair.  The symmetric-algebra
+decodes its bivector into the ``Fraction`` generator table that its
+single products read.  Their equivariance under the deformed coproduct
+is an exact identity of derivations, checked on one packed Hamiltonian
+row (``termops.hamiltonian_row``) per left monomial rather than at each
+monomial pair; the Hochschild and twist scans build their rows the same
+way, with no ``Fraction`` but a witness's.  The symmetric-algebra
 family is probed through a rewriting system whose normal forms are
 ordered monomials, and the coproduct-level identities (pentagon shadow,
 first-order R-matrix relations) are evaluated exactly through Kronecker
@@ -26,6 +28,7 @@ scan size or note the report keeps, or ``None``.
 """
 
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -51,8 +54,9 @@ class FirstOrderProduct:
 
     On monomials ``a`` and ``b`` it is homogeneous of degree ``|a| + |b|``;
     a bracket that lowers degree has no well-defined truncation.  The
-    generator table of the bivector is built once and evaluates every
-    product and Hamiltonian row.
+    ``Fraction`` generator table of the bivector is built once and
+    evaluates single products; the scans build packed Hamiltonian rows
+    from ``bivector`` instead (``termops.row_table``).
     """
 
     def __init__(self, bivector, label):
@@ -78,13 +82,14 @@ def first_order_invariance_check(m1, r, d):
 
     For every basis element x and monomial pair (a, b) up to degree ``d``:
     x.m1(a,b) - m1(xa, b) - m1(a, xb) = (1/2) m0([r, x(x)1 + 1(x)x].(a,b)).
-    For fixed (x, a) the defect is a derivation in ``b``: the Hamiltonian
-    row of ``a`` under the quadratic bivector
-    ``defect_x = L_x P - (1/2) action_field(delta)``.  A derivation is
-    fixed by its images of the coordinates, so some ``b`` fails exactly
-    when the row is nonzero, and the first failing ``b`` of a scan over
-    the monomials of degree 1 to ``d - |a|``, degree by degree, is
-    ``y_j`` for the least ``j`` in the row.  So one row is built per x
+    For fixed (x, a) the defect is a derivation in ``b``: the packed
+    Hamiltonian row of ``a`` under the quadratic bivector
+    ``defect_x = L_x P - (1/2) action_field(delta)``, which is tested
+    for zero without decoding.  A derivation is fixed by its images of
+    the coordinates, so some ``b`` fails exactly when the row is
+    nonzero, and the first failing ``b`` of a scan over the monomials of
+    degree 1 to ``d - |a|``, degree by degree, is ``y_j`` for the least
+    ``j`` in the row.  So one row is built per x
     and left monomial of degree 1 to ``d - 1``, and the witness of a
     failure is the first failing triple ``{x, a, b}``.  A pass records
     the count of ``pairs`` of monomials of degree at most ``d``; the rows
@@ -92,7 +97,8 @@ def first_order_invariance_check(m1, r, d):
     has zero defect in the algebra truncated above ``d``.
     """
     L = r.algebra
-    lefts = [a for k in range(1, d) for a in polyfield.monomials(L.dim, k)]
+    pack, _ = termops.monomial_codec(L.dim, d)
+    lefts = [(a, pack(a)) for k in range(1, d) for a in polyfield.monomials(L.dim, k)]
     for x in range(L.dim):
         delta = multivec.cobracket(r, x)
         defect = termops.padd(
@@ -100,9 +106,9 @@ def first_order_invariance_check(m1, r, d):
             polyfield.action_field(delta),
             -HALF,
         )
-        table = termops.bivector_table(defect)
-        for a in lefts:
-            row = termops.table_row(table, {a: ONE})
+        table, _ = termops.row_table(defect, pack)
+        for a, ka in lefts:
+            row = termops.hamiltonian_row(table, a, ka)
             if row:
                 return False, {"x": L.names[x], "a": a, "b": termops.unit_exp(L.dim, min(row))}
     return True, {"product": m1.label, "degree": d, "pairs": math.comb(L.dim + d, d) ** 2}
@@ -114,12 +120,13 @@ def _pair_values(m1, pack, dim):
     Returns ``(value, den)``: ``value(ea, eb)`` is ``m1(y^ea, y^eb)`` as a
     dict from packed monomials to numerators over ``den``, for monomials
     in ``dim`` coordinates.  A ``FirstOrderProduct`` builds one packed
-    Hamiltonian row per left monomial from its generator table, with int
-    numerators over the bivector's one denominator, and applies it to
-    ``y^eb`` by the Leibniz rule.  Any other bilinear map is called on
-    the unit polynomials and keeps its ``Fraction`` coefficients over 1;
-    a value of degree above ``|ea| + |eb|`` raises ``ValueError``, as the
-    scan's packed fields hold its degree bound only.
+    Hamiltonian row per left monomial from its packed bivector
+    (``termops.hamiltonian_row``), with int numerators over the
+    bivector's one denominator, and applies it to ``y^eb`` by the
+    Leibniz rule.  Any other bilinear map is called on the unit
+    polynomials and keeps its ``Fraction`` coefficients over 1; a value
+    of degree above ``|ea| + |eb|`` raises ``ValueError``, as the scan's
+    packed fields hold its degree bound only.
     """
     if not isinstance(m1, FirstOrderProduct):
 
@@ -133,35 +140,47 @@ def _pair_values(m1, pack, dim):
 
         return value, 1
 
-    den = math.lcm(*(c.denominator for val in m1.table.values() for c in val.values()))
+    table, den = termops.row_table(m1.bivector, pack)
     units = [pack(termops.unit_exp(dim, v)) for v in range(dim)]
     rows = {}
 
     def value(ea, eb):
         row = rows.get(ea)
         if row is None:
-            row = rows[ea] = [
-                (
-                    v,
-                    tuple(map(pack, img)),
-                    tuple(c.numerator * (den // c.denominator) for c in img.values()),
-                )
-                for v, img in termops.table_row(m1.table, {ea: ONE}).items()
-            ]
+            row = rows[ea] = list(termops.hamiltonian_row(table, ea, pack(ea)).items())
         kb = pack(eb)
         out = {}
         get = out.get
         # m1(a, b) = sum_v (d b / d y_v) * img_v
-        for v, keys, nums in row:
+        for v, img in row:
             bv = eb[v]
             if bv:
                 shift = kb - units[v]
-                for k, c in zip(keys, nums):
+                for k, c in img.items():
                     k += shift
                     out[k] = get(k, 0) + bv * c
         return {k: c for k, c in out.items() if c}
 
     return value, den
+
+
+class _PairValues(dict):
+    """Packed values of a bilinear map with one left monomial, by right monomial.
+
+    ``left`` is the left exponent tuple, and a value is one flat tuple
+    ``(key, numerator, key, numerator, ...)`` of packed monomials and
+    numerators.  A missing value is computed by ``fill(self, right)`` on
+    its first lookup, so the scan reads every value by a plain subscript.
+    """
+
+    __slots__ = ("left", "fill")
+
+    def __init__(self, left, fill):
+        super().__init__()
+        self.left, self.fill = left, fill
+
+    def __missing__(self, right):
+        return self.fill(self, right)
 
 
 def hochschild_cocycle_check(L, d, m1):
@@ -176,10 +195,11 @@ def hochschild_cocycle_check(L, d, m1):
     addition.  The products of monomials inside the coboundary are
     monomials again, so ``m1`` is evaluated once per distinct pair of
     exponents by ``_pair_values`` and the packed values are reused across
-    triples; a first-order product evaluates through packed Hamiltonian
-    rows with int numerators.  Each coboundary is summed on int keys, and
-    only a failing one is decoded into the tuple-keyed ``Fraction``
-    witness.
+    triples, from one ``_PairValues`` cache per left monomial that the
+    triple loop reads by subscript; a first-order product evaluates
+    through packed Hamiltonian rows with int numerators.  Each
+    coboundary is summed on int keys, and only a failing one is decoded
+    into the tuple-keyed ``Fraction`` witness.
     """
     patterns = []
     for da in range(1, d - 1):
@@ -188,43 +208,46 @@ def hochschild_cocycle_check(L, d, m1):
                 patterns.append((da, db, dc))
     pack, unpack = termops.monomial_codec(L.dim, d)
     value, den = _pair_values(m1, pack, L.dim)
-    # left packed monomial -> {right packed monomial: value}; a value is
-    # kept as one flat tuple (key, numerator, key, numerator, ...), and
-    # ``monos`` holds one int object per packed monomial the cache keeps
+    # left packed monomial -> its _PairValues; ``intern`` keeps one int
+    # object per packed monomial the caches hold
     values = {}
-    monos = {}
+    intern = {}.setdefault
 
-    def m1_mono(vals, ka, kb):
-        val = vals.get(kb)
-        if val is None:
-            packed = value(unpack(ka), unpack(kb)).items()
-            val = vals[monos.setdefault(kb, kb)] = tuple(
-                x for k, c in packed for x in (monos.setdefault(k, k), c)
-            )
+    def m1_mono(vals, kb):
+        packed = value(vals.left, unpack(kb))
+        val = vals[intern(kb, kb)] = tuple(
+            itertools.chain.from_iterable(zip(map(intern, packed, packed), packed.values()))
+        )
         return val
+
+    def row(ka):
+        vals = values.get(ka)
+        if vals is None:
+            vals = values[ka] = _PairValues(unpack(ka), m1_mono)
+        return vals
 
     scanned = 0
     for da, db, dc in patterns:
         kcs = [pack(ec) for ec in polyfield.monomials(L.dim, dc)]
         for ea in polyfield.monomials(L.dim, da):
             ka = pack(ea)
-            row_a = values.setdefault(ka, {})
+            row_a = row(ka)
             for eb in polyfield.monomials(L.dim, db):
                 kb = pack(eb)
                 kab = ka + kb
-                row_b = values.setdefault(kb, {})
-                row_ab = values.setdefault(kab, {})
-                m_ab = m1_mono(row_a, ka, kb)
+                row_b = row(kb)
+                row_ab = row(kab)
+                m_ab = row_a[kb]
                 for kc in kcs:
                     scanned += 1
                     # a m1(b, c) - m1(ab, c) + m1(a, bc) - m1(a, b) c
-                    it = iter(m1_mono(row_b, kb, kc))
+                    it = iter(row_b[kc])
                     defect = {k + ka: c for k, c in zip(it, it)}
                     get = defect.get
-                    it = iter(m1_mono(row_ab, kab, kc))
+                    it = iter(row_ab[kc])
                     for k, c in zip(it, it):
                         defect[k] = get(k, 0) - c
-                    it = iter(m1_mono(row_a, ka, kb + kc))
+                    it = iter(row_a[kb + kc])
                     for k, c in zip(it, it):
                         defect[k] = get(k, 0) + c
                     it = iter(m_ab)
@@ -254,42 +277,64 @@ def twist_correspondence_check(L, d, r_tensor):
     against the r-matrix field route.
 
     For a fixed left monomial ``a`` both routes are derivations in ``b``,
-    compared as rows of coordinate images: the Hamiltonian row of ``a``
-    under ``r_M``, and the coadjoint images of ``a`` regrouped by the leg
-    that acts on ``b``, ``G[w]``, which map ``y_j`` to
-    ``sum_w G[w] * X_w(y_j)``.  The two routes share no evaluation.  A
-    derivation is fixed by its images of the coordinates, so some ``b``
-    fails exactly when the rows differ, and the first failing ``b`` of a
-    scan over the monomials of degree 1 to ``d - |a|``, degree by
-    degree, is ``y_j`` for the least ``j`` where they differ.
+    compared as packed rows of coordinate images: the Hamiltonian row of
+    ``a`` under ``r_M``, and the coadjoint images of ``a`` (one packed
+    row of the legs' fields) regrouped by the leg that acts on ``b``,
+    ``G[w]``, which map ``y_j`` to ``sum_w G[w] * X_w(y_j)``.  The two
+    routes share no evaluation; their int numerators are compared by
+    cross-multiplying the denominators, and only a failing row is
+    decoded into the ``Fraction`` witness.  A derivation is fixed by its
+    images of the coordinates, so some ``b`` fails exactly when the rows
+    differ, and the first failing ``b`` of a scan over the monomials of
+    degree 1 to ``d - |a|``, degree by degree, is ``y_j`` for the least
+    ``j`` where they differ.
     """
-    rm_table = termops.bivector_table(polyfield.rmatrix_bracket(r_tensor))
-    r_plain = list(r_tensor.plain_items())
-    lefts = [a for k in range(1, d) for a in polyfield.monomials(L.dim, k)]
-    acted = {}
-    for (u, v), _ in r_plain:
-        for leg in (u, v):
-            if leg not in acted:
-                images = polyfield.coadjoint_images(L, leg)
-                acted[leg] = {e: termops.apply_derivation(images, {e: ONE}) for e in lefts}
+    pack, unpack = termops.monomial_codec(L.dim, d)
+    field_table, fden = termops.row_table(polyfield.rmatrix_bracket(r_tensor), pack)
+    halves = [(u, v, c * HALF) for (u, v), c in r_tensor.plain_items()]
+    hden = math.lcm(*(c.denominator for *_, c in halves))
+    halves = [(u, v, c.numerator * (hden // c.denominator)) for u, v, c in halves]
+    # the row of y^e under the legs' coadjoint fields maps each leg w to
+    # X_w(y^e), over xden; the row of y_j gives the X_w(y_j)
+    adjoint, xden = termops.derivation_table(
+        {w: polyfield.coadjoint_images(L, w) for u, v, _ in halves for w in (u, v)}, pack
+    )
+    coordinates = [
+        termops.hamiltonian_row(adjoint, e, pack(e))
+        for e in (termops.unit_exp(L.dim, j) for j in range(L.dim))
+    ]
+    cden = hden * xden * xden
 
-    for ea in lefts:
-        field_row = termops.table_row(rm_table, {ea: ONE})
+    for ea in (a for k in range(1, d) for a in polyfield.monomials(L.dim, k)):
+        ka = pack(ea)
+        field_row = termops.hamiltonian_row(field_table, ea, ka)
+        acted = termops.hamiltonian_row(adjoint, ea, ka)
         # composed twist map, skew-symmetrized: (1/2) sum c (X_u a X_v b - X_u b X_v a)
         grouped = {}
-        for (u, v), c in r_plain:
-            termops.piadd(grouped.setdefault(v, {}), acted[u][ea], c * HALF)
-            termops.piadd(grouped.setdefault(u, {}), acted[v][ea], -c * HALF)
-        twist_row = {}
-        for w, g in grouped.items():
-            for j, xb in polyfield.coadjoint_images(L, w).items():
-                termops.piadd(twist_row.setdefault(j, {}), termops.pmul(g, xb), ONE)
-        for j in range(L.dim):
-            twist = twist_row.get(j, {})
-            field_route = field_row.get(j, {})
-            if twist != field_route:
-                eb = termops.unit_exp(L.dim, j)
-                return False, {"a": ea, "b": eb, "composed": twist, "field": field_route}
+        for u, v, c in halves:
+            for w, leg, s in ((v, u, c), (u, v, -c)):
+                g = grouped.setdefault(w, {})
+                for k, n in acted.get(leg, {}).items():
+                    g[k] = g.get(k, 0) + s * n
+        for j, xj in enumerate(coordinates):
+            composed = {}
+            for w, xb in xj.items():
+                for kt, n in xb.items():
+                    for k, m in grouped.get(w, {}).items():
+                        k += kt
+                        composed[k] = composed.get(k, 0) + m * n
+            composed = {k: c for k, c in composed.items() if c}
+            field = field_row.get(j, {})
+            # the two routes, over cden and fden, cross-multiplied
+            if composed.keys() != field.keys() or any(
+                c * fden != field[k] * cden for k, c in composed.items()
+            ):
+                return False, {
+                    "a": ea,
+                    "b": termops.unit_exp(L.dim, j),
+                    "composed": {unpack(k): Fraction(c, cden) for k, c in composed.items()},
+                    "field": {unpack(k): Fraction(c, fden) for k, c in field.items()},
+                }
     return True, None
 
 

@@ -27,30 +27,39 @@ the solver, ``phibar`` and the pushes through every bracket, sum and
 comparison.  ``pack`` builds a field from a tuple-keyed ``Fraction``
 term dict ``{(exponents, derivations): c}``, with ``derivations`` a
 strictly ascending index tuple; ``unpack`` decodes one, and only a
-witness, a report and a tuple-keyed generator table (``bivector_table``)
-decode.  An exponent that could pass the packed width raises
-``ResourceLimitError``.  ``monomial_codec`` packs monomials alone: at
-``field_top`` it gives the monomials of the fields (``phibar`` builds
-its field from them with ``pack_monomials``), and at a smaller bound it
-serves the Hochschild scan of ``quantize``, which sums its coboundaries
-on packed monomials with int numerators over Hamiltonian rows and
-decodes only a failing one.
+witness, a report and a tuple-keyed ``Fraction`` generator table
+(``bivector_table``) decode.  An exponent that could pass the packed
+width raises ``ResourceLimitError``.  ``monomial_codec`` packs
+monomials alone: at ``field_top`` it gives the monomials of the fields
+(``phibar`` builds its field from them with ``pack_monomials``), and at
+a smaller bound it serves the order-one scans of ``quantize``, which
+work on packed monomials with int numerators and decode only a failing
+row or coboundary.
 
-Biderivations have one evaluator, ``table_bracket``: a packed bivector
-field is first decoded into a generator table by ``bivector_table``.
-Derivations given by their coordinate images have one evaluator,
-``apply_derivation``; fixing the first argument of a biderivation gives
-such a derivation (its Hamiltonian field, whose images ``table_row``
-builds in one pass over the table), and ``table_bracket`` applies the
-row of its first argument to its second.  So a row of brackets
-``{f, g}`` with one ``f`` costs one image table and one
-``apply_derivation`` per ``g``.  Vector fields are stored the same way,
-as coordinate images, and an action is given by its image function
-``images(i)``: ``wedge_push`` pushes a tensor through its fields and
-``lie_derivative`` differentiates along one, for the coadjoint action
-and for conjugation alike.  ``kveval`` and
-``bivector_eval`` are reference evaluators for tests and tracing only;
-so is ``ptruncate``, since no kernel truncates by degree.
+Fixing the first argument of a biderivation gives a derivation, its
+Hamiltonian field, given by its images of the coordinates: its row.
+Packed bivectors have a row kernel with no ``Fraction`` in it:
+``row_table`` re-keys a field's monomials with a ``monomial_codec``
+packer into a generator table grouped by first slot, and
+``hamiltonian_row`` builds the row of one monomial from it with int
+numerators over the field's denominator.  The order-one scans use it;
+``derivation_table`` gives vector fields the same table, whose row of
+a monomial holds its image under each field.  Single brackets and test
+references use the ``Fraction`` path:
+``table_bracket`` is the one evaluator of a biderivation on two
+polynomials, from a tuple-keyed generator table (``bivector_table``
+decodes a packed field into one); ``table_row`` builds the row of its
+first argument in one pass over the table, and ``apply_derivation``,
+the one evaluator of a derivation given by its coordinate images,
+applies it to the second.  So a row of brackets ``{f, g}`` with one
+``f`` costs one image table and one ``apply_derivation`` per ``g``.
+Vector fields are stored the same way, as coordinate images, and an
+action is given by its image function ``images(i)``: ``wedge_push``
+pushes a tensor through its fields and ``lie_derivative``
+differentiates along one, for the coadjoint action and for conjugation
+alike.  ``kveval`` and ``bivector_eval`` are reference evaluators for
+tests and tracing only; so is ``ptruncate``, since no kernel truncates
+by degree.
 
 Kernels call one another through this module's globals, so a wrapper
 set on a module attribute sees every call, from inside or outside.
@@ -690,3 +699,92 @@ def table_bracket(table, p, q):
     of ``p`` applied to ``q``.
     """
     return apply_derivation(table_row(table, p), q)
+
+
+def _row_table(entries, pack):
+    """Row table of the terms ``(u, v, exponents, numerator)`` of ``T[u, v]``.
+
+    ``table[u][v]`` lists the terms of ``T[u, v]``, each monomial kept as
+    ``pack(t) - pack(y_u)``, so that adding ``pack(e)`` gives the
+    monomial of ``y^t * y^e / y_u``.
+    """
+    table = {}
+    units = {}
+    for u, v, t, c in entries:
+        unit = units.get(u)
+        if unit is None:
+            unit = units[u] = pack(unit_exp(len(t), u))
+        table.setdefault(u, {}).setdefault(v, []).append((pack(t) - unit, c))
+    return table
+
+
+def row_table(field, pack):
+    """Packed generator table of a bivector field, for ``hamiltonian_row``.
+
+    Returns ``(table, den)``, with the field's int numerators over its
+    denominator ``den``.  The monomials are re-keyed by ``pack``, a
+    ``monomial_codec`` packer whose fields must hold every exponent of
+    the rows asked for.  A term ``c * y^t * d/dy_i ^ d/dy_j`` enters as
+    ``c * y^t`` at ``(i, j)`` and as ``-c * y^t`` at ``(j, i)``.
+    """
+    nvars = field._nvars
+    low = (1 << nvars) - 1
+    codec, _ = _field_codec(nvars)
+    unpack_exps, size = codec.unpack, codec.size
+
+    def entries():
+        for key, c in field._nums.items():
+            i, j = _mask_indices(key & low)
+            t = unpack_exps((key >> nvars).to_bytes(size, "big"))
+            yield i, j, t, c
+            yield j, i, t, -c
+
+    return _row_table(entries(), pack), field._den
+
+
+def derivation_table(fields, pack):
+    """Packed table of vector fields, for ``hamiltonian_row``.
+
+    ``fields`` maps a label ``w`` to the coordinate images of a vector
+    field ``X_w``, as ``apply_derivation`` takes them.  Returns ``(table,
+    den)``: the row of ``y^e`` maps each ``w`` to ``X_w(y^e)``, as int
+    numerators over ``den``; ``pack`` is as for ``row_table``.
+    """
+    den = math.lcm(
+        *(c.denominator for images in fields.values() for p in images.values() for c in p.values())
+    )
+    entries = (
+        (v, w, t, c.numerator * (den // c.denominator))
+        for w, images in fields.items()
+        for v, p in images.items()
+        for t, c in p.items()
+    )
+    return _row_table(entries, pack), den
+
+
+def hamiltonian_row(table, e, key):
+    """Packed Hamiltonian row of the monomial ``y^e``, packed as ``key``.
+
+    ``table`` is a ``row_table`` or a ``derivation_table``.  The row maps
+    each ``v`` to ``sum_u e[u] * T[u, v] * y^e / y_u``: the image
+    ``{y^e, y_v}`` under a bivector, ``X_v(y^e)`` under vector fields.
+    Images are int numerators over the table's denominator, keyed by
+    packed monomials, in ascending ``v`` with zero images dropped, as
+    ``table_row`` gives them on ``Fraction`` coefficients.
+    """
+    row = {}
+    for u, entries in table.items():
+        eu = e[u]
+        if eu:
+            for v, terms in entries.items():
+                img = row.setdefault(v, {})
+                get = img.get
+                for k, c in terms:
+                    k += key
+                    img[k] = get(k, 0) + eu * c
+    out = {}
+    for v in sorted(row):
+        img = {k: c for k, c in row[v].items() if c}
+        if img:
+            out[v] = img
+    return out

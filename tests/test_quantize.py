@@ -100,37 +100,54 @@ def test_invariance_fault_witness_matches_pairwise_scan(sl3_product, fault, d):
 def test_invariance_scan_builds_one_row_per_left_monomial(sl3_product, monkeypatch):
     L, f, ct = sl3_product
     m1 = quantize.standard_first_order_product(f, ct.r_sd)
+    tables = []
     rows = []
     derivations = []
-    table_row = termops.table_row
+    row_table = termops.row_table
+    hamiltonian_row = termops.hamiltonian_row
     apply_derivation = termops.apply_derivation
 
-    def counted_row(table, p):
-        rows.append(tuple(p))
-        return table_row(table, p)
+    def counted_table(field, pack):
+        table, den = row_table(field, pack)
+        tables.append(table)
+        return table, den
+
+    def counted_row(table, e, key):
+        rows.append((table, e))
+        return hamiltonian_row(table, e, key)
 
     def counted_derivation(images, p):
         derivations.append(tuple(p))
         return apply_derivation(images, p)
 
-    monkeypatch.setattr(termops, "table_row", counted_row)
+    monkeypatch.setattr(termops, "row_table", counted_table)
+    monkeypatch.setattr(termops, "hamiltonian_row", counted_row)
     monkeypatch.setattr(termops, "apply_derivation", counted_derivation)
-    lefts = [(a,) for k in (1, 2) for a in polyfield.monomials(L.dim, k)]
+    lefts = [a for k in (1, 2) for a in polyfield.monomials(L.dim, k)]
     passed, _ = quantize.first_order_invariance_check(m1, ct.r_sd, 3)
     assert passed
-    # one row per (x, a), and no derivation applied to a right monomial
-    assert rows == lefts * L.dim
+    # one table per x, one row per (x, a), and no derivation applied to a
+    # right monomial
+    assert len(tables) == L.dim
+    assert [(id(t), e) for t, e in rows] == [(id(t), a) for t in tables for a in lefts]
     assert derivations == []
 
+    tables.clear()
     rows.clear()
     legs = {leg for (u, v), _ in ct.r_sd.plain_items() for leg in (u, v)}
     passed, _ = quantize.twist_correspondence_check(L, 3, ct.r_sd)
     assert passed
-    # the field route builds one row per left monomial, and the composed
-    # route applies each leg once to each left monomial and never to a pair
-    assert rows == lefts
-    assert len(derivations) == len(legs) * len(lefts)
-    assert set(derivations) == set(lefts)
+    # the field route builds one row per left monomial under the r-matrix
+    # field, and the composed route one row of the coadjoint fields of the
+    # legs per coordinate and per left monomial, never a value on a pair
+    [field_table] = tables
+    assert [e for t, e in rows if t is field_table] == lefts
+    composed = [(t, e) for t, e in rows if t is not field_table]
+    units = [termops.unit_exp(L.dim, j) for j in range(L.dim)]
+    assert [e for _, e in composed] == units + lefts
+    assert len({id(t) for t, _ in composed}) == 1
+    assert {w for entries in composed[0][0].values() for w in entries} == legs
+    assert derivations == []
 
 
 def test_invariance_plain_invariant_bivector(sl3):
@@ -220,11 +237,11 @@ def test_hochschild_packs_one_row_per_left_monomial(sl3_product, monkeypatch):
     L, f, ct = sl3_product
     m1 = quantize.standard_first_order_product(f, ct.r_sd)
     rows = []
-    table_row = termops.table_row
+    hamiltonian_row = termops.hamiltonian_row
 
-    def counted_row(table, p):
-        rows.append(tuple(p))
-        return table_row(table, p)
+    def counted_row(table, e, key):
+        rows.append(e)
+        return hamiltonian_row(table, e, key)
 
     pairs = []
     pair_values = quantize._pair_values
@@ -238,7 +255,7 @@ def test_hochschild_packs_one_row_per_left_monomial(sl3_product, monkeypatch):
 
         return counted, den
 
-    monkeypatch.setattr(termops, "table_row", counted_row)
+    monkeypatch.setattr(termops, "hamiltonian_row", counted_row)
     monkeypatch.setattr(quantize, "_pair_values", counted_values)
     passed, witness = quantize.hochschild_cocycle_check(L, 4, m1)
     assert passed
@@ -246,7 +263,7 @@ def test_hochschild_packs_one_row_per_left_monomial(sl3_product, monkeypatch):
     # every monomial of degree 1 to 3 on the 8 coordinates leads a pair
     assert len(rows) == len(set(rows)) == 164
     assert len(pairs) == len(set(pairs)) == 3856
-    assert {(a,) for a, _ in pairs} == set(rows)
+    assert {a for a, _ in pairs} == set(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +313,20 @@ def test_packed_pair_value_decodes_to_the_first_order_product(case):
     packed = value(a, b)
     assert all(packed.values())
     assert {unpack(k): F(c, den) for k, c in packed.items()} == m1({a: F(1)}, {b: F(1)})
+
+
+@settings(LAWS, max_examples=100)
+@given(st.sampled_from([3, 4]).flatmap(quadratic_cases))
+def test_packed_hamiltonian_row_decodes_to_the_fraction_row(case):
+    n, terms, (a, _) = case
+    field = termops.pack(terms, n)
+    pack, unpack = termops.monomial_codec(n, 4)
+    table, den = termops.row_table(field, pack)
+    row = termops.hamiltonian_row(table, a, pack(a))
+    assert all(c for img in row.values() for c in img.values())
+    decoded = [(v, {unpack(k): F(c, den) for k, c in img.items()}) for v, img in row.items()]
+    # the same images in the same ascending order
+    assert decoded == list(termops.table_row(termops.bivector_table(field), {a: F(1)}).items())
 
 
 def projection(k):

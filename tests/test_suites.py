@@ -229,22 +229,28 @@ def _star_a2_product():
 def test_hochschild_cocycle_failure_carries_its_witness(monkeypatch):
     # dropping one Hamiltonian image of y_0 leaves a bilinear map that is
     # no longer a biderivation
-    table_row = termops.table_row
+    hamiltonian_row = termops.hamiltonian_row
     y0 = termops.unit_exp(8, 0)
 
-    def dropped(table, f):
-        row = table_row(table, f)
-        if f == {y0: 1} and row:
+    def dropped(table, e, key):
+        row = hamiltonian_row(table, e, key)
+        if e == y0 and row:
             del row[min(row)]
         return row
 
-    monkeypatch.setattr(termops, "table_row", dropped)
+    monkeypatch.setattr(termops, "hamiltonian_row", dropped)
     record = _star_a2_record("hochschild-cocycle")
     assert record.status == "fail"
     L, _, m1 = _star_a2_product()
-    reference = pairwise_hochschild_witness(
-        L, 4, lambda p, q: termops.apply_derivation(termops.table_row(m1.table, p), q)
-    )
+
+    def dropped_reference(p, q):
+        # the same fault on the Fraction row of the generator table
+        row = termops.table_row(m1.table, p)
+        if p == {y0: 1} and row:
+            del row[min(row)]
+        return termops.apply_derivation(row, q)
+
+    reference = pairwise_hochschild_witness(L, 4, dropped_reference)
     assert reference is not None
     assert record.witness == suites.jsonable(reference)
 
