@@ -11,11 +11,11 @@ translations and the two kinds commute.
 Each bracket is a bivector field, built in one ``termops.wedge_push``
 of a 2-tensor through the entry fields, whose coordinate images
 ``_field_images`` builds, and stored as a ``termops.PackedField``.  Its
-generator table, the values on entry pairs, is decoded once and
-evaluates it on polynomials by the Leibniz rule; identities between
-brackets are computed on the packed fields with the ``termops`` field
-kernels, which ``polyfield`` calls with the coadjoint images, and each
-result is decoded once, by derivations, for the report.
+generator table, the values on entry pairs, is decoded for the first
+single bracket, which it evaluates by the Leibniz rule.  Identities
+between brackets are packed fields, computed with the ``termops`` field
+kernels that ``polyfield`` calls with the coadjoint images; the suites
+test and compare them packed.
 
 The free entry ring is the coordinate ring of the general (or special)
 linear group, so the Poisson identities proved off the group ideal hold
@@ -24,6 +24,7 @@ constructions still make sense as derivation tables, but the Jacobi
 identities would only hold modulo the isotropy ideal of the subgroup.
 """
 
+import functools
 import itertools
 import warnings
 from fractions import Fraction
@@ -98,8 +99,11 @@ class GroupBivector:
 
     def __init__(self, terms):
         self.terms = terms
+
+    @functools.cached_property
+    def table(self):
         # values on entry pairs, antisymmetric by construction, decoded
-        self.table = termops.bivector_table(terms)
+        return termops.bivector_table(self.terms)
 
     def bracket(self, p, q):
         return termops.table_bracket(self.table, p, q)
@@ -143,45 +147,35 @@ def build_ad_bracket(L):
     return _pushed_bivector(L, {((a, "left"), (b, "right")): c for (a, b), c in t.terms.items()})
 
 
-def _by_derivations(field):
-    """Regroup a packed field, decoded, as ``{derivations: polynomial}``."""
-    out = {}
-    for (e, d), c in termops.unpack(field).items():
-        out.setdefault(d, {})[e] = c
-    return out
-
-
 def jacobiator_on_generators(B):
     """Cyclic sum {a,{b,c}} + {b,{c,a}} + {c,{a,b}} on ascending entry triples.
 
-    Half the Schouten square of the bivector, read off by derivation
-    triple; the Leibniz rule makes generator triples sufficient.
+    Half the Schouten square of the bivector, a packed 3-vector field;
+    the Leibniz rule makes generator triples sufficient.
     """
-    square = termops.sn_bracket(B.terms, B.terms)
-    return _by_derivations(termops.pscale(square, Fraction(1, 2)))
+    return termops.pscale(termops.sn_bracket(B.terms, B.terms), Fraction(1, 2))
 
 
 def ad_invariance_defect(L, B, x):
     """Lie derivative of the bracket along the conjugation field of ``x``.
 
-    Returns the defect X{u,v} - {Xu,v} - {u,Xv} on ascending generator
-    pairs; all zero means the bracket is invariant.
+    Returns the defect X{u,v} - {Xu,v} - {u,Xv} as a packed bivector
+    field; zero means the bracket is invariant.
     """
-    return _by_derivations(termops.lie_derivative(_field_images(L, x, "conjugation"), B.terms))
+    return termops.lie_derivative(_field_images(L, x, "conjugation"), B.terms)
 
 
 def phi_through_conjugation(L):
     """The invariant 3-tensor pushed through conjugation fields.
 
     The wedge of the conjugation fields over the canonical terms of
-    ``phi``, as a table keyed by ascending entry triples.
+    ``phi``, as a packed 3-vector field.
     """
-    trivector = termops.wedge_push(
+    return termops.wedge_push(
         liealg.canonical_tensors(L).phi.terms,
         lambda x: _field_images(L, x, "conjugation"),
         L.msize * L.msize,
     )
-    return _by_derivations(trivector)
 
 
 def determinant(n):

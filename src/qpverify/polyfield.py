@@ -9,8 +9,8 @@ derivations; sums, scalings, brackets, zero tests and comparisons are
 the ``termops`` kernels, on int numerators.  The solver packs its basis
 once, ``phibar`` builds its field packed, and ``fields_proportional``
 and the scan's ``linalg.rank`` read the int numerators; a field is
-decoded here only into an invariant polynomial and for the pencil
-check's degree guard.  The Schouten-Nijenhuis
+decoded here only into an invariant polynomial, and the pencil check's
+degree guard reads ``termops.shapes``.  The Schouten-Nijenhuis
 bracket is normalized so that the square of a bivector evaluates to
 twice the Jacobi defect of its bracket.
 
@@ -406,7 +406,7 @@ PencilReport = namedtuple("PencilReport", "pp qq pq")
 
 def poisson_pencil_check(P, Q):
     """Schouten data deciding whether every aP + bQ is Poisson."""
-    if any(len(d) != 2 for field in (P, Q) for _, d in termops.unpack(field)):
+    if any(len(d) != 2 for field in (P, Q) for _, d in termops.shapes(field)):
         raise ValueError("pencil check expects bivectors")
     return PencilReport(
         pp=schouten_nijenhuis(P, P),

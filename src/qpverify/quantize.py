@@ -1,13 +1,13 @@
 """Leading-order quantization checks.
 
 First-order star products are biderivations attached to bivector fields
-on the dual space, packed fields as in ``polyfield``; each product
-decodes its bivector into the ``Fraction`` generator table that its
-single products read.  Their equivariance under the deformed coproduct
-is an exact identity of derivations, checked on one packed Hamiltonian
-row (``termops.hamiltonian_row``) per left monomial rather than at each
-monomial pair; the Hochschild and twist scans build their rows the same
-way, with no ``Fraction`` but a witness's.  The symmetric-algebra
+on the dual space, packed fields as in ``polyfield``; a product decodes
+its bivector into a ``Fraction`` generator table only for its first
+single product, which no scan makes.  Their equivariance under the
+deformed coproduct is an exact identity of derivations, checked on one
+packed Hamiltonian row (``termops.hamiltonian_row``) per left monomial
+rather than at each monomial pair; the Hochschild and twist scans build
+their rows the same way, with no ``Fraction`` but a witness's.  The symmetric-algebra
 family is probed through a rewriting system whose normal forms are
 ordered monomials, and the coproduct-level identities (pentagon shadow,
 first-order R-matrix relations) are evaluated exactly through Kronecker
@@ -54,17 +54,20 @@ class FirstOrderProduct:
 
     On monomials ``a`` and ``b`` it is homogeneous of degree ``|a| + |b|``;
     a bracket that lowers degree has no well-defined truncation.  The
-    ``Fraction`` generator table of the bivector is built once and
-    evaluates single products; the scans build packed Hamiltonian rows
-    from ``bivector`` instead (``termops.row_table``).
+    scans build packed Hamiltonian rows from ``bivector``
+    (``termops.row_table``); a single product reads the ``Fraction``
+    generator table, built on the first one.
     """
 
     def __init__(self, bivector, label):
-        if any(len(d) != 2 or sum(e) != 2 for e, d in termops.unpack(bivector)):
+        if any(deg != 2 or len(d) != 2 for deg, d in termops.shapes(bivector)):
             raise ValueError("first-order products come from quadratic bivector fields")
         self.bivector = bivector
-        self.table = termops.bivector_table(bivector)
         self.label = label
+
+    @functools.cached_property
+    def table(self):
+        return termops.bivector_table(self.bivector)
 
     def __call__(self, a, b):
         return termops.table_bracket(self.table, a, b)

@@ -26,40 +26,36 @@ fields of ``polyfield``, ``quantize`` and ``grouppois`` stay packed from
 the solver, ``phibar`` and the pushes through every bracket, sum and
 comparison.  ``pack`` builds a field from a tuple-keyed ``Fraction``
 term dict ``{(exponents, derivations): c}``, with ``derivations`` a
-strictly ascending index tuple; ``unpack`` decodes one, and only a
-witness, a report and a tuple-keyed ``Fraction`` generator table
-(``bivector_table``) decode.  An exponent that could pass the packed
-width raises ``ResourceLimitError``.  ``monomial_codec`` packs
-monomials alone: at ``field_top`` it gives the monomials of the fields
-(``phibar`` builds its field from them with ``pack_monomials``), and at
-a smaller bound it serves the order-one scans of ``quantize``, which
-work on packed monomials with int numerators and decode only a failing
-row or coboundary.
+strictly ascending index tuple, and ``unpack`` decodes one, for a
+witness or for the ``Fraction`` table of a single bracket only;
+``shapes`` reads the ``(monomial degree, derivations)`` of the terms,
+for degree guards and for the derivation triples a report names.  An
+exponent that could pass the packed width raises
+``ResourceLimitError``.  ``monomial_codec`` packs monomials alone: at
+``field_top`` it gives the monomials of the fields (``phibar`` builds
+its field from them with ``pack_monomials``), and at a smaller bound
+it serves the order-one scans of ``quantize``, which decode only a
+failing row or coboundary.
 
 Fixing the first argument of a biderivation gives a derivation, its
 Hamiltonian field, given by its images of the coordinates: its row.
-Packed bivectors have a row kernel with no ``Fraction`` in it:
-``row_table`` re-keys a field's monomials with a ``monomial_codec``
-packer into a generator table grouped by first slot, and
-``hamiltonian_row`` builds the row of one monomial from it with int
-numerators over the field's denominator.  The order-one scans use it;
-``derivation_table`` gives vector fields the same table, whose row of
-a monomial holds its image under each field.  Single brackets and test
-references use the ``Fraction`` path:
-``table_bracket`` is the one evaluator of a biderivation on two
-polynomials, from a tuple-keyed generator table (``bivector_table``
-decodes a packed field into one); ``table_row`` builds the row of its
-first argument in one pass over the table, and ``apply_derivation``,
-the one evaluator of a derivation given by its coordinate images,
-applies it to the second.  So a row of brackets ``{f, g}`` with one
-``f`` costs one image table and one ``apply_derivation`` per ``g``.
-Vector fields are stored the same way, as coordinate images, and an
-action is given by its image function ``images(i)``: ``wedge_push``
-pushes a tensor through its fields and ``lie_derivative``
-differentiates along one, for the coadjoint action and for conjugation
-alike.  ``kveval`` and ``bivector_eval`` are reference evaluators for
-tests and tracing only; so is ``ptruncate``, since no kernel truncates
-by degree.
+``row_table`` re-keys a packed bivector's monomials with a
+``monomial_codec`` packer into a generator table grouped by first
+slot, and ``hamiltonian_row`` builds the row of one monomial from it
+with int numerators over the field's denominator; ``derivation_table``
+gives vector fields the same table, whose row of a monomial holds its
+image under each field.  Every scan reads these.  Single brackets,
+which build their table on first use, and test references use the
+``Fraction`` path: ``table_bracket`` evaluates a biderivation on two
+polynomials from a tuple-keyed generator table (``bivector_table``),
+applying the row of its first argument (``table_row``) to the second
+with ``apply_derivation``, the one evaluator of a derivation given by
+its coordinate images.  Vector fields are stored the same way, as
+coordinate images, and an action is given by its image function
+``images(i)``: ``wedge_push`` pushes a tensor through its fields and
+``lie_derivative`` differentiates along one, for the coadjoint action
+and for conjugation alike.  ``kveval``, ``bivector_eval`` and
+``ptruncate`` are reference evaluators for tests and tracing only.
 
 Kernels call one another through this module's globals, so a wrapper
 set on a module attribute sees every call, from inside or outside.
@@ -385,23 +381,27 @@ def pack_monomials(terms, den, nvars, top):
     return PackedField(out, den, nvars, top)
 
 
+def _term_reader(nvars):
+    """``read(key)``: the exponent tuple and derivation mask of a packed term key."""
+    codec, _ = _field_codec(nvars)
+    unpack_exps, size, low = codec.unpack, codec.size, (1 << nvars) - 1
+    return lambda key: (unpack_exps((key >> nvars).to_bytes(size, "big")), key & low)
+
+
 def unpack(field):
     """The tuple-keyed ``Fraction`` term dict of a packed field."""
-    nvars, den = field._nvars, field._den
-    low = (1 << nvars) - 1
-    codec, _ = _field_codec(nvars)
-    unpack_exps, size = codec.unpack, codec.size
-    ders = {}  # mask -> ascending derivation tuple
-    out = {}
-    for key, c in field._nums.items():
-        mask = key & low
-        d = ders.get(mask)
-        if d is None:
-            d = ders[mask] = _mask_indices(mask)
-        out[(unpack_exps((key >> nvars).to_bytes(size, "big")), d)] = Fraction(c, den)
-    return out
+    read, den = _term_reader(field._nvars), field._den
+    terms = ((read(key), c) for key, c in field._nums.items())
+    return {(e, _mask_indices(mask)): Fraction(c, den) for (e, mask), c in terms}
 
 
+def shapes(field):
+    """The set of ``(monomial degree, derivations)`` of a packed field's terms."""
+    read = _term_reader(field._nvars)
+    return {(sum(e), _mask_indices(mask)) for e, mask in map(read, field._nums)}
+
+
+@functools.cache
 def _mask_indices(mask):
     """Ascending tuple of the set bit positions of ``mask``."""
     out = []
@@ -548,17 +548,15 @@ def _partial_table(field):
     field, then bracketed with itself and the pencil).
     """
     if field._partials is None:
-        nums, nvars = field._nums, field._nvars
-        codec, bits = _field_codec(nvars)
-        low = (1 << nvars) - 1
-        unpack_exps, size = codec.unpack, codec.size
+        nvars, read = field._nvars, _term_reader(field._nvars)
+        bits = _field_codec(nvars)[1]
         units = [1 << nvars + bits * (nvars - 1 - i) for i in range(nvars)]
         table = {}
-        for key, c in nums.items():
-            e = unpack_exps((key >> nvars).to_bytes(size, "big"))
+        for key, c in field._nums.items():
+            e, mask = read(key)
             for i in itertools.compress(range(nvars), e):
                 entry = (key - units[i], c * e[i])
-                table.setdefault(i, {}).setdefault(key & low, []).append(entry)
+                table.setdefault(i, {}).setdefault(mask, []).append(entry)
         field._partials = table
     return field._partials
 
@@ -727,15 +725,12 @@ def row_table(field, pack):
     the rows asked for.  A term ``c * y^t * d/dy_i ^ d/dy_j`` enters as
     ``c * y^t`` at ``(i, j)`` and as ``-c * y^t`` at ``(j, i)``.
     """
-    nvars = field._nvars
-    low = (1 << nvars) - 1
-    codec, _ = _field_codec(nvars)
-    unpack_exps, size = codec.unpack, codec.size
+    read = _term_reader(field._nvars)
 
     def entries():
         for key, c in field._nums.items():
-            i, j = _mask_indices(key & low)
-            t = unpack_exps((key >> nvars).to_bytes(size, "big"))
+            t, mask = read(key)
+            i, j = _mask_indices(mask)
             yield i, j, t, c
             yield j, i, t, -c
 

@@ -8,6 +8,8 @@ structure constants.  ``entry_field`` applies one entry-field image
 table of ``grouppois`` to a polynomial, and ``pushed_table`` builds the
 generator table of a 2-tensor pushed through those tables entry pair by
 entry pair, as a reference for the bracket builders of ``grouppois``.
+``by_derivations`` regroups a packed field, decoded, by derivation
+tuple, the shape of those references for the entry-ring identities.
 
 ``merge_ders``, ``smul``, ``wedge_push``, ``sn_bracket`` and
 ``fields_proportional`` are the polyvector kernels on exponent and
@@ -133,6 +135,14 @@ def pushed_table(L, legs):
             if acc:
                 table[(u, v)] = acc
     return table
+
+
+def by_derivations(field):
+    """A packed field, decoded, as ``{derivations: polynomial}``."""
+    out = {}
+    for (e, d), c in termops.unpack(field).items():
+        out.setdefault(d, {})[e] = c
+    return out
 
 
 def merge_ders(d1, d2):
@@ -548,9 +558,15 @@ def hochschild_triples(L, d):
                             yield ea, eb, ec
 
 
-def pairwise_hochschild_witness(L, d, m1):
-    """Reference: the coboundary of every triple, evaluated from scratch."""
+def pairwise_hochschild_witness(L, d, m1, left_degree=None):
+    """Reference: the coboundary of every triple, evaluated from scratch.
+
+    With ``left_degree``, only the triples whose left monomial has that
+    degree are evaluated.
+    """
     for ea, eb, ec in hochschild_triples(L, d):
+        if left_degree is not None and sum(ea) != left_degree:
+            continue
         pa, pb, pc = {ea: Fraction(1)}, {eb: Fraction(1)}, {ec: Fraction(1)}
         defect = termops.pmul(pa, m1(pb, pc))
         termops.piadd(defect, m1(termops.pmul(pa, pb), pc), Fraction(-1))

@@ -230,6 +230,7 @@ def test_json_byte_identical_reruns(capsys):
         ("pentagon", "--algebra", "A1"),
         ("phi-bracket", "--algebra", "A2"),
         ("group-sklyanin", "--algebra", "A1"),
+        ("group-sklyanin", "--algebra", "A2"),
         ("good-orbits", "--algebra", "D4"),
         ("ad-bracket", "--algebra", "A2"),
         ("star-first-order", "--algebra", "A2"),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import entry_field, pushed_table
+from oracles import by_derivations, entry_field, pushed_table
 from qpverify import grouppois, liealg, multivec, termops
 
 F = Fraction
@@ -75,14 +75,14 @@ def test_sklyanin_generator_values_n2(sl2):
 def test_sklyanin_bracket_is_poisson(spec):
     L = liealg.algebra(*spec)
     sk = grouppois.build_sklyanin_bracket(L)
-    assert grouppois.jacobiator_on_generators(sk) == {}
+    assert not grouppois.jacobiator_on_generators(sk)
 
 
 def test_zero_bracket(sl2):
     zero = multivec.MultiTensor.zero(sl2, 2, "alternating")
     b = grouppois.build_two_sided_bracket(sl2, zero, zero)
     assert b.table == {}
-    assert grouppois.jacobiator_on_generators(b) == {}
+    assert not grouppois.jacobiator_on_generators(b)
 
 
 def test_two_sided_same_r_is_poisson(sl2, sl3):
@@ -92,7 +92,7 @@ def test_two_sided_same_r_is_poisson(sl2, sl3):
     for L in (sl2, sl3):
         r = liealg.canonical_tensors(L).r_sd
         two = grouppois.build_two_sided_bracket(L, r, r)
-        assert grouppois.jacobiator_on_generators(two) == {}
+        assert not grouppois.jacobiator_on_generators(two)
 
 
 def test_two_sided_square_mismatch_warns_and_fails_jacobi(sl2):
@@ -167,7 +167,7 @@ def test_ad_bracket_conjugation_invariant(spec):
     L = liealg.algebra(*spec)
     ad = grouppois.build_ad_bracket(L)
     for x in range(L.dim):
-        assert grouppois.ad_invariance_defect(L, ad, x) == {}
+        assert not grouppois.ad_invariance_defect(L, ad, x)
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
@@ -186,11 +186,8 @@ def test_ad_bracket_phi_identity(sl3):
     ad = grouppois.build_ad_bracket(sl3)
     jac = grouppois.jacobiator_on_generators(ad)
     assert jac  # nonzero on GL(3)
-    expected = {
-        triple: termops.pscale(p, grouppois.AD_JACOBIATOR_FACTOR)
-        for triple, p in grouppois.phi_through_conjugation(sl3).items()
-    }
-    assert jac == expected
+    phi = grouppois.phi_through_conjugation(sl3)
+    assert jac == termops.pscale(phi, grouppois.AD_JACOBIATOR_FACTOR)
     assert grouppois.AD_JACOBIATOR_FACTOR == F(-1, 2)
 
 
@@ -198,8 +195,8 @@ def test_ad_bracket_phi_identity_rank1_degenerate(sl2):
     # conjugation orbits of the 2x2 group are too small to carry a
     # 3-vector: both sides of the identity vanish
     ad = grouppois.build_ad_bracket(sl2)
-    assert grouppois.jacobiator_on_generators(ad) == {}
-    assert grouppois.phi_through_conjugation(sl2) == {}
+    assert not grouppois.jacobiator_on_generators(ad)
+    assert not grouppois.phi_through_conjugation(sl2)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +269,8 @@ def test_phi_through_conjugation_matches_field_products(case):
         assert expected == {}
     else:
         inversions = (u > v) + (u > w) + (v > w)
-        got = grouppois.phi_through_conjugation(L).get(tuple(sorted((u, v, w))), {})
+        pushed = by_derivations(grouppois.phi_through_conjugation(L))
+        got = pushed.get(tuple(sorted((u, v, w))), {})
         assert termops.pscale(got, F(-1) ** inversions) == expected
 
 
@@ -350,7 +348,7 @@ def test_jacobiator_is_the_cyclic_sum_of_brackets(case):
                     termops.piadd(acc, B.bracket(gens[a], inner), F(1))
                 if acc:
                     expected[(u, v, w)] = acc
-    assert grouppois.jacobiator_on_generators(B) == expected
+    assert by_derivations(grouppois.jacobiator_on_generators(B)) == expected
 
 
 @LAWS
@@ -368,4 +366,4 @@ def test_invariance_defect_is_the_three_term_formula(case):
             termops.piadd(acc, B.bracket(pu, X(pv)), F(-1))
             if acc:
                 expected[(u, v)] = acc
-    assert grouppois.ad_invariance_defect(L, B, x) == expected
+    assert by_derivations(grouppois.ad_invariance_defect(L, B, x)) == expected

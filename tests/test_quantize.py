@@ -359,6 +359,48 @@ def test_packed_scan_witness_matches_pairwise_scan(n, d, coefficients):
     assert (None if passed else witness) == pairwise_hochschild_witness(L, d, m1)
 
 
+def test_hochschild_fault_map_fails_first_with_a_coordinate_left_monomial(sl3):
+    # the suite's hochschild-fault-detected map on A2 at d = 5
+    def proj1(p):
+        return {e: c for e, c in p.items() if sum(e) == 1}
+
+    def fault(a, b):
+        return termops.pmul(proj1(a), proj1(b))
+
+    passed, witness = quantize.hochschild_cocycle_check(sl3, 5, fault)
+    assert not passed
+    assert witness == pairwise_hochschild_witness(sl3, 5, fault, left_degree=1)
+
+
+@settings(LAWS, max_examples=20)
+@given(
+    st.sampled_from([3, 4]).flatmap(quadratic_cases),
+    st.sampled_from([4, 5]),
+    bilinear_coefficients,
+)
+def test_the_scan_fails_exactly_where_a_coordinate_left_monomial_fails(case, d, coefficients):
+    # d(dm) = 0 for every bilinear m, and its terms at (y_i, a, b, c) give
+    # dm(y_i a, b, c) = y_i dm(a, b, c) once dm vanishes wherever |a| = 1;
+    # so the scan fails exactly when a triple with |a| = 1 fails, and as
+    # those triples come first, the witness is the first of them
+    n, terms, _ = case
+    product = quantize.FirstOrderProduct(termops.pack(terms, n), "random")
+    *selected, plain = coefficients
+    legs = [(projection(i), projection(j)) for i in (1, 2) for j in (1, 2)]
+
+    def perturbed(p, q):
+        out = termops.padd(product(p, q), termops.pmul(p, q), plain)
+        for c, (left, right) in zip(selected, legs):
+            termops.piadd(out, termops.pmul(left(p), right(q)), c)
+        return out
+
+    L = coordinates(n)
+    for m1 in (product, perturbed):
+        passed, witness = quantize.hochschild_cocycle_check(L, d, m1)
+        reduced = pairwise_hochschild_witness(L, d, m1, left_degree=1)
+        assert (None if passed else witness) == reduced
+
+
 def test_hochschild_refuses_a_map_that_raises_degree(sl2):
     def raising(p, q):
         return termops.pmul(termops.pmul(p, q), coordinate(sl2, 0))

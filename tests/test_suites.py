@@ -366,15 +366,19 @@ def _no_kron_products(monkeypatch):
 
 
 def _symmetric_table(monkeypatch):
-    # every (j, i) entry equal to its (i, j) entry, as a symmetric form has
-    def symmetric_table(field):
-        table = {}
-        for (e, (i, j)), c in termops.unpack(field).items():
-            table.setdefault((i, j), {})[e] = c
-            table.setdefault((j, i), {})[e] = c
-        return table
+    # every (j, i) entry, j > i, written with the sign of its (i, j) entry,
+    # as a symmetric form has
+    row_table = termops.row_table
 
-    monkeypatch.setattr(termops, "bivector_table", symmetric_table)
+    def symmetric_table(field, pack):
+        table, den = row_table(field, pack)
+        for u, row in table.items():
+            for v, terms in row.items():
+                if u > v:
+                    row[v] = [(k, -c) for k, c in terms]
+        return table, den
+
+    monkeypatch.setattr(termops, "row_table", symmetric_table)
 
 
 def _conjugation_as_sum(monkeypatch):
@@ -475,6 +479,72 @@ def _transport_plus_linear(monkeypatch):
     )
 
 
+def _plus_sign_product(monkeypatch):
+    # the standard product built as (1/2)(f + r_M), the product that
+    # sign-fault-detected plants, is not invariant under the twisted coproduct
+    def plus(f_field, r_tensor):
+        sum_ = termops.padd(f_field, polyfield.rmatrix_bracket(r_tensor))
+        return quantize.FirstOrderProduct(termops.pscale(sum_, Fraction(1, 2)), "(1/2)(f + r_M)")
+
+    monkeypatch.setattr(quantize, "standard_first_order_product", plus)
+
+
+def _non_derivation_product(monkeypatch):
+    # a first-order product's value on two coordinates gains their product,
+    # which is no biderivation: the coboundary at (y_u, y_v, y_w^2) is nonzero
+    pair_values = quantize._pair_values
+
+    def with_cup(m1, pack, dim):
+        value, den = pair_values(m1, pack, dim)
+        if not isinstance(m1, quantize.FirstOrderProduct):
+            return value, den
+
+        def cupped(ea, eb):
+            out = dict(value(ea, eb))
+            if sum(ea) == sum(eb) == 1:
+                k = pack(tuple(x + y for x, y in zip(ea, eb)))
+                out[k] = out.get(k, 0) + den
+            return {k: c for k, c in out.items() if c}
+
+        return cupped, den
+
+    monkeypatch.setattr(quantize, "_pair_values", with_cup)
+
+
+def _zero_fault_map(monkeypatch):
+    # every bilinear map but a first-order product evaluates to zero, so the
+    # planted non-biderivation map passes the Hochschild scan
+    pair_values = quantize._pair_values
+
+    def zero(m1, pack, dim):
+        value, den = pair_values(m1, pack, dim)
+        if isinstance(m1, quantize.FirstOrderProduct):
+            return value, den
+        return (lambda ea, eb: {}), den
+
+    monkeypatch.setattr(quantize, "_pair_values", zero)
+
+
+def _doubled_derivation_table(monkeypatch):
+    # the composed twist route is quadratic in the coadjoint images, so a
+    # negated table cancels out of it; doubled images scale it by four
+    derivation_table = termops.derivation_table
+
+    def doubled(fields, pack):
+        fields = {
+            w: {v: termops.pscale(p, 2) for v, p in images.items()} for w, images in fields.items()
+        }
+        return derivation_table(fields, pack)
+
+    monkeypatch.setattr(termops, "derivation_table", doubled)
+
+
+def _zero_hamiltonian_rows(monkeypatch):
+    # every packed Hamiltonian row reads zero, so no order-one scan can
+    # fail, and only the planted sign fault notices
+    monkeypatch.setattr(termops, "hamiltonian_row", lambda table, e, key: {})
+
+
 # (suite, algebras, fault, checks whose status the fault changes)
 FLIPS = [
     # an unfaithful representation no longer lets the word-leg fault pass
@@ -515,6 +585,11 @@ FLIPS = [
     ),
     ("phi-bracket", ("A2",), _transport_plus_linear, {"matrix-trace-bracket-proportional"}),
     ("group-sklyanin", ("A1",), _permanent, {"determinant-ideal"}),
+    ("star-first-order", ("A2",), _plus_sign_product, {"deformed-invariance"}),
+    ("star-first-order", ("A2",), _non_derivation_product, {"hochschild-cocycle"}),
+    ("star-first-order", ("A2",), _zero_fault_map, {"hochschild-fault-detected"}),
+    ("star-first-order", ("A2",), _doubled_derivation_table, {"twist-correspondence"}),
+    ("star-first-order", ("A2",), _zero_hamiltonian_rows, {"sign-fault-detected"}),
     # this check fails by design, and passes under the fault
     (
         "group-sklyanin",
@@ -582,6 +657,54 @@ def test_every_phi_bracket_check_but_two_has_a_fault():
     assert _uncovered(("phi-bracket",), "A2") == {
         ("phi-bracket", "phi-bracket-identity"),
         ("phi-bracket", "equivariant-dimension-one"),
+    }
+
+
+def test_every_star_check_has_a_fault():
+    # the suite needs rank >= 2, and A2 runs every check
+    assert _uncovered(("star-first-order",), "A2") == set()
+
+
+# (suite, algebra) pairs that run every check with no witness to decode
+NO_DECODE = [
+    ("ad-bracket", "A3"),
+    ("group-sklyanin", "A3"),
+    ("star-first-order", "A2"),
+    ("phi-bracket", "A3"),
+]
+
+
+@pytest.mark.parametrize("suite, algebra", NO_DECODE, ids=[f"{s}-{a}" for s, a in NO_DECODE])
+def test_only_a_witness_decodes_a_field(monkeypatch, suite, algebra):
+    # every check compares and tests packed fields, and no bracket builds
+    # a Fraction generator table that no check reads; a cold algebra cache
+    # makes the set-up run under the patch too
+    config = suites.SuiteConfig(algebra=algebra, suite=suite)
+    monkeypatch.setattr(liealg, "_ALGEBRA_CACHE", {})
+
+    def refuse(*args):
+        raise AssertionError("a field was decoded")
+
+    monkeypatch.setattr(termops, "unpack", refuse)
+    monkeypatch.setattr(termops, "bivector_table", refuse)
+    packed = suites.run_suite(config).to_json()
+    monkeypatch.undo()
+    assert packed == suites.run_suite(config).to_json()
+
+
+def test_conjecture_scan_fails_at_degree_three_on_a2():
+    # two invariant cubic-coefficient bivectors on sl(3) lie outside the
+    # span of the invariant multiples of the linear bracket (ROADMAP item 15)
+    report = suites.run_suite(suites.SuiteConfig(algebra="A2", suite="conjecture-scan", degree=3))
+    checks = {c.id: c for c in report.checks}
+    assert report.aggregate == "fail"
+    assert checks["degree-1-multiples-of-linear"].status == "pass"
+    assert checks["degree-2-multiples-of-linear"].status == "pass"
+    assert checks["degree-3-multiples-of-linear"].status == "fail"
+    assert checks["degree-3-multiples-of-linear"].witness == {
+        "dimension": 3,
+        "exception": "quadratic invariant bracket",
+        "extras": 2,
     }
 
 

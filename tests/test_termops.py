@@ -511,6 +511,14 @@ def test_pack_round_trips_and_stores_no_zero(case):
 
 @LAWS
 @given(packed_pairs)
+def test_shapes_are_the_degrees_and_derivations_of_the_decoded_terms(case):
+    nvars, (_, a), _, _ = case
+    field = termops.pack(a, nvars)
+    assert termops.shapes(field) == {(sum(e), d) for (e, d) in termops.unpack(field)}
+
+
+@LAWS
+@given(packed_pairs)
 def test_packed_pscale_is_the_dense_sum(case):
     nvars, (_, a), _, c = case
     packed = termops.pack(a, nvars)
