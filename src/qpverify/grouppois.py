@@ -9,12 +9,12 @@ left-invariant field acts on entries by right matrix multiplication,
 translations and the two kinds commute.
 
 Each bracket is a bivector field, built in one ``termops.wedge_push``
-of a 2-tensor through the entry fields, whose coordinate images
-``_field_images`` builds, and stored as a ``termops.PackedField``.  Its
+of a 2-tensor through the entry fields, which ``_entry_field`` packs
+once per algebra, and stored as a ``termops.PackedField``.  Its
 generator table, the values on entry pairs, is decoded for the first
 single bracket, which it evaluates by the Leibniz rule.  Identities
 between brackets are packed fields, computed with the ``termops`` field
-kernels that ``polyfield`` calls with the coadjoint images; the suites
+kernels that ``polyfield`` calls with the coadjoint fields; the suites
 test and compare them packed.
 
 The free entry ring is the coordinate ring of the general (or special)
@@ -52,35 +52,33 @@ def entry(n, i, j):
     return {termops.unit_exp(n * n, var_index(n, i, j)): ONE}
 
 
-def _field_images(L, x, side):
-    """Images of every entry symbol under the field of basis element ``x``.
+def _entry_field(L, x, side):
+    """The packed vector field of basis element ``x`` on the entry ring.
 
     Left: (t x)_{ij} = sum_k t_{ik} x_{kj}.  Right: (x t)_{ij} =
-    sum_k x_{ik} t_{kj}.  Conjugation: left minus right.  Each table is
+    sum_k x_{ik} t_{kj}.  Conjugation: left minus right.  Each field is
     built once per algebra and kept in its memo.
     """
-    key = ("entry field images", x, side)
+    key = ("entry field", x, side)
     if key in L.memo:
         return L.memo[key]
     if side == "conjugation":
-        images = {u: dict(img) for u, img in _field_images(L, x, "left").items()}
-        for u, img in _field_images(L, x, "right").items():
-            termops.piadd(images.setdefault(u, {}), img, -ONE)
-        images = {u: img for u, img in images.items() if img}
+        field = termops.padd(_entry_field(L, x, "left"), _entry_field(L, x, "right"), -1)
     else:
         if L.matrices is None:
             raise RealizationMismatch("algebra carries no matrix realization")
         n = L.msize
-        images = {}
+        terms = {}
         for (a, b), val in L.matrices[x].items():
             for k in range(n):
                 if side == "left":
                     tgt, src = var_index(n, k, b), var_index(n, k, a)
                 else:
                     tgt, src = var_index(n, a, k), var_index(n, b, k)
-                termops.siadd(images.setdefault(tgt, {}), termops.unit_exp(n * n, src), val)
-    L.memo[key] = images
-    return images
+                termops.siadd(terms, (termops.unit_exp(n * n, src), (tgt,)), val)
+        field = termops.pack(terms, n * n)
+    L.memo[key] = field
+    return field
 
 
 def _pushed_bivector(L, terms):
@@ -90,7 +88,7 @@ def _pushed_bivector(L, terms):
     coefficients; each leg is the entry field of basis element ``a`` on
     its side, and a term contributes ``c`` times the wedge of its legs.
     """
-    bivector = termops.wedge_push(terms, lambda leg: _field_images(L, *leg), L.msize * L.msize)
+    bivector = termops.wedge_push(terms, lambda leg: _entry_field(L, *leg), L.msize * L.msize)
     return GroupBivector(bivector)
 
 
@@ -162,7 +160,7 @@ def ad_invariance_defect(L, B, x):
     Returns the defect X{u,v} - {Xu,v} - {u,Xv} as a packed bivector
     field; zero means the bracket is invariant.
     """
-    return termops.lie_derivative(_field_images(L, x, "conjugation"), B.terms)
+    return termops.sn_bracket(_entry_field(L, x, "conjugation"), B.terms)
 
 
 def phi_through_conjugation(L):
@@ -173,7 +171,7 @@ def phi_through_conjugation(L):
     """
     return termops.wedge_push(
         liealg.canonical_tensors(L).phi.terms,
-        lambda x: _field_images(L, x, "conjugation"),
+        lambda x: _entry_field(L, x, "conjugation"),
         L.msize * L.msize,
     )
 

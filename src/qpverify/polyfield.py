@@ -2,15 +2,16 @@
 
 Coordinates on the dual are indexed by the algebra basis; the coadjoint
 vector field of ``x`` sends the coordinate ``y`` to the coordinate of
-``[x, y]``, and ``coadjoint_images`` is the image function that the
-``termops`` field kernels take, as ``grouppois`` gives conjugation's.
-A field is a ``termops.PackedField``, homogeneous in its number of
-derivations; sums, scalings, brackets, zero tests and comparisons are
-the ``termops`` kernels, on int numerators.  The solver packs its basis
-once, ``phibar`` builds its field packed, and ``fields_proportional``
-and the scan's ``linalg.rank`` read the int numerators; a field is
-decoded here only into an invariant polynomial, and the pencil check's
-degree guard reads ``termops.shapes``.  The Schouten-Nijenhuis
+``[x, y]``.  ``coadjoint_field`` packs it once per algebra, and the
+``termops`` field kernels take it as ``grouppois`` gives them the entry
+fields of conjugation.  A field is a ``termops.PackedField``,
+homogeneous in its number of derivations; sums, scalings, brackets,
+zero tests and comparisons are the ``termops`` kernels, on int
+numerators.  The solver packs its basis once, ``phibar`` builds its
+field packed, an invariant polynomial is a packed 0-field, and
+``fields_proportional`` and the scan's ``linalg.rank`` read the int
+numerators; no field is decoded here, and the pencil check's degree
+guard reads ``termops.shapes``.  The Schouten-Nijenhuis
 bracket is normalized so that the square of a bivector evaluates to
 twice the Jacobi defect of its bracket.
 
@@ -54,21 +55,19 @@ def monomials(dim, degree):
     return out
 
 
-def coadjoint_images(L, i):
-    """Coordinate images of the coadjoint field of basis element ``i``.
+def coadjoint_field(L, i):
+    """The coadjoint vector field of basis element ``i``, packed.
 
-    The coordinate ``y_j`` goes to the linear polynomial of ``[b_i, b_j]``;
-    ``termops.apply_derivation`` applies the field.  Each table is built
-    once per algebra and kept in its memo.
+    The coordinate ``y_j`` goes to the linear polynomial of ``[b_i, b_j]``.
+    Each field is built once per algebra and kept in its memo.
     """
-    key = ("coadjoint images", i)
+    key = ("coadjoint field", i)
     if key not in L.memo:
-        images = {}
+        terms = {}
         for j in range(L.dim):
-            row = L.struct.get((i, j))
-            if row:
-                images[j] = {termops.unit_exp(L.dim, k): c for k, c in row.items()}
-        L.memo[key] = images
+            for k, c in L.struct.get((i, j), {}).items():
+                terms[(termops.unit_exp(L.dim, k), (j,))] = c
+        L.memo[key] = termops.pack(terms, L.dim)
     return L.memo[key]
 
 
@@ -80,7 +79,7 @@ def action_field(psi):
     fields; plain tensors substitute term by term.
     """
     L = psi.algebra
-    return termops.wedge_push(psi.terms, functools.partial(coadjoint_images, L), L.dim)
+    return termops.wedge_push(psi.terms, functools.partial(coadjoint_field, L), L.dim)
 
 
 def schouten_nijenhuis(P, Q):
@@ -95,7 +94,7 @@ def schouten_nijenhuis(P, Q):
 
 def is_invariant_field(L, P):
     """True iff every coadjoint field of ``L`` annihilates ``P``."""
-    return not any(termops.lie_derivative(coadjoint_images(L, i), P) for i in range(L.dim))
+    return not any(termops.sn_bracket(coadjoint_field(L, i), P) for i in range(L.dim))
 
 
 def kirillov_bracket(L):
@@ -180,12 +179,11 @@ def coadjoint_term_images(L, x):
     Returns ``image(e, D)``, the term dict of ``[X, y^e d/dy_D]``.  Since
     ``X`` is linear, the bracket has the closed form
     ``X(y^e) d/dy_D - y^e sum_s sum_k (d X_k / dy_{d_s}) d/dy_{D[d_s -> k]}``:
-    the first part is cached per exponent ``e`` through
-    ``termops.apply_derivation``, the second (``_derivation_part``) per
+    the first part, ``sum_k sum_m e_k (d X_k / dy_m) y^e y_m / y_k``, is
+    cached per exponent ``e``, the second (``_derivation_part``) per
     derivation set ``D``.  It equals ``schouten_nijenhuis`` of the
     coadjoint field and the term with coefficient 1.
     """
-    images = coadjoint_images(L, x)
     jac = {}  # m -> {k: d X_k / dy_m}
     for k in range(L.dim):
         for m, c in L.struct.get((x, k), {}).items():
@@ -195,7 +193,12 @@ def coadjoint_term_images(L, x):
     def image(exps, ders):
         moved = by_exps.get(exps)
         if moved is None:
-            moved = by_exps[exps] = termops.apply_derivation(images, {exps: ONE})
+            moved = by_exps[exps] = {}
+            for m, col in jac.items():
+                for k, c in col.items():
+                    if exps[k]:
+                        e = tuple(n + (j == m) - (j == k) for j, n in enumerate(exps))
+                        termops.siadd(moved, e, c * exps[k])
         turned = by_ders.get(ders)
         if turned is None:
             turned = by_ders[ders] = _derivation_part(jac, ders)
@@ -272,11 +275,10 @@ def solve_equivariant(L, p, q):
 
 
 def invariant_polynomials(L, degree):
-    """Basis of invariant homogeneous polynomials of the given degree."""
+    """Basis of invariant homogeneous polynomials of the given degree, as packed 0-fields."""
     if degree == 0:
-        return [ {tuple([0] * L.dim): ONE} ]
-    fields = invariant_field_space(L, 0, degree)
-    return [ {e: c for (e, _), c in termops.unpack(f).items()} for f in fields ]
+        return (termops.pack({((0,) * L.dim, ()): ONE}, L.dim),)
+    return invariant_field_space(L, 0, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +440,7 @@ def invariant_bivector_scan(L, max_degree):
     for k in range(1, max_degree + 1):
         fields = invariant_field_space(L, 2, k)
         inv_polys = invariant_polynomials(L, k - 1)
-        multiples = [
-            termops.smul(termops.pack({(e, ()): c for e, c in b.items()}, L.dim), s)
-            for b in inv_polys
-        ]
+        multiples = [termops.smul(b, s) for b in inv_polys]
         # scaling a row keeps the rank, so each field's int numerators are its row
         rows = [m.numerators()[0] for m in multiples]
         spanned = linalg.rank(rows)

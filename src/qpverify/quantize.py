@@ -7,7 +7,11 @@ single product, which no scan makes.  Their equivariance under the
 deformed coproduct is an exact identity of derivations, checked on one
 packed Hamiltonian row (``termops.hamiltonian_row``) per left monomial
 rather than at each monomial pair; the Hochschild and twist scans build
-their rows the same way, with no ``Fraction`` but a witness's.  The symmetric-algebra
+their rows the same way, with no ``Fraction`` but a witness's.  The
+scans take the coadjoint fields packed, as ``polyfield.coadjoint_field``
+keeps them: the invariance scan's Lie derivative is one
+``termops.sn_bracket``, and the twist scan reads the fields through
+``termops.derivation_table``.  The symmetric-algebra
 family is probed through a rewriting system whose normal forms are
 ordered monomials, and the coproduct-level identities (pentagon shadow,
 first-order R-matrix relations) are evaluated exactly through Kronecker
@@ -105,7 +109,7 @@ def first_order_invariance_check(m1, r, d):
     for x in range(L.dim):
         delta = multivec.cobracket(r, x)
         defect = termops.padd(
-            termops.lie_derivative(polyfield.coadjoint_images(L, x), m1.bivector),
+            termops.sn_bracket(polyfield.coadjoint_field(L, x), m1.bivector),
             polyfield.action_field(delta),
             -HALF,
         )
@@ -300,7 +304,7 @@ def twist_correspondence_check(L, d, r_tensor):
     # the row of y^e under the legs' coadjoint fields maps each leg w to
     # X_w(y^e), over xden; the row of y_j gives the X_w(y_j)
     adjoint, xden = termops.derivation_table(
-        {w: polyfield.coadjoint_images(L, w) for u, v, _ in halves for w in (u, v)}, pack
+        {w: polyfield.coadjoint_field(L, w) for u, v, _ in halves for w in (u, v)}, pack
     )
     coordinates = [
         termops.hamiltonian_row(adjoint, e, pack(e))

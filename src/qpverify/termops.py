@@ -18,19 +18,19 @@ each term ``y^e * d/dy_i ^ d/dy_j ^ ...`` keyed by one int that packs
 its exponents in fields of a width fixed per coordinate count together
 with a bitmask of its derivations.  Derivations are anticommuting
 symbols in ascending order, so every product carries the sign of the
-interleaving permutation.  The field kernels ``sn_bracket``, ``smul``,
-``wedge_push`` and ``lie_derivative`` take and return packed fields, and
-so do ``pscale`` and ``padd`` on a packed operand; ``not field`` is the
-zero test and ``==`` the exact equality, by cross-multiplying.  The
-fields of ``polyfield``, ``quantize`` and ``grouppois`` stay packed from
-the solver, ``phibar`` and the pushes through every bracket, sum and
-comparison.  ``pack`` builds a field from a tuple-keyed ``Fraction``
-term dict ``{(exponents, derivations): c}``, with ``derivations`` a
-strictly ascending index tuple, and ``unpack`` decodes one, for a
-witness or for the ``Fraction`` table of a single bracket only;
-``shapes`` reads the ``(monomial degree, derivations)`` of the terms,
-for degree guards and for the derivation triples a report names.  An
-exponent that could pass the packed width raises
+interleaving permutation.  The field kernels ``sn_bracket``, ``smul``
+and ``wedge_push`` take and return packed fields, and so do ``pscale``
+and ``padd`` on a packed operand; ``not field`` is the zero test and
+``==`` the exact equality, by cross-multiplying.  The fields of
+``polyfield``, ``quantize`` and ``grouppois`` stay packed from the
+solver, ``phibar``, the action fields and the pushes through every
+bracket, sum and comparison.  ``pack`` builds a field from a
+tuple-keyed ``Fraction`` term dict ``{(exponents, derivations): c}``,
+with ``derivations`` a strictly ascending index tuple, and ``unpack``
+decodes one, for a witness or for the ``Fraction`` table of a single
+bracket only; ``shapes`` reads the ``(monomial degree, derivations)``
+of the terms, for degree guards and for the derivation triples a
+report names.  An exponent that could pass the packed width raises
 ``ResourceLimitError``.  ``monomial_codec`` packs monomials alone: at
 ``field_top`` it gives the monomials of the fields (``phibar`` builds
 its field from them with ``pack_monomials``), and at a smaller bound
@@ -49,13 +49,12 @@ which build their table on first use, and test references use the
 ``Fraction`` path: ``table_bracket`` evaluates a biderivation on two
 polynomials from a tuple-keyed generator table (``bivector_table``),
 applying the row of its first argument (``table_row``) to the second
-with ``apply_derivation``, the one evaluator of a derivation given by
-its coordinate images.  Vector fields are stored the same way, as
-coordinate images, and an action is given by its image function
-``images(i)``: ``wedge_push`` pushes a tensor through its fields and
-``lie_derivative`` differentiates along one, for the coadjoint action
-and for conjugation alike.  ``kveval``, ``bivector_eval`` and
-``ptruncate`` are reference evaluators for tests and tracing only.
+with ``apply_derivation``.  An action is given by its packed vector
+fields, one per basis element, for the coadjoint action and for
+conjugation alike: ``wedge_push`` pushes a tensor through them, and the
+Lie derivative along one is its ``sn_bracket``.  ``kveval``,
+``bivector_eval`` and ``ptruncate`` are reference evaluators for tests
+and tracing only.
 
 Kernels call one another through this module's globals, so a wrapper
 set on a module attribute sees every call, from inside or outside.
@@ -497,30 +496,26 @@ def smul(a, b):
     return _field(acc, a._den * b._den, nvars, top)
 
 
-def wedge_push(terms, images, nvars):
+def wedge_push(terms, fields, nvars):
     """Sum of ``c * X_i1 ^ ... ^ X_ik`` over tensor terms ``(i1..ik): c``.
 
-    ``X_i`` has the coordinate images ``images(i)``; each distinct index
-    is built and packed once.  An index may be any hashable, such as a
-    ``(basis index, side)`` pair; ``nvars`` serves a degree-0 term.
-    Returns a packed field.
+    ``X_i`` is the packed vector field ``fields(i)``, taken once per
+    distinct index.  An index may be any hashable, such as a ``(basis
+    index, side)`` pair; ``nvars`` serves a degree-0 term.  Returns a
+    packed field.
     """
-    fields = {}  # index -> packed vector field
-    for key in terms:
-        for i in key:
-            if i not in fields:
-                fields[i] = pack(vector_terms(images(i)), nvars)
-    top = _fits(max((sum(fields[i]._top for i in key) for key in terms), default=0), nvars)
-    grouped = {i: _by_mask(f._nums, nvars) for i, f in fields.items()}
+    legs = {i: fields(i) for i in set(itertools.chain.from_iterable(terms))}
+    top = _fits(max((sum(legs[i]._top for i in key) for key in terms), default=0), nvars)
+    grouped = {i: _by_mask(f._nums, nvars) for i, f in legs.items()}
     den = math.lcm(
-        *(c.denominator * math.prod(fields[i]._den for i in key) for key, c in terms.items())
+        *(c.denominator * math.prod(legs[i]._den for i in key) for key, c in terms.items())
     )
     out = {}
     for key, c in terms.items():
         scale = den // c.denominator
         prod = {0: 1}  # the packed unit
         for i in key:
-            scale //= fields[i]._den
+            scale //= legs[i]._den
             acc = {}
             _wedge_into(acc, 1, _by_mask(prod, nvars), grouped[i])
             prod = acc
@@ -528,16 +523,6 @@ def wedge_push(terms, images, nvars):
         for k, v in prod.items():
             out[k] = out.get(k, 0) + scale * v
     return _field(out, den, nvars, top)
-
-
-def vector_terms(images):
-    """Vector term dict of the derivation with coordinate images ``images``."""
-    return {(e, (v,)): c for v, img in images.items() for e, c in img.items()}
-
-
-def lie_derivative(images, field):
-    """Lie derivative of a packed field along the vector field with coordinate images ``images``."""
-    return sn_bracket(pack(vector_terms(images), field._nvars), field)
 
 
 def _partial_table(field):
@@ -740,21 +725,21 @@ def row_table(field, pack):
 def derivation_table(fields, pack):
     """Packed table of vector fields, for ``hamiltonian_row``.
 
-    ``fields`` maps a label ``w`` to the coordinate images of a vector
-    field ``X_w``, as ``apply_derivation`` takes them.  Returns ``(table,
-    den)``: the row of ``y^e`` maps each ``w`` to ``X_w(y^e)``, as int
-    numerators over ``den``; ``pack`` is as for ``row_table``.
+    ``fields`` maps a label ``w`` to a packed vector field ``X_w``.
+    Returns ``(table, den)``: the row of ``y^e`` maps each ``w`` to
+    ``X_w(y^e)``, as int numerators over ``den``; ``pack`` is as for
+    ``row_table``.
     """
-    den = math.lcm(
-        *(c.denominator for images in fields.values() for p in images.values() for c in p.values())
-    )
-    entries = (
-        (v, w, t, c.numerator * (den // c.denominator))
-        for w, images in fields.items()
-        for v, p in images.items()
-        for t, c in p.items()
-    )
-    return _row_table(entries, pack), den
+    den = math.lcm(*(f._den for f in fields.values()))
+
+    def entries():
+        for w, field in fields.items():
+            read, scale = _term_reader(field._nvars), den // field._den
+            for key, c in field._nums.items():
+                t, mask = read(key)
+                yield mask.bit_length() - 1, w, t, c * scale
+
+    return _row_table(entries(), pack), den
 
 
 def hamiltonian_row(table, e, key):

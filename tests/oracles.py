@@ -4,10 +4,12 @@
 references for the package's tensor algebra; ``alternating_from_plain``
 canonicalizes a plain coefficient dict and checks that it alternates;
 ``bracket_elems`` brackets two element coefficient dicts through the
-structure constants.  ``entry_field`` applies one entry-field image
-table of ``grouppois`` to a polynomial, and ``pushed_table`` builds the
-generator table of a 2-tensor pushed through those tables entry pair by
-entry pair, as a reference for the bracket builders of ``grouppois``.
+structure constants.  ``entry_images`` reads the images of the entry
+symbols under an entry field off the matrix products of the generic
+matrix, ``entry_field`` applies them to a polynomial, and
+``pushed_table`` builds the generator table of a 2-tensor pushed through
+them entry pair by entry pair, as references for the entry fields and
+bracket builders of ``grouppois``.
 ``by_derivations`` regroups a packed field, decoded, by derivation
 tuple, the shape of those references for the entry-ring identities.
 
@@ -15,9 +17,9 @@ tuple, the shape of those references for the entry-ring identities.
 ``fields_proportional`` are the polyvector kernels on exponent and
 derivation tuples with ``Fraction`` coefficients, as references for the
 packed fields of ``termops`` and ``polyfield``.
-``vector_field`` turns coordinate images into a vector term dict and
-``images_of`` turns it back; ``coadjoint_field`` is the vector term dict
-of one coadjoint field.
+``images_of`` reads the coordinate images of a vector term dict;
+``coadjoint_field`` is the vector term dict
+of one coadjoint field, read from the structure constants.
 
 ``solve_equivariant_by_schouten`` is the invariant-field solve with one
 Schouten bracket per constraint row and a weight filter over every
@@ -49,7 +51,7 @@ builder, as a fault for the twist-correspondence check.
 import itertools
 from fractions import Fraction
 
-from qpverify import grouppois, liealg, linalg, multivec, polyfield, termops
+from qpverify import liealg, linalg, multivec, polyfield, termops
 from qpverify.linalg import rref
 
 ZERO = Fraction(0)
@@ -107,20 +109,41 @@ def bracket_elems(L, u, v):
     return out
 
 
+def entry_images(L, x, side):
+    """Images of the entry symbols under the entry field of basis element ``x``.
+
+    Read off the matrix products of the generic matrix ``t`` with ``X``,
+    the matrix of ``x``: ``t X`` on the left side, ``X t`` on the right,
+    and ``t X - X t`` under conjugation.
+    """
+    n, X = L.msize, L.matrices[x]
+    # the signs of t X and X t in the image
+    tx, xt = {"left": (1, 0), "right": (0, 1), "conjugation": (1, -1)}[side]
+    images = {}
+    for i, j in itertools.product(range(n), repeat=2):
+        image = {}
+        for k in range(n):
+            termops.piadd(image, {termops.unit_exp(n * n, i * n + k): ONE}, tx * X.get((k, j), 0))
+            termops.piadd(image, {termops.unit_exp(n * n, k * n + j): ONE}, xt * X.get((i, k), 0))
+        if image:
+            images[i * n + j] = image
+    return images
+
+
 def entry_field(L, x, side, p):
     """Entry field of basis element ``x`` on ``side`` applied to the polynomial ``p``."""
-    return termops.apply_derivation(grouppois._field_images(L, x, side), p)
+    return termops.apply_derivation(entry_images(L, x, side), p)
 
 
 def pushed_table(L, legs):
-    """Generator table of a 2-tensor pushed through field images.
+    """Generator table of a 2-tensor pushed through entry fields.
 
     ``legs`` lists ``(c, (a, side_a), (b, side_b))``; the value on the
     entry pair (u, v) is the sum of ``c * A_a(u) * B_b(v)``.
     """
     n2 = L.msize * L.msize
     legs = [
-        (c, grouppois._field_images(L, a, side_a), grouppois._field_images(L, b, side_b))
+        (c, entry_images(L, a, side_a), entry_images(L, b, side_b))
         for c, (a, side_a), (b, side_b) in legs
     ]
     table = {}
@@ -207,13 +230,8 @@ def fields_proportional(P, Q):
     return None
 
 
-def vector_field(images):
-    """Vector term dict of the derivation with coordinate images ``images``."""
-    return {(e, (v,)): c for v, img in images.items() for e, c in img.items()}
-
-
 def images_of(field):
-    """Coordinate images of a vector term dict, the inverse of ``vector_field``."""
+    """Coordinate images of a vector term dict."""
     images = {}
     for (e, (v,)), c in field.items():
         images.setdefault(v, {})[e] = c
@@ -221,21 +239,29 @@ def images_of(field):
 
 
 def coadjoint_field(L, x):
-    """Fundamental vector field of basis element ``x`` for the coadjoint action."""
-    return vector_field(polyfield.coadjoint_images(L, x))
+    """Fundamental vector field of basis element ``x`` for the coadjoint action.
+
+    The coordinate ``y_j`` goes to the linear polynomial of ``[b_x, b_j]``,
+    read from the structure constants.
+    """
+    return {
+        (termops.unit_exp(L.dim, k), (j,)): c
+        for j in range(L.dim)
+        for k, c in L.struct.get((x, j), {}).items()
+    }
 
 
-def wedge_push(terms, images, nvars):
+def wedge_push(terms, fields, nvars):
     """Sum of ``c * X_i1 ^ ... ^ X_ik`` over tensor terms ``(i1..ik): c``.
 
-    ``X_i`` is the vector field with coordinate images ``images(i)``.
+    ``X_i`` is the vector term dict ``fields(i)``.
     """
     out = {}
     unit = {((0,) * nvars, ()): Fraction(1)}
     for key, c in terms.items():
         prod = unit
         for i in key:
-            prod = smul(prod, vector_field(images(i)))
+            prod = smul(prod, fields(i))
         termops.piadd(out, prod, c)
     return out
 

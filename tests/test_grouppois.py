@@ -28,22 +28,27 @@ def gen(n, v):
     return {tuple(e): F(1)}
 
 
+def applied(L, x, side, p):
+    """The packed entry field of ``x`` on ``side``, applied to the polynomial ``p``."""
+    return termops.kveval(grouppois._entry_field(L, x, side), [p])
+
+
 def test_left_field_of_raising_element(sl2):
     # with x = e the left field sends the first column to zero and the
     # second column entries to the matching first-column entries
     n = sl2.msize
     for i in range(n):
-        assert entry_field(sl2, 1, "left", grouppois.entry(n, i, 0)) == {}
-        assert entry_field(sl2, 1, "left", grouppois.entry(n, i, 1)) == grouppois.entry(
+        assert applied(sl2, 1, "left", grouppois.entry(n, i, 0)) == {}
+        assert applied(sl2, 1, "left", grouppois.entry(n, i, 1)) == grouppois.entry(
             n, i, 0
         )
 
 
 def test_cartan_left_field_diagonal(sl2):
     n = sl2.msize
-    got = entry_field(sl2, 0, "left", grouppois.entry(n, 0, 0))
+    got = applied(sl2, 0, "left", grouppois.entry(n, 0, 0))
     assert got == grouppois.entry(n, 0, 0)
-    got = entry_field(sl2, 0, "left", grouppois.entry(n, 0, 1))
+    got = applied(sl2, 0, "left", grouppois.entry(n, 0, 1))
     assert got == termops.pscale(grouppois.entry(n, 0, 1), F(-1))
 
 
@@ -53,8 +58,8 @@ def test_left_and_right_fields_commute(sl2):
         for y in range(sl2.dim):
             for v in range(n * n):
                 p = gen(n, v)
-                a = entry_field(sl2, x, "left", entry_field(sl2, y, "right", p))
-                b = entry_field(sl2, y, "right", entry_field(sl2, x, "left", p))
+                a = applied(sl2, x, "left", applied(sl2, y, "right", p))
+                b = applied(sl2, y, "right", applied(sl2, x, "left", p))
                 assert a == b
 
 
@@ -234,8 +239,16 @@ def entry_triples():
 @given(element_and_polys(1))
 def test_conjugation_field_is_left_minus_right(case):
     L, x, p = case
-    expected = termops.padd(entry_field(L, x, "left", p), entry_field(L, x, "right", p), F(-1))
-    assert entry_field(L, x, "conjugation", p) == expected
+    expected = termops.padd(applied(L, x, "left", p), applied(L, x, "right", p), F(-1))
+    assert applied(L, x, "conjugation", p) == expected
+
+
+@LAWS
+@given(element_and_polys(1))
+def test_entry_fields_act_as_the_matrix_products(case):
+    L, x, p = case
+    for side in SIDES:
+        assert applied(L, x, side, p) == entry_field(L, x, side, p), side
 
 
 @LAWS
@@ -244,10 +257,10 @@ def test_entry_fields_obey_leibniz_rule(case):
     L, x, p, q = case
     for side in SIDES:
         expected = termops.padd(
-            termops.pmul(entry_field(L, x, side, p), q),
-            termops.pmul(p, entry_field(L, x, side, q)),
+            termops.pmul(applied(L, x, side, p), q),
+            termops.pmul(p, applied(L, x, side, q)),
         )
-        assert entry_field(L, x, side, termops.pmul(p, q)) == expected, side
+        assert applied(L, x, side, termops.pmul(p, q)) == expected, side
 
 
 @LAWS

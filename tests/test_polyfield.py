@@ -400,7 +400,7 @@ def test_scan_sl2(sl2):
     # degree 3 is spanned by Casimir times the linear bivector
     casimir = polyfield.invariant_polynomials(sl2, 2)[0]
     s = polyfield.kirillov_bracket(sl2)
-    cs = termops.smul(termops.pack({(e, ()): c for e, c in casimir.items()}, sl2.dim), s)
+    cs = termops.smul(casimir, s)
     assert polyfield.fields_proportional(polyfield.invariant_field_space(sl2, 2, 3)[0], cs) is not None
 
 

@@ -382,18 +382,15 @@ def _symmetric_table(monkeypatch):
 
 
 def _conjugation_as_sum(monkeypatch):
-    # conjugation images built as left plus right instead of left minus right
-    field_images = grouppois._field_images
+    # the conjugation field built as left plus right instead of left minus right
+    entry_field = grouppois._entry_field
 
     def summed(L, x, side):
         if side != "conjugation":
-            return field_images(L, x, side)
-        images = {u: dict(img) for u, img in field_images(L, x, "left").items()}
-        for u, img in field_images(L, x, "right").items():
-            termops.piadd(images.setdefault(u, {}), img, Fraction(1))
-        return {u: img for u, img in images.items() if img}
+            return entry_field(L, x, side)
+        return termops.padd(entry_field(L, x, "left"), entry_field(L, x, "right"), 1)
 
-    monkeypatch.setattr(grouppois, "_field_images", summed)
+    monkeypatch.setattr(grouppois, "_entry_field", summed)
 
 
 def _halved_jacobiator_factor(monkeypatch):
@@ -526,15 +523,12 @@ def _zero_fault_map(monkeypatch):
 
 
 def _doubled_derivation_table(monkeypatch):
-    # the composed twist route is quadratic in the coadjoint images, so a
-    # negated table cancels out of it; doubled images scale it by four
+    # the composed twist route is quadratic in the coadjoint fields, so a
+    # negated table cancels out of it; doubled fields scale it by four
     derivation_table = termops.derivation_table
 
     def doubled(fields, pack):
-        fields = {
-            w: {v: termops.pscale(p, 2) for v, p in images.items()} for w, images in fields.items()
-        }
-        return derivation_table(fields, pack)
+        return derivation_table({w: termops.pscale(f, 2) for w, f in fields.items()}, pack)
 
     monkeypatch.setattr(termops, "derivation_table", doubled)
 
@@ -545,8 +539,65 @@ def _zero_hamiltonian_rows(monkeypatch):
     monkeypatch.setattr(termops, "hamiltonian_row", lambda table, e, key: {})
 
 
+def _cyb_equals_schouten(monkeypatch):
+    monkeypatch.setattr(multivec, "CYB_FROM_SCHOUTEN", 1)
+
+
+def _shifted_weights(monkeypatch):
+    # every key weighs one more in its first simple-root coordinate
+    weight_of_key = liealg.LieAlgebra.weight_of_key
+
+    def shifted(self, key):
+        w = weight_of_key(self, key)
+        return (w[0] + 1,) + w[1:]
+
+    monkeypatch.setattr(liealg.LieAlgebra, "weight_of_key", shifted)
+
+
+def _every_tensor_zero(monkeypatch):
+    monkeypatch.setattr(multivec.MultiTensor, "is_zero", lambda self: True)
+
+
+def _no_two_tensor_zero(monkeypatch):
+    # a 2-tensor never reads zero; the co-Jacobi defects and the squares
+    # are 3-tensors and keep their test
+    is_zero = multivec.MultiTensor.is_zero
+    monkeypatch.setattr(
+        multivec.MultiTensor, "is_zero", lambda self: self.degree != 2 and is_zero(self)
+    )
+
+
+def _ad_action_gains_a_term(monkeypatch):
+    # the action on 3-tensors gains the term b_0 b_1 b_2
+    ad_action = multivec.ad_action
+
+    def gained(x, tensor):
+        out = ad_action(x, tensor)
+        if tensor.degree != 3:
+            return out
+        extra = multivec.MultiTensor(tensor.algebra, 3, {(0, 1, 2): Fraction(1)}, tensor.symmetry)
+        return out.add(extra)
+
+    monkeypatch.setattr(multivec, "ad_action", gained)
+
+
+def _nonzero_co_jacobi_defect(monkeypatch):
+    monkeypatch.setattr(
+        multivec,
+        "co_jacobi_defect",
+        lambda deltas, x: multivec.MultiTensor(deltas[x].algebra, 3, {(x, x, x): Fraction(1)}),
+    )
+
+
 # (suite, algebras, fault, checks whose status the fault changes)
 FLIPS = [
+    ("cybe", ("A2",), _cyb_equals_schouten, {"cyb-proportional"}),
+    ("cybe", ("A2",), _shifted_weights, {"r-weight-zero"}),
+    ("cybe", ("A2",), _every_tensor_zero, {"phi-alternating"}),
+    ("cybe", ("A2",), _ad_action_gains_a_term, {"phi-invariant"}),
+    ("cobracket", ("A1",), _every_tensor_zero, {"non-invariant-square-detected"}),
+    ("cobracket", ("A1",), _nonzero_co_jacobi_defect, {"co-jacobi"}),
+    ("cobracket", ("A1",), _no_two_tensor_zero, {"cartan-cobracket-zero"}),
     # an unfaithful representation no longer lets the word-leg fault pass
     ("pentagon", ("A1",), _unfaithful_defining, {"faithfulness-guard", "word-leg-fault-detected"}),
     ("pentagon", ("A1",), _unfaithful_adjoint, {"pentagon-adjoint"}),
@@ -660,6 +711,12 @@ def test_every_phi_bracket_check_but_two_has_a_fault():
     }
 
 
+def test_every_cybe_and_cobracket_check_has_a_fault():
+    # A2 and A1 run every check of the two suites
+    assert _uncovered(("cybe",), "A2") == set()
+    assert _uncovered(("cobracket",)) == set()
+
+
 def test_every_star_check_has_a_fault():
     # the suite needs rank >= 2, and A2 runs every check
     assert _uncovered(("star-first-order",), "A2") == set()
@@ -671,6 +728,8 @@ NO_DECODE = [
     ("group-sklyanin", "A3"),
     ("star-first-order", "A2"),
     ("phi-bracket", "A3"),
+    # the degree-3 entry multiplies the Casimir, a packed 0-field
+    ("conjecture-scan", "A1"),
 ]
 
 
@@ -690,6 +749,25 @@ def test_only_a_witness_decodes_a_field(monkeypatch, suite, algebra):
     packed = suites.run_suite(config).to_json()
     monkeypatch.undo()
     assert packed == suites.run_suite(config).to_json()
+
+
+def test_an_action_packs_its_fields_once_per_algebra(monkeypatch):
+    # the coadjoint and entry fields are packed on the first run and read
+    # from the algebra's memo on the second
+    pack = termops.pack
+    calls = []
+
+    def counted(terms, nvars):
+        calls.append(nvars)
+        return pack(terms, nvars)
+
+    monkeypatch.setattr(termops, "pack", counted)
+    for suite in ("ad-bracket", "group-sklyanin", "star-first-order"):
+        config = suites.SuiteConfig(algebra="A2", suite=suite)
+        suites.run_suite(config)
+        calls.clear()
+        suites.run_suite(config)
+        assert calls == [], suite
 
 
 def test_conjecture_scan_fails_at_degree_three_on_a2():

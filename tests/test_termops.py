@@ -390,12 +390,9 @@ def test_packed_smul_matches_the_reference(case):
 
 
 def wedge_cases(nvars):
-    # the coordinate images of four vector fields
+    # four vector fields
     vector_fields = st.dictionaries(
-        st.integers(0, 3),
-        rational_multivectors(nvars, 1).map(oracles.images_of),
-        min_size=4,
-        max_size=4,
+        st.integers(0, 3), rational_multivectors(nvars, 1), min_size=4, max_size=4
     )
     tensor_keys = st.integers(0, 3).flatmap(lambda k: st.tuples(*[st.integers(0, 3)] * k))
     tensors = st.dictionaries(tensor_keys, rationals, max_size=5)
@@ -406,10 +403,11 @@ def wedge_cases(nvars):
 @given(st.sampled_from([NVARS, 16]).flatmap(wedge_cases))
 def test_packed_wedge_push_matches_the_reference(case):
     nvars, fields, terms = case
-    got = termops.unpack(termops.wedge_push(terms, fields.__getitem__, nvars))
+    packed = {i: termops.pack(f, nvars) for i, f in fields.items()}.__getitem__
+    got = termops.unpack(termops.wedge_push(terms, packed, nvars))
     assert got == oracles.wedge_push(terms, fields.__getitem__, nvars) and zero_free(got)
     # f0 ^ f1 + f1 ^ f0 cancels
-    cancelled = termops.wedge_push({(0, 1): F(1, 3), (1, 0): F(1, 3)}, fields.__getitem__, nvars)
+    cancelled = termops.wedge_push({(0, 1): F(1, 3), (1, 0): F(1, 3)}, packed, nvars)
     assert termops.unpack(cancelled) == {}
 
 
@@ -422,9 +420,8 @@ def test_packed_kernels_are_exact_across_field_widths(top):
     assert termops.unpack(termops.smul(pa, pb)) == oracles.smul(a, b) != {}
     assert termops.unpack(termops.sn_bracket(pa, pb)) == oracles.sn_bracket(a, 1, b) != {}
     terms = {(0, 1): F(1, 2), (1, 1, 0): F(4)}
-    fields = {0: oracles.images_of(a), 1: oracles.images_of(b)}.__getitem__
-    pushed = termops.unpack(termops.wedge_push(terms, fields, 2))
-    assert pushed == oracles.wedge_push(terms, fields, 2) != {}
+    pushed = termops.unpack(termops.wedge_push(terms, {0: pa, 1: pb}.__getitem__, 2))
+    assert pushed == oracles.wedge_push(terms, {0: a, 1: b}.__getitem__, 2) != {}
 
 
 def test_packed_exponents_past_64_bits_raise():
@@ -436,11 +433,11 @@ def test_packed_exponents_past_64_bits_raise():
     y0 = termops.pack({((1, 0), ()): F(1)}, 2)
     with pytest.raises(termops.ResourceLimitError):
         termops.smul(top, y0)
+    y0d0 = termops.pack({((1, 0), (0,)): F(1)}, 2)
     with pytest.raises(termops.ResourceLimitError):
-        termops.sn_bracket(top, termops.pack({((1, 0), (0,)): F(1)}, 2))
-    fields = {0: oracles.images_of(top_terms), 1: {0: {(1, 0): F(1)}}}.__getitem__
+        termops.sn_bracket(top, y0d0)
     with pytest.raises(termops.ResourceLimitError):
-        termops.wedge_push({(0, 1): F(1)}, fields, 2)
+        termops.wedge_push({(0, 1): F(1)}, {0: top, 1: y0d0}.__getitem__, 2)
 
 
 # (coordinate count, degree, multivector) with the degree from 1 to 3
@@ -643,17 +640,17 @@ coadjoint_cases = st.sampled_from([SL2, liealg.algebra("A", 2)]).flatmap(
 
 @LAWS
 @given(coadjoint_cases)
-def test_coadjoint_images_apply_as_the_reference_vector_field(case):
+def test_the_coadjoint_field_applies_as_the_reference_vector_field(case):
     L, x, p = case
-    reference = termops.kveval(termops.pack(oracles.coadjoint_field(L, x), L.dim), [p])
-    assert termops.apply_derivation(polyfield.coadjoint_images(L, x), p) == reference
+    reference = termops.apply_derivation(oracles.images_of(oracles.coadjoint_field(L, x)), p)
+    assert termops.kveval(polyfield.coadjoint_field(L, x), [p]) == reference
 
 
-# the two actions of the package, as (image function, coordinate count)
+# the two actions of the package, as (field function, coordinate count)
 ACTIONS = {
-    "coadjoint": lambda L: (functools.partial(polyfield.coadjoint_images, L), L.dim),
+    "coadjoint": lambda L: (functools.partial(polyfield.coadjoint_field, L), L.dim),
     "conjugation": lambda L: (
-        lambda x: grouppois._field_images(L, x, "conjugation"),
+        lambda x: grouppois._entry_field(L, x, "conjugation"),
         L.msize * L.msize,
     ),
 }
@@ -676,7 +673,7 @@ def alternating_tensors(draw):
 def test_the_push_intertwines_the_lie_derivative_with_the_adjoint_action(action, case):
     # L_x (push psi) = push (x . psi), with the sign +1 for both actions
     L, x, psi = case
-    images, n = ACTIONS[action](L)
-    pushed = termops.wedge_push(psi.terms, images, n)
-    moved = termops.wedge_push(multivec.ad_action(x, psi).terms, images, n)
-    assert termops.lie_derivative(images(x), pushed) == moved
+    fields, n = ACTIONS[action](L)
+    pushed = termops.wedge_push(psi.terms, fields, n)
+    moved = termops.wedge_push(multivec.ad_action(x, psi).terms, fields, n)
+    assert termops.sn_bracket(fields(x), pushed) == moved
