@@ -4,11 +4,16 @@ Coordinates on the dual are indexed by the algebra basis; the coadjoint
 vector field of ``x`` sends the coordinate ``y`` to the coordinate of
 ``[x, y]``.  ``coadjoint_field`` packs it once per algebra, and the
 ``termops`` field kernels take it as ``grouppois`` gives them the entry
-fields of conjugation.  A field is a ``termops.PackedField``,
+fields of conjugation.  ``kirillov_bracket`` and
+``gl_transport_quadratic_bracket`` are kept in the algebra's memo too;
+the latter is one ``termops.wedge_push`` of the gl(n) trace-form
+Casimir through left and right multiplication fields, so no polynomial
+product is made here.  A field is a ``termops.PackedField``,
 homogeneous in its number of derivations; sums, scalings, brackets,
 zero tests and comparisons are the ``termops`` kernels, on int
-numerators.  The solver packs its basis once, ``phibar`` builds its
-field packed, an invariant polynomial is a packed 0-field, and
+numerators.  The solver packs its basis once, and its ``(0, q)`` space
+holds the invariant polynomials as packed 0-fields, the unit at
+``q = 0``; ``phibar`` builds its field packed, and
 ``fields_proportional`` and the scan's ``linalg.rank`` read the int
 numerators; no field is decoded here, and the pencil check's degree
 guard reads ``termops.shapes``.  The Schouten-Nijenhuis
@@ -44,8 +49,6 @@ class NoSolutionError(RuntimeError):
 
 def monomials(dim, degree):
     """All exponent tuples of the given total degree (deterministic order)."""
-    if degree == 0:
-        return [tuple([0] * dim)]
     out = []
     for combo in combinations_with_replacement(range(dim), degree):
         e = [0] * dim
@@ -98,16 +101,16 @@ def is_invariant_field(L, P):
 
 
 def kirillov_bracket(L):
-    """Linear bivector whose bracket of coordinates is the Lie bracket."""
-    terms = {}
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            row = L.struct.get((i, j))
-            if not row:
-                continue
-            for k, c in row.items():
-                terms[(termops.unit_exp(L.dim, k), (i, j))] = c
-    return termops.pack(terms, L.dim)
+    """Linear bivector whose bracket of coordinates is the Lie bracket, memoized per algebra."""
+    key = ("kirillov bracket",)
+    if key not in L.memo:
+        terms = {}
+        for i in range(L.dim):
+            for j in range(i + 1, L.dim):
+                for k, c in L.struct.get((i, j), {}).items():
+                    terms[(termops.unit_exp(L.dim, k), (i, j))] = c
+        L.memo[key] = termops.pack(terms, L.dim)
+    return L.memo[key]
 
 
 def rmatrix_bracket(r):
@@ -274,13 +277,6 @@ def solve_equivariant(L, p, q):
     return fields
 
 
-def invariant_polynomials(L, degree):
-    """Basis of invariant homogeneous polynomials of the given degree, as packed 0-fields."""
-    if degree == 0:
-        return (termops.pack({((0,) * L.dim, ()): ONE}, L.dim),)
-    return invariant_field_space(L, 0, degree)
-
-
 # ---------------------------------------------------------------------------
 # the quadratic bracket and its calibration
 
@@ -439,7 +435,7 @@ def invariant_bivector_scan(L, max_degree):
     out = []
     for k in range(1, max_degree + 1):
         fields = invariant_field_space(L, 2, k)
-        inv_polys = invariant_polynomials(L, k - 1)
+        inv_polys = invariant_field_space(L, 0, k - 1)
         multiples = [termops.smul(b, s) for b in inv_polys]
         # scaling a row keeps the rank, so each field's int numerators are its row
         rows = [m.numerators()[0] for m in multiples]
@@ -463,38 +459,31 @@ def invariant_bivector_scan(L, max_degree):
 def gl_transport_quadratic_bracket(L):
     """Quadratic bracket on matrix space from left/right multiplications.
 
-    Built over gl(n) with the trace-form invariant 2-tensor and expressed
-    in the coordinates dual to the algebra basis (so already restricted
-    to the traceless part); proportional to the equivariant-solver
-    generator for type A.
+    The gl(n) trace-form 2-tensor ``sum_{u,v} e_uv (x) e_vu``, pushed
+    (``termops.wedge_push``) through left multiplication by its first
+    leg and right by its second: the field of ``(side, uv)`` sends
+    ``y_a`` to the coordinates of ``e_uv M_a`` or ``M_a e_uv`` in the
+    trace-form dual basis, so restricted to the traceless part.
+    Proportional to the solver's generator for type A; memoized per
+    algebra.
     """
-    n = L.msize
-    dim = L.dim
-    dual = liealg.trace_dual(L.matrices)
+    key = ("gl transport bracket",)
+    if key not in L.memo:
+        dim = L.dim
+        dual = liealg.trace_dual(L.matrices)
 
-    def linear(prod):
-        # the linear coordinate polynomial of a matrix, read through tr(dual[m] .)
-        out = {}
-        for m in range(dim):
-            c = linalg.mat_trace_product(dual[m], prod)
-            if c:
-                out[termops.unit_exp(dim, m)] = c
-        return out
+        def field(leg):
+            side, uv = leg
+            E, terms = {uv: ONE}, {}
+            for a, M in enumerate(L.matrices):
+                prod = linalg.mat_mul(E, M) if side == "left" else linalg.mat_mul(M, E)
+                for m in range(dim):
+                    c = linalg.mat_trace_product(dual[m], prod)
+                    if c:
+                        terms[(termops.unit_exp(dim, m), (a,))] = c
+            return termops.pack(terms, dim)
 
-    # left fields multiply on the right, right fields on the left: the
-    # images of basis element a under e_uv and e_vu, for every (u, v)
-    units = [(u, v) for u in range(n) for v in range(n)]
-    left = [[linear(linalg.mat_mul({uv: ONE}, M)) for uv in units] for M in L.matrices]
-    right = [[linear(linalg.mat_mul(M, {(v, u): ONE})) for u, v in units] for M in L.matrices]
-    terms = {}
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            value = {}
-            for la, rb, lb, ra in zip(left[a], right[b], left[b], right[a]):
-                if la and rb:
-                    termops.piadd(value, termops.pmul(la, rb), ONE)
-                if lb and ra:
-                    termops.piadd(value, termops.pmul(lb, ra), -ONE)
-            for e, c in value.items():
-                terms[(e, (a, b))] = c
-    return termops.pack(terms, dim)
+        units = [(u, v) for u in range(L.msize) for v in range(L.msize)]
+        casimir = {(("left", (u, v)), ("right", (v, u))): ONE for u, v in units}
+        L.memo[key] = termops.wedge_push(casimir, field, dim)
+    return L.memo[key]

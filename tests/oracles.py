@@ -30,6 +30,11 @@ candidate term, as a reference for ``polyfield.solve_equivariant``.
 ``polyfield.phibar`` on exponent tuples with ``termops.pmul``, as
 references for their ``int`` forms.
 
+``transport_bracket`` is the bracket of
+``polyfield.gl_transport_quadratic_bracket`` on exponent tuples, each
+coefficient a sum of ``termops.pmul`` products of linear coordinate
+polynomials, as a reference for its push through packed fields.
+
 ``RowBasis`` decomposes dense vectors over a fixed row basis by an
 augmented ``rref``, and ``realize_by_row_basis`` reads the structure
 constants and Killing form of a matrix realization through it, as a
@@ -565,6 +570,44 @@ def phibar_by_pmul(L):
                         termops.piadd(value, termops.pmul(p12, p3), ONE)
                 for e, v in value.items():
                     terms[(e, (a, b, c))] = v
+    return terms
+
+
+def transport_bracket(L):
+    """Reference: ``polyfield.gl_transport_quadratic_bracket`` as a term dict.
+
+    The coefficient of ``d/dy_a ^ d/dy_b`` is the sum over ``(u, v)`` of
+    ``l_a r_b - l_b r_a``, with ``l_a`` the linear coordinate polynomial
+    of ``e_uv M_a`` and ``r_a`` that of ``M_a e_vu``, both read through
+    the trace-form dual basis and multiplied with ``termops.pmul``.
+    """
+    n = L.msize
+    dim = L.dim
+    dual = liealg.trace_dual(L.matrices)
+
+    def linear(prod):
+        # the linear coordinate polynomial of a matrix, read through tr(dual[m] .)
+        out = {}
+        for m in range(dim):
+            c = linalg.mat_trace_product(dual[m], prod)
+            if c:
+                out[termops.unit_exp(dim, m)] = c
+        return out
+
+    units = [(u, v) for u in range(n) for v in range(n)]
+    left = [[linear(linalg.mat_mul({uv: ONE}, M)) for uv in units] for M in L.matrices]
+    right = [[linear(linalg.mat_mul(M, {(v, u): ONE})) for u, v in units] for M in L.matrices]
+    terms = {}
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            value = {}
+            for la, rb, lb, ra in zip(left[a], right[b], left[b], right[a]):
+                if la and rb:
+                    termops.piadd(value, termops.pmul(la, rb), ONE)
+                if lb and ra:
+                    termops.piadd(value, termops.pmul(lb, ra), -ONE)
+            for e, c in value.items():
+                terms[(e, (a, b))] = c
     return terms
 
 

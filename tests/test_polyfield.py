@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import coadjoint_field, coordinate, phibar_by_pmul, solve_equivariant_by_schouten
+from oracles import (
+    coadjoint_field, coordinate, phibar_by_pmul, solve_equivariant_by_schouten, transport_bracket,
+)
 from qpverify import liealg, linalg, multivec, polyfield, suites, termops
 
 F = Fraction
@@ -343,6 +345,12 @@ def test_gl_transport_matches_solver_generator(sl3):
     assert ratio is not None and ratio != 0
 
 
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4"])
+def test_gl_transport_matches_its_product_oracle(name):
+    L = liealg.algebra(name[0], int(name[1:]))
+    assert polyfield.gl_transport_quadratic_bracket(L) == termops.pack(transport_bracket(L), L.dim)
+
+
 @pytest.mark.parametrize("name", ["A1", "A2", "A3"])
 def test_fields_store_no_zero_value(name):
     # a field is a zero-free term dict: equality of fields and
@@ -398,7 +406,7 @@ def test_scan_sl2(sl2):
     assert dims == [(1, 1, 1), (2, 0, 0), (3, 1, 1)]
     assert all(not e.extras for e in entries)
     # degree 3 is spanned by Casimir times the linear bivector
-    casimir = polyfield.invariant_polynomials(sl2, 2)[0]
+    casimir = polyfield.invariant_field_space(sl2, 0, 2)[0]
     s = polyfield.kirillov_bracket(sl2)
     cs = termops.smul(casimir, s)
     assert polyfield.fields_proportional(polyfield.invariant_field_space(sl2, 2, 3)[0], cs) is not None
@@ -419,6 +427,10 @@ def test_scan_so5_no_quadratic_invariant(so5):
     assert [e.dimension for e in entries] == [1, 0]
 
 
-def test_invariant_polynomial_dims(sl2, sl3):
-    assert [len(polyfield.invariant_polynomials(sl2, k)) for k in range(4)] == [1, 0, 1, 0]
-    assert [len(polyfield.invariant_polynomials(sl3, k)) for k in range(4)] == [1, 0, 1, 1]
+def test_invariant_polynomial_dims(sl2, sl3, so5):
+    assert [len(polyfield.invariant_field_space(sl2, 0, k)) for k in range(4)] == [1, 0, 1, 0]
+    assert [len(polyfield.invariant_field_space(sl3, 0, k)) for k in range(4)] == [1, 0, 1, 1]
+    # degree 0 is the unit, which the scan multiplies the linear bracket by
+    for L in (sl2, sl3, so5):
+        unit = termops.pack({((0,) * L.dim, ()): F(1)}, L.dim)
+        assert polyfield.invariant_field_space(L, 0, 0) == (unit,)

@@ -143,6 +143,17 @@ def test_cold_conjecture_scan_solves_the_quadratic_space_once(monkeypatch):
     assert len(nullspaces) == len(spaces) == len(set(spaces))
 
 
+@pytest.mark.parametrize("algebra", ["A2", "A3"])
+def test_cold_phi_bracket_multiplies_no_polynomials(monkeypatch, algebra):
+    # every field of the suite is a push or a bracket of packed fields,
+    # the transport bracket included
+    monkeypatch.setattr(liealg, "_ALGEBRA_CACHE", {})
+    products = _count_calls(monkeypatch, termops, "pmul")
+    report = suites.run_suite(suites.SuiteConfig(algebra=algebra, suite="phi-bracket"))
+    assert report.aggregate == "pass"
+    assert products == []
+
+
 def test_phibar_sign_fault_fails_with_a_witness(monkeypatch, capsys):
     monkeypatch.setattr(polyfield, "PHIBAR_SIGN", -1)
     code = cli.main(["phi-bracket", "--algebra", "A2", "--format", "json"])
@@ -589,6 +600,68 @@ def _nonzero_co_jacobi_defect(monkeypatch):
     )
 
 
+def _jacobi_fault_not_planted(monkeypatch):
+    # the fault algebra is the algebra itself, whose rewriting is confluent
+    monkeypatch.setattr(quantize, "jacobi_fault_algebra", lambda L: L)
+
+
+def _descents_blind_to_the_last_letter(monkeypatch):
+    # every word of two letters reads irreducible, too many for S^2; the
+    # fault algebra already fails its counts, so its detection holds
+    descents = quantize.RewriteSystem.descents
+    monkeypatch.setattr(
+        quantize.RewriteSystem, "descents", lambda self, word: descents(self, word[:-1])
+    )
+
+
+def _edit_bivector_space(monkeypatch, q, edit):
+    # the invariant bivectors with degree-q coefficients pass through edit
+    space = polyfield.invariant_field_space
+
+    def edited(L, p, k):
+        fields = space(L, p, k)
+        return edit(L, fields) if (p, k) == (2, q) else fields
+
+    monkeypatch.setattr(polyfield, "invariant_field_space", edited)
+
+
+def _no_linear_bivector(monkeypatch):
+    _edit_bivector_space(monkeypatch, 1, lambda L, fields: fields[:-1])
+
+
+def _no_cubic_bivector(monkeypatch):
+    _edit_bivector_space(monkeypatch, 3, lambda L, fields: fields[:-1])
+
+
+def _spurious_quadratic_bivector(monkeypatch):
+    # y_0^2 d/dy_0 ^ d/dy_1 joins the space, outside every invariant
+    # multiple of the linear bracket
+    def spurious(L, fields):
+        return (*fields, termops.pack({((2,) + (0,) * (L.dim - 1), (0, 1)): Fraction(1)}, L.dim))
+
+    _edit_bivector_space(monkeypatch, 2, spurious)
+
+
+def _lost_rank_two_orbit(monkeypatch):
+    # the table stays consistent and keeps every maximal parabolic, but
+    # the count falls one short of the derivation
+    enumerate_good_orbits = orbits.enumerate_good_orbits
+
+    def dropped(rs):
+        data = enumerate_good_orbits(rs)
+        i = next(i for i, d in enumerate(data) if d.orbit_rank == 2)
+        return data[:i] + data[i + 1 :]
+
+    monkeypatch.setattr(orbits, "enumerate_good_orbits", dropped)
+
+
+def _lost_coefficient_one_node(monkeypatch):
+    # D4 without node 4 keeps a consistent table and count, but the
+    # maximal parabolic S = {1, 2, 3} drops out of it
+    ones = rootsys.coefficient_one_nodes
+    monkeypatch.setattr(rootsys, "coefficient_one_nodes", lambda rs: ones(rs) - {4})
+
+
 # (suite, algebras, fault, checks whose status the fault changes)
 FLIPS = [
     ("cybe", ("A2",), _cyb_equals_schouten, {"cyb-proportional"}),
@@ -648,7 +721,30 @@ FLIPS = [
         _same_r_doubled_right,
         {"two-sided-same-r-nonzero-jacobiator"},
     ),
+    ("pbw", ("A1",), _jacobi_fault_not_planted, {"jacobi-fault-detected"}),
+    ("pbw", ("A1",), _descents_blind_to_the_last_letter, {"normal-form-counts"}),
+    ("conjecture-scan", ("A1",), _no_linear_bivector, {"degree-1-multiples-of-linear"}),
+    ("conjecture-scan", ("A1",), _spurious_quadratic_bivector, {"degree-2-multiples-of-linear"}),
+    ("conjecture-scan", ("A1",), _no_cubic_bivector, {"degree-3-multiples-of-linear"}),
+    ("good-orbits", ("D4",), _lost_rank_two_orbit, {"count-matches-derivation"}),
+    ("good-orbits", ("D4",), _lost_coefficient_one_node, {"classification-table"}),
 ]
+
+# (suite, check id) of EXPECTED that no FLIPS row flips, and why
+UNFLIPPABLE = {
+    ("rmatrix-first-order", "counit-legs"): (
+        "every leg that quantize.tensor_to_words builds is a single letter, so "
+        "no fault of the evaluation chain reaches it (ROADMAP item 9)"
+    ),
+    ("phi-bracket", "phi-bracket-identity"): (
+        "it cannot fail once calibrate_scale returns, as the calibration has "
+        "already found phibar == c * [[f0, f0]] (ROADMAP item 9)"
+    ),
+    ("phi-bracket", "equivariant-dimension-one"): (
+        "a failure ends the suite, so no fault keeps the check list that a flip "
+        "compares; test_a_wrong_equivariant_dimension_fails_and_ends_the_suite fails it"
+    ),
+}
 
 
 def _statuses(suite, algebra):
@@ -684,10 +780,16 @@ def _uncovered(suites_to_cover, algebra="A1"):
     return ids - {(suite, check) for suite, _, _, flipped in FLIPS for check in flipped}
 
 
+def test_every_expected_check_has_a_fault_or_a_reason_it_has_none():
+    # reads the benchmark's verdict table and changes nothing in it
+    expected = {(inv[0], check) for inv, checks in EXPECTED.items() for check in checks}
+    flipped = {(suite, check) for suite, _, _, checks in FLIPS for check in checks}
+    assert flipped <= expected
+    assert expected - flipped == UNFLIPPABLE.keys()
+
+
 def test_every_representation_check_but_counit_legs_has_a_fault():
-    # counit-legs cannot flip: every leg that quantize.tensor_to_words
-    # builds is a single letter, so no fault of the evaluation chain
-    # reaches it (ROADMAP item 9)
+    # counit-legs cannot flip (UNFLIPPABLE)
     assert _uncovered(("pentagon", "rmatrix-first-order")) == {
         ("rmatrix-first-order", "counit-legs")
     }
@@ -699,12 +801,8 @@ def test_every_entry_ring_check_has_a_fault():
 
 
 def test_every_phi_bracket_check_but_two_has_a_fault():
-    # the suite needs rank >= 2, and A2 runs every check. Left uncovered:
-    # - phi-bracket-identity cannot fail once calibrate_scale returns, as
-    #   the calibration has already found phibar == c * [[f0, f0]]
-    #   (ROADMAP item 9);
-    # - equivariant-dimension-one ends the suite when it fails, so no fault
-    #   keeps the check list that a flip compares; the next test fails it
+    # the suite needs rank >= 2, and A2 runs every check; the two left
+    # uncovered are in UNFLIPPABLE
     assert _uncovered(("phi-bracket",), "A2") == {
         ("phi-bracket", "phi-bracket-identity"),
         ("phi-bracket", "equivariant-dimension-one"),
@@ -720,6 +818,12 @@ def test_every_cybe_and_cobracket_check_has_a_fault():
 def test_every_star_check_has_a_fault():
     # the suite needs rank >= 2, and A2 runs every check
     assert _uncovered(("star-first-order",), "A2") == set()
+
+
+def test_every_pbw_scan_and_orbit_check_has_a_fault():
+    # A1 runs both pbw checks and scans degrees 1..3; D4 runs both orbit checks
+    assert _uncovered(("pbw", "conjecture-scan")) == set()
+    assert _uncovered(("good-orbits",), "D4") == set()
 
 
 # (suite, algebra) pairs that run every check with no witness to decode
@@ -752,22 +856,24 @@ def test_only_a_witness_decodes_a_field(monkeypatch, suite, algebra):
 
 
 def test_an_action_packs_its_fields_once_per_algebra(monkeypatch):
-    # the coadjoint and entry fields are packed on the first run and read
-    # from the algebra's memo on the second
-    pack = termops.pack
-    calls = []
-
-    def counted(terms, nvars):
-        calls.append(nvars)
-        return pack(terms, nvars)
-
-    monkeypatch.setattr(termops, "pack", counted)
-    for suite in ("ad-bracket", "group-sklyanin", "star-first-order"):
-        config = suites.SuiteConfig(algebra="A2", suite=suite)
+    # the coadjoint and entry fields, the Kirillov and transport brackets
+    # and the invariant polynomials, the unit among them, are packed on the
+    # first run and read from the algebra's memo on the second
+    calls = _count_calls(monkeypatch, termops, "pack")
+    for suite, algebra, degree in [
+        ("ad-bracket", "A2", None),
+        ("group-sklyanin", "A2", None),
+        ("star-first-order", "A2", None),
+        ("phi-bracket", "A2", None),
+        ("phi-bracket", "A3", None),
+        ("conjecture-scan", "A1", 3),
+        ("conjecture-scan", "A2", 3),
+    ]:
+        config = suites.SuiteConfig(algebra=algebra, suite=suite, degree=degree)
         suites.run_suite(config)
         calls.clear()
         suites.run_suite(config)
-        assert calls == [], suite
+        assert calls == [], (suite, algebra)
 
 
 def test_conjecture_scan_fails_at_degree_three_on_a2():
@@ -832,10 +938,7 @@ def test_a_flipped_orbit_class_fails_only_the_classification_table(monkeypatch, 
 
 
 def test_a_lost_coefficient_one_node_fails_only_the_classification_table(monkeypatch):
-    # D4 without node 4 keeps a consistent table and count, but the
-    # maximal parabolic S = {1, 2, 3} drops out of it
-    ones = rootsys.coefficient_one_nodes
-    monkeypatch.setattr(rootsys, "coefficient_one_nodes", lambda rs: ones(rs) - {4})
+    _lost_coefficient_one_node(monkeypatch)
     report = suites.run_suite(suites.SuiteConfig(algebra="D4", suite="good-orbits"))
     checks = {c.id: c for c in report.checks}
     assert {i for i, c in checks.items() if c.status == "fail"} == {"classification-table"}
