@@ -10,9 +10,10 @@ translations and the two kinds commute.
 
 Each bracket is a bivector field, built in one ``termops.wedge_push``
 of a 2-tensor through the entry fields, which ``_entry_field`` packs
-once per algebra, and stored as a ``termops.PackedField``.  Its
-generator table, the values on entry pairs, is decoded for the first
-single bracket, which it evaluates by the Leibniz rule.  Identities
+once per algebra, and stored as a ``termops.PackedField``.  A single
+bracket of two polynomials is ``termops.table_bracket``: packed
+Hamiltonian rows applied by the Leibniz rule, as in the scans of
+``quantize``; the field itself is never decoded.  Identities
 between brackets are packed fields, computed with the ``termops`` field
 kernels that ``polyfield`` calls with the coadjoint fields; the suites
 test and compare them packed.
@@ -24,12 +25,10 @@ constructions still make sense as derivation tables, but the Jacobi
 identities would only hold modulo the isotropy ideal of the subgroup.
 """
 
-import functools
 import itertools
-import warnings
 from fractions import Fraction
 
-from . import liealg, multivec, termops
+from . import liealg, termops
 
 ONE = Fraction(1)
 
@@ -98,36 +97,22 @@ class GroupBivector:
     def __init__(self, terms):
         self.terms = terms
 
-    @functools.cached_property
-    def table(self):
-        # values on entry pairs, antisymmetric by construction, decoded
-        return termops.bivector_table(self.terms)
-
     def bracket(self, p, q):
-        return termops.table_bracket(self.table, p, q)
+        return termops.table_bracket(self.terms, p, q)
 
 
 def build_two_sided_bracket(L, r1, r2):
     """Bracket pushed from left fields of r1 plus right fields of r2.
 
-    The compatibility condition (equal Schouten squares of the two
-    tensors) is checked and reported as a warning when violated; the
-    bracket is still produced, which is how a non-Poisson witness is
-    exhibited.
+    The compatibility condition, equal Schouten squares of the two
+    tensors, is not checked: a bracket that violates it is still
+    produced, which is how a non-Poisson witness is exhibited.
     """
     for r in (r1, r2):
         if r.algebra is not L:
             raise RealizationMismatch("tensor built over a different algebra")
         if r.degree != 2 or r.symmetry != "alternating":
             raise ValueError("r-matrix inputs must be alternating 2-tensors")
-    sq1 = multivec.algebraic_schouten(r1, r1)
-    sq2 = multivec.algebraic_schouten(r2, r2)
-    if sq1 != sq2:
-        warnings.warn(
-            "the two tensors have different Schouten squares; "
-            "the bracket need not be Poisson",
-            stacklevel=2,
-        )
     terms = {((a, "left"), (b, "left")): c for (a, b), c in r1.terms.items()}
     terms.update({((a, "right"), (b, "right")): c for (a, b), c in r2.terms.items()})
     return _pushed_bivector(L, terms)

@@ -188,33 +188,47 @@ class LieAlgebra:
 
 
 def trace_dual(matrices):
-    """Dual basis of sparse matrices under the trace form, or ``None``.
+    """Coordinates in a basis of sparse matrices, read through the trace form.
 
-    ``dual[m] = sum_j ginv[m][j] M_j`` with ``ginv`` the inverse of the
-    gram matrix ``tr(M_i M_j)``, so ``tr(dual[m] M_k)`` is 1 at ``m = k``
-    and 0 elsewhere, and ``tr(dual[m] A)`` is the ``M_m`` coordinate of
-    any ``A`` in the span.  ``None`` when the gram matrix is singular: the
-    matrices are dependent or the trace form degenerates on their span.
+    Returns ``coordinates(A)``, the ``{m: c}`` of ``c = tr(dual[m] A)`` in
+    ascending ``m`` with zeros dropped, where ``dual[m] = sum_j ginv[m][j]
+    M_j`` with ``ginv`` the inverse of the gram matrix ``tr(M_i M_j)``: so
+    ``coordinates(M_k)`` is ``{k: 1}``, and ``coordinates(A)`` holds the
+    ``M_m`` coordinates of any ``A`` in the span.  A map from each entry
+    ``(r, c)`` to the nonzero ``dual[m][(c, r)]`` is built once, so a read
+    costs the nonzeros of ``A``.  ``None`` when the gram matrix is
+    singular: the matrices are dependent or the trace form degenerates on
+    their span.
     """
     gram = [[linalg.mat_trace_product(a, b) for b in matrices] for a in matrices]
     ginv = linalg.invert_dense(gram)
     if ginv is None:
         return None
-    dual = []
-    for row in ginv:
-        acc = {}
+    by_entry = {}
+    for m, row in enumerate(ginv):
+        dual = {}
         for M, c in zip(matrices, row):
-            termops.piadd(acc, M, c)
-        dual.append(acc)
-    return dual
+            termops.piadd(dual, M, c)
+        for (r, c), v in dual.items():
+            by_entry.setdefault((c, r), []).append((m, v))
+
+    def coordinates(A):
+        out = {}
+        for key, a in A.items():
+            for m, v in by_entry.get(key, ()):
+                termops.siadd(out, m, v * a)
+        return dict(sorted(out.items()))
+
+    return coordinates
 
 
 def realize_classical(rs):
     """Matrix realization of a classical root system (types A, B, C, D).
 
     Structure constants are read through the trace-form dual basis
-    (``trace_dual``); each commutator is rebuilt from its coordinates,
-    so one outside the span of the basis matrices is refused.
+    (``trace_dual``), each row in ascending index order; each commutator
+    is rebuilt from its coordinates, so one outside the span of the
+    basis matrices is refused.
     """
     if rs.series not in ("A", "B", "C", "D"):
         raise UnsupportedTypeError(
@@ -235,19 +249,15 @@ def realize_classical(rs):
         weights.append(tuple(-b for b in beta))
         matrices.append(root_mats[tuple(-b for b in beta)])
 
-    dual = trace_dual(matrices)
-    if dual is None:
+    coordinates = trace_dual(matrices)
+    if coordinates is None:
         raise AssertionError("trace form degenerate on the realization")
     dim = len(matrices)
     struct = {}
     for i in range(dim):
         for j in range(i + 1, dim):
             comm = linalg.mat_commutator(matrices[i], matrices[j])
-            row = {}
-            for k in range(dim):
-                c = linalg.mat_trace_product(dual[k], comm)
-                if c:
-                    row[k] = c
+            row = coordinates(comm)
             rebuilt = {}
             for k, c in row.items():
                 termops.piadd(rebuilt, matrices[k], c)

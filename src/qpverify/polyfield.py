@@ -470,17 +470,15 @@ def gl_transport_quadratic_bracket(L):
     key = ("gl transport bracket",)
     if key not in L.memo:
         dim = L.dim
-        dual = liealg.trace_dual(L.matrices)
+        coordinates = liealg.trace_dual(L.matrices)
 
         def field(leg):
             side, uv = leg
             E, terms = {uv: ONE}, {}
             for a, M in enumerate(L.matrices):
                 prod = linalg.mat_mul(E, M) if side == "left" else linalg.mat_mul(M, E)
-                for m in range(dim):
-                    c = linalg.mat_trace_product(dual[m], prod)
-                    if c:
-                        terms[(termops.unit_exp(dim, m), (a,))] = c
+                for m, c in coordinates(prod).items():
+                    terms[(termops.unit_exp(dim, m), (a,))] = c
             return termops.pack(terms, dim)
 
         units = [(u, v) for u in range(L.msize) for v in range(L.msize)]

@@ -1,14 +1,14 @@
 """Leading-order quantization checks.
 
 First-order star products are biderivations attached to bivector fields
-on the dual space, packed fields as in ``polyfield``; a product decodes
-its bivector into a ``Fraction`` generator table only for its first
-single product, which no scan makes.  Their equivariance under the
-deformed coproduct is an exact identity of derivations, checked on one
-packed Hamiltonian row (``termops.hamiltonian_row``) per left monomial
-rather than at each monomial pair; the Hochschild and twist scans build
-their rows the same way, with no ``Fraction`` but a witness's.  The
-scans take the coadjoint fields packed, as ``polyfield.coadjoint_field``
+on the dual space, packed fields as in ``polyfield``; a single product
+is ``termops.table_bracket`` of its bivector, and no scan makes one.
+Their equivariance under the deformed coproduct is an exact identity of
+derivations, checked on one packed Hamiltonian row
+(``termops.hamiltonian_row``) per left monomial rather than at each
+monomial pair; the Hochschild and twist scans build their rows the same
+way, and the Hochschild scan applies them (``termops.apply_row``), with
+no ``Fraction`` but a witness's.  The scans take the coadjoint fields packed, as ``polyfield.coadjoint_field``
 keeps them: the invariance scan's Lie derivative is one
 ``termops.sn_bracket``, and the twist scan reads the fields through
 ``termops.derivation_table``.  The symmetric-algebra
@@ -59,8 +59,8 @@ class FirstOrderProduct:
     On monomials ``a`` and ``b`` it is homogeneous of degree ``|a| + |b|``;
     a bracket that lowers degree has no well-defined truncation.  The
     scans build packed Hamiltonian rows from ``bivector``
-    (``termops.row_table``); a single product reads the ``Fraction``
-    generator table, built on the first one.
+    (``termops.row_table``), and so does a single product
+    (``termops.table_bracket``).
     """
 
     def __init__(self, bivector, label):
@@ -69,12 +69,8 @@ class FirstOrderProduct:
         self.bivector = bivector
         self.label = label
 
-    @functools.cached_property
-    def table(self):
-        return termops.bivector_table(self.bivector)
-
     def __call__(self, a, b):
-        return termops.table_bracket(self.table, a, b)
+        return termops.table_bracket(self.bivector, a, b)
 
 
 def standard_first_order_product(f_field, r_tensor):
@@ -121,23 +117,26 @@ def first_order_invariance_check(m1, r, d):
     return True, {"product": m1.label, "degree": d, "pairs": math.comb(L.dim + d, d) ** 2}
 
 
-def _pair_values(m1, pack, dim):
+def _pair_values(m1, pack, unpack, dim):
     """Packed values of ``m1`` on pairs of unit monomials, and their denominator.
 
-    Returns ``(value, den)``: ``value(ea, eb)`` is ``m1(y^ea, y^eb)`` as a
-    dict from packed monomials to numerators over ``den``, for monomials
-    in ``dim`` coordinates.  A ``FirstOrderProduct`` builds one packed
-    Hamiltonian row per left monomial from its packed bivector
-    (``termops.hamiltonian_row``), with int numerators over the
-    bivector's one denominator, and applies it to ``y^eb`` by the
-    Leibniz rule.  Any other bilinear map is called on the unit
-    polynomials and keeps its ``Fraction`` coefficients over 1; a value
-    of degree above ``|ea| + |eb|`` raises ``ValueError``, as the scan's
-    packed fields hold its degree bound only.
+    Returns ``(value, den)``: ``value(ea, kb)`` is ``m1(y^ea, y^eb)`` for
+    the monomial ``y^eb`` packed as ``kb`` by the ``monomial_codec`` pair
+    ``pack``, ``unpack``, as a dict from packed monomials to numerators
+    over ``den``, for monomials in ``dim`` coordinates.  A
+    ``FirstOrderProduct`` builds one packed Hamiltonian row per left
+    monomial from its packed bivector (``termops.hamiltonian_row``), with
+    int numerators over the bivector's one denominator, and applies it
+    to ``y^eb`` by the Leibniz rule (``termops.apply_row``).  Any other
+    bilinear map is called on the unit polynomials and keeps its
+    ``Fraction`` coefficients over 1; a value of degree above
+    ``|ea| + |eb|`` raises ``ValueError``, as the scan's packed fields
+    hold its degree bound only.
     """
     if not isinstance(m1, FirstOrderProduct):
 
-        def value(ea, eb):
+        def value(ea, kb):
+            eb = unpack(kb)
             out = {}
             for e, c in m1({ea: ONE}, {eb: ONE}).items():
                 if sum(e) > sum(ea) + sum(eb):
@@ -151,22 +150,11 @@ def _pair_values(m1, pack, dim):
     units = [pack(termops.unit_exp(dim, v)) for v in range(dim)]
     rows = {}
 
-    def value(ea, eb):
+    def value(ea, kb):
         row = rows.get(ea)
         if row is None:
-            row = rows[ea] = list(termops.hamiltonian_row(table, ea, pack(ea)).items())
-        kb = pack(eb)
-        out = {}
-        get = out.get
-        # m1(a, b) = sum_v (d b / d y_v) * img_v
-        for v, img in row:
-            bv = eb[v]
-            if bv:
-                shift = kb - units[v]
-                for k, c in img.items():
-                    k += shift
-                    out[k] = get(k, 0) + bv * c
-        return {k: c for k, c in out.items() if c}
+            row = rows[ea] = termops.hamiltonian_row(table, ea, pack(ea))
+        return termops.apply_row(row, unpack(kb), kb, units)
 
     return value, den
 
@@ -214,14 +202,14 @@ def hochschild_cocycle_check(L, d, m1):
             for dc in range(1, d - da - db + 1):
                 patterns.append((da, db, dc))
     pack, unpack = termops.monomial_codec(L.dim, d)
-    value, den = _pair_values(m1, pack, L.dim)
+    value, den = _pair_values(m1, pack, unpack, L.dim)
     # left packed monomial -> its _PairValues; ``intern`` keeps one int
     # object per packed monomial the caches hold
     values = {}
     intern = {}.setdefault
 
     def m1_mono(vals, kb):
-        packed = value(vals.left, unpack(kb))
+        packed = value(vals.left, kb)
         val = vals[intern(kb, kb)] = tuple(
             itertools.chain.from_iterable(zip(map(intern, packed, packed), packed.values()))
         )

@@ -27,15 +27,14 @@ solver, ``phibar``, the action fields and the pushes through every
 bracket, sum and comparison.  ``pack`` builds a field from a
 tuple-keyed ``Fraction`` term dict ``{(exponents, derivations): c}``,
 with ``derivations`` a strictly ascending index tuple, and ``unpack``
-decodes one, for a witness or for the ``Fraction`` table of a single
-bracket only; ``shapes`` reads the ``(monomial degree, derivations)``
-of the terms, for degree guards and for the derivation triples a
-report names.  An exponent that could pass the packed width raises
-``ResourceLimitError``.  ``monomial_codec`` packs monomials alone: at
-``field_top`` it gives the monomials of the fields (``phibar`` builds
-its field from them with ``pack_monomials``), and at a smaller bound
-it serves the order-one scans of ``quantize``, which decode only a
-failing row or coboundary.
+decodes one, for a witness only; ``shapes`` reads the ``(monomial
+degree, derivations)`` of the terms, for degree guards and for the
+derivation triples a report names.  An exponent that could pass the
+packed width raises ``ResourceLimitError``.  ``monomial_codec`` packs
+monomials alone: at ``field_top`` it gives the monomials of the fields
+(``phibar`` builds its field from them with ``pack_monomials``), and at
+a smaller bound it serves the order-one scans of ``quantize``, which
+decode only a failing row or coboundary.
 
 Fixing the first argument of a biderivation gives a derivation, its
 Hamiltonian field, given by its images of the coordinates: its row.
@@ -44,17 +43,15 @@ Hamiltonian field, given by its images of the coordinates: its row.
 slot, and ``hamiltonian_row`` builds the row of one monomial from it
 with int numerators over the field's denominator; ``derivation_table``
 gives vector fields the same table, whose row of a monomial holds its
-image under each field.  Every scan reads these.  Single brackets,
-which build their table on first use, and test references use the
-``Fraction`` path: ``table_bracket`` evaluates a biderivation on two
-polynomials from a tuple-keyed generator table (``bivector_table``),
-applying the row of its first argument (``table_row``) to the second
-with ``apply_derivation``.  An action is given by its packed vector
-fields, one per basis element, for the coadjoint action and for
-conjugation alike: ``wedge_push`` pushes a tensor through them, and the
-Lie derivative along one is its ``sn_bracket``.  ``kveval``,
-``bivector_eval`` and ``ptruncate`` are reference evaluators for tests
-and tracing only.
+image under each field.  ``apply_row`` applies a row to a monomial by
+the Leibniz rule.  Every scan reads these, and so does the one
+evaluator of a single bracket, ``table_bracket``, which keeps the row
+table of its field in the field's own packing and decodes only its
+value.  An action is given by its packed vector fields, one per basis
+element, for the coadjoint action and for conjugation alike:
+``wedge_push`` pushes a tensor through them, and the Lie derivative
+along one is its ``sn_bracket``.  ``kveval``, ``bivector_eval`` and
+``ptruncate`` are reference evaluators for tests and tracing only.
 
 Kernels call one another through this module's globals, so a wrapper
 set on a module attribute sees every call, from inside or outside.
@@ -71,8 +68,6 @@ import types
 from fractions import Fraction
 
 BACKEND = "pure"
-
-_ONE = Fraction(1)
 
 
 class ResourceLimitError(RuntimeError):
@@ -193,20 +188,6 @@ def ptruncate(a, degree):
     return {k: c for k, c in a.items() if sum(k) <= degree}
 
 
-def apply_derivation(images, p):
-    """Derivation given by its coordinate images, applied to a polynomial.
-
-    ``images`` maps a coordinate index ``v`` to the image of ``y_v``; the
-    result is ``sum_v dp/dv * images[v]``.
-    """
-    out = {}
-    for v, img in images.items():
-        dv = pderive(p, v)
-        if dv:
-            piadd(out, pmul(dv, img), _ONE)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # packed polyvector fields
 #
@@ -291,15 +272,16 @@ class PackedField:
     integer arithmetic outside this module.
     """
 
-    __slots__ = ("_nums", "_den", "_nvars", "_top", "_partials", "_slots")
+    __slots__ = ("_nums", "_den", "_nvars", "_top", "_partials", "_slots", "_rows")
 
     def __init__(self, nums, den, nvars, top):
         self._nums = nums  # packed key -> nonzero int numerator
         self._den = den  # positive int
         self._nvars = nvars
         self._top = top  # bound on every exponent
-        # the derivative tables of sn_bracket, each built on first use
-        self._partials = self._slots = None
+        # the derivative tables of sn_bracket and the row table of
+        # table_bracket, each built on first use
+        self._partials = self._slots = self._rows = None
 
     def __bool__(self):
         return bool(self._nums)
@@ -636,54 +618,6 @@ def kveval(field, polys):
     return out
 
 
-def bivector_table(field):
-    """Generator table of a packed bivector field, decoded.
-
-    A term ``c * y^e * d/dy_i ^ d/dy_j`` with ``i < j`` puts ``c * y^e``
-    at ``(i, j)`` and ``-c * y^e`` at ``(j, i)``.
-    """
-    table = {}
-    for (e, (i, j)), c in unpack(field).items():
-        table.setdefault((i, j), {})[e] = c
-        table.setdefault((j, i), {})[e] = -c
-    return table
-
-
-def bivector_eval(field, f, g):
-    """Bracket of two polynomials under a packed bivector field."""
-    return table_bracket(bivector_table(field), f, g)
-
-
-def table_row(table, p):
-    """Hamiltonian images of a polynomial under a generator table.
-
-    ``table`` maps ordered coordinate pairs ``(u, v)`` to polynomial
-    values of a bracket on the corresponding coordinates.  The row maps
-    each ``v`` to ``{p, y_v} = sum_u T[u, v] * dp/du``, in ascending
-    ``v`` with zero images dropped; by the Leibniz rule in the second
-    slot, ``apply_derivation`` of the row to ``q`` is ``{p, q}``.
-    """
-    images = {}
-    partials = {}
-    for (u, v), val in table.items():
-        du = partials.get(u)
-        if du is None:
-            du = partials[u] = pderive(p, u)
-        if du:
-            piadd(images.setdefault(v, {}), pmul(du, val), _ONE)
-    return {v: images[v] for v in sorted(images) if images[v]}
-
-
-def table_bracket(table, p, q):
-    """Bracket of two polynomials from a generator table.
-
-    The bracket extends from coordinates to polynomials by the Leibniz
-    rule, ``{p, q} = sum T[u, v] * dp/du * dq/dv``: the Hamiltonian row
-    of ``p`` applied to ``q``.
-    """
-    return apply_derivation(table_row(table, p), q)
-
-
 def _row_table(entries, pack):
     """Row table of the terms ``(u, v, exponents, numerator)`` of ``T[u, v]``.
 
@@ -749,8 +683,7 @@ def hamiltonian_row(table, e, key):
     each ``v`` to ``sum_u e[u] * T[u, v] * y^e / y_u``: the image
     ``{y^e, y_v}`` under a bivector, ``X_v(y^e)`` under vector fields.
     Images are int numerators over the table's denominator, keyed by
-    packed monomials, in ascending ``v`` with zero images dropped, as
-    ``table_row`` gives them on ``Fraction`` coefficients.
+    packed monomials, in ascending ``v`` with zero images dropped.
     """
     row = {}
     for u, entries in table.items():
@@ -768,3 +701,66 @@ def hamiltonian_row(table, e, key):
         if img:
             out[v] = img
     return out
+
+
+def apply_row(row, e, key, units):
+    """Hamiltonian row applied to the monomial ``y^e``, packed as ``key``.
+
+    By the Leibniz rule the value is ``sum_v e[v] * row[v] * y^e / y_v``:
+    under a bivector, ``{p, y^e}`` for the ``p`` whose row it is.
+    ``units[v]`` is the packed ``y_v``; the value maps packed monomials
+    to nonzero int numerators over the row's denominator.
+    """
+    out = {}
+    get = out.get
+    for v, img in row.items():
+        ev = e[v]
+        if ev:
+            shift = key - units[v]
+            for k, c in img.items():
+                k += shift
+                out[k] = get(k, 0) + ev * c
+    return {k: c for k, c in out.items() if c}
+
+
+def _numerators(p):
+    """``(terms, den)``: a ``Fraction`` polynomial as int numerators over one denominator."""
+    den = math.lcm(*(c.denominator for c in p.values()))
+    return [(e, c.numerator * (den // c.denominator)) for e, c in p.items()], den
+
+
+def table_bracket(field, p, q):
+    """Bracket of two polynomials under a packed bivector field.
+
+    By the Leibniz rule in both slots, ``{p, q}`` is the Hamiltonian row
+    of each monomial of ``p`` (``hamiltonian_row``) applied to each
+    monomial of ``q`` (``apply_row``), on int numerators.  The row table
+    is built in the field's own monomial packing on its first bracket
+    and kept with the field; only the value is decoded.  A value whose
+    exponents could pass the packed width raises ``ResourceLimitError``.
+    """
+    nvars = field._nvars
+    _fits(max(map(max, p), default=0) + field._top + max(map(max, q), default=0), nvars)
+    if field._rows is None:
+        pack, unpack = monomial_codec(nvars, field_top(nvars))
+        units = [pack(unit_exp(nvars, v)) for v in range(nvars)]
+        field._rows = row_table(field, pack)[0], pack, unpack, units
+    table, pack, unpack, units = field._rows
+    left, pden = _numerators(p)
+    right, qden = _numerators(q)
+    right = [(e, pack(e), c) for e, c in right]
+    acc = {}
+    get = acc.get
+    for ea, ca in left:
+        row = hamiltonian_row(table, ea, pack(ea))
+        for eb, kb, cb in right:
+            c = ca * cb
+            for k, n in apply_row(row, eb, kb, units).items():
+                acc[k] = get(k, 0) + c * n
+    den = field._den * pden * qden
+    return {unpack(k): Fraction(c, den) for k, c in acc.items() if c}
+
+
+def bivector_eval(field, f, g):
+    """Bracket of two polynomials under a packed bivector field, ``table_bracket``."""
+    return table_bracket(field, f, g)

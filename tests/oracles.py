@@ -13,6 +13,12 @@ bracket builders of ``grouppois``.
 ``by_derivations`` regroups a packed field, decoded, by derivation
 tuple, the shape of those references for the entry-ring identities.
 
+``bivector_table``, ``table_row``, ``apply_derivation`` and
+``table_bracket`` evaluate a biderivation on two polynomials from a
+tuple-keyed ``Fraction`` generator table, with ``termops.pderive`` and
+``pmul``, as references for the packed Hamiltonian rows of
+``termops.table_bracket``.
+
 ``merge_ders``, ``smul``, ``wedge_push``, ``sn_bracket`` and
 ``fields_proportional`` are the polyvector kernels on exponent and
 derivation tuples with ``Fraction`` coefficients, as references for the
@@ -33,7 +39,8 @@ references for their ``int`` forms.
 ``transport_bracket`` is the bracket of
 ``polyfield.gl_transport_quadratic_bracket`` on exponent tuples, each
 coefficient a sum of ``termops.pmul`` products of linear coordinate
-polynomials, as a reference for its push through packed fields.
+polynomials read through dense dual matrices, as a reference for its
+push through packed fields and the sparse reads of ``liealg.trace_dual``.
 
 ``RowBasis`` decomposes dense vectors over a fixed row basis by an
 augmented ``rref``, and ``realize_by_row_basis`` reads the structure
@@ -137,7 +144,7 @@ def entry_images(L, x, side):
 
 def entry_field(L, x, side, p):
     """Entry field of basis element ``x`` on ``side`` applied to the polynomial ``p``."""
-    return termops.apply_derivation(entry_images(L, x, side), p)
+    return apply_derivation(entry_images(L, x, side), p)
 
 
 def pushed_table(L, legs):
@@ -171,6 +178,63 @@ def by_derivations(field):
     for (e, d), c in termops.unpack(field).items():
         out.setdefault(d, {})[e] = c
     return out
+
+
+def apply_derivation(images, p):
+    """Derivation given by its coordinate images, applied to a polynomial.
+
+    ``images`` maps a coordinate index ``v`` to the image of ``y_v``; the
+    result is ``sum_v dp/dv * images[v]``.
+    """
+    out = {}
+    for v, img in images.items():
+        dv = termops.pderive(p, v)
+        if dv:
+            termops.piadd(out, termops.pmul(dv, img), ONE)
+    return out
+
+
+def bivector_table(field):
+    """Generator table of a packed bivector field, decoded.
+
+    A term ``c * y^e * d/dy_i ^ d/dy_j`` with ``i < j`` puts ``c * y^e``
+    at ``(i, j)`` and ``-c * y^e`` at ``(j, i)``.
+    """
+    table = {}
+    for (e, (i, j)), c in termops.unpack(field).items():
+        table.setdefault((i, j), {})[e] = c
+        table.setdefault((j, i), {})[e] = -c
+    return table
+
+
+def table_row(table, p):
+    """Hamiltonian images of a polynomial under a generator table.
+
+    ``table`` maps ordered coordinate pairs ``(u, v)`` to polynomial
+    values of a bracket on the corresponding coordinates.  The row maps
+    each ``v`` to ``{p, y_v} = sum_u T[u, v] * dp/du``, in ascending
+    ``v`` with zero images dropped; by the Leibniz rule in the second
+    slot, ``apply_derivation`` of the row to ``q`` is ``{p, q}``.
+    """
+    images = {}
+    partials = {}
+    for (u, v), val in table.items():
+        du = partials.get(u)
+        if du is None:
+            du = partials[u] = termops.pderive(p, u)
+        if du:
+            termops.piadd(images.setdefault(v, {}), termops.pmul(du, val), ONE)
+    return {v: images[v] for v in sorted(images) if images[v]}
+
+
+def table_bracket(table, p, q):
+    """Bracket of two polynomials from a generator table.
+
+    The bracket extends from coordinates to polynomials by the Leibniz
+    rule, ``{p, q} = sum T[u, v] * dp/du * dq/dv``: the Hamiltonian row
+    of ``p`` applied to ``q``.
+    """
+    return apply_derivation(table_row(table, p), q)
 
 
 def merge_ders(d1, d2):
@@ -579,11 +643,17 @@ def transport_bracket(L):
     The coefficient of ``d/dy_a ^ d/dy_b`` is the sum over ``(u, v)`` of
     ``l_a r_b - l_b r_a``, with ``l_a`` the linear coordinate polynomial
     of ``e_uv M_a`` and ``r_a`` that of ``M_a e_vu``, both read through
-    the trace-form dual basis and multiplied with ``termops.pmul``.
+    the trace-form dual basis and multiplied with ``termops.pmul``.  The
+    dual matrices are built here, from the inverse of the gram matrix.
     """
     n = L.msize
     dim = L.dim
-    dual = liealg.trace_dual(L.matrices)
+    gram = [[linalg.mat_trace_product(a, b) for b in L.matrices] for a in L.matrices]
+    dual = []
+    for row in linalg.invert_dense(gram):
+        dual.append({})
+        for M, c in zip(L.matrices, row):
+            termops.piadd(dual[-1], M, c)
 
     def linear(prod):
         # the linear coordinate polynomial of a matrix, read through tr(dual[m] .)
@@ -733,14 +803,14 @@ def pairwise_twist_witness(L, d, r, rm):
     total degree at most ``d``.
     """
     act = _coadjoint_action(L)
-    table = termops.bivector_table(rm)
+    table = bivector_table(rm)
     for ea, eb in _pairs_upto(L, d):
         pa, pb = {ea: Fraction(1)}, {eb: Fraction(1)}
         composed = {}
         for (u, v), c in r.plain_items():
             termops.piadd(composed, termops.pmul(act(u, pa), act(v, pb)), c / 2)
             termops.piadd(composed, termops.pmul(act(u, pb), act(v, pa)), -c / 2)
-        field = termops.table_bracket(table, pa, pb)
+        field = table_bracket(table, pa, pb)
         if composed != field:
             return {"a": ea, "b": eb, "composed": composed, "field": field}
     return None

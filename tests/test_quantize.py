@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    bivector_table,
     coordinate,
     doubled_smallest_term,
     factorization_relations,
@@ -18,6 +19,7 @@ from oracles import (
     pairwise_twist_witness,
     pentagon_total,
     primitive_coproduct,
+    table_row,
     two_fold,
 )
 from qpverify import liealg, multivec, polyfield, quantize, termops
@@ -102,10 +104,10 @@ def test_invariance_scan_builds_one_row_per_left_monomial(sl3_product, monkeypat
     m1 = quantize.standard_first_order_product(f, ct.r_sd)
     tables = []
     rows = []
-    derivations = []
+    applied = []
     row_table = termops.row_table
     hamiltonian_row = termops.hamiltonian_row
-    apply_derivation = termops.apply_derivation
+    apply_row = termops.apply_row
 
     def counted_table(field, pack):
         table, den = row_table(field, pack)
@@ -116,21 +118,21 @@ def test_invariance_scan_builds_one_row_per_left_monomial(sl3_product, monkeypat
         rows.append((table, e))
         return hamiltonian_row(table, e, key)
 
-    def counted_derivation(images, p):
-        derivations.append(tuple(p))
-        return apply_derivation(images, p)
+    def counted_apply(row, e, key, units):
+        applied.append(e)
+        return apply_row(row, e, key, units)
 
     monkeypatch.setattr(termops, "row_table", counted_table)
     monkeypatch.setattr(termops, "hamiltonian_row", counted_row)
-    monkeypatch.setattr(termops, "apply_derivation", counted_derivation)
+    monkeypatch.setattr(termops, "apply_row", counted_apply)
     lefts = [a for k in (1, 2) for a in polyfield.monomials(L.dim, k)]
     passed, _ = quantize.first_order_invariance_check(m1, ct.r_sd, 3)
     assert passed
-    # one table per x, one row per (x, a), and no derivation applied to a
-    # right monomial
+    # one table per x, one row per (x, a), and no row applied to a right
+    # monomial
     assert len(tables) == L.dim
     assert [(id(t), e) for t, e in rows] == [(id(t), a) for t in tables for a in lefts]
-    assert derivations == []
+    assert applied == []
 
     tables.clear()
     rows.clear()
@@ -147,7 +149,7 @@ def test_invariance_scan_builds_one_row_per_left_monomial(sl3_product, monkeypat
     assert [e for _, e in composed] == units + lefts
     assert len({id(t) for t, _ in composed}) == 1
     assert {w for entries in composed[0][0].values() for w in entries} == legs
-    assert derivations == []
+    assert applied == []
 
 
 def test_invariance_plain_invariant_bivector(sl3):
@@ -246,12 +248,12 @@ def test_hochschild_packs_one_row_per_left_monomial(sl3_product, monkeypatch):
     pairs = []
     pair_values = quantize._pair_values
 
-    def counted_values(m1, pack, dim):
-        value, den = pair_values(m1, pack, dim)
+    def counted_values(m1, pack, unpack, dim):
+        value, den = pair_values(m1, pack, unpack, dim)
 
-        def counted(ea, eb):
-            pairs.append((ea, eb))
-            return value(ea, eb)
+        def counted(ea, kb):
+            pairs.append((ea, kb))
+            return value(ea, kb)
 
         return counted, den
 
@@ -309,8 +311,8 @@ def test_packed_pair_value_decodes_to_the_first_order_product(case):
     n, terms, (a, b) = case
     m1 = quantize.FirstOrderProduct(termops.pack(terms, n), "random")
     pack, unpack = termops.monomial_codec(n, 4)
-    value, den = quantize._pair_values(m1, pack, n)
-    packed = value(a, b)
+    value, den = quantize._pair_values(m1, pack, unpack, n)
+    packed = value(a, pack(b))
     assert all(packed.values())
     assert {unpack(k): F(c, den) for k, c in packed.items()} == m1({a: F(1)}, {b: F(1)})
 
@@ -326,7 +328,7 @@ def test_packed_hamiltonian_row_decodes_to_the_fraction_row(case):
     assert all(c for img in row.values() for c in img.values())
     decoded = [(v, {unpack(k): F(c, den) for k, c in img.items()}) for v, img in row.items()]
     # the same images in the same ascending order
-    assert decoded == list(termops.table_row(termops.bivector_table(field), {a: F(1)}).items())
+    assert decoded == list(table_row(bivector_table(field), {a: F(1)}).items())
 
 
 def projection(k):

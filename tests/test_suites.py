@@ -1,12 +1,18 @@
 import importlib.util
 import json
-import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from oracles import doubled_smallest_term, pairwise_hochschild_witness, pentagon_total
+from oracles import (
+    apply_derivation,
+    bivector_table,
+    doubled_smallest_term,
+    pairwise_hochschild_witness,
+    pentagon_total,
+    table_row,
+)
 from qpverify import (
     cli, grouppois, liealg, linalg, multivec, orbits, polyfield, quantize, rootsys, suites, termops,
 )
@@ -256,10 +262,10 @@ def test_hochschild_cocycle_failure_carries_its_witness(monkeypatch):
 
     def dropped_reference(p, q):
         # the same fault on the Fraction row of the generator table
-        row = termops.table_row(m1.table, p)
+        row = table_row(bivector_table(m1.bivector), p)
         if p == {y0: 1} and row:
             del row[min(row)]
-        return termops.apply_derivation(row, q)
+        return apply_derivation(row, q)
 
     reference = pairwise_hochschild_witness(L, 4, dropped_reference)
     assert reference is not None
@@ -412,9 +418,7 @@ def _doubled_sklyanin_right(monkeypatch):
     # left fields of r plus right fields of -2r: the squares differ
     def doubled(L):
         r = liealg.canonical_tensors(L).r_sd
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return grouppois.build_two_sided_bracket(L, r, r.scale(-2))
+        return grouppois.build_two_sided_bracket(L, r, r.scale(-2))
 
     monkeypatch.setattr(grouppois, "build_sklyanin_bracket", doubled)
 
@@ -442,9 +446,7 @@ def _same_r_doubled_right(monkeypatch):
     build = grouppois.build_two_sided_bracket
 
     def doubled(L, r1, r2):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return build(L, r1, r1.scale(2) if r2 == r1 else r2)
+        return build(L, r1, r1.scale(2) if r2 == r1 else r2)
 
     monkeypatch.setattr(grouppois, "build_two_sided_bracket", doubled)
 
@@ -502,13 +504,14 @@ def _non_derivation_product(monkeypatch):
     # which is no biderivation: the coboundary at (y_u, y_v, y_w^2) is nonzero
     pair_values = quantize._pair_values
 
-    def with_cup(m1, pack, dim):
-        value, den = pair_values(m1, pack, dim)
+    def with_cup(m1, pack, unpack, dim):
+        value, den = pair_values(m1, pack, unpack, dim)
         if not isinstance(m1, quantize.FirstOrderProduct):
             return value, den
 
-        def cupped(ea, eb):
-            out = dict(value(ea, eb))
+        def cupped(ea, kb):
+            out = dict(value(ea, kb))
+            eb = unpack(kb)
             if sum(ea) == sum(eb) == 1:
                 k = pack(tuple(x + y for x, y in zip(ea, eb)))
                 out[k] = out.get(k, 0) + den
@@ -524,11 +527,11 @@ def _zero_fault_map(monkeypatch):
     # planted non-biderivation map passes the Hochschild scan
     pair_values = quantize._pair_values
 
-    def zero(m1, pack, dim):
-        value, den = pair_values(m1, pack, dim)
+    def zero(m1, pack, unpack, dim):
+        value, den = pair_values(m1, pack, unpack, dim)
         if isinstance(m1, quantize.FirstOrderProduct):
             return value, den
-        return (lambda ea, eb: {}), den
+        return (lambda ea, kb: {}), den
 
     monkeypatch.setattr(quantize, "_pair_values", zero)
 
@@ -839,9 +842,9 @@ NO_DECODE = [
 
 @pytest.mark.parametrize("suite, algebra", NO_DECODE, ids=[f"{s}-{a}" for s, a in NO_DECODE])
 def test_only_a_witness_decodes_a_field(monkeypatch, suite, algebra):
-    # every check compares and tests packed fields, and no bracket builds
-    # a Fraction generator table that no check reads; a cold algebra cache
-    # makes the set-up run under the patch too
+    # every check compares and tests packed fields, and none of these
+    # suites evaluates a single bracket; a cold algebra cache makes the
+    # set-up run under the patch too
     config = suites.SuiteConfig(algebra=algebra, suite=suite)
     monkeypatch.setattr(liealg, "_ALGEBRA_CACHE", {})
 
@@ -849,8 +852,25 @@ def test_only_a_witness_decodes_a_field(monkeypatch, suite, algebra):
         raise AssertionError("a field was decoded")
 
     monkeypatch.setattr(termops, "unpack", refuse)
-    monkeypatch.setattr(termops, "bivector_table", refuse)
+    monkeypatch.setattr(termops, "table_bracket", refuse)
     packed = suites.run_suite(config).to_json()
+    monkeypatch.undo()
+    assert packed == suites.run_suite(config).to_json()
+
+
+def test_a_single_bracket_decodes_no_field(monkeypatch):
+    # determinant-ideal brackets four polynomial pairs on A1 through the
+    # packed Hamiltonian rows of the Sklyanin field, which it never decodes
+    config = suites.SuiteConfig(algebra="A1", suite="group-sklyanin")
+    monkeypatch.setattr(liealg, "_ALGEBRA_CACHE", {})
+    calls = _count_calls(monkeypatch, termops, "table_bracket")
+
+    def refuse(*args):
+        raise AssertionError("a field was decoded")
+
+    monkeypatch.setattr(termops, "unpack", refuse)
+    packed = suites.run_suite(config).to_json()
+    assert len(calls) == 4
     monkeypatch.undo()
     assert packed == suites.run_suite(config).to_json()
 

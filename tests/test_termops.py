@@ -70,16 +70,22 @@ def test_kernel_calls_inside_the_module_go_through_its_attributes(monkeypatch):
     # a wrapper set on the module attribute sees the calls that other
     # kernels make, which is how the benchmark tracer counts them
     calls = []
-    pderive = termops.pderive
+    hamiltonian_row, apply_row = termops.hamiltonian_row, termops.apply_row
 
-    def counted(a, i):
-        calls.append(i)
-        return pderive(a, i)
+    def counted_row(table, e, key):
+        calls.append(("hamiltonian_row", e))
+        return hamiltonian_row(table, e, key)
 
-    monkeypatch.setattr(termops, "pderive", counted)
-    table = {(0, 1): {(0, 0): F(1)}}
-    assert termops.table_bracket(table, {(1, 0): F(1)}, {(0, 1): F(1)}) == {(0, 0): F(1)}
-    assert calls == [0, 1]
+    def counted_apply(row, e, key, units):
+        calls.append(("apply_row", e))
+        return apply_row(row, e, key, units)
+
+    monkeypatch.setattr(termops, "hamiltonian_row", counted_row)
+    monkeypatch.setattr(termops, "apply_row", counted_apply)
+    # {y_0, y_1} = 1, so {y_0^2, y_1} = 2 y_0
+    field = termops.pack({((0, 0), (0, 1)): F(1)}, 2)
+    assert termops.table_bracket(field, {(2, 0): F(1)}, {(0, 1): F(1)}) == {(1, 0): F(2)}
+    assert calls == [("hamiltonian_row", (2, 0)), ("apply_row", (0, 1))]
 
 
 def test_merge_sign_matches_the_reference_on_all_subset_pairs():
@@ -230,8 +236,6 @@ def test_pderive_lowers_one_exponent_and_obeys_leibniz(p, q, i):
 polys = st.dictionaries(exponents, coeffs, max_size=4)
 ascending_pairs = st.sampled_from(list(itertools.combinations(range(NVARS), 2)))
 bivectors = st.dictionaries(st.tuples(exponents, ascending_pairs), coeffs, max_size=4)
-ordered_pairs = st.tuples(st.integers(0, NVARS - 1), st.integers(0, NVARS - 1))
-tables = st.dictionaries(ordered_pairs, polys.filter(bool), max_size=5)
 
 
 def neg(p):
@@ -246,10 +250,12 @@ def test_bivector_eval_is_the_two_by_two_determinant(biv, f, g):
 
 
 @LAWS
-@given(tables, polys, polys, polys)
-def test_table_bracket_leibniz_rule(table, p, q, r):
+@given(bivectors, polys, polys, polys)
+def test_table_bracket_leibniz_rule(biv, p, q, r):
+    field = termops.pack(biv, NVARS)
+
     def br(a, b):
-        return termops.table_bracket(table, a, b)
+        return termops.table_bracket(field, a, b)
 
     left = termops.padd(termops.pmul(p, br(q, r)), termops.pmul(q, br(p, r)))
     assert br(termops.pmul(p, q), r) == left
@@ -258,24 +264,41 @@ def test_table_bracket_leibniz_rule(table, p, q, r):
 
 
 @LAWS
-@given(tables, polys, polys)
-def test_antisymmetric_table_gives_antisymmetric_bracket(half, f, g):
-    table = {}
-    for (u, v), val in half.items():
-        if u < v:
-            table[(u, v)] = val
-            table[(v, u)] = neg(val)
-    assert termops.table_bracket(table, f, g) == neg(termops.table_bracket(table, g, f))
+@given(bivectors, polys, polys)
+def test_antisymmetric_table_gives_antisymmetric_bracket(biv, f, g):
+    # the row table of a field holds T[u, v] and -T[u, v] at (v, u)
+    field = termops.pack(biv, NVARS)
+    assert termops.table_bracket(field, f, g) == neg(termops.table_bracket(field, g, f))
 
 
 @LAWS
 @given(bivectors, polys, polys)
 def test_field_bracket_matches_bivector_eval(biv, f, g):
     biv = termops.pack(biv, NVARS)
-    table = termops.bivector_table(biv)
-    # the second call reuses the table built once
-    assert termops.table_bracket(table, f, g) == termops.bivector_eval(biv, f, g)
-    assert termops.table_bracket(table, g, f) == termops.bivector_eval(biv, g, f)
+    # the second call reuses the row table built once
+    assert termops.table_bracket(biv, f, g) == termops.bivector_eval(biv, f, g)
+    assert termops.table_bracket(biv, g, f) == termops.bivector_eval(biv, g, f)
+
+
+@LAWS
+@given(bivectors, polys, polys)
+def test_table_bracket_matches_the_generator_table_reference(biv, f, g):
+    field = termops.pack(biv, NVARS)
+    value = termops.table_bracket(field, f, g)
+    assert value == oracles.table_bracket(oracles.bivector_table(field), f, g)
+    assert zero_free(value)
+
+
+def test_table_bracket_refuses_a_value_past_the_packed_width():
+    # 32 coordinates pack 8-bit exponents: y_0^200 times y_0^60 passes 255
+    nvars = 32
+    unit = termops.unit_exp(nvars, 0)
+    field = termops.pack({(tuple(200 * x for x in unit), (0, 1)): F(1)}, nvars)
+    y0 = {tuple(60 * x for x in unit): F(1)}
+    y1 = {termops.unit_exp(nvars, 1): F(1)}
+    with pytest.raises(termops.ResourceLimitError):
+        termops.table_bracket(field, y0, y1)
+    assert termops.table_bracket(field, {unit: F(1)}, y1) == {tuple(200 * x for x in unit): F(1)}
 
 
 def multivectors(k):
@@ -613,7 +636,20 @@ def test_apply_derivation_is_the_sum_of_partials_times_images(imgs, p):
     reference = {}
     for v, img in imgs.items():
         reference = termops.padd(reference, termops.pmul(termops.pderive(p, v), img))
-    assert termops.apply_derivation(imgs, p) == reference
+    assert oracles.apply_derivation(imgs, p) == reference
+
+
+@LAWS
+@given(images, exponents)
+def test_apply_row_is_the_derivation_of_its_images(imgs, b):
+    # a row of int numerators over 12 and its Fraction images
+    pack, unpack = termops.monomial_codec(NVARS, termops.field_top(NVARS))
+    units = [pack(termops.unit_exp(NVARS, v)) for v in range(NVARS)]
+    row = {v: {pack(e): int(c * 12) for e, c in img.items()} for v, img in sorted(imgs.items())}
+    value = termops.apply_row(row, b, pack(b), units)
+    assert all(value.values())
+    decoded = {unpack(k): F(c, 12) for k, c in value.items()}
+    assert decoded == oracles.apply_derivation(imgs, {b: F(1)})
 
 
 @LAWS
@@ -621,10 +657,11 @@ def test_apply_derivation_is_the_sum_of_partials_times_images(imgs, p):
 def test_hamiltonian_row_reproduces_the_bracket(biv, p, q):
     # the table of a bivector term dict is antisymmetric; coefficients
     # carry denominators 1 to 4
-    table = termops.bivector_table(termops.pack(biv, NVARS))
-    row = termops.table_row(table, p)
+    field = termops.pack(biv, NVARS)
+    table = oracles.bivector_table(field)
+    row = oracles.table_row(table, p)
     assert all(row.values())
-    assert termops.apply_derivation(row, q) == termops.table_bracket(table, p, q)
+    assert oracles.apply_derivation(row, q) == termops.table_bracket(field, p, q)
 
 
 def algebra_polys(L):
@@ -642,7 +679,7 @@ coadjoint_cases = st.sampled_from([SL2, liealg.algebra("A", 2)]).flatmap(
 @given(coadjoint_cases)
 def test_the_coadjoint_field_applies_as_the_reference_vector_field(case):
     L, x, p = case
-    reference = termops.apply_derivation(oracles.images_of(oracles.coadjoint_field(L, x)), p)
+    reference = oracles.apply_derivation(oracles.images_of(oracles.coadjoint_field(L, x)), p)
     assert termops.kveval(polyfield.coadjoint_field(L, x), [p]) == reference
 
 
