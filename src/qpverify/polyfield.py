@@ -225,6 +225,7 @@ def invariant_field_space(L, p, q):
         raise termops.ResourceLimitError(
             f"equivariant system of {full} entries exceeds the cap {EQUIVARIANT_ENTRY_CAP}"
         )
+    termops.check_top(q)
     key = ("invariant fields", p, q)
     if key not in L.memo:
         L.memo[key] = solve_equivariant(L, p, q)
@@ -343,17 +344,16 @@ def phibar(L):
     ``PHIBAR_SIGN`` times the action field of that tensor, which the
     ``phi-bracket`` suite checks.
 
-    Monomials are packed as in a packed field (``termops.monomial_codec``
-    at ``termops.field_top``), so a product of monomials is one ``int``
-    sum, and coefficients are ``int`` numerators over
-    ``lcm(phi denominators) * lcm(structure denominators)^3``; the terms
-    become a packed field as they are, with no decoding.
+    Monomials are packed as in a packed field (``termops.monomial_codec``),
+    so a product of monomials is one ``int`` sum, and coefficients are
+    ``int`` numerators over ``lcm(phi denominators) * lcm(structure
+    denominators)^3``; the terms become a packed field as they are, with
+    no decoding.
     """
     ct = liealg.canonical_tensors(L)
     phi_plain = list(ct.phi.plain_items())
     dim = L.dim
-    pack, _ = termops.monomial_codec(dim, termops.field_top(dim))
-    units = [pack(termops.unit_exp(dim, k)) for k in range(dim)]
+    units = termops.monomial_codec(dim)[2]
     sden = math.lcm(*(c.denominator for row in L.struct.values() for c in row.values()))
     pden = math.lcm(*(c.denominator for _, c in phi_plain))
     den = pden * sden**3
@@ -431,6 +431,7 @@ def invariant_bivector_scan(L, max_degree):
             f"scan at degree {max_degree} needs {worst} entries, "
             f"above the cap {EQUIVARIANT_ENTRY_CAP}"
         )
+    termops.check_top(max_degree)
     s = kirillov_bracket(L)
     out = []
     for k in range(1, max_degree + 1):

@@ -8,15 +8,17 @@ derivations, checked on one packed Hamiltonian row
 (``termops.hamiltonian_row``) per left monomial rather than at each
 monomial pair; the Hochschild and twist scans build their rows the same
 way, and the Hochschild scan applies them (``termops.apply_row``), with
-no ``Fraction`` but a witness's.  The scans take the coadjoint fields packed, as ``polyfield.coadjoint_field``
-keeps them: the invariance scan's Lie derivative is one
+no ``Fraction`` but a witness's.  Every scan runs on the packed
+monomials of the fields (``termops.monomial_codec``).  The scans take
+the coadjoint fields packed, as ``polyfield.coadjoint_field`` keeps
+them: the invariance scan's Lie derivative is one
 ``termops.sn_bracket``, and the twist scan reads the fields through
-``termops.derivation_table``.  The symmetric-algebra
-family is probed through a rewriting system whose normal forms are
-ordered monomials, and the coproduct-level identities (pentagon shadow,
-first-order R-matrix relations) are evaluated exactly through Kronecker
-powers of the matrices of a representation, each a list of slot layouts
-summed over word terms by ``_kron_terms``.  These checks take the
+``termops.derivation_table``.  The symmetric-algebra family is probed
+through a rewriting system whose normal forms are ordered monomials,
+and the coproduct-level identities (pentagon shadow, first-order
+R-matrix relations) are evaluated exactly through Kronecker powers of
+the matrices of a representation, each a list of slot layouts summed
+over word terms by ``_kron_terms``.  These checks take the
 matrices and run no guard: the calling suite runs ``faithfulness_guard``
 once per representation, as an evaluation in an unfaithful
 representation proves nothing.
@@ -24,7 +26,8 @@ representation proves nothing.
 First-order conventions: the twist starts at half the r-matrix, so the
 coproduct correction of ``x`` is half the cocommutator and the star
 product carries ``(1/2)(f - r_M)`` at order one.  The order-one scans
-take their degree bound ``d`` as an argument; none truncates a product.
+take their degree bound ``d`` as an argument; none truncates a product,
+and a bound past ``termops.FIELD_TOP`` raises ``ResourceLimitError``.
 
 Each check returns the pair ``(passed, witness)`` that its report
 records: on a failure the witness is the evidence, on a pass it is the
@@ -100,7 +103,8 @@ def first_order_invariance_check(m1, r, d):
     has zero defect in the algebra truncated above ``d``.
     """
     L = r.algebra
-    pack, _ = termops.monomial_codec(L.dim, d)
+    termops.check_top(d)
+    pack = termops.monomial_codec(L.dim)[0]
     lefts = [(a, pack(a)) for k in range(1, d) for a in polyfield.monomials(L.dim, k)]
     for x in range(L.dim):
         delta = multivec.cobracket(r, x)
@@ -109,7 +113,7 @@ def first_order_invariance_check(m1, r, d):
             polyfield.action_field(delta),
             -HALF,
         )
-        table, _ = termops.row_table(defect, pack)
+        table, _ = termops.row_table(defect)
         for a, ka in lefts:
             row = termops.hamiltonian_row(table, a, ka)
             if row:
@@ -117,22 +121,23 @@ def first_order_invariance_check(m1, r, d):
     return True, {"product": m1.label, "degree": d, "pairs": math.comb(L.dim + d, d) ** 2}
 
 
-def _pair_values(m1, pack, unpack, dim):
+def _pair_values(m1, dim):
     """Packed values of ``m1`` on pairs of unit monomials, and their denominator.
 
     Returns ``(value, den)``: ``value(ea, kb)`` is ``m1(y^ea, y^eb)`` for
-    the monomial ``y^eb`` packed as ``kb`` by the ``monomial_codec`` pair
-    ``pack``, ``unpack``, as a dict from packed monomials to numerators
-    over ``den``, for monomials in ``dim`` coordinates.  A
-    ``FirstOrderProduct`` builds one packed Hamiltonian row per left
-    monomial from its packed bivector (``termops.hamiltonian_row``), with
-    int numerators over the bivector's one denominator, and applies it
-    to ``y^eb`` by the Leibniz rule (``termops.apply_row``).  Any other
-    bilinear map is called on the unit polynomials and keeps its
-    ``Fraction`` coefficients over 1; a value of degree above
-    ``|ea| + |eb|`` raises ``ValueError``, as the scan's packed fields
-    hold its degree bound only.
+    the monomial ``y^eb`` in ``dim`` coordinates packed as ``kb`` by
+    ``termops.monomial_codec``, as a dict from packed monomials to
+    numerators over ``den``.  A ``FirstOrderProduct`` builds one packed
+    Hamiltonian row per left monomial from its packed bivector
+    (``termops.hamiltonian_row``), with int numerators over the
+    bivector's one denominator, and applies it to ``y^eb`` by the
+    Leibniz rule (``termops.apply_row``).  Any other bilinear map is
+    called on the unit polynomials and keeps its ``Fraction``
+    coefficients over 1; a value of degree above ``|ea| + |eb|`` raises
+    ``ValueError``, as the scan is defined for maps that do not raise
+    degree.
     """
+    pack, unpack, units = termops.monomial_codec(dim)
     if not isinstance(m1, FirstOrderProduct):
 
         def value(ea, kb):
@@ -146,8 +151,7 @@ def _pair_values(m1, pack, unpack, dim):
 
         return value, 1
 
-    table, den = termops.row_table(m1.bivector, pack)
-    units = [pack(termops.unit_exp(dim, v)) for v in range(dim)]
+    table, den = termops.row_table(m1.bivector)
     rows = {}
 
     def value(ea, kb):
@@ -185,8 +189,8 @@ def hochschild_cocycle_check(L, d, m1):
     value on two monomials has at most the sum of their degrees (a map
     that raises degree gets ``ValueError``); biderivations pass
     identically.  Every monomial triple with positive degrees and total
-    degree up to ``d`` is scanned.  The scan runs on packed monomials (``termops.monomial_codec``
-    with fields for exponent ``d``), so a product of monomials is an int
+    degree up to ``d`` is scanned.  The scan runs on packed monomials
+    (``termops.monomial_codec``), so a product of monomials is an int
     addition.  The products of monomials inside the coboundary are
     monomials again, so ``m1`` is evaluated once per distinct pair of
     exponents by ``_pair_values`` and the packed values are reused across
@@ -196,13 +200,14 @@ def hochschild_cocycle_check(L, d, m1):
     coboundary is summed on int keys, and only a failing one is decoded
     into the tuple-keyed ``Fraction`` witness.
     """
+    termops.check_top(d)
     patterns = []
     for da in range(1, d - 1):
         for db in range(1, d - da):
             for dc in range(1, d - da - db + 1):
                 patterns.append((da, db, dc))
-    pack, unpack = termops.monomial_codec(L.dim, d)
-    value, den = _pair_values(m1, pack, unpack, L.dim)
+    pack, unpack, _ = termops.monomial_codec(L.dim)
+    value, den = _pair_values(m1, L.dim)
     # left packed monomial -> its _PairValues; ``intern`` keeps one int
     # object per packed monomial the caches hold
     values = {}
@@ -284,15 +289,16 @@ def twist_correspondence_check(L, d, r_tensor):
     degree 1 to ``d - |a|``, degree by degree, is ``y_j`` for the least
     ``j`` where they differ.
     """
-    pack, unpack = termops.monomial_codec(L.dim, d)
-    field_table, fden = termops.row_table(polyfield.rmatrix_bracket(r_tensor), pack)
+    termops.check_top(d)
+    pack, unpack, _ = termops.monomial_codec(L.dim)
+    field_table, fden = termops.row_table(polyfield.rmatrix_bracket(r_tensor))
     halves = [(u, v, c * HALF) for (u, v), c in r_tensor.plain_items()]
     hden = math.lcm(*(c.denominator for *_, c in halves))
     halves = [(u, v, c.numerator * (hden // c.denominator)) for u, v, c in halves]
     # the row of y^e under the legs' coadjoint fields maps each leg w to
     # X_w(y^e), over xden; the row of y_j gives the X_w(y_j)
     adjoint, xden = termops.derivation_table(
-        {w: polyfield.coadjoint_field(L, w) for u, v, _ in halves for w in (u, v)}, pack
+        {w: polyfield.coadjoint_field(L, w) for u, v, _ in halves for w in (u, v)}, L.dim
     )
     coordinates = [
         termops.hamiltonian_row(adjoint, e, pack(e))

@@ -472,10 +472,9 @@ def _suite_ad_bracket(series, rank, config):
         # guards termops.row_table, the table of every scan, which must write
         # each (j, i) as minus its (i, j); the row of y_u holds the quadratic {y_u, y_v}
         nvars = L.msize * L.msize
-        pack, _ = termops.monomial_codec(nvars, 2)
-        table, _ = termops.row_table(ad.terms, pack)
-        units = (termops.unit_exp(nvars, u) for u in range(nvars))
-        rows = [termops.hamiltonian_row(table, e, pack(e)) for e in units]
+        table, _ = termops.row_table(ad.terms)
+        units = enumerate(termops.monomial_codec(nvars)[2])
+        rows = [termops.hamiltonian_row(table, termops.unit_exp(nvars, u), k) for u, k in units]
         return all(
             rows[v].get(u) == {k: -c for k, c in img.items()}
             for u, row in enumerate(rows)

@@ -15,54 +15,51 @@ Polynomials are dicts keyed by exponent tuples, one slot per coordinate
 (``unit_exp`` builds the coordinate monomials).  A polyvector field is
 held packed, as a ``PackedField``: int numerators over one denominator,
 each term ``y^e * d/dy_i ^ d/dy_j ^ ...`` keyed by one int that packs
-its exponents in fields of a width fixed per coordinate count together
-with a bitmask of its derivations.  Derivations are anticommuting
-symbols in ascending order, so every product carries the sign of the
-interleaving permutation.  The field kernels ``sn_bracket``, ``smul``
-and ``wedge_push`` take and return packed fields, and so do ``pscale``
-and ``padd`` on a packed operand; ``not field`` is the zero test and
-``==`` the exact equality, by cross-multiplying.  The fields of
-``polyfield``, ``quantize`` and ``grouppois`` stay packed from the
-solver, ``phibar``, the action fields and the pushes through every
-bracket, sum and comparison.  ``pack`` builds a field from a
-tuple-keyed ``Fraction`` term dict ``{(exponents, derivations): c}``,
-with ``derivations`` a strictly ascending index tuple, and ``unpack``
-decodes one, for a witness only; ``shapes`` reads the ``(monomial
-degree, derivations)`` of the terms, for degree guards and for the
-derivation triples a report names.  An exponent that could pass the
-packed width raises ``ResourceLimitError``.  ``monomial_codec`` packs
-monomials alone: at ``field_top`` it gives the monomials of the fields
-(``phibar`` builds its field from them with ``pack_monomials``), and at
-a smaller bound it serves the order-one scans of ``quantize``, which
-decode only a failing row or coboundary.
+its exponents, a byte each, above a bitmask of its derivations.
+Derivations are anticommuting symbols in ascending order, so every
+product carries the sign of the interleaving permutation.  The field
+kernels ``sn_bracket``, ``smul`` and ``wedge_push`` take and return
+packed fields, and so do ``pscale`` and ``padd`` on a packed operand;
+``not field`` is the zero test and ``==`` the exact equality, by
+cross-multiplying.  The fields of ``polyfield``, ``quantize`` and
+``grouppois`` stay packed from the solver, ``phibar``, the action fields
+and the pushes through every bracket, sum and comparison.  ``pack``
+builds a field from a tuple-keyed ``Fraction`` term dict
+``{(exponents, derivations): c}``, with ``derivations`` a strictly
+ascending index tuple, and ``unpack`` decodes one, for a witness only;
+``shapes`` reads the ``(monomial degree, derivations)`` of the terms,
+for degree guards and for the derivation triples a report names.  An
+exponent that could pass ``FIELD_TOP`` raises ``ResourceLimitError``.
+``monomial_codec`` packs monomials alone, in the one format of the
+fields: ``phibar`` builds its field from them with ``pack_monomials``,
+and the order-one scans of ``quantize`` run on them and decode only a
+failing row or coboundary.
 
 Fixing the first argument of a biderivation gives a derivation, its
 Hamiltonian field, given by its images of the coordinates: its row.
-``row_table`` re-keys a packed bivector's monomials with a
-``monomial_codec`` packer into a generator table grouped by first
-slot, and ``hamiltonian_row`` builds the row of one monomial from it
-with int numerators over the field's denominator; ``derivation_table``
-gives vector fields the same table, whose row of a monomial holds its
-image under each field.  ``apply_row`` applies a row to a monomial by
-the Leibniz rule.  Every scan reads these, and so does the one
-evaluator of a single bracket, ``table_bracket``, which keeps the row
-table of its field in the field's own packing and decodes only its
-value.  An action is given by its packed vector fields, one per basis
-element, for the coadjoint action and for conjugation alike:
+``row_table`` reads a packed bivector's monomials as they are into a
+generator table grouped by first slot, and ``hamiltonian_row`` builds
+the row of one monomial from it with int numerators over the field's
+denominator; ``derivation_table`` gives vector fields the same table,
+whose row of a monomial holds its image under each field.  ``apply_row``
+applies a row to a monomial by the Leibniz rule.  Every scan reads
+these, and so does the one evaluator of a single bracket,
+``table_bracket``, which keeps the row table with its field and decodes
+only its value.  An action is given by its packed vector fields, one per
+basis element, for the coadjoint action and for conjugation alike:
 ``wedge_push`` pushes a tensor through them, and the Lie derivative
 along one is its ``sn_bracket``.  ``kveval``, ``bivector_eval`` and
 ``ptruncate`` are reference evaluators for tests and tracing only.
 
 Kernels call one another through this module's globals, so a wrapper
 set on a module attribute sees every call, from inside or outside.
-``BACKEND`` and ``backends()`` name the single backend for reports
-that record it.
+``BACKEND`` and ``backends()`` name the single backend, for the
+benchmark's run metadata.
 """
 
 import functools
 import itertools
 import math
-import struct
 import sys
 import types
 from fractions import Fraction
@@ -74,7 +71,7 @@ class ResourceLimitError(RuntimeError):
     """Raised when a request exceeds a size cap.
 
     The caps are the solver sizes of ``polyfield`` and ``quantize`` and
-    the exponent width of the packed polyvector kernels here.
+    ``FIELD_TOP``, the largest exponent of a packed monomial.
     """
 
 
@@ -193,72 +190,47 @@ def ptruncate(a, degree):
 #
 # A ``PackedField`` over ``nvars`` coordinates keys a term ``(e, d)`` by one
 # int, ``mono << nvars | mask``.  Bit ``i`` of ``mask`` stands for
-# ``d/dy_i``; ``mono`` holds the exponents in fields of 8, 16, 32 or 64
-# bits, coordinate 0 in the top field, so its big-endian bytes are the
-# exponent tuple.  The width is fixed per coordinate count (the widest
-# whose monomial stays within ``_MONOMIAL_BITS``), so a term has one key in
-# every field over the same coordinates, and two terms with disjoint masks
-# multiply by adding their keys.  Each field carries a bound on its
-# exponents; a product whose operand bounds add up past the width raises
-# ``ResourceLimitError`` before it runs, so no field carries into the next.
+# ``d/dy_i``; ``mono`` holds the exponents a byte each, coordinate 0 in the
+# top byte, so its big-endian bytes are the exponent tuple.  A term has one
+# key in every field over the same coordinates, and two terms with disjoint
+# masks multiply by adding their keys.  Each field carries a bound on its
+# exponents; a product whose operand bounds add up past ``FIELD_TOP`` raises
+# ``ResourceLimitError`` before it runs, so no byte carries into the next.
 # Coefficients are int numerators over one positive denominator, which is
 # not reduced: equality cross-multiplies.
 
 
-_FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}  # field bits -> struct code
-# the widest fields whose monomial fits this many bits, at least 8: a key
-# stays within about nine CPython digits, so its sums and hashes stay cheap
-_MONOMIAL_BITS = 256
+FIELD_TOP = 255  # the largest exponent a packed monomial holds
 
 
-def _codec(nvars, top):
-    """``(struct, field bits)`` of the narrowest fields that hold exponent ``top``."""
-    for bits, code in _FIELD_CODES.items():
-        if not top >> bits:
-            return struct.Struct(f">{nvars}{code}"), bits
-    raise ResourceLimitError(f"exponent {top} does not fit a 64-bit packed field")
+def check_top(top):
+    """``top``, or ``ResourceLimitError`` if it passes ``FIELD_TOP``.
 
-
-@functools.cache
-def _field_codec(nvars):
-    """``(struct, field bits)`` of the packed fields over ``nvars`` coordinates."""
-    bits = next((b for b in (64, 32, 16) if nvars * b <= _MONOMIAL_BITS), 8)
-    return struct.Struct(f">{nvars}{_FIELD_CODES[bits]}"), bits
-
-
-def field_top(nvars):
-    """The largest exponent a packed field over ``nvars`` coordinates holds."""
-    return (1 << _field_codec(nvars)[1]) - 1
-
-
-def _fits(top, nvars):
-    """``top``, or ``ResourceLimitError`` if it passes the packed width."""
-    if top > field_top(nvars):
-        raise ResourceLimitError(
-            f"exponent {top} does not fit the packed fields of {nvars} coordinates"
-        )
+    It guards every packed product here and the degree bound of every
+    scan on packed monomials, so that no sum of keys carries.
+    """
+    if top > FIELD_TOP:
+        raise ResourceLimitError(f"exponent {top} is above the packed exponent top {FIELD_TOP}")
     return top
 
 
-def monomial_codec(nvars, top):
-    """``(pack, unpack)`` between exponent tuples and packed monomial ints.
+@functools.cache
+def monomial_codec(nvars):
+    """``(pack, unpack, units)`` between exponent tuples and packed monomial ints.
 
-    ``pack(e)`` packs a monomial in the narrowest fields that hold exponent
-    ``top``; while every exponent stays at most ``top``, the product of
-    two monomials is the sum of their ints.  ``unpack`` inverts ``pack``.
-    With ``top = field_top(nvars)`` these are the monomials of the packed
-    fields, which ``pack_monomials`` takes.
+    ``pack(e)`` is the monomial of the packed term ``(e, ())``, one byte
+    per exponent; while every exponent stays within ``FIELD_TOP``, the
+    product of two monomials is the sum of their ints.  ``unpack``
+    inverts ``pack``, and ``units[i]`` is the packed ``y_i``.
     """
-    codec, _ = _codec(nvars, top)
-    pack, unpack, size = codec.pack, codec.unpack, codec.size
 
     def pack_mono(e):
-        return int.from_bytes(pack(*e), "big")
+        return int.from_bytes(bytes(e), "big")
 
     def unpack_mono(key):
-        return unpack(key.to_bytes(size, "big"))
+        return tuple(key.to_bytes(nvars, "big"))
 
-    return pack_mono, unpack_mono
+    return pack_mono, unpack_mono, tuple(1 << 8 * (nvars - 1 - i) for i in range(nvars))
 
 
 class PackedField:
@@ -332,12 +304,11 @@ def _largest_exponent(terms):
 
 def pack(terms, nvars):
     """The packed field of a tuple-keyed term dict over ``nvars`` coordinates."""
-    top = _fits(_largest_exponent(terms), nvars)
-    pack_exps = _field_codec(nvars)[0].pack
+    top = check_top(_largest_exponent(terms))
+    pack_mono = monomial_codec(nvars)[0]
     den = math.lcm(*{c.denominator for c in terms.values()})
     numerators = {
-        (int.from_bytes(pack_exps(*e), "big"), d): c.numerator * (den // c.denominator)
-        for (e, d), c in terms.items()
+        (pack_mono(e), d): c.numerator * (den // c.denominator) for (e, d), c in terms.items()
     }
     return pack_monomials(numerators, den, nvars, top)
 
@@ -345,11 +316,11 @@ def pack(terms, nvars):
 def pack_monomials(terms, den, nvars, top):
     """The packed field of ``{(monomial, derivations): numerator}`` over ``den``.
 
-    Monomials are packed by ``monomial_codec(nvars, field_top(nvars))``,
-    derivations are ascending index tuples, numerators are ints, and
-    ``top`` bounds every exponent.
+    Monomials are packed by ``monomial_codec(nvars)``, derivations are
+    ascending index tuples, numerators are ints, and ``top`` bounds
+    every exponent.
     """
-    _fits(top, nvars)
+    check_top(top)
     masks = {}
     out = {}
     for (mono, d), c in terms.items():
@@ -364,9 +335,8 @@ def pack_monomials(terms, den, nvars, top):
 
 def _term_reader(nvars):
     """``read(key)``: the exponent tuple and derivation mask of a packed term key."""
-    codec, _ = _field_codec(nvars)
-    unpack_exps, size, low = codec.unpack, codec.size, (1 << nvars) - 1
-    return lambda key: (unpack_exps((key >> nvars).to_bytes(size, "big")), key & low)
+    unpack_mono, low = monomial_codec(nvars)[1], (1 << nvars) - 1
+    return lambda key: (unpack_mono(key >> nvars), key & low)
 
 
 def unpack(field):
@@ -472,7 +442,7 @@ def _wedge_into(acc, sign, left, right):
 def smul(a, b):
     """Wedge (super) product of two packed fields."""
     nvars = _coordinates(a, b)
-    top = _fits(a._top + b._top, nvars)
+    top = check_top(a._top + b._top)
     acc = {}
     _wedge_into(acc, 1, _by_mask(a._nums, nvars), _by_mask(b._nums, nvars))
     return _field(acc, a._den * b._den, nvars, top)
@@ -487,7 +457,7 @@ def wedge_push(terms, fields, nvars):
     packed field.
     """
     legs = {i: fields(i) for i in set(itertools.chain.from_iterable(terms))}
-    top = _fits(max((sum(legs[i]._top for i in key) for key in terms), default=0), nvars)
+    top = check_top(max((sum(legs[i]._top for i in key) for key in terms), default=0))
     grouped = {i: _by_mask(f._nums, nvars) for i, f in legs.items()}
     den = math.lcm(
         *(c.denominator * math.prod(legs[i]._den for i in key) for key, c in terms.items())
@@ -516,8 +486,7 @@ def _partial_table(field):
     """
     if field._partials is None:
         nvars, read = field._nvars, _term_reader(field._nvars)
-        bits = _field_codec(nvars)[1]
-        units = [1 << nvars + bits * (nvars - 1 - i) for i in range(nvars)]
+        units = [unit << nvars for unit in monomial_codec(nvars)[2]]
         table = {}
         for key, c in field._nums.items():
             e, mask = read(key)
@@ -567,7 +536,7 @@ def sn_bracket(a, b):
     nvars = _coordinates(a, b)
     if not a or not b:
         return PackedField({}, 1, nvars, 0)
-    top = _fits(a._top + b._top, nvars)
+    top = check_top(a._top + b._top)
     odd = (next(iter(a._nums)) & ((1 << nvars) - 1)).bit_count() & 1
     acc = {}
     # [[a, b]] = -(-1)^p sum_i xi_i(a) dy_i(b)  -  sum_i dy_i(a) xi_i(b)
@@ -618,62 +587,45 @@ def kveval(field, polys):
     return out
 
 
-def _row_table(entries, pack):
-    """Row table of the terms ``(u, v, exponents, numerator)`` of ``T[u, v]``.
-
-    ``table[u][v]`` lists the terms of ``T[u, v]``, each monomial kept as
-    ``pack(t) - pack(y_u)``, so that adding ``pack(e)`` gives the
-    monomial of ``y^t * y^e / y_u``.
-    """
-    table = {}
-    units = {}
-    for u, v, t, c in entries:
-        unit = units.get(u)
-        if unit is None:
-            unit = units[u] = pack(unit_exp(len(t), u))
-        table.setdefault(u, {}).setdefault(v, []).append((pack(t) - unit, c))
-    return table
-
-
-def row_table(field, pack):
+def row_table(field):
     """Packed generator table of a bivector field, for ``hamiltonian_row``.
 
-    Returns ``(table, den)``, with the field's int numerators over its
-    denominator ``den``.  The monomials are re-keyed by ``pack``, a
-    ``monomial_codec`` packer whose fields must hold every exponent of
-    the rows asked for.  A term ``c * y^t * d/dy_i ^ d/dy_j`` enters as
+    Returns ``(table, den)``: ``table[u][v]`` lists the terms of
+    ``T[u, v]`` as int numerators over the field's denominator ``den``,
+    each monomial read from its key as it is and kept as ``y^t / y_u``,
+    so that adding the packed ``y^e`` gives the monomial of
+    ``y^t * y^e / y_u``.  A term ``c * y^t * d/dy_i ^ d/dy_j`` enters as
     ``c * y^t`` at ``(i, j)`` and as ``-c * y^t`` at ``(j, i)``.
     """
-    read = _term_reader(field._nvars)
+    nvars = field._nvars
+    units, low = monomial_codec(nvars)[2], (1 << nvars) - 1
+    table = {}
+    for key, c in field._nums.items():
+        i, j = _mask_indices(key & low)
+        t = key >> nvars
+        table.setdefault(i, {}).setdefault(j, []).append((t - units[i], c))
+        table.setdefault(j, {}).setdefault(i, []).append((t - units[j], -c))
+    return table, field._den
 
-    def entries():
-        for key, c in field._nums.items():
-            t, mask = read(key)
-            i, j = _mask_indices(mask)
-            yield i, j, t, c
-            yield j, i, t, -c
 
-    return _row_table(entries(), pack), field._den
-
-
-def derivation_table(fields, pack):
-    """Packed table of vector fields, for ``hamiltonian_row``.
+def derivation_table(fields, nvars):
+    """Packed table of vector fields over ``nvars`` coordinates, for ``hamiltonian_row``.
 
     ``fields`` maps a label ``w`` to a packed vector field ``X_w``.
     Returns ``(table, den)``: the row of ``y^e`` maps each ``w`` to
-    ``X_w(y^e)``, as int numerators over ``den``; ``pack`` is as for
-    ``row_table``.
+    ``X_w(y^e)``, as int numerators over ``den``; the monomials are kept
+    as for ``row_table``.
     """
     den = math.lcm(*(f._den for f in fields.values()))
-
-    def entries():
-        for w, field in fields.items():
-            read, scale = _term_reader(field._nvars), den // field._den
-            for key, c in field._nums.items():
-                t, mask = read(key)
-                yield mask.bit_length() - 1, w, t, c * scale
-
-    return _row_table(entries(), pack), den
+    units, low = monomial_codec(nvars)[2], (1 << nvars) - 1
+    table = {}
+    for w, field in fields.items():
+        scale = den // field._den
+        for key, c in field._nums.items():
+            u = (key & low).bit_length() - 1
+            entry = ((key >> nvars) - units[u], c * scale)
+            table.setdefault(u, {}).setdefault(w, []).append(entry)
+    return table, den
 
 
 def hamiltonian_row(table, e, key):
@@ -735,17 +687,15 @@ def table_bracket(field, p, q):
     By the Leibniz rule in both slots, ``{p, q}`` is the Hamiltonian row
     of each monomial of ``p`` (``hamiltonian_row``) applied to each
     monomial of ``q`` (``apply_row``), on int numerators.  The row table
-    is built in the field's own monomial packing on its first bracket
-    and kept with the field; only the value is decoded.  A value whose
-    exponents could pass the packed width raises ``ResourceLimitError``.
+    is built on the first bracket and kept with the field; only the
+    value is decoded.  A value whose exponents could pass ``FIELD_TOP``
+    raises ``ResourceLimitError``.
     """
-    nvars = field._nvars
-    _fits(max(map(max, p), default=0) + field._top + max(map(max, q), default=0), nvars)
+    check_top(max(map(max, p), default=0) + field._top + max(map(max, q), default=0))
     if field._rows is None:
-        pack, unpack = monomial_codec(nvars, field_top(nvars))
-        units = [pack(unit_exp(nvars, v)) for v in range(nvars)]
-        field._rows = row_table(field, pack)[0], pack, unpack, units
-    table, pack, unpack, units = field._rows
+        field._rows = row_table(field)[0]
+    table = field._rows
+    pack, unpack, units = monomial_codec(field._nvars)
     left, pden = _numerators(p)
     right, qden = _numerators(q)
     right = [(e, pack(e), c) for e, c in right]

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qpverify import cli, liealg, multivec, suites
+from qpverify import cli, liealg, multivec, polyfield, suites, termops
 
 
 def run(capsys, *argv):
@@ -133,6 +133,21 @@ def test_resource_cap_exit_3(capsys):
     assert "resource cap" in err
 
 
+def test_a_degree_past_the_packed_top_is_refused_before_any_solve(capsys, monkeypatch):
+    # A1 at degree 300 is within the entry cap, but its monomials pass
+    # termops.FIELD_TOP, so no degree of the scan may be solved first
+    def solve(L, p, q):
+        raise AssertionError(f"solved ({p}, {q}) before refusing the degree")
+
+    monkeypatch.setattr(polyfield, "solve_equivariant", solve)
+    code, _, err = run(capsys, "conjecture-scan", "--algebra", "A1", "--degree", "300")
+    assert code == 3
+    assert "resource cap" in err
+    top = termops.FIELD_TOP
+    with pytest.raises(termops.ResourceLimitError):
+        polyfield.invariant_field_space(liealg.algebra("A", 1), 2, top + 1)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -234,6 +249,7 @@ def test_json_byte_identical_reruns(capsys):
         ("good-orbits", "--algebra", "D4"),
         ("ad-bracket", "--algebra", "A2"),
         ("star-first-order", "--algebra", "A2"),
+        ("ad-bracket", "--algebra", "A3"),
     ],
 )
 def test_reports_do_not_depend_on_the_hash_seed(argv):

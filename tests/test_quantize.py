@@ -109,8 +109,8 @@ def test_invariance_scan_builds_one_row_per_left_monomial(sl3_product, monkeypat
     hamiltonian_row = termops.hamiltonian_row
     apply_row = termops.apply_row
 
-    def counted_table(field, pack):
-        table, den = row_table(field, pack)
+    def counted_table(field):
+        table, den = row_table(field)
         tables.append(table)
         return table, den
 
@@ -248,8 +248,8 @@ def test_hochschild_packs_one_row_per_left_monomial(sl3_product, monkeypatch):
     pairs = []
     pair_values = quantize._pair_values
 
-    def counted_values(m1, pack, unpack, dim):
-        value, den = pair_values(m1, pack, unpack, dim)
+    def counted_values(m1, dim):
+        value, den = pair_values(m1, dim)
 
         def counted(ea, kb):
             pairs.append((ea, kb))
@@ -310,8 +310,8 @@ def quadratic_cases(n):
 def test_packed_pair_value_decodes_to_the_first_order_product(case):
     n, terms, (a, b) = case
     m1 = quantize.FirstOrderProduct(termops.pack(terms, n), "random")
-    pack, unpack = termops.monomial_codec(n, 4)
-    value, den = quantize._pair_values(m1, pack, unpack, n)
+    pack, unpack, _ = termops.monomial_codec(n)
+    value, den = quantize._pair_values(m1, n)
     packed = value(a, pack(b))
     assert all(packed.values())
     assert {unpack(k): F(c, den) for k, c in packed.items()} == m1({a: F(1)}, {b: F(1)})
@@ -322,8 +322,8 @@ def test_packed_pair_value_decodes_to_the_first_order_product(case):
 def test_packed_hamiltonian_row_decodes_to_the_fraction_row(case):
     n, terms, (a, _) = case
     field = termops.pack(terms, n)
-    pack, unpack = termops.monomial_codec(n, 4)
-    table, den = termops.row_table(field, pack)
+    pack, unpack, _ = termops.monomial_codec(n)
+    table, den = termops.row_table(field)
     row = termops.hamiltonian_row(table, a, pack(a))
     assert all(c for img in row.values() for c in img.values())
     decoded = [(v, {unpack(k): F(c, den) for k, c in img.items()}) for v, img in row.items()]
@@ -409,6 +409,20 @@ def test_hochschild_refuses_a_map_that_raises_degree(sl2):
 
     with pytest.raises(ValueError):
         quantize.hochschild_cocycle_check(sl2, 4, raising)
+
+
+def test_the_scans_refuse_a_degree_past_the_packed_top(sl3_product):
+    # a sum of packed monomials past FIELD_TOP would carry into the next
+    # coordinate, so no scan starts at such a bound
+    L, f, ct = sl3_product
+    m1 = quantize.standard_first_order_product(f, ct.r_sd)
+    d = termops.FIELD_TOP + 1
+    with pytest.raises(termops.ResourceLimitError):
+        quantize.first_order_invariance_check(m1, ct.r_sd, d)
+    with pytest.raises(termops.ResourceLimitError):
+        quantize.hochschild_cocycle_check(L, d, m1)
+    with pytest.raises(termops.ResourceLimitError):
+        quantize.twist_correspondence_check(L, d, ct.r_sd)
 
 
 # ---------------------------------------------------------------------------

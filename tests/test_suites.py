@@ -387,8 +387,8 @@ def _symmetric_table(monkeypatch):
     # as a symmetric form has
     row_table = termops.row_table
 
-    def symmetric_table(field, pack):
-        table, den = row_table(field, pack)
+    def symmetric_table(field):
+        table, den = row_table(field)
         for u, row in table.items():
             for v, terms in row.items():
                 if u > v:
@@ -504,10 +504,11 @@ def _non_derivation_product(monkeypatch):
     # which is no biderivation: the coboundary at (y_u, y_v, y_w^2) is nonzero
     pair_values = quantize._pair_values
 
-    def with_cup(m1, pack, unpack, dim):
-        value, den = pair_values(m1, pack, unpack, dim)
+    def with_cup(m1, dim):
+        value, den = pair_values(m1, dim)
         if not isinstance(m1, quantize.FirstOrderProduct):
             return value, den
+        pack, unpack, _ = termops.monomial_codec(dim)
 
         def cupped(ea, kb):
             out = dict(value(ea, kb))
@@ -527,8 +528,8 @@ def _zero_fault_map(monkeypatch):
     # planted non-biderivation map passes the Hochschild scan
     pair_values = quantize._pair_values
 
-    def zero(m1, pack, unpack, dim):
-        value, den = pair_values(m1, pack, unpack, dim)
+    def zero(m1, dim):
+        value, den = pair_values(m1, dim)
         if isinstance(m1, quantize.FirstOrderProduct):
             return value, den
         return (lambda ea, kb: {}), den
@@ -541,8 +542,8 @@ def _doubled_derivation_table(monkeypatch):
     # negated table cancels out of it; doubled fields scale it by four
     derivation_table = termops.derivation_table
 
-    def doubled(fields, pack):
-        return derivation_table({w: termops.pscale(f, 2) for w, f in fields.items()}, pack)
+    def doubled(fields, nvars):
+        return derivation_table({w: termops.pscale(f, 2) for w, f in fields.items()}, nvars)
 
     monkeypatch.setattr(termops, "derivation_table", doubled)
 

@@ -290,7 +290,7 @@ def test_table_bracket_matches_the_generator_table_reference(biv, f, g):
 
 
 def test_table_bracket_refuses_a_value_past_the_packed_width():
-    # 32 coordinates pack 8-bit exponents: y_0^200 times y_0^60 passes 255
+    # y_0^200 times y_0^60 passes FIELD_TOP
     nvars = 32
     unit = termops.unit_exp(nvars, 0)
     field = termops.pack({(tuple(200 * x for x in unit), (0, 1)): F(1)}, nvars)
@@ -363,9 +363,10 @@ def active(nvars):
 
 
 def sparse_exponents(nvars):
-    # at most two nonzero exponents, mostly small; the large ones make
-    # some products need 16-bit packed fields
-    exponents = st.integers(1, 2) | st.sampled_from([15, 200, 300])
+    # at most two nonzero exponents, mostly small; the large ones sit at
+    # and around half of FIELD_TOP and at it, so some products reach the
+    # top exactly and some pass it and must raise
+    exponents = st.integers(1, 2) | st.sampled_from([15, 127, 128, 255])
     return st.dictionaries(st.sampled_from(active(nvars)), exponents, max_size=2).map(
         lambda e: tuple(e.get(i, 0) for i in range(nvars))
     )
@@ -390,16 +391,28 @@ packed_cases = st.sampled_from([NVARS, 16]).flatmap(
 )
 
 
+def within_the_top(bound, kernel, *args):
+    """``kernel(*args)``, or ``None`` once it raises for a ``bound`` past ``FIELD_TOP``."""
+    if bound > termops.FIELD_TOP:
+        with pytest.raises(termops.ResourceLimitError):
+            kernel(*args)
+        return None
+    return kernel(*args)
+
+
 @LAWS
 @given(packed_cases)
 def test_packed_sn_bracket_matches_the_reference(case):
     nvars, (p, a), (q, b) = case
-    got = termops.unpack(termops.sn_bracket(termops.pack(a, nvars), termops.pack(b, nvars)))
-    assert got == oracles.sn_bracket(a, p, b) and zero_free(got)
+    pa, pb = termops.pack(a, nvars), termops.pack(b, nvars)
+    bracket = within_the_top(oracles_top(a) + oracles_top(b), termops.sn_bracket, pa, pb)
+    if bracket is not None:
+        got = termops.unpack(bracket)
+        assert got == oracles.sn_bracket(a, p, b) and zero_free(got)
     # the square of an odd-degree multivector cancels to nothing
     if p & 1:
-        packed = termops.pack(a, nvars)
-        assert termops.unpack(termops.sn_bracket(packed, packed)) == {}
+        square = within_the_top(2 * oracles_top(a), termops.sn_bracket, pa, pa)
+        assert square is None or termops.unpack(square) == {}
 
 
 @LAWS
@@ -407,8 +420,10 @@ def test_packed_sn_bracket_matches_the_reference(case):
 def test_packed_smul_matches_the_reference(case):
     nvars, (_, a), (_, b) = case
     pa, pb, empty = (termops.pack(t, nvars) for t in (a, b, {}))
-    got = termops.unpack(termops.smul(pa, pb))
-    assert got == oracles.smul(a, b) and zero_free(got)
+    product = within_the_top(oracles_top(a) + oracles_top(b), termops.smul, pa, pb)
+    if product is not None:
+        got = termops.unpack(product)
+        assert got == oracles.smul(a, b) and zero_free(got)
     assert termops.unpack(termops.smul(pa, empty)) == termops.unpack(termops.smul(empty, pb)) == {}
 
 
@@ -427,32 +442,39 @@ def wedge_cases(nvars):
 def test_packed_wedge_push_matches_the_reference(case):
     nvars, fields, terms = case
     packed = {i: termops.pack(f, nvars) for i, f in fields.items()}.__getitem__
-    got = termops.unpack(termops.wedge_push(terms, packed, nvars))
-    assert got == oracles.wedge_push(terms, fields.__getitem__, nvars) and zero_free(got)
+    bound = max((sum(oracles_top(fields[i]) for i in key) for key in terms), default=0)
+    pushed = within_the_top(bound, termops.wedge_push, terms, packed, nvars)
+    if pushed is not None:
+        got = termops.unpack(pushed)
+        assert got == oracles.wedge_push(terms, fields.__getitem__, nvars) and zero_free(got)
     # f0 ^ f1 + f1 ^ f0 cancels
-    cancelled = termops.wedge_push({(0, 1): F(1, 3), (1, 0): F(1, 3)}, packed, nvars)
-    assert termops.unpack(cancelled) == {}
+    swapped = {(0, 1): F(1, 3), (1, 0): F(1, 3)}
+    bound = oracles_top(fields[0]) + oracles_top(fields[1])
+    cancelled = within_the_top(bound, termops.wedge_push, swapped, packed, nvars)
+    assert cancelled is None or termops.unpack(cancelled) == {}
 
 
-@pytest.mark.parametrize("top", [15, 2**8 - 1, 2**16 - 1, 2**32 - 1])
+@pytest.mark.parametrize("top", [15, termops.FIELD_TOP])
 def test_packed_kernels_are_exact_across_field_widths(top):
-    # exponents that fill a packed field, multiplied past it
-    a = {((top, 1), (1,)): F(1, 7), ((0, top), (0,)): F(2)}
-    b = {((1, top), (0,)): F(3), ((2, 0), (1,)): F(-1, 5)}
+    # operands whose products fill the packed fields up to ``top``
+    a = {((top - 4, 1), (1,)): F(1, 7), ((0, top - 4), (0,)): F(2)}
+    b = {((4, 0), (0,)): F(3), ((0, 4), (1,)): F(-1, 5)}
     pa, pb = termops.pack(a, 2), termops.pack(b, 2)
-    assert termops.unpack(termops.smul(pa, pb)) == oracles.smul(a, b) != {}
+    product = termops.unpack(termops.smul(pa, pb))
+    assert product == oracles.smul(a, b) != {}
+    assert max(max(e) for e, _ in product) == top
     assert termops.unpack(termops.sn_bracket(pa, pb)) == oracles.sn_bracket(a, 1, b) != {}
-    terms = {(0, 1): F(1, 2), (1, 1, 0): F(4)}
+    terms = {(0, 1): F(1, 2), (1, 0): F(4)}
     pushed = termops.unpack(termops.wedge_push(terms, {0: pa, 1: pb}.__getitem__, 2))
     assert pushed == oracles.wedge_push(terms, {0: a, 1: b}.__getitem__, 2) != {}
 
 
-def test_packed_exponents_past_64_bits_raise():
-    # a bracket that only lowers the largest 64-bit exponent is exact
-    top_terms = {((2**64 - 1, 0), (1,)): F(1, 7)}  # y0^(2^64-1) d/dy1
+def test_packed_exponents_past_255_raise():
+    # a bracket that only lowers the largest exponent is exact
+    top_terms = {((255, 0), (1,)): F(1, 7)}  # y0^255 d/dy1
     top = termops.pack(top_terms, 2)
     d0 = termops.pack({((0, 0), (0,)): F(1)}, 2)
-    assert termops.unpack(termops.sn_bracket(top, d0)) == {((2**64 - 2, 0), (1,)): F(1 - 2**64, 7)}
+    assert termops.unpack(termops.sn_bracket(top, d0)) == {((254, 0), (1,)): F(-255, 7)}
     y0 = termops.pack({((1, 0), ()): F(1)}, 2)
     with pytest.raises(termops.ResourceLimitError):
         termops.smul(top, y0)
@@ -478,11 +500,13 @@ def test_a_square_matches_the_reference_and_the_two_contraction_bracket(case):
     # the same object twice takes the one-contraction square; an equal
     # copy takes both contractions
     nvars, (p, a) = case
-    packed = termops.pack(a, nvars)
-    square = termops.sn_bracket(packed, packed)
-    got = termops.unpack(square)
-    assert got == oracles.sn_bracket(a, p, a) and zero_free(got)
-    assert square == termops.sn_bracket(packed, termops.pack(a, nvars))
+    packed, bound = termops.pack(a, nvars), 2 * oracles_top(a)
+    square = within_the_top(bound, termops.sn_bracket, packed, packed)
+    copy = within_the_top(bound, termops.sn_bracket, packed, termops.pack(a, nvars))
+    if square is not None:
+        got = termops.unpack(square)
+        assert got == oracles.sn_bracket(a, p, a) and zero_free(got)
+        assert square == copy
 
 
 def test_a_square_runs_one_contraction(monkeypatch):
@@ -505,7 +529,7 @@ def test_a_square_runs_one_contraction(monkeypatch):
 # ---------------------------------------------------------------------------
 # the operations of a packed field against the tuple-keyed references:
 # the field strategies of the packed kernel laws above, so denominators up
-# to 12 and exponents that need 16-bit fields on 16 coordinates
+# to 12 and exponents up to FIELD_TOP on 16 coordinates
 
 packed_pairs = st.sampled_from([NVARS, 16]).flatmap(
     lambda n: st.tuples(st.just(n), rational_graded(n), rational_graded(n), rationals)
@@ -590,13 +614,13 @@ def test_fields_proportional_matches_the_reference(case):
     assert polyfield.fields_proportional(zero, pb) == oracles.fields_proportional({}, b)
 
 
-# a coordinate count for each packed width: 64, 32, 16 and 8 bits
-WIDTHS = {2: 64, 5: 32, 9: 16, 17: 8}
+# coordinate counts from 2 to 35: the top is the same one byte on each
+COUNTS = (2, 5, 9, 17, 35)
 
 
 def near_the_top(nvars):
-    """Vector term dicts whose exponents of y0 sit at and around the packed top."""
-    top = 2 ** WIDTHS[nvars] - 1
+    """Vector term dicts whose exponents of y0 sit at and around ``FIELD_TOP``."""
+    top = termops.FIELD_TOP
     exps = st.sampled_from([0, 1, top // 2, top - 1, top, top + 1]).map(
         lambda k: (k,) + (0,) * (nvars - 1)
     )
@@ -605,11 +629,12 @@ def near_the_top(nvars):
 
 
 @LAWS
-@given(st.sampled_from(list(WIDTHS)).flatmap(near_the_top))
+@given(st.sampled_from(COUNTS).flatmap(near_the_top))
 def test_an_exponent_past_the_fixed_width_raises(case):
     nvars, a, b = case
-    top = termops.field_top(nvars)
-    assert top == 2 ** WIDTHS[nvars] - 1
+    top = termops.FIELD_TOP
+    # the top exponent of y0 fills the top byte of a monomial on any count
+    assert termops.monomial_codec(nvars)[0]((top,) + (0,) * (nvars - 1)) == top << 8 * (nvars - 1)
     if oracles_top(a) > top:
         with pytest.raises(termops.ResourceLimitError):
             termops.pack(a, nvars)
@@ -643,13 +668,43 @@ def test_apply_derivation_is_the_sum_of_partials_times_images(imgs, p):
 @given(images, exponents)
 def test_apply_row_is_the_derivation_of_its_images(imgs, b):
     # a row of int numerators over 12 and its Fraction images
-    pack, unpack = termops.monomial_codec(NVARS, termops.field_top(NVARS))
-    units = [pack(termops.unit_exp(NVARS, v)) for v in range(NVARS)]
+    pack, unpack, units = termops.monomial_codec(NVARS)
     row = {v: {pack(e): int(c * 12) for e, c in img.items()} for v, img in sorted(imgs.items())}
     value = termops.apply_row(row, b, pack(b), units)
     assert all(value.values())
     decoded = {unpack(k): F(c, 12) for k, c in value.items()}
     assert decoded == oracles.apply_derivation(imgs, {b: F(1)})
+
+
+def exponent_tuples(nvars):
+    return st.lists(st.integers(0, termops.FIELD_TOP), min_size=nvars, max_size=nvars).map(tuple)
+
+
+@LAWS
+@given(st.sampled_from([3, 8, 16, 35]).flatmap(lambda n: st.tuples(st.just(n), exponent_tuples(n))))
+def test_a_packed_monomial_is_the_monomial_of_its_packed_term(case):
+    # the scans and the fields share one key per monomial
+    nvars, e = case
+    pack, unpack, units = termops.monomial_codec(nvars)
+    (key,) = termops.pack({(e, ()): F(1)}, nvars).numerators()[0]
+    assert pack(e) == key >> nvars and unpack(pack(e)) == e
+    assert list(units) == [pack(termops.unit_exp(nvars, i)) for i in range(nvars)]
+    assert termops.monomial_codec(nvars) is termops.monomial_codec(nvars)
+
+
+def test_row_tables_read_the_packed_keys_without_decoding(monkeypatch):
+    A2 = liealg.algebra("A", 2)
+    bivectors = [polyfield.quadratic_bracket(A2), grouppois.build_ad_bracket(SL2).terms]
+    fields = {w: polyfield.coadjoint_field(A2, w) for w in range(A2.dim)}
+    rows = [termops.row_table(b) for b in bivectors]
+    adjoint = termops.derivation_table(fields, A2.dim)
+
+    def refused(nvars):
+        raise AssertionError("a row table decoded a term")
+
+    monkeypatch.setattr(termops, "_term_reader", refused)
+    assert [termops.row_table(b) for b in bivectors] == rows
+    assert termops.derivation_table(fields, A2.dim) == adjoint
 
 
 @LAWS
