@@ -213,6 +213,11 @@ def coadjoint_term_images(L, x):
     return image
 
 
+def _entries(L, p, q):
+    """Entries of the equivariant system of degree-p fields with degree-q coefficients."""
+    return math.comb(L.dim, p) * math.comb(L.dim + q - 1, q)
+
+
 def invariant_field_space(L, p, q):
     """Basis of invariant degree-p fields with homogeneous degree-q coefficients.
 
@@ -220,7 +225,7 @@ def invariant_field_space(L, p, q):
     algebra and degree pair and returned as a tuple, so no caller can
     change the cached copy.
     """
-    full = math.comb(L.dim, p) * math.comb(L.dim + q - 1, q)
+    full = _entries(L, p, q)
     if full > EQUIVARIANT_ENTRY_CAP:
         raise termops.ResourceLimitError(
             f"equivariant system of {full} entries exceeds the cap {EQUIVARIANT_ENTRY_CAP}"
@@ -399,20 +404,6 @@ def phibar(L):
 # pencils and the invariant-bivector scan
 
 
-PencilReport = namedtuple("PencilReport", "pp qq pq")
-
-
-def poisson_pencil_check(P, Q):
-    """Schouten data deciding whether every aP + bQ is Poisson."""
-    if any(len(d) != 2 for field in (P, Q) for _, d in termops.shapes(field)):
-        raise ValueError("pencil check expects bivectors")
-    return PencilReport(
-        pp=schouten_nijenhuis(P, P),
-        qq=schouten_nijenhuis(Q, Q),
-        pq=schouten_nijenhuis(P, Q),
-    )
-
-
 ScanEntry = namedtuple("ScanEntry", "degree dimension invariant_poly_dim extras")
 
 
@@ -425,10 +416,11 @@ def invariant_bivector_scan(L, max_degree):
     invariant-polynomial multiples of the linear bivector; the space is
     exhausted by those multiples exactly when ``extras`` is empty.
     """
-    worst = math.comb(L.dim, 2) * math.comb(L.dim + max_degree - 1, max_degree)
-    if worst > EQUIVARIANT_ENTRY_CAP:
+    # the cap bounds the whole scan, so no system is solved before a refusal
+    total = sum(_entries(L, 2, k) + _entries(L, 0, k - 1) for k in range(1, max_degree + 1))
+    if total > EQUIVARIANT_ENTRY_CAP:
         raise termops.ResourceLimitError(
-            f"scan at degree {max_degree} needs {worst} entries, "
+            f"scan to degree {max_degree} solves systems of {total} entries in all, "
             f"above the cap {EQUIVARIANT_ENTRY_CAP}"
         )
     termops.check_top(max_degree)

@@ -14,11 +14,12 @@ the coadjoint fields packed, as ``polyfield.coadjoint_field`` keeps
 them: the invariance scan's Lie derivative is one
 ``termops.sn_bracket``, and the twist scan reads the fields through
 ``termops.derivation_table``.  The symmetric-algebra family is probed
-through a rewriting system whose normal forms are ordered monomials,
-and the coproduct-level identities (pentagon shadow, first-order
-R-matrix relations) are evaluated exactly through Kronecker powers of
-the matrices of a representation, each a list of slot layouts summed
-over word terms by ``_kron_terms``.  These checks take the
+by rewriting words with a rule table: U(g)'s (``straightening_rules``)
+has the ordered monomials as normal forms, and its Jacobi fault is one
+corrupted rule.  The coproduct-level identities (pentagon shadow,
+first-order R-matrix relations) are evaluated exactly through Kronecker
+powers of the matrices of a representation, each a list of slot layouts
+summed over word terms by ``_kron_terms``.  These checks take the
 matrices and run no guard: the calling suite runs ``faithfulness_guard``
 once per representation, as an evaluation in an unfaithful
 representation proves nothing.
@@ -343,82 +344,82 @@ def twist_correspondence_check(L, d, r_tensor):
 # the symmetric-algebra family via rewriting
 
 
-class RewriteSystem:
-    """Straightening rules for tensor words over the algebra basis.
+def straightening_rules(L):
+    """U(g)'s rule table: each leading pair ``(a, b)`` with ``a > b`` goes to ``ba + [a, b]``."""
+    return {
+        (a, b): {(b, a): ONE, **{(m,): c for m, c in L.bracket(a, b).items()}}
+        for a in range(L.dim)
+        for b in range(a)
+    }
 
-    Out-of-order adjacent letters are swapped at the cost of ``t`` times
-    their bracket; normal forms are words whose basis indices are
-    non-decreasing.  Rewriting terminates because the measure (length,
-    inversion count) drops lexicographically.
+
+def jacobi_fault_rules(L):
+    """U(g)'s rules with ``-b_i`` added to the rule of ``(j, i)``, for the first
+    structure pair ``(i, j)``: the Jacobi identity breaks, so confluence must fail."""
+    rules = straightening_rules(L)
+    i, j = sorted(L.struct)[0]
+    termops.siadd(rules[(j, i)], (i,), -ONE)
+    return rules
+
+
+class RewriteSystem:
+    """Rewriting of tensor words by a rule table, as ``straightening_rules`` builds.
+
+    ``rules`` maps each leading pair to the word -> coefficient dict, of
+    words of length at most 2, that replaces it; ``t`` scales the words
+    of length below 2.  A word is normal when it contains no leading
+    pair.  The table must make rewriting terminate: U(g)'s rules lower
+    (length, inversion count) lexicographically.
     """
 
-    def __init__(self, L, t_param=ONE):
-        self.algebra = L
-        self.t = Fraction(t_param)
+    def __init__(self, rules, t):
+        self.t = t = Fraction(t)
+        self.rules = {
+            pair: {w: c if len(w) == 2 else t * c for w, c in rule.items() if len(w) == 2 or t}
+            for pair, rule in rules.items()
+        }
 
     def descents(self, word):
-        return [k for k in range(len(word) - 1) if word[k] > word[k + 1]]
+        """Positions ``k`` at which ``word[k:k + 2]`` is a leading pair."""
+        return [k for k, pair in enumerate(zip(word, word[1:])) if pair in self.rules]
 
     def rewrite_at(self, word, k):
         """One rule application; returns a word -> coefficient dict."""
-        out = {word[:k] + (word[k + 1], word[k]) + word[k + 2 :]: ONE}
-        if self.t:
-            for m, c in self.algebra.bracket(word[k], word[k + 1]).items():
-                termops.siadd(out, word[:k] + (m,) + word[k + 2 :], self.t * c)
-        return out
+        head, tail = word[:k], word[k + 2 :]
+        return {head + w + tail: c for w, c in self.rules[word[k : k + 2]].items()}
 
     def normal_form(self, start, strategy="leftmost"):
         """Fully reduce a word to a word -> coefficient dict."""
         combo = {start: ONE}
         while True:
-            target = None
             for word in sorted(combo):
                 ds = self.descents(word)
                 if ds:
-                    target = (word, ds[0] if strategy == "leftmost" else ds[-1])
+                    k = ds[0] if strategy == "leftmost" else ds[-1]
+                    termops.piadd(combo, self.rewrite_at(word, k), combo.pop(word))
                     break
-            if target is None:
+            else:
                 return combo
-            word, k = target
-            termops.piadd(combo, self.rewrite_at(word, k), combo.pop(word))
 
 
-def jacobi_fault_algebra(L):
-    """A copy of the algebra with one structure row corrupted.
-
-    Adds a spurious term to one bracket (and its antisymmetric mirror),
-    which breaks the Jacobi identity and must surface as a rewriting
-    confluence failure.
-    """
-    struct = {k: dict(v) for k, v in L.struct.items()}
-    i, j = sorted(struct)[0]
-    row = struct.setdefault((i, j), {})
-    row[i] = row.get(i, Fraction(0)) + 1
-    struct[(j, i)] = {k: -c for k, c in row.items()}
-    return liealg.LieAlgebra(
-        L.root_system, L.names, L.weights, struct, L.killing, L.killing_inv,
-        matrices=None, msize=L.msize,
-    )
-
-
-def pbw_flatness(L, degree, seed=0):
+def pbw_flatness(rules, dim, degree, seed=0):
     """Normal-form counts, confluence and the formal-parameter comparison.
 
-    Counts of irreducible words of each length, taken from the rewriting
-    system's own ``descents`` rule, are compared against the
+    Counts of normal words of each length over ``dim`` letters, read
+    through ``RewriteSystem.descents``, are compared against the
     symmetric-power dimensions; local confluence is checked on every
-    strictly descending adjacent-overlap triple and on seeded random
+    overlap ``abc`` (both ``ab`` and ``bc`` lead) and on seeded random
     words, for the deformed and the undeformed parameter value.
     """
     if degree > PBW_DEGREE_CAP:
         raise termops.ResourceLimitError(
             f"rewriting degree {degree} above cap {PBW_DEGREE_CAP}"
         )
-    systems = [RewriteSystem(L, ONE), RewriteSystem(L, Fraction(0))]
-    # a word is irreducible iff none of its adjacent letter pairs is a
-    # descent, so the words are counted by their last letter, length by length
-    dim = L.dim
-    pair_ok = [[not systems[0].descents((a, b)) for b in range(dim)] for a in range(dim)]
+    systems = [RewriteSystem(rules, ONE), RewriteSystem(rules, 0)]
+    descents = systems[0].descents
+    # a word is normal iff none of its adjacent letter pairs leads, so the
+    # words are counted by their last letter, length by length
+    pair_ok = [[not descents((a, b)) for b in range(dim)] for a in range(dim)]
     ends = [1] * dim
     counts = [1]
     for k in range(1, degree + 1):
@@ -432,12 +433,8 @@ def pbw_flatness(L, degree, seed=0):
     words = []
     for k in range(3, degree + 1):
         for _ in range(max(1, PBW_SPOT_CHECKS // max(1, degree - 2))):
-            words.append(tuple(rng.randrange(L.dim) for _ in range(k)))
-    # adjacent overlaps: strictly descending triples
-    for a in range(L.dim):
-        for b in range(a):
-            for c in range(b):
-                words.append((a, b, c))
+            words.append(tuple(rng.randrange(dim) for _ in range(k)))
+    words.extend(w for w in itertools.product(range(dim), repeat=3) if len(descents(w)) == 2)
     for system in systems:
         for word in words:
             left = system.normal_form(word, "leftmost")

@@ -322,11 +322,11 @@ def _suite_phi_bracket(series, rank, config):
     def pencil():
         # [[f0, rm]] has the largest transient terms: build it while little else is held
         cross = polyfield.schouten_nijenhuis(f0, rm)
-        rep = polyfield.poisson_pencil_check(s, rm)
+        sn = polyfield.schouten_nijenhuis
         return (
-            not rep.pp
-            and not rep.pq
-            and not termops.padd(rep.qq, cal.ff, cal.lam_squared)
+            not sn(s, s)
+            and not sn(s, rm)
+            and not termops.padd(sn(rm, rm), cal.ff, cal.lam_squared)
             and not cross,
             None,
         )
@@ -670,17 +670,17 @@ def _suite_rmatrix(series, rank, config):
 def _suite_pbw(series, rank, config):
     L = _classical(series, rank)
     d = _degree(config, 4 if L.dim <= 3 else 3, 1)
-    bad = quantize.jacobi_fault_algebra(L)
+    rules, bad = quantize.straightening_rules(L), quantize.jacobi_fault_rules(L)
     return [
         _record(
             "normal-form-counts",
             "irreducible words count the symmetric powers",
-            lambda: quantize.pbw_flatness(L, d, seed=config.seed),
+            lambda: quantize.pbw_flatness(rules, L.dim, d, seed=config.seed),
         ),
         _record(
             "jacobi-fault-detected",
             "corrupted structure constants break confluence",
-            lambda: _detected(quantize.pbw_flatness(bad, min(d, 3), seed=config.seed)),
+            lambda: _detected(quantize.pbw_flatness(bad, L.dim, min(d, 3), seed=config.seed)),
         ),
     ]
 

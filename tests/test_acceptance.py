@@ -99,8 +99,8 @@ def test_criterion_03_phi_bracket_suite():
         ct = liealg.canonical_tensors(L)
         assert pb == termops.pscale(polyfield.action_field(ct.phi), polyfield.PHIBAR_SIGN)
         p = termops.padd(f, polyfield.rmatrix_bracket(ct.r_sd), -1)
-        rep = polyfield.poisson_pencil_check(s, p)
-        assert not rep.pp and not rep.qq and not rep.pq
+        sn = polyfield.schouten_nijenhuis
+        assert not sn(s, s) and not sn(p, p) and not sn(s, p)
         assert run("phi-bracket", "A2").aggregate == "pass"
 
 
@@ -247,13 +247,13 @@ def test_criterion_09_quantization_order_suite():
 
 def test_criterion_10_pbw_suite():
     with Budget("10 pbw", 60):
-        passed2, witness2 = quantize.pbw_flatness(liealg.algebra("A", 1), 4, seed=0)
+        sl2, sl3 = liealg.algebra("A", 1), liealg.algebra("A", 2)
+        passed2, witness2 = quantize.pbw_flatness(quantize.straightening_rules(sl2), sl2.dim, 4)
         assert passed2 and witness2["counts"] == [1, 3, 6, 10, 15]
-        passed3, witness3 = quantize.pbw_flatness(liealg.algebra("A", 2), 3, seed=0)
+        passed3, witness3 = quantize.pbw_flatness(quantize.straightening_rules(sl3), sl3.dim, 3)
         assert passed3 and witness3["counts"] == [1, 8, 36, 120]
-        for spec in (("A", 1), ("A", 2)):
-            bad = quantize.jacobi_fault_algebra(liealg.algebra(*spec))
-            passed, _ = quantize.pbw_flatness(bad, 3, seed=0)
+        for L in (sl2, sl3):
+            passed, _ = quantize.pbw_flatness(quantize.jacobi_fault_rules(L), L.dim, 3, seed=0)
             assert not passed
 
 

@@ -148,6 +148,18 @@ def test_a_degree_past_the_packed_top_is_refused_before_any_solve(capsys, monkey
         polyfield.invariant_field_space(liealg.algebra("A", 1), 2, top + 1)
 
 
+def test_the_scan_cap_bounds_the_sum_of_its_systems(capsys, monkeypatch):
+    # A1 at degree 200 is within the entry cap of its largest system, but
+    # not of the 200 degrees it would solve in all
+    def solve(L, p, q):
+        raise AssertionError(f"solved ({p}, {q}) before refusing the degree")
+
+    monkeypatch.setattr(polyfield, "solve_equivariant", solve)
+    code, _, err = run(capsys, "conjecture-scan", "--algebra", "A1", "--degree", "200")
+    assert code == 3
+    assert "resource cap" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -250,6 +262,7 @@ def test_json_byte_identical_reruns(capsys):
         ("ad-bracket", "--algebra", "A2"),
         ("star-first-order", "--algebra", "A2"),
         ("ad-bracket", "--algebra", "A3"),
+        ("pbw", "--algebra", "A2", "--degree", "4"),
     ],
 )
 def test_reports_do_not_depend_on_the_hash_seed(argv):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -459,18 +460,22 @@ def test_twist_fault_witness_matches_pairwise_scan(sl3_product, monkeypatch, fau
 # rewriting and flatness
 
 
+def pbw(L, degree, seed=0, rules=quantize.straightening_rules):
+    return quantize.pbw_flatness(rules(L), L.dim, degree, seed=seed)
+
+
 def test_pbw_counts(sl2, sl3):
-    passed, witness = quantize.pbw_flatness(sl2, 4, seed=3)
+    passed, witness = pbw(sl2, 4, seed=3)
     assert passed
     assert witness["counts"] == [1, 3, 6, 10, 15]
-    passed, witness = quantize.pbw_flatness(sl3, 3, seed=3)
+    passed, witness = pbw(sl3, 3, seed=3)
     assert passed
     assert witness["counts"] == [1, 8, 36, 120]
 
 
 def test_pbw_degree_cap(sl2):
     with pytest.raises(termops.ResourceLimitError):
-        quantize.pbw_flatness(sl2, quantize.PBW_DEGREE_CAP + 1)
+        pbw(sl2, quantize.PBW_DEGREE_CAP + 1)
 
 
 def test_pbw_counts_fail_when_descents_are_missed(sl2, monkeypatch):
@@ -480,24 +485,25 @@ def test_pbw_counts_fail_when_descents_are_missed(sl2, monkeypatch):
         return [k for k in range(len(word) - 1) if word[k] > word[k + 1] + 1]
 
     monkeypatch.setattr(quantize.RewriteSystem, "descents", descents)
-    passed, witness = quantize.pbw_flatness(sl2, 4, seed=3)
+    passed, witness = pbw(sl2, 4, seed=3)
     assert not passed
     assert witness == {"k": 2, "count": 8}
 
 
 def test_normal_form_matches_symmetrization(sl2):
     # degree-2 straightening: fe -> ef - h at the deformed parameter
-    rw = quantize.RewriteSystem(sl2, F(1))
+    rules = quantize.straightening_rules(sl2)
+    rw = quantize.RewriteSystem(rules, F(1))
     nf = rw.normal_form((2, 1))
     assert nf == {(1, 2): F(1), (0,): F(-1)}
     # undeformed parameter just sorts
-    rw0 = quantize.RewriteSystem(sl2, F(0))
+    rw0 = quantize.RewriteSystem(rules, F(0))
     assert rw0.normal_form((2, 1)) == {(1, 2): F(1)}
 
 
 def test_confluence_strategies_agree(sl3):
     rng = random.Random(17)
-    rw = quantize.RewriteSystem(sl3, F(1))
+    rw = quantize.RewriteSystem(quantize.straightening_rules(sl3), F(1))
     for _ in range(50):
         word = tuple(rng.randrange(sl3.dim) for _ in range(4))
         assert rw.normal_form(word, "leftmost") == rw.normal_form(word, "rightmost")
@@ -505,10 +511,48 @@ def test_confluence_strategies_agree(sl3):
 
 def test_jacobi_fault_detected(sl2, sl3):
     for L in (sl2, sl3):
-        bad = quantize.jacobi_fault_algebra(L)
-        passed, witness = quantize.pbw_flatness(bad, 3, seed=3)
+        passed, witness = pbw(L, 3, seed=3, rules=quantize.jacobi_fault_rules)
         assert not passed
-        assert "word" in witness
+        assert len(witness["word"]) == 3
+
+
+def reversed_rules(L):
+    """U(g)'s rules for the reversed order: ``ab -> ba + [a, b]`` for ``a < b``."""
+    return {
+        (a, b): {(b, a): F(1), **{(m,): c for m, c in L.bracket(a, b).items()}}
+        for a in range(L.dim)
+        for b in range(a + 1, L.dim)
+    }
+
+
+@pytest.mark.parametrize("spec", [("A", 1), ("A", 2), ("B", 2)])
+def test_the_engine_runs_any_rule_table(spec):
+    # U(g) straightened towards non-increasing words is flat too: its
+    # normal words count the symmetric powers, and its C(dim, 3) overlaps resolve
+    L = liealg.algebra(*spec)
+    degree = 4 if L.dim <= 3 else 3
+    passed, witness = pbw(L, degree, seed=3, rules=reversed_rules)
+    assert passed
+    assert witness == {
+        "counts": [math.comb(L.dim + k - 1, k) for k in range(degree + 1)],
+        "confluence_words": quantize.PBW_SPOT_CHECKS + math.comb(L.dim, 3),
+    }
+
+
+@pytest.mark.parametrize("spec", [("A", 2), ("B", 2)])
+def test_dropping_any_bracket_term_breaks_confluence(spec):
+    # each drop leaves a bracket that fails the Jacobi identity on A2 and
+    # B2 (on A1 one drop still gives a Lie algebra, whose table is flat)
+    L = liealg.algebra(*spec)
+    rules = quantize.straightening_rules(L)
+    drops = [(pair, w) for pair, rule in rules.items() for w in rule if len(w) == 1]
+    assert drops
+    for pair, w in drops:
+        faulty = {p: dict(rule) for p, rule in rules.items()}
+        del faulty[pair][w]
+        passed, witness = quantize.pbw_flatness(faulty, L.dim, 3)
+        assert not passed, (pair, w)
+        assert len(witness["word"]) == 3
 
 
 # ---------------------------------------------------------------------------

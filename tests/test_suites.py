@@ -104,6 +104,19 @@ def test_entry_ring_witnesses_a2():
     assert sk["square-mismatch-jacobiator-witness"] == {"witness_triple": [0, 1, 3]}
 
 
+def test_pbw_witnesses_a1():
+    # the Jacobi fault is one corrupted rule of the table: the word it
+    # fails on and both of its normal forms are pinned
+    pbw = _witnesses("pbw", "A1")
+    assert pbw["jacobi-fault-detected"] == {
+        "word": [2, 1, 0],
+        "t": "1",
+        "leftmost": {"(0, 0)": "-1", "(0, 1, 2)": "1", "(0, 2)": "-1"},
+        "rightmost": {"(0, 0)": "-1", "(0, 1, 2)": "1", "(0, 2)": "-1", "(2,)": "-2"},
+    }
+    assert pbw["normal-form-counts"] == {"counts": [1, 3, 6, 10, 15], "confluence_words": 101}
+
+
 def _count_calls(monkeypatch, module, name):
     calls = []
     fn = getattr(module, name)
@@ -293,7 +306,9 @@ def _quantize_calls():
         "deformed-invariance": lambda: quantize.first_order_invariance_check(m1, ct.r_sd, 3),
         "hochschild-cocycle": lambda: quantize.hochschild_cocycle_check(L, 4, m1),
         "twist-correspondence": lambda: quantize.twist_correspondence_check(L, 3, ct.r_sd),
-        "normal-form-counts": lambda: quantize.pbw_flatness(sl2, 4, seed=0),
+        "normal-form-counts": lambda: quantize.pbw_flatness(
+            quantize.straightening_rules(sl2), sl2.dim, 4, seed=0
+        ),
         "factorized-coproduct": lambda: quantize.order_h_factorization_check(
             sl2.matrices, sl2.msize, rho
         ),
@@ -605,13 +620,13 @@ def _nonzero_co_jacobi_defect(monkeypatch):
 
 
 def _jacobi_fault_not_planted(monkeypatch):
-    # the fault algebra is the algebra itself, whose rewriting is confluent
-    monkeypatch.setattr(quantize, "jacobi_fault_algebra", lambda L: L)
+    # the fault table is U(g)'s own, whose rewriting is confluent
+    monkeypatch.setattr(quantize, "jacobi_fault_rules", quantize.straightening_rules)
 
 
 def _descents_blind_to_the_last_letter(monkeypatch):
     # every word of two letters reads irreducible, too many for S^2; the
-    # fault algebra already fails its counts, so its detection holds
+    # fault table already fails its counts, so its detection holds
     descents = quantize.RewriteSystem.descents
     monkeypatch.setattr(
         quantize.RewriteSystem, "descents", lambda self, word: descents(self, word[:-1])
