@@ -1,8 +1,9 @@
 """Command-line driver.
 
 Usage: ``qpverify <suite> --algebra <spec> [--degree N] [--format text|json]
-[--seed N] [--timings]`` or ``qpverify --list``.  Exit codes: 0 every
-check passed, 1 a check failed, 2 usage error, 3 resource cap exceeded.
+[--seed N] [--timings]`` or ``qpverify --list``; a suite with no degree
+bound refuses ``--degree``.  Exit codes: 0 every check passed, 1 a check
+failed, 2 usage error, 3 resource cap exceeded.
 """
 
 import argparse
@@ -26,7 +27,8 @@ def build_parser():
         default="A1",
         help="algebra spec: letter+rank like A2, B2, D4, G2, or sl3/so5/sp4/so8",
     )
-    parser.add_argument("--degree", type=int, default=None, help="degree bound of the suite's scans")
+    degree_suites = ", ".join(sorted(suites.DEGREE_SUITES))
+    parser.add_argument("--degree", type=int, help=f"degree bound of the scans of {degree_suites}")
     parser.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
     parser.add_argument(

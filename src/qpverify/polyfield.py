@@ -11,14 +11,14 @@ Casimir through left and right multiplication fields, so no polynomial
 product is made here.  A field is a ``termops.PackedField``,
 homogeneous in its number of derivations; sums, scalings, brackets,
 zero tests and comparisons are the ``termops`` kernels, on int
-numerators.  The solver packs its basis once, and its ``(0, q)`` space
-holds the invariant polynomials as packed 0-fields, the unit at
-``q = 0``; ``phibar`` builds its field packed, and
-``fields_proportional`` and the scan's ``linalg.rank`` read the int
-numerators; no field is decoded here, and the pencil check's degree
-guard reads ``termops.shapes``.  The Schouten-Nijenhuis
-bracket is normalized so that the square of a bivector evaluates to
-twice the Jacobi defect of its bracket.
+numerators.  The solver reads the action only through its packed
+fields, whose rows (``termops.hamiltonian_row``) give its constraints,
+and packs its basis once; its ``(0, q)`` space holds the invariant
+polynomials as packed 0-fields, the unit at ``q = 0``.  ``phibar``
+builds its field packed, and ``fields_proportional`` and the scan's
+``linalg.rank`` read the int numerators; no field is decoded here.  The
+Schouten-Nijenhuis bracket is normalized so that the square of a
+bivector evaluates to twice the Jacobi defect of its bracket.
 
 One computed sign fact is frozen here and regression tested:
 ``PHIBAR_SIGN`` relates the cubic trivector built from bracket
@@ -176,43 +176,6 @@ def _derivation_part(jac, ders):
     return out
 
 
-def coadjoint_term_images(L, x):
-    """Lie derivative of single terms along the coadjoint field ``X`` of ``x``.
-
-    Returns ``image(e, D)``, the term dict of ``[X, y^e d/dy_D]``.  Since
-    ``X`` is linear, the bracket has the closed form
-    ``X(y^e) d/dy_D - y^e sum_s sum_k (d X_k / dy_{d_s}) d/dy_{D[d_s -> k]}``:
-    the first part, ``sum_k sum_m e_k (d X_k / dy_m) y^e y_m / y_k``, is
-    cached per exponent ``e``, the second (``_derivation_part``) per
-    derivation set ``D``.  It equals ``schouten_nijenhuis`` of the
-    coadjoint field and the term with coefficient 1.
-    """
-    jac = {}  # m -> {k: d X_k / dy_m}
-    for k in range(L.dim):
-        for m, c in L.struct.get((x, k), {}).items():
-            jac.setdefault(m, {})[k] = c
-    by_exps, by_ders = {}, {}
-
-    def image(exps, ders):
-        moved = by_exps.get(exps)
-        if moved is None:
-            moved = by_exps[exps] = {}
-            for m, col in jac.items():
-                for k, c in col.items():
-                    if exps[k]:
-                        e = tuple(n + (j == m) - (j == k) for j, n in enumerate(exps))
-                        termops.siadd(moved, e, c * exps[k])
-        turned = by_ders.get(ders)
-        if turned is None:
-            turned = by_ders[ders] = _derivation_part(jac, ders)
-        out = {(e, ders): c for e, c in moved.items()}
-        for d, c in turned.items():
-            termops.siadd(out, (exps, d), c)
-        return out
-
-    return image
-
-
 def _entries(L, p, q):
     """Entries of the equivariant system of degree-p fields with degree-q coefficients."""
     return math.comb(L.dim, p) * math.comb(L.dim + q - 1, q)
@@ -248,34 +211,49 @@ def solve_equivariant(L, p, q):
     The unknowns are the weight-zero terms ``y^e d/dy_D``: monomials are
     bucketed by weight, and each ``D`` takes the bucket of its own weight,
     ``D`` outer and ``monomials`` order inner.  A constraint row is one
-    term of the Lie derivative of an unknown along a simple field ``X``,
-    taken in closed form rather than as a Schouten bracket:
-    ``[X, y^e d/dy_D] = X(y^e) d/dy_D - y^e sum_s sum_k (d X_k / dy_{d_s})
-    d/dy_{D[d_s -> k]}``, by the Leibniz rule and ``[X, d/dy_d] = -sum_k
-    (d X_k / dy_d) d/dy_k``.  ``X`` is linear, so each ``d X_k / dy_d`` is
-    a number: the first part depends on ``e`` alone and the second, up to
-    the factor ``y^e``, on ``D`` alone, and each is built once
-    (``coadjoint_term_images``).
+    term of the Lie derivative of an unknown along a simple coadjoint
+    field ``X``: ``[X, y^e d/dy_D] = X(y^e) d/dy_D + y^e [X, d/dy_D]``.
+    The images ``X(y^e)`` of every simple field are one packed row of
+    their ``termops.derivation_table`` (``termops.hamiltonian_row``),
+    built once per exponent.  ``X`` is linear, so the rows of the
+    coordinates hold the numbers ``d X_k / dy_m`` of ``[X, d/dy_D]``
+    (``_derivation_part``), built once per field and ``D``.  A row is
+    keyed by the field, the packed monomial and the derivations, on int
+    numerators over the table's denominator.
     """
+    dim = L.dim
     by_weight = {}
-    for exps in monomials(L.dim, q):
+    for exps in monomials(dim, q):
         # y^e has the weight of the key that lists each j e_j times
         key = tuple(j for j, n in enumerate(exps) for _ in range(n))
         by_weight.setdefault(L.weight_of_key(key), []).append(exps)
-    labels = [
-        (exps, ders)
-        for ders in combinations(range(L.dim), p)
-        for exps in by_weight.get(L.weight_of_key(ders), ())
-    ]
-    gens = [(g, coadjoint_term_images(L, g)) for g in _simple_generator_indices(L)]
-    rows = {}
-    for col, (exps, ders) in enumerate(labels):
-        for g, image in gens:
-            for key, c in image(exps, ders).items():
-                rows.setdefault((g, key), {})[col] = c
+    gens = _simple_generator_indices(L)
+    table = termops.derivation_table({g: coadjoint_field(L, g) for g in gens}, dim)[0]
+    pack, _, units = termops.monomial_codec(dim)
+    images = functools.cache(lambda exps: termops.hamiltonian_row(table, exps, pack(exps)))
+    # jacs[g][m][k] = d X_k / dy_m, the coefficient of y_m in X_g(y_k)
+    index = {u: m for m, u in enumerate(units)}
+    jacs = {g: {} for g in gens}
+    for k in range(dim):
+        for g, img in images(termops.unit_exp(dim, k)).items():
+            for u, c in img.items():
+                jacs[g].setdefault(index[u], {})[k] = c
+    labels, rows = [], {}
+    for ders in combinations(range(dim), p):
+        bucket = by_weight.get(L.weight_of_key(ders), ())
+        turned = {g: _derivation_part(jacs[g], ders) for g in gens} if bucket else {}
+        for exps in bucket:
+            col, mono, image = len(labels), pack(exps), images(exps)
+            labels.append((exps, ders))
+            # the two parts may meet at one key, so entries add
+            for g in gens:
+                for k, c in image.get(g, {}).items():
+                    termops.siadd(rows.setdefault((g, k, ders), {}), col, c)
+                for d, c in turned[g].items():
+                    termops.siadd(rows.setdefault((g, mono, d), {}), col, c)
     basis = linalg.nullspace_sparse(list(rows.values()), len(labels))
     fields = tuple(
-        termops.pack({labels[i]: c for i, c in enumerate(vec) if c}, L.dim) for vec in basis
+        termops.pack({labels[i]: c for i, c in enumerate(vec) if c}, dim) for vec in basis
     )
     for f in fields:
         if not is_invariant_field(L, f):

@@ -758,6 +758,9 @@ SUITES = {
     "star-first-order": ("first-order star product checks", _suite_star_first_order),
 }
 
+# the suites whose runners read a degree bound (``_degree``); the others refuse one
+DEGREE_SUITES = frozenset({"conjecture-scan", "pbw", "star-first-order"})
+
 
 def list_suites():
     return [
@@ -768,6 +771,8 @@ def list_suites():
 def run_suite(config):
     if config.suite not in SUITES:
         raise UsageError(f"unknown suite {config.suite!r}")
+    if config.degree is not None and config.suite not in DEGREE_SUITES:
+        raise UsageError(f"suite {config.suite!r} takes no --degree")
     series, rank = parse_algebra(config.algebra)
     _, runner = SUITES[config.suite]
     checks = runner(series, rank, config)

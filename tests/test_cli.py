@@ -180,6 +180,23 @@ def test_degree_below_the_suite_minimum_exit_2(capsys, argv):
     assert "below this suite's minimum" in err
 
 
+@pytest.mark.parametrize("suite", sorted(set(suites.SUITES) - suites.DEGREE_SUITES))
+def test_a_suite_without_a_degree_bound_refuses_one(capsys, suite):
+    # no runner of these reads the degree, so a report must not echo it
+    code, out, err = run(capsys, suite, "--algebra", "A2", "--degree", "3", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert f"suite {suite!r} takes no --degree" in err
+
+
+def test_the_degree_suites_are_the_runners_that_read_a_degree():
+    reads = {
+        name for name, (_, runner) in suites.SUITES.items() if "_degree" in runner.__code__.co_names
+    }
+    assert reads == suites.DEGREE_SUITES
+    assert len(set(suites.SUITES) - reads) == 8
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,4 +1,7 @@
 import ast
+import functools
+import importlib
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -546,3 +549,53 @@ def test_only_termops_reads_the_packed_format():
     }
     sources["termops.py"] = sources.pop("src/qpverify/termops.py")
     assert private_field_reads(sources, slots) == []
+
+
+# a backticked ``module.attr`` or ``module.Class.attr``, ended by a
+# backtick or by the parenthesis of a call
+_DOTTED = re.compile(r"`([a-z_]+)((?:\.[A-Za-z_]\w*){1,2})(?=`|\()")
+
+
+def dotted_references(text, modules):
+    """The backticked dotted references in ``text`` whose head is one of ``modules``.
+
+    Single and double backticks both count, and a file name such as
+    ``termops.py`` is not a reference.
+    """
+    return sorted({h + t for h, t in _DOTTED.findall(text) if h in modules and t != ".py"})
+
+
+def unresolved_references(references, package):
+    """The ``module.attr...`` references that no attribute of ``package.module`` resolves."""
+    unresolved = []
+    for reference in references:
+        module, *attrs = reference.split(".")
+        try:
+            functools.reduce(getattr, attrs, importlib.import_module(f"{package}.{module}"))
+        except AttributeError:
+            unresolved.append(reference)
+    return unresolved
+
+
+def test_scan_finds_dotted_references():
+    text = (
+        "`ast.walk` and ``ast.NodeVisitor.visit`` resolve, `ast.gone` and\n"
+        "``ast.AST.gone(x)`` do not; `json.dumps(obj)` is not in the modules, and\n"
+        "`ast.py`, ast.parse and `x = ast.parse` are no references.\n"
+    )
+    found = dotted_references(text, {"ast"})
+    assert found == ["ast.AST.gone", "ast.NodeVisitor.visit", "ast.gone", "ast.walk"]
+    assert unresolved_references(["dom.Node", "dom.Node.gone", "dom.gone"], "xml") == [
+        "dom.Node.gone",
+        "dom.gone",
+    ]
+
+
+def test_dotted_references_in_the_docs_resolve():
+    # README.md and the package's own docstrings and comments; the
+    # benchmark's README, ROADMAP and CHANGES are left out
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    paths = [ROOT / "README.md", *sorted(PACKAGE.glob("*.py"))]
+    references = sorted({r for path in paths for r in dotted_references(path.read_text(), modules)})
+    assert len(references) > 20
+    assert unresolved_references(references, "qpverify") == []

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    coadjoint_field, coordinate, phibar_by_pmul, solve_equivariant_by_schouten, transport_bracket,
+    coadjoint_field, coordinate, phibar_by_pmul, sn_bracket, solve_equivariant_by_schouten,
+    transport_bracket,
 )
 from qpverify import liealg, linalg, multivec, polyfield, suites, termops
 
@@ -218,8 +219,17 @@ def test_invariant_linear_fields_are_euler_multiples(sl2, sl3, so5):
         assert polyfield.fields_proportional(fields[0], euler) is not None
 
 
-@pytest.mark.parametrize("p, q", [(0, 2), (0, 3), (1, 1), (2, 1), (2, 2), (3, 0), (3, 1)])
-@pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "C2"])
+# spaces of dimension 0 or 1, and of dimension 3 at (2, 3) on A2, B2 and
+# C2, which pins the order and the scale of a basis of several vectors
+@pytest.mark.parametrize(
+    "name, p, q",
+    [
+        (name, p, q)
+        for name in ["A1", "A2", "A3", "B2", "C2"]
+        for p, q in [(0, 2), (0, 3), (1, 1), (2, 1), (2, 2), (3, 0), (3, 1)]
+    ]
+    + [(name, 2, 3) for name in ["A2", "B2", "C2"]],
+)
 def test_solve_equivariant_matches_schouten_rows(name, p, q):
     L = liealg.algebra(name[0], int(name[1:]))
     solved = tuple(termops.unpack(f) for f in polyfield.solve_equivariant(L, p, q))
@@ -240,13 +250,36 @@ def single_terms(draw):
 
 @LAWS
 @given(single_terms())
-def test_closed_form_term_images_are_schouten_brackets(term):
-    L, exps, ders, c = term
-    single = termops.pack({(exps, ders): c}, L.dim)
+def test_derivation_part_is_the_schouten_bracket_of_a_constant_term(term):
+    # [X, c d/dy_D] from the numbers d X_k / dy_m of the coadjoint field,
+    # read here from the oracle's field, against the oracle's bracket
+    L, _, ders, c = term
+    zero = (0,) * L.dim
     for x in range(L.dim):
-        image = polyfield.coadjoint_term_images(L, x)(exps, ders)
-        X = termops.pack(coadjoint_field(L, x), L.dim)
-        assert termops.pscale(image, c) == termops.unpack(polyfield.schouten_nijenhuis(X, single))
+        X = coadjoint_field(L, x)
+        jac = {}
+        for (e, (k,)), v in X.items():
+            jac.setdefault(e.index(1), {})[k] = v
+        part = polyfield._derivation_part(jac, ders)
+        assert {(zero, d): c * v for d, v in part.items()} == sn_bracket(X, 1, {(zero, ders): c})
+
+
+def test_the_solver_reads_the_action_only_through_its_fields(sl3, monkeypatch):
+    # with the coadjoint fields packed, the solve and its re-verification
+    # read no structure constant
+    monkeypatch.setattr(liealg, "_ALGEBRA_CACHE", {})
+    L = liealg.algebra("A", 2)
+    for i in range(L.dim):
+        polyfield.coadjoint_field(L, i)
+
+    class Refuse(dict):
+        def refuse(self, *args):
+            raise AssertionError("the structure constants were read")
+
+        __getitem__ = __contains__ = __iter__ = __len__ = get = items = keys = values = refuse
+
+    monkeypatch.setattr(L, "struct", Refuse())
+    assert polyfield.solve_equivariant(L, 2, 2) == polyfield.solve_equivariant(sl3, 2, 2)
 
 
 def test_rows_without_the_derivation_part_are_caught(sl3, monkeypatch):
